@@ -19,15 +19,13 @@ import sys
 from pathlib import Path
 
 from . import depth as depth_mod
-from . import pipelines, schedule as sched_mod, simulate as sim, spectral
-from .errors import QwalkError
+from . import pipelines, schedule as sched_mod, spectral
+from .errors import GraphError, QwalkError
 from .graph import (
     Graph,
-    adjacency,
     build_family,
     cycle,
     dump_edge_list,
-    family_params,
     graph_from_json_dict,
     graph_to_json_dict,
     laplacian,
@@ -134,41 +132,31 @@ def _cmd_depth(args, parser) -> int:
 
 def _synth_artifact(args, parser) -> dict:
     g = _resolve_graph(args, parser)
+    probe = args.marked if args.marked is not None else 0
     if args.task == "bipartite":
-        fam = family_params(g)
-        if fam is None or fam[0] != "complete_bipartite":
+        _, blocks = pipelines.search_route(g)
+        if blocks is None:
             parser.error("--task bipartite requires --family complete_bipartite")
-        n1, n2 = fam[1]
-        probe = args.marked if args.marked is not None else 0
-        report = pipelines.search_bipartite(n1, n2, probe)
-        branches = sched_mod.synth_bipartite_search(n1, n2)
-        return {
-            "task": pipelines.TASK_BIPARTITE,
-            "graph": graph_to_json_dict(g),
-            "probe_marked": probe,
-            "reported_fidelity": report.fidelity,
-            "branches": [sched_mod.schedule_to_json_dict(s) for s in branches],
-        }
-    ctx = pipelines.prepare(g)
-    if args.task == "sample":
-        if args.marked is None:
-            parser.error("--task sample requires --marked (the start vertex)")
-        probe = args.marked
-        report = pipelines.uniform_sample(g, probe, ctx=ctx)
-        alphas = spectral.eigenspace_amplitudes(ctx.spectrum, probe)
-        schedule = sched_mod.synth_sampling_schedule(
-            ctx.chain, depth_mod.overlaps(ctx.chain, alphas)
-        )
-    else:  # search
-        probe = args.marked if args.marked is not None else 0
-        report = pipelines.search_vertex_transitive(g, probe, ctx=ctx)
-        schedule = pipelines.transitive_search_schedule(ctx)
+        bctx = pipelines.prepare_bipartite(*blocks)
+        report = pipelines.execute_bipartite(bctx, bctx.branches, probe)
+        schedules = {"branches": [sched_mod.schedule_to_json_dict(s) for s in bctx.branches]}
+    else:
+        ctx = pipelines.prepare(g)
+        if args.task == "sample":
+            if args.marked is None:
+                parser.error("--task sample requires --marked (the start vertex)")
+            schedule = pipelines.sampling_schedule(ctx, probe)
+            report = pipelines.execute_sample(ctx, schedule, probe)
+        else:  # search
+            report = pipelines.search_vertex_transitive(g, probe, ctx=ctx)
+            schedule = pipelines.transitive_search_schedule(ctx)
+        schedules = {"schedule": sched_mod.schedule_to_json_dict(schedule)}
     return {
         "task": report.task,
         "graph": graph_to_json_dict(g),
         "probe_marked": probe,
         "reported_fidelity": report.fidelity,
-        "schedule": sched_mod.schedule_to_json_dict(schedule),
+        **schedules,
     }
 
 
@@ -177,64 +165,35 @@ def _cmd_schedule(args, parser) -> int:
     return 0
 
 
-def _resimulate_artifact(path: str, marked: int | None) -> pipelines.RunReport:
+def _resimulate_artifact(
+    path: str, marked: int | None, threshold: float
+) -> pipelines.RunReport:
+    """Execute an artifact's schedules exactly as ``run <task>`` executes
+    freshly synthesized ones."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     g = graph_from_json_dict(data["graph"])
-    task = data["task"]
     m = marked if marked is not None else int(data["probe_marked"])
-    if task == pipelines.TASK_BIPARTITE:
-        fam = family_params(g)
-        n1, n2 = fam[1]
-        spectrum = spectral.eigendecompose(adjacency(g))
-        blocks = ((1, 0, n1), (2, n1, n1 + n2))
-        fid = 0.0
-        target = None
-        total_p = 0
-        total_t = 0.0
-        for (side, start, stop), sdata in zip(blocks, data["branches"]):
-            schedule = sched_mod.schedule_from_json_dict(sdata)
-            state = sim.block_uniform_state(g.n, start, stop)
-            state = sim.run_schedule(state, schedule, spectrum, m)
-            branch_fid = sim.fidelity(state, m)
-            total_p += schedule.oracle_count
-            total_t += schedule.total_time
-            if branch_fid > fid:
-                fid, target = branch_fid, m
-        depth_d = 1
-    else:
-        ctx = pipelines.prepare(g)
-        schedule = sched_mod.schedule_from_json_dict(data["schedule"])
-        if task == pipelines.TASK_SAMPLE:
-            state = sim.vertex_state(g.n, m)
-            state = sim.run_schedule(state, schedule, ctx.spectrum, m)
-            fid = sim.fidelity(state, sim.uniform_state(g.n))
-        else:
-            state = sim.uniform_state(g.n)
-            state = sim.run_schedule(state, schedule, ctx.spectrum, m)
-            fid = sim.fidelity(state, m)
-        target = None
-        total_p = schedule.oracle_count
-        total_t = schedule.total_time
-        depth_d = ctx.chain.depth
-    return pipelines.RunReport(
-        task=task,
-        graph=g.family or f"custom(n={g.n})",
-        n=g.n,
-        depth=depth_d,
-        marked=m,
-        target=target,
-        fidelity=fid,
-        oracle_count=total_p,
-        total_time=total_t,
-        bound_ratio=total_p / (2.0**depth_d * g.n**0.5),
-    )
+    route, blocks = pipelines.search_route(g)
+    if data["task"] == pipelines.TASK_BIPARTITE:
+        if blocks is None:
+            raise GraphError("bipartite artifact graph is not tagged complete_bipartite")
+        bctx = pipelines.prepare_bipartite(*blocks)
+        branches = tuple(sched_mod.schedule_from_json_dict(s) for s in data["branches"])
+        return pipelines.execute_bipartite(bctx, branches, m, threshold)
+    ctx = pipelines.prepare(g)
+    schedule = sched_mod.schedule_from_json_dict(data["schedule"])
+    if data["task"] == pipelines.TASK_SAMPLE:
+        return pipelines.execute_sample(ctx, schedule, m)
+    if route != "blackbox":
+        raise GraphError("search artifact graph is not flagged vertex-transitive")
+    return pipelines.execute_search(ctx, schedule, m, route)
 
 
 def _cmd_run(args, parser) -> int:
     if args.task == "schedule":
         if not args.schedule:
             parser.error("run schedule requires --schedule <file>")
-        report = _resimulate_artifact(args.schedule, args.marked)
+        report = _resimulate_artifact(args.schedule, args.marked, args.fidelity_threshold)
     elif args.task == "sample":
         if args.marked is None:
             parser.error("run sample requires --marked")
@@ -247,24 +206,23 @@ def _cmd_run(args, parser) -> int:
         if args.marked is None:
             parser.error("run search requires --marked (the hidden vertex)")
         g = _resolve_graph(args, parser)
-        if g.vertex_transitive == "yes":
+        route, blocks = pipelines.search_route(g)
+        if route == "blackbox":
             report = pipelines.search_vertex_transitive(g, args.marked)
+        elif route == "bipartite":
+            report = pipelines.search_bipartite(
+                *blocks, args.marked, threshold=args.fidelity_threshold
+            )
         else:
-            fam = family_params(g)
-            if fam is not None and fam[0] == "complete_bipartite":
-                report = pipelines.search_bipartite(
-                    *fam[1], args.marked, threshold=args.fidelity_threshold
-                )
-            else:
-                report = pipelines.search_promise(g, args.marked)
+            report = pipelines.search_promise(g, args.marked)
     else:  # bipartite
-        fam = family_params(_resolve_graph(args, parser))
-        if fam is None or fam[0] != "complete_bipartite":
+        _, blocks = pipelines.search_route(_resolve_graph(args, parser))
+        if blocks is None:
             parser.error("run bipartite requires --family complete_bipartite")
         if args.marked is None:
             parser.error("run bipartite requires --marked")
         report = pipelines.search_bipartite(
-            *fam[1], args.marked, threshold=args.fidelity_threshold
+            *blocks, args.marked, threshold=args.fidelity_threshold
         )
     emit_report(report, args.format, args.out)
     return 0
@@ -272,7 +230,7 @@ def _cmd_run(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     g = _resolve_graph(args, parser)
-    result = pipelines.verify_graph(g, cap=args.cap, workers=args.workers)
+    result = pipelines.verify_graph(g, cap=args.cap)
     print(
         f"verified {result.graph}: {len(result.reports)} runs, "
         f"min fidelity {result.min_fidelity:.12g}, "
@@ -350,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="full task sweep over one graph")
     _add_graph_source(p_verify)
     p_verify.add_argument("--cap", type=int, default=500)
-    p_verify.add_argument("--workers", type=int)
     p_verify.add_argument("--csv", help="also write the aggregate CSV table here")
     p_verify.add_argument("--out")
 

@@ -236,7 +236,10 @@ def family_params(g: Graph) -> tuple[str, tuple[int, ...]] | None:
     if g.family is None or "(" not in g.family:
         return None
     name, rest = g.family.split("(", 1)
-    params = tuple(int(tok) for tok in rest.rstrip(")").split(","))
+    try:
+        params = tuple(int(tok) for tok in rest.rstrip(")").split(","))
+    except ValueError:
+        raise GraphError(f"malformed family tag {g.family!r}") from None
     return name, params
 
 

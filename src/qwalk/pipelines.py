@@ -16,9 +16,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +26,18 @@ from . import depth as depth_mod
 from . import schedule as sched_mod
 from . import simulate as sim
 from . import spectral
-from .errors import GraphError
-from .graph import Graph, adjacency, complete_bipartite, family_params, laplacian
+from .errors import GraphError, ScheduleError
+from .graph import (
+    Graph,
+    adjacency,
+    build_family,
+    complete_bipartite,
+    family_params,
+    laplacian,
+)
 
 #: A run counts as exact when the final fidelity clears this.
 FIDELITY_THRESHOLD = 1.0 - 1e-8
-
-WORKERS_ENV = "QWALK_WORKERS"
 
 TASK_SAMPLE = "sample"
 TASK_TRANSFER = "transfer"
@@ -114,82 +118,110 @@ def prepare(g: Graph) -> LaplacianContext:
     return LaplacianContext(g, spectrum, ints, chain)
 
 
-def _bound_ratio(oracle_count: int, depth: int, n: int) -> float:
-    return oracle_count / (2.0**depth * math.sqrt(n))
+@dataclass(frozen=True)
+class BipartiteContext:
+    """Shared read-only data reused across searches on one complete
+    bipartite graph: its adjacency spectrum and its two branch schedules."""
+
+    n1: int
+    n2: int
+    graph: Graph
+    spectrum: spectral.Spectrum
+    branches: tuple[sched_mod.Schedule, sched_mod.Schedule]
+
+
+def prepare_bipartite(n1: int, n2: int) -> BipartiteContext:
+    """Eigendecompose the adjacency matrix and synthesize both branches."""
+    g = complete_bipartite(n1, n2)
+    spectrum = spectral.eigendecompose(adjacency(g))
+    return BipartiteContext(n1, n2, g, spectrum, sched_mod.synth_bipartite_search(n1, n2))
+
+
+def search_route(g: Graph) -> tuple[str, tuple[int, ...] | None]:
+    """Pick the search route for g, with its block sizes if it is tagged
+    complete bipartite.
+
+    Vertex-transitive graphs take the black-box route, other complete
+    bipartite graphs the two-branch route, anything else the promise
+    route.  The block sizes come from the family tag, so a tag that does
+    not describe the graph's own edges is rejected.
+    """
+    fam = family_params(g)
+    blocks = None
+    if fam is not None and fam[0] == "complete_bipartite":
+        tagged = build_family(*fam)
+        if (tagged.n, tagged.edges) != (g.n, g.edges):
+            raise GraphError(f"family tag {g.family!r} does not match the graph's edges")
+        blocks = fam[1]
+    if g.vertex_transitive == "yes":
+        return "blackbox", blocks
+    return ("bipartite" if blocks else "promise"), blocks
+
+
+def _report(
+    task: str, label: str, n: int, depth: int, schedules: Sequence[sched_mod.Schedule],
+    **fields,
+) -> RunReport:
+    """A report whose costs sum over the schedules the run executed."""
+    p = sum(s.oracle_count for s in schedules)
+    return RunReport(
+        task=task,
+        graph=label,
+        n=n,
+        depth=depth,
+        oracle_count=p,
+        total_time=sum(s.total_time for s in schedules),
+        bound_ratio=p / (2.0**depth * math.sqrt(n)),
+        ancilla_phase_time=sum(sched_mod.ancilla_phase_time(s) for s in schedules),
+        **fields,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _sampling_schedule(ctx: LaplacianContext, m: int) -> sched_mod.Schedule:
+def sampling_schedule(ctx: LaplacianContext, m: int) -> sched_mod.Schedule:
+    """The forward schedule carrying vertex m to the uniform state."""
     alphas = spectral.eigenspace_amplitudes(ctx.spectrum, m)
     overlaps = depth_mod.overlaps(ctx.chain, alphas)
     return sched_mod.synth_sampling_schedule(ctx.chain, overlaps)
 
 
-def _run_with_stage_fidelities(
-    ctx: LaplacianContext,
-    schedule: sched_mod.Schedule,
-    m: int,
-    state: sim.StateVector,
-) -> tuple[sim.StateVector, tuple[float, ...]]:
-    """Execute a forward schedule, checking each stage against its level
-    target state.  Stage ends are safe projection points for the ancilla."""
+def execute_sample(
+    ctx: LaplacianContext, schedule: sched_mod.Schedule, m: int
+) -> RunReport:
+    """Run a forward schedule from vertex m, checking each stage against
+    its level target state.  Stage ends are safe projection points for the
+    ancilla."""
+    levels = schedule.stage_levels
+    if len(levels) != len(schedule.stage_boundaries) or not set(levels) <= set(
+        range(ctx.chain.depth)
+    ):
+        raise ScheduleError("schedule stages do not match the depth chain")
     alphas = spectral.eigenspace_amplitudes(ctx.spectrum, m)
     pairs = depth_mod.level_states(ctx.chain, alphas)
-    length = len(schedule.ops)
-    ends = list(schedule.stage_boundaries[1:]) + [length]
-    stage_fids = []
-    pos = 0
-    attached = False
-    for stage, end in enumerate(ends):
-        while pos < end:
-            op = schedule.ops[pos]
-            if not state.has_ancilla and not attached and _op_needs_ancilla(op):
-                state = sim.attach_ancilla(state)
-                attached = True
-            state = sim.apply_op(state, op, ctx.spectrum, m)
-            pos += 1
-        level = schedule.stage_levels[stage]
-        target = ctx.spectrum.eigenvectors @ pairs[level + 1].kept
+    stage_fids: list[float] = []
+
+    def check_stage(stage: int, state: sim.StateVector) -> None:
+        target = ctx.spectrum.eigenvectors @ pairs[levels[stage] + 1].kept
         stage_fids.append(sim.fidelity(state, target))
-    if attached:
-        state = sim.detach_ancilla(state)
-    return state, tuple(stage_fids)
 
-
-def _op_needs_ancilla(op: sched_mod.PrimitiveOp) -> bool:
-    return isinstance(
-        op,
-        (sched_mod.AncillaHadamard, sched_mod.AncillaPhase, sched_mod.ControlledWalkPhase),
+    state = sim.vertex_state(ctx.graph.n, m)
+    state = sim.run_schedule(state, schedule, ctx.spectrum, m, on_stage=check_stage)
+    return _report(
+        TASK_SAMPLE, ctx.label, ctx.graph.n, ctx.chain.depth, [schedule],
+        marked=m,
+        target=None,
+        fidelity=sim.fidelity(state, sim.uniform_state(ctx.graph.n)),
+        stage_fidelities=tuple(stage_fids),
     )
 
 
 def uniform_sample(g: Graph, m: int, *, ctx: LaplacianContext | None = None) -> RunReport:
     """Carry the basis state of vertex m to the uniform state exactly."""
     ctx = ctx or prepare(g)
-    schedule = _sampling_schedule(ctx, m)
-    state = sim.vertex_state(ctx.graph.n, m)
-    if schedule.ops:
-        state, stage_fids = _run_with_stage_fidelities(ctx, schedule, m, state)
-    else:
-        stage_fids = ()
-    fid = sim.fidelity(state, sim.uniform_state(ctx.graph.n))
-    return RunReport(
-        task=TASK_SAMPLE,
-        graph=ctx.label,
-        n=ctx.graph.n,
-        depth=ctx.chain.depth,
-        marked=m,
-        target=None,
-        fidelity=fid,
-        oracle_count=schedule.oracle_count,
-        total_time=schedule.total_time,
-        bound_ratio=_bound_ratio(schedule.oracle_count, ctx.chain.depth, ctx.graph.n),
-        ancilla_phase_time=sched_mod.ancilla_phase_time(schedule),
-        stage_fidelities=stage_fids,
-    )
+    return execute_sample(ctx, sampling_schedule(ctx, m), m)
 
 
 # ---------------------------------------------------------------------------
@@ -202,26 +234,16 @@ def transfer(
     """Perfect state transfer: forward schedule for u, adjoint schedule
     for v.  Both oracles bind their own vertex."""
     ctx = ctx or prepare(g)
-    sched_u = _sampling_schedule(ctx, u)
-    sched_v = _sampling_schedule(ctx, v)
+    sched_u = sampling_schedule(ctx, u)
+    sched_v = sampling_schedule(ctx, v)
     state = sim.vertex_state(ctx.graph.n, u)
     state = sim.run_schedule(state, sched_u, ctx.spectrum, u)
     state = sim.run_schedule(state, sched_mod.dagger(sched_v), ctx.spectrum, v)
-    fid = sim.fidelity(state, v)
-    p = sched_u.oracle_count + sched_v.oracle_count
-    return RunReport(
-        task=TASK_TRANSFER,
-        graph=ctx.label,
-        n=ctx.graph.n,
-        depth=ctx.chain.depth,
+    return _report(
+        TASK_TRANSFER, ctx.label, ctx.graph.n, ctx.chain.depth, [sched_u, sched_v],
         marked=u,
         target=v,
-        fidelity=fid,
-        oracle_count=p,
-        total_time=sched_u.total_time + sched_v.total_time,
-        bound_ratio=_bound_ratio(p, ctx.chain.depth, ctx.graph.n),
-        ancilla_phase_time=sched_mod.ancilla_phase_time(sched_u)
-        + sched_mod.ancilla_phase_time(sched_v),
+        fidelity=sim.fidelity(state, v),
     )
 
 
@@ -250,8 +272,7 @@ def search_vertex_transitive(
             "bipartite route"
         )
     ctx = ctx or prepare(g)
-    schedule = transitive_search_schedule(ctx)
-    return _run_search(ctx, schedule, marked, mode="blackbox")
+    return execute_search(ctx, transitive_search_schedule(ctx), marked, "blackbox")
 
 
 def search_promise(
@@ -264,31 +285,24 @@ def search_promise(
     machinery end to end and is labeled accordingly.
     """
     ctx = ctx or prepare(g)
-    alphas = spectral.eigenspace_amplitudes(ctx.spectrum, marked)
-    overlaps = depth_mod.overlaps(ctx.chain, alphas)
-    schedule = sched_mod.dagger(sched_mod.synth_sampling_schedule(ctx.chain, overlaps))
-    return _run_search(ctx, schedule, marked, mode="promise")
+    schedule = sched_mod.dagger(sampling_schedule(ctx, marked))
+    return execute_search(ctx, schedule, marked, "promise")
 
 
-def _run_search(
+def execute_search(
     ctx: LaplacianContext, schedule: sched_mod.Schedule, marked: int, mode: str
 ) -> RunReport:
+    """Run a reversed schedule from the uniform state with the oracle bound
+    to ``marked``; the most probable vertex is the one found."""
     state = sim.uniform_state(ctx.graph.n)
     state = sim.run_schedule(state, schedule, ctx.spectrum, marked)
     probs = sim.measure_distribution(state)
     found = int(np.argmax(probs))
-    return RunReport(
-        task=TASK_SEARCH,
-        graph=ctx.label,
-        n=ctx.graph.n,
-        depth=ctx.chain.depth,
+    return _report(
+        TASK_SEARCH, ctx.label, ctx.graph.n, ctx.chain.depth, [schedule],
         marked=marked,
         target=found,
         fidelity=sim.fidelity(state, marked),
-        oracle_count=schedule.oracle_count,
-        total_time=schedule.total_time,
-        bound_ratio=_bound_ratio(schedule.oracle_count, ctx.chain.depth, ctx.graph.n),
-        ancilla_phase_time=sched_mod.ancilla_phase_time(schedule),
         search_mode=mode,
     )
 
@@ -305,23 +319,34 @@ def search_bipartite(
     against the oracle, which is what a physical run would do by
     measurement and one check query.
     """
-    g = complete_bipartite(n1, n2)
-    n = n1 + n2
+    bctx = prepare_bipartite(n1, n2)
+    return execute_bipartite(bctx, bctx.branches, marked, threshold)
+
+
+def execute_bipartite(
+    bctx: BipartiteContext,
+    branches: tuple[sched_mod.Schedule, ...],
+    marked: int,
+    threshold: float = FIDELITY_THRESHOLD,
+) -> RunReport:
+    """Run one branch schedule per block of ``bctx`` and confirm the
+    candidates against ``marked``."""
+    n = bctx.graph.n
     if not 0 <= marked < n:
         raise GraphError(f"marked vertex {marked} out of range for n={n}")
-    spectrum = spectral.eigendecompose(adjacency(g))
-    branch_schedules = sched_mod.synth_bipartite_search(n1, n2)
-    walk_time = math.pi / math.sqrt(n1 * n2)
-    blocks = ((1, 0, n1), (2, n1, n))
-    branches = []
-    for (side, start, stop), schedule in zip(blocks, branch_schedules):
+    if len(branches) != 2:
+        raise ScheduleError(f"bipartite search takes 2 branches, got {len(branches)}")
+    walk_time = math.pi / math.sqrt(bctx.n1 * bctx.n2)
+    blocks = ((1, 0, bctx.n1), (2, bctx.n1, n))
+    results = []
+    for (side, start, stop), schedule in zip(blocks, branches):
         state = sim.block_uniform_state(n, start, stop)
-        state = sim.run_schedule(state, schedule, spectrum, marked)
+        state = sim.run_schedule(state, schedule, bctx.spectrum, marked)
         probs = sim.measure_distribution(state)
         candidate = int(np.argmax(probs))
         fid_candidate = float(probs[candidate])
         succeeded = fid_candidate >= threshold and candidate == marked
-        branches.append(
+        results.append(
             BranchResult(
                 side=side,
                 candidate=candidate,
@@ -332,25 +357,14 @@ def search_bipartite(
                 walk_time=walk_time,
             )
         )
-    winner = next((b for b in branches if b.succeeded), None)
-    p = sum(b.oracle_count for b in branches)
-    total_time = sum(b.total_time for b in branches)
-    return RunReport(
-        task=TASK_BIPARTITE,
-        graph=g.family or "complete_bipartite",
-        n=n,
-        depth=1,
+    winner = next((b for b in results if b.succeeded), None)
+    return _report(
+        TASK_BIPARTITE, bctx.graph.family, n, 1, branches,
         marked=marked,
         target=winner.candidate if winner else None,
-        fidelity=winner.fidelity if winner else max(b.fidelity for b in branches),
-        oracle_count=p,
-        total_time=total_time,
-        bound_ratio=_bound_ratio(p, 1, n),
-        ancilla_phase_time=sum(
-            sched_mod.ancilla_phase_time(s) for s in branch_schedules
-        ),
+        fidelity=winner.fidelity if winner else max(b.fidelity for b in results),
         search_mode="blackbox",
-        branches=tuple(branches),
+        branches=tuple(results),
     )
 
 
@@ -367,59 +381,31 @@ def _transfer_pairs(n: int) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        workers = int(env) if env else (os.cpu_count() or 1)
-    return max(1, workers)
-
-
-def verify_graph(
-    g: Graph, *, cap: int = 500, workers: int | None = None
-) -> VerifyReport:
+def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
     """Run the full task sweep on one graph and aggregate the results.
 
     Sampling runs from every vertex; transfer on all ordered pairs (or a
     deterministic subset above 10 vertices); search on every hidden vertex
-    via the applicable route.  Independent runs fan out across threads,
-    capped by the QWALK_WORKERS environment variable.
+    via the route ``search_route`` picks, whose schedules and contexts are
+    built once and shared by every hidden vertex.
     """
     if g.n > cap:
         raise GraphError(f"graph has {g.n} vertices, exceeding the cap {cap}")
     started = time.perf_counter()
     ctx = prepare(g)
-
-    fam = family_params(g)
-    if g.vertex_transitive == "yes":
-        route = "blackbox"
-    elif fam is not None and fam[0] == "complete_bipartite":
-        route = "bipartite"
+    route, blocks = search_route(g)
+    if route == "blackbox":
+        schedule = transitive_search_schedule(ctx)
+        search = lambda m: execute_search(ctx, schedule, m, route)
+    elif route == "bipartite":
+        bctx = prepare_bipartite(*blocks)
+        search = lambda m: execute_bipartite(bctx, bctx.branches, m)
     else:
-        route = "promise"
+        search = lambda m: search_promise(g, m, ctx=ctx)
 
-    jobs: list = []
-    for m in range(g.n):
-        jobs.append((TASK_SAMPLE, m, None))
-    for u, v in _transfer_pairs(g.n):
-        jobs.append((TASK_TRANSFER, u, v))
-    for m in range(g.n):
-        jobs.append((TASK_SEARCH, m, None))
-
-    def run_job(job) -> RunReport:
-        task, a, b = job
-        if task == TASK_SAMPLE:
-            return uniform_sample(g, a, ctx=ctx)
-        if task == TASK_TRANSFER:
-            return transfer(g, a, b, ctx=ctx)
-        if route == "blackbox":
-            return search_vertex_transitive(g, a, ctx=ctx)
-        if route == "bipartite":
-            n1, n2 = fam[1]
-            return search_bipartite(n1, n2, a)
-        return search_promise(g, a, ctx=ctx)
-
-    with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
-        reports = list(pool.map(run_job, jobs))
+    reports = [uniform_sample(g, m, ctx=ctx) for m in range(g.n)]
+    reports += [transfer(g, u, v, ctx=ctx) for u, v in _transfer_pairs(g.n)]
+    reports += [search(m) for m in range(g.n)]
     reports.sort(key=lambda r: (r.task, r.marked if r.marked is not None else -1,
                                 r.target if r.target is not None else -1))
 

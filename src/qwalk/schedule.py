@@ -26,13 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import DepthChain
+from .depth import OVERLAP_FLOOR, DepthChain
 from .errors import ScheduleError
 
 #: Overlaps at least this close to 1 mark a stage as a skip.
 SKIP_OVERLAP = 1.0 - 1e-12
-#: Overlaps below this are rejected as corrupted data.
-OVERLAP_FLOOR = 1e-12
 
 FORWARD = "forward"
 REVERSED = "reversed"
@@ -411,11 +409,18 @@ def schedule_to_json_dict(schedule: Schedule) -> dict:
 
 
 def schedule_from_json_dict(data: dict) -> Schedule:
+    ops = tuple(_op_from_json(d) for d in data["ops"])
+    boundaries = tuple(int(i) for i in data["stage_boundaries"])
+    # stages partition the op list, so each op runs exactly once
+    if list(boundaries) != sorted(boundaries) or not all(
+        0 <= b <= len(ops) for b in boundaries
+    ):
+        raise ScheduleError(f"stage boundaries {list(boundaries)} are not sorted op indices")
     return Schedule(
-        ops=tuple(_op_from_json(d) for d in data["ops"]),
+        ops=ops,
         direction=data["direction"],
         hamiltonian=data["hamiltonian"],
-        stage_boundaries=tuple(int(i) for i in data["stage_boundaries"]),
+        stage_boundaries=boundaries,
         stage_levels=tuple(int(i) for i in data.get("stage_levels", [])),
         global_phase=float(data["global_phase"]),
         total_time=float(data["total_time"]),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -230,19 +231,28 @@ def run_schedule(
     schedule: Schedule,
     spectrum: Spectrum,
     marked: int | None = None,
+    *,
+    on_stage: Callable[[int, StateVector], None] | None = None,
 ) -> StateVector:
     """Apply every op in order, managing the ancilla automatically.
 
     The ancilla is attached at the first op that needs it and detached at
     the end of the schedule if it was attached here (with the entanglement
-    gate); a state that already carried an ancilla keeps it.
+    gate); a state that already carried an ancilla keeps it.  When given,
+    ``on_stage(i, state)`` runs after the last op of stage i, before any
+    detach, for every stage the schedule declares.
     """
     attached_here = False
-    for op in schedule.ops:
-        if _needs_ancilla(op) and not state.has_ancilla:
-            state = attach_ancilla(state)
-            attached_here = True
-        state = apply_op(state, op, spectrum, marked)
+    bounds = schedule.stage_boundaries[1:]
+    spans = zip((0, *bounds), (*bounds, len(schedule.ops)))
+    for stage, (start, end) in enumerate(spans):
+        for op in schedule.ops[start:end]:
+            if _needs_ancilla(op) and not state.has_ancilla:
+                state = attach_ancilla(state)
+                attached_here = True
+            state = apply_op(state, op, spectrum, marked)
+        if on_stage is not None and schedule.stage_boundaries:
+            on_stage(stage, state)
     if attached_here:
         state = detach_ancilla(state)
     return state

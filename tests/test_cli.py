@@ -105,6 +105,12 @@ def test_schedule_artifact_resimulates(tmp_path, capsys):
     assert code == 0
     rerun = json.loads(out)
     assert abs(rerun["fidelity"] - stored["reported_fidelity"]) <= 1e-10
+    code, out, _ = run_cli(
+        ["run", "search", "--family", "hamming", "--params", "2,3", "--marked", "5"],
+        capsys,
+    )
+    assert code == 0
+    assert rerun == json.loads(out)
 
 
 def test_sample_schedule_artifact_resimulates(tmp_path, capsys):
@@ -118,7 +124,14 @@ def test_sample_schedule_artifact_resimulates(tmp_path, capsys):
     stored = json.loads(artifact.read_text())
     code, out, _ = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
     assert code == 0
-    assert abs(json.loads(out)["fidelity"] - stored["reported_fidelity"]) <= 1e-10
+    rerun = json.loads(out)
+    assert abs(rerun["fidelity"] - stored["reported_fidelity"]) <= 1e-10
+    code, out, _ = run_cli(
+        ["run", "sample", "--family", "rook", "--params", "2,2", "--marked", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert rerun == json.loads(out)
 
 
 def test_bipartite_schedule_artifact(tmp_path, capsys):
@@ -133,7 +146,33 @@ def test_bipartite_schedule_artifact(tmp_path, capsys):
     assert len(stored["branches"]) == 2
     code, out, _ = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
     assert code == 0
-    assert abs(json.loads(out)["fidelity"] - stored["reported_fidelity"]) <= 1e-10
+    rerun = json.loads(out)
+    assert abs(rerun["fidelity"] - stored["reported_fidelity"]) <= 1e-10
+    code, out, _ = run_cli(
+        ["run", "bipartite", "--family", "complete_bipartite", "--params", "2,3",
+         "--marked", "4"],
+        capsys,
+    )
+    assert code == 0
+    assert rerun == json.loads(out)
+
+
+@pytest.mark.parametrize("family", [None, "complete_bipartite(7,4)"])
+def test_bipartite_artifact_tag_must_match_edges(tmp_path, capsys, family):
+    artifact = tmp_path / "bip.json"
+    code, _, _ = run_cli(
+        ["schedule", "--family", "complete_bipartite", "--params", "4,7",
+         "--task", "bipartite", "--marked", "2", "--out", str(artifact)],
+        capsys,
+    )
+    assert code == 0
+    data = json.loads(artifact.read_text())
+    data["graph"]["family"] = family
+    artifact.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
 
 
 def test_run_transfer(capsys):
@@ -210,8 +249,7 @@ def test_verify_artifact_deterministic(tmp_path, capsys):
     outs = [tmp_path / "v1.json", tmp_path / "v2.json"]
     for out in outs:
         code, _, _ = run_cli(
-            ["verify", "--family", "rook", "--params", "2,2", "--workers", "3",
-             "--out", str(out)],
+            ["verify", "--family", "rook", "--params", "2,2", "--out", str(out)],
             capsys,
         )
         assert code == 0

@@ -53,8 +53,8 @@ def test_transfer_round_trip_composition():
     g = graph.hamming(2, 2)
     ctx = pipelines.prepare(g)
     u, v = 0, 3
-    sched_u = pipelines._sampling_schedule(ctx, u)
-    sched_v = pipelines._sampling_schedule(ctx, v)
+    sched_u = pipelines.sampling_schedule(ctx, u)
+    sched_v = pipelines.sampling_schedule(ctx, v)
     state = simulate.vertex_state(g.n, u)
     for fwd, back, a, b in ((sched_u, sched_v, u, v), (sched_v, sched_u, v, u)):
         state = simulate.run_schedule(state, fwd, ctx.spectrum, a)
@@ -210,7 +210,7 @@ def test_verify_petersen_spectrum_crosscheck():
         int(round(grp.value)): grp.multiplicity for grp in ctx.spectrum.groups
     }
     assert observed == {0: 1, 2: 5, 5: 4}
-    result = pipelines.verify_graph(g, workers=2)
+    result = pipelines.verify_graph(g)
     assert result.min_fidelity >= THRESHOLD
 
 
@@ -233,8 +233,8 @@ def test_verify_cap():
 
 
 def test_verify_deterministic_ordering(c4):
-    a = pipelines.verify_graph(c4, workers=1)
-    b = pipelines.verify_graph(c4, workers=4)
+    a = pipelines.verify_graph(c4)
+    b = pipelines.verify_graph(c4)
     keys_a = [(r.task, r.marked, r.target) for r in a.reports]
     keys_b = [(r.task, r.marked, r.target) for r in b.reports]
     assert keys_a == keys_b

@@ -223,6 +223,9 @@ def test_schedule_json_round_trip(c4):
     assert schedule.schedule_from_json_dict(
         json.loads(json.dumps(schedule.schedule_to_json_dict(rev)))
     ) == rev
+    data["stage_boundaries"].reverse()
+    with pytest.raises(ScheduleError, match="stage boundaries"):
+        schedule.schedule_from_json_dict(data)
 
 
 def test_schedule_bytes_deterministic(c4):

@@ -182,8 +182,13 @@ def test_norm_preserved_over_full_schedule(c4, c4_spec):
     chain = depth.build_depth_chain(ints)
     sched = schedule.synth_sampling_schedule(chain, depth.transitive_overlaps(chain))
     st = simulate.vertex_state(4, 0)
-    out = simulate.run_schedule(st, sched, c4_spec, 0)
+    stages = []
+    out = simulate.run_schedule(
+        st, sched, c4_spec, 0, on_stage=lambda i, state: stages.append(i)
+    )
     assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-9
+    assert len(sched.stage_boundaries) == 2
+    assert stages == [0, 1]
 
 
 def test_unitarity_round_trip(c4_spec):
