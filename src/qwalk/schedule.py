@@ -98,11 +98,13 @@ PrimitiveOp = (
 class StageParams:
     """Analytic parameters of one amplitude-amplification stage.
 
-    ``p`` is the smallest integer satisfying the admissibility bound
-    p >= (pi - 2*arcsin(overlap)) / (4*arcsin(overlap)) and fixes the
-    matched phase ``alpha``.  The rotation lands exactly after p + 1
-    two-phase iterations (one more than the bound integer), which
-    ``iterations`` exposes; this is the count the synthesizer emits.
+    ``p`` is the smallest non-negative integer with
+    sin(pi/(4p+6)) <= overlap, that is
+    p >= (pi - 6*arcsin(overlap)) / (4*arcsin(overlap)), which keeps the
+    matched phase ``alpha`` = 2*arcsin(sin(pi/(4p+6))/overlap) real.  The
+    rotation then lands exactly after p + 1 two-phase iterations, the
+    fewest exact amplification allows; ``iterations`` exposes this count,
+    which the synthesizer emits.
     """
 
     overlap: float
@@ -144,9 +146,10 @@ def stage_params(overlap: float) -> StageParams:
     if not 0.0 < overlap < 1.0:
         raise ScheduleError(f"overlap must lie in (0, 1), got {overlap!r}")
     half_angle = math.asin(overlap)
-    bound = (math.pi - 2.0 * half_angle) / (4.0 * half_angle)
-    p = max(1, math.ceil(bound - 1e-12))
-    alpha = 2.0 * math.asin(math.sin(math.pi / (4 * p + 6)) / overlap)
+    bound = (math.pi - 6.0 * half_angle) / (4.0 * half_angle)
+    p = max(0, math.ceil(bound - 1e-12))
+    # the tolerance on p may leave the ratio a rounding error above 1
+    alpha = 2.0 * math.asin(min(1.0, math.sin(math.pi / (4 * p + 6)) / overlap))
     return StageParams(overlap, p, alpha)
 
 

@@ -11,6 +11,17 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def same_report(a, b):
+    """Equal, floats to 1e-10: artifacts store op angles to 12 digits."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_report(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_report, a, b))
+    if isinstance(a, float):
+        return a == pytest.approx(b, rel=1e-10, abs=1e-10)
+    return a == b
+
+
 def test_depth_johnson(capsys):
     code, out, _ = run_cli(["depth", "--family", "johnson", "--params", "5,2"], capsys)
     assert code == 0
@@ -110,7 +121,7 @@ def test_schedule_artifact_resimulates(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert rerun == json.loads(out)
+    assert same_report(rerun, json.loads(out))
 
 
 def test_sample_schedule_artifact_resimulates(tmp_path, capsys):
@@ -131,7 +142,7 @@ def test_sample_schedule_artifact_resimulates(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert rerun == json.loads(out)
+    assert same_report(rerun, json.loads(out))
 
 
 def test_bipartite_schedule_artifact(tmp_path, capsys):
@@ -154,7 +165,7 @@ def test_bipartite_schedule_artifact(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert rerun == json.loads(out)
+    assert same_report(rerun, json.loads(out))
 
 
 @pytest.mark.parametrize("family", [None, "complete_bipartite(7,4)"])

@@ -92,9 +92,21 @@ def test_search_complete_graph_single_stage():
     assert ctx.chain.depth == 1
     overlaps = depth.transitive_overlaps(ctx.chain)
     assert overlaps[0] == pytest.approx(0.5, abs=1e-12)
-    assert schedule.stage_params(overlaps[0]).p == 1
+    assert schedule.stage_params(overlaps[0]).p == 0
     report = pipelines.search_vertex_transitive(g, 2, ctx=ctx)
     assert report.fidelity >= THRESHOLD
+
+
+def test_oracle_bound_beyond_the_suite():
+    # the cap pi * 2^d * sqrt(N) holds per search schedule and per transfer pair
+    g = graph.hamming(8, 2)
+    ctx = pipelines.prepare(g)
+    report = pipelines.search_vertex_transitive(g, 77, ctx=ctx)
+    assert report.fidelity >= THRESHOLD
+    assert report.oracle_count <= math.pi * 2**ctx.chain.depth * math.sqrt(g.n)
+    report = pipelines.transfer(graph.hamming(6, 2), 0, 63)
+    assert report.fidelity >= THRESHOLD
+    assert report.bound_ratio <= math.pi
 
 
 def test_search_hamming_2_2(c4):

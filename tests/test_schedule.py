@@ -16,22 +16,25 @@ def build_context(g):
 
 def test_stage_params_half_sqrt2():
     params = schedule.stage_params(1 / math.sqrt(2))
-    assert params.p == 1
-    assert params.iterations == 2
-    assert params.alpha == pytest.approx(0.904556894302381, abs=1e-12)
+    assert params.p == 0
+    assert params.iterations == 1
+    assert params.alpha == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_stage_params_one_half():
-    # admissibility bound evaluates to exactly 1 here
+    # the bound on p evaluates to exactly 0 here and the arcsin argument to
+    # 1, where a rounding error in the ratio moves alpha by about 3e-8
     params = schedule.stage_params(0.5)
-    assert params.p == 1
-    assert params.alpha == pytest.approx(1.332478864985030, abs=1e-12)
+    assert params.p == 0
+    assert params.alpha == pytest.approx(math.pi, abs=1e-7)
 
 
 def test_stage_params_small_overlap():
     params = schedule.stage_params(1 / math.sqrt(15))
-    assert params.p == 3
+    assert params.p == 2
     assert math.sin(math.pi / (4 * params.p + 6)) <= params.overlap
+    # p is minimal: one less leaves the arcsin argument above 1
+    assert math.sin(math.pi / (4 * params.p + 2)) > params.overlap
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
@@ -199,7 +202,7 @@ def test_bipartite_k23_branch_parameters():
         assert all(abs(op.t) == pytest.approx(t, rel=1e-12) for op in cwalks)
         assert branch.oracle_count == params.iterations
         assert branch.hamiltonian == "adjacency"
-    assert schedule.stage_params(1 / math.sqrt(2)).p == 1
+    assert schedule.stage_params(1 / math.sqrt(2)).p == 0
 
 
 def test_bipartite_kick_phases_target_axis():
