@@ -14,6 +14,7 @@ sampled measurement; ``measure_distribution`` exists for demonstration.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import time
@@ -38,6 +39,8 @@ from .graph import (
 
 #: A run counts as exact when the final fidelity clears this.
 FIDELITY_THRESHOLD = 1.0 - 1e-8
+#: Vertex probabilities closer than this count as tied.
+TIE_TOL = 1e-9
 
 TASK_SAMPLE = "sample"
 TASK_TRANSFER = "transfer"
@@ -108,6 +111,13 @@ class LaplacianContext:
     @property
     def label(self) -> str:
         return self.graph.family or f"custom(n={self.graph.n})"
+
+    @functools.cached_property
+    def search_schedule(self) -> sched_mod.Schedule:
+        """The vertex-independent reversed schedule for black-box search,
+        synthesized on first use."""
+        overlaps = depth_mod.transitive_overlaps(self.chain)
+        return sched_mod.dagger(sched_mod.synth_sampling_schedule(self.chain, overlaps))
 
 
 def prepare(g: Graph) -> LaplacianContext:
@@ -252,9 +262,9 @@ def transfer(
 # ---------------------------------------------------------------------------
 
 def transitive_search_schedule(ctx: LaplacianContext) -> sched_mod.Schedule:
-    """The vertex-independent reversed schedule used for black-box search."""
-    overlaps = depth_mod.transitive_overlaps(ctx.chain)
-    return sched_mod.dagger(sched_mod.synth_sampling_schedule(ctx.chain, overlaps))
+    """The vertex-independent reversed schedule used for black-box search,
+    built once per context."""
+    return ctx.search_schedule
 
 
 def search_vertex_transitive(
@@ -296,8 +306,7 @@ def execute_search(
     to ``marked``; the most probable vertex is the one found."""
     state = sim.uniform_state(ctx.graph.n)
     state = sim.run_schedule(state, schedule, ctx.spectrum, marked)
-    probs = sim.measure_distribution(state)
-    found = int(np.argmax(probs))
+    found = _most_probable(sim.measure_distribution(state))
     return _report(
         TASK_SEARCH, ctx.label, ctx.graph.n, ctx.chain.depth, [schedule],
         marked=marked,
@@ -305,6 +314,13 @@ def execute_search(
         fidelity=sim.fidelity(state, marked),
         search_mode=mode,
     )
+
+
+def _most_probable(probs: np.ndarray) -> int:
+    """The lowest vertex whose probability ties the maximum.  A failing
+    bipartite branch ends uniform on its block, so without the tolerance
+    roundoff would pick its candidate."""
+    return int(np.flatnonzero(probs >= probs.max() - TIE_TOL)[0])
 
 
 def search_bipartite(
@@ -343,7 +359,7 @@ def execute_bipartite(
         state = sim.block_uniform_state(n, start, stop)
         state = sim.run_schedule(state, schedule, bctx.spectrum, marked)
         probs = sim.measure_distribution(state)
-        candidate = int(np.argmax(probs))
+        candidate = _most_probable(probs)
         fid_candidate = float(probs[candidate])
         succeeded = fid_candidate >= threshold and candidate == marked
         results.append(
@@ -395,8 +411,7 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
     ctx = prepare(g)
     route, blocks = search_route(g)
     if route == "blackbox":
-        schedule = transitive_search_schedule(ctx)
-        search = lambda m: execute_search(ctx, schedule, m, route)
+        search = lambda m: search_vertex_transitive(g, m, ctx=ctx)
     elif route == "bipartite":
         bctx = prepare_bipartite(*blocks)
         search = lambda m: execute_bipartite(bctx, bctx.branches, m)

@@ -1,9 +1,15 @@
 """Exact dense state-vector execution of schedules.
 
-Walk phases are applied spectrally: rotate into the eigenbasis, phase each
-component by exp(-i*eigenvalue*t), rotate back.  That keeps every primitive
-exactly unitary at float64 precision, which is the whole point; the O(N^2)
-cost per operation is irrelevant at the scales this package targets.
+A state records the basis its amplitudes are written in: ``frame`` is
+None for the vertex basis, or an orthonormal real matrix whose columns are
+the basis vectors (vertex amplitudes = frame @ amps, block by block).
+``run_schedule`` rotates the state into the spectrum's eigenbasis once and
+back once at the end.  In between, a walk is an elementwise phase
+exp(-i*lambda_i*t) and the oracle a rank-1 update with row ``marked`` of
+the eigenvector matrix, so every op costs O(N); only the two rotations
+cost O(N^2), as real products on the (re, im) pairs.  Every primitive
+stays exactly unitary at float64 precision, and results do not depend on
+the frame: observables rotate to the vertex basis first.
 
 The ancilla qubit is the leading tensor factor (amplitude layout
 [block0, block1]).  During a schedule it is attached lazily at the first
@@ -43,10 +49,12 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 @dataclass(frozen=True)
 class StateVector:
     """Normalized complex amplitudes over n vertices, optionally tensored
-    with one ancilla qubit (dimension 2n, ancilla block-major)."""
+    with one ancilla qubit (dimension 2n, ancilla block-major), written in
+    ``frame`` (None: the vertex basis)."""
 
     amps: np.ndarray
     n: int
+    frame: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(self.amps) not in (self.n, 2 * self.n):
@@ -63,10 +71,15 @@ class StateVector:
         return len(self.amps) == 2 * self.n
 
 
-def _state(amps: np.ndarray, n: int) -> StateVector:
+def _state(amps: np.ndarray, n: int, frame: np.ndarray | None = None) -> StateVector:
     amps = np.ascontiguousarray(amps, dtype=complex)
     amps.flags.writeable = False
-    return StateVector(amps, n)
+    return StateVector(amps, n, frame)
+
+
+def _like(state: StateVector, amps: np.ndarray) -> StateVector:
+    """New amplitudes in the dimension and frame of ``state``."""
+    return _state(amps, state.n, state.frame)
 
 
 def vertex_state(n: int, v: int) -> StateVector:
@@ -105,70 +118,91 @@ def _blocks(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     return state.amps[: state.n], state.amps[state.n :]
 
 
-def apply_walk_phase(
-    state: StateVector, spectrum: Spectrum, t: float, *, controlled: bool = False
-) -> StateVector:
-    """Spectral application of the walk: phase eigencomponent i by
-    exp(-i*lambda_i*t).  With controlled=True only the ancilla-1 block
-    evolves."""
+def _rotate(state: StateVector, frame: np.ndarray | None) -> StateVector:
+    """The same state with every block written in ``frame`` (None: the
+    vertex basis).  The products are real, on the float64 (re, im) view,
+    so no complex copy of a frame is ever made."""
+    if state.frame is frame:
+        return state
+    amps = np.ascontiguousarray(state.amps, dtype=complex)
+    pairs = amps.view(np.float64).reshape(-1, state.n, 2)
+    if state.frame is not None:
+        pairs = state.frame @ pairs
+    if frame is not None:
+        pairs = frame.T @ pairs
+    return _state(pairs.view(complex).ravel(), state.n, frame)
+
+
+def _check_dimension(spectrum: Spectrum, state: StateVector) -> None:
     if spectrum.n != state.n:
         raise SimulationError(
             f"spectrum dimension {spectrum.n} does not match state n={state.n}"
         )
+
+
+def apply_walk_phase(
+    state: StateVector, spectrum: Spectrum, t: float, *, controlled: bool = False
+) -> StateVector:
+    """Spectral application of the walk: rotate into the eigenbasis, phase
+    eigencomponent i by exp(-i*lambda_i*t), rotate back to the state's own
+    frame; O(N) when that frame is already the eigenbasis.  With
+    controlled=True only the ancilla-1 block evolves."""
+    _check_dimension(spectrum, state)
+    if controlled and not state.has_ancilla:
+        raise SimulationError("controlled walk requires an attached ancilla")
     phases = np.exp(-1j * spectrum.eigenvalues * t)
-    basis = spectrum.eigenvectors
-
-    def evolve(block: np.ndarray) -> np.ndarray:
-        return basis @ (phases * (basis.T @ block))
-
-    if not state.has_ancilla:
-        if controlled:
-            raise SimulationError("controlled walk requires an attached ancilla")
-        return _state(evolve(state.amps), state.n)
-    b0, b1 = _blocks(state)
+    eig = _rotate(state, spectrum.eigenvectors)
+    blocks = eig.amps.reshape(-1, state.n)
     if controlled:
-        return _state(np.concatenate([b0, evolve(b1)]), state.n)
-    return _state(np.concatenate([evolve(b0), evolve(b1)]), state.n)
+        amps = np.concatenate([blocks[0], phases * blocks[1]])
+    else:
+        amps = (phases * blocks).ravel()
+    return _rotate(_state(amps, state.n, eig.frame), state.frame)
 
 
 def apply_oracle_phase(
     state: StateVector, marked: int, theta: float, sign: int = 1
 ) -> StateVector:
     """Multiply the marked vertex amplitude by exp(-i*sign*theta) in every
-    ancilla block."""
+    ancilla block: an index multiply in the vertex basis, otherwise the
+    rank-1 update block += (factor - 1) (row . block) row with the frame's
+    row ``marked``."""
     if not 0 <= marked < state.n:
         raise SimulationError(f"marked vertex {marked} out of range for n={state.n}")
     factor = cmath.exp(-1j * sign * theta)
+    if state.frame is not None:
+        row = state.frame[marked]
+        blocks = state.amps.reshape(-1, state.n)
+        amps = blocks + (factor - 1) * np.outer(blocks @ row, row)
+        return _like(state, amps.ravel())
     amps = state.amps.copy()
     amps[marked] *= factor
     if state.has_ancilla:
         amps[state.n + marked] *= factor
-    return _state(amps, state.n)
+    return _like(state, amps)
 
 
 def apply_ancilla_hadamard(state: StateVector) -> StateVector:
     b0, b1 = _blocks(state)
-    return _state(
-        np.concatenate([(b0 + b1) * _SQRT_HALF, (b0 - b1) * _SQRT_HALF]), state.n
+    return _like(
+        state, np.concatenate([(b0 + b1) * _SQRT_HALF, (b0 - b1) * _SQRT_HALF])
     )
 
 
 def apply_ancilla_phase(state: StateVector, theta: float) -> StateVector:
     b0, b1 = _blocks(state)
-    return _state(np.concatenate([b0, np.exp(1j * theta) * b1]), state.n)
+    return _like(state, np.concatenate([b0, np.exp(1j * theta) * b1]))
 
 
 def apply_global_phase(state: StateVector, gamma: float) -> StateVector:
-    return _state(np.exp(1j * gamma) * state.amps, state.n)
+    return _like(state, np.exp(1j * gamma) * state.amps)
 
 
 def attach_ancilla(state: StateVector) -> StateVector:
     """Tensor an ancilla |0> onto the state (ancilla leading)."""
     if state.has_ancilla:
         raise SimulationError("ancilla already attached")
-    return _state(
-        np.concatenate([state.amps, np.zeros(state.n, dtype=complex)]), state.n
-    )
+    return _like(state, np.concatenate([state.amps, np.zeros(state.n, dtype=complex)]))
 
 
 def detach_ancilla(state: StateVector, *, tol: float = DETACH_TOL) -> StateVector:
@@ -181,18 +215,19 @@ def detach_ancilla(state: StateVector, *, tol: float = DETACH_TOL) -> StateVecto
     leak = float(np.linalg.norm(b1) ** 2)
     if leak > tol:
         raise SimulationError(f"ancilla entangled at detach point: |1> mass {leak:.3e}")
-    return _state(b0 / np.linalg.norm(b0), state.n)
+    return _like(state, b0 / np.linalg.norm(b0))
 
 
 def _project_ancilla(state: StateVector) -> StateVector:
-    """Measurement-free projection used by read-only observables."""
-    if not state.has_ancilla:
-        return state
-    b0 = state.amps[: state.n]
-    norm = float(np.linalg.norm(b0))
-    if norm < 1e-12:
-        raise SimulationError("no amplitude left on ancilla |0>")
-    return _state(b0 / norm, state.n)
+    """Measurement-free projection used by read-only observables, in the
+    vertex basis."""
+    if state.has_ancilla:
+        b0 = state.amps[: state.n]
+        norm = float(np.linalg.norm(b0))
+        if norm < 1e-12:
+            raise SimulationError("no amplitude left on ancilla |0>")
+        state = _like(state, b0 / norm)
+    return _rotate(state, None)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +271,18 @@ def run_schedule(
 ) -> StateVector:
     """Apply every op in order, managing the ancilla automatically.
 
-    The ancilla is attached at the first op that needs it and detached at
-    the end of the schedule if it was attached here (with the entanglement
-    gate); a state that already carried an ancilla keeps it.  When given,
+    The ops run in the spectrum's eigenbasis: the state is rotated into it
+    once and the result is returned in the caller's frame.  The ancilla is
+    attached at the first op that needs it and detached at the end of the
+    schedule if it was attached here (with the entanglement gate); a state
+    that already carried an ancilla keeps it.  When given,
     ``on_stage(i, state)`` runs after the last op of stage i, before any
-    detach, for every stage the schedule declares.
+    detach, for every stage the schedule declares, with the state in the
+    caller's frame.
     """
+    _check_dimension(spectrum, state)
+    home = state.frame
+    state = _rotate(state, spectrum.eigenvectors)
     attached_here = False
     bounds = schedule.stage_boundaries[1:]
     spans = zip((0, *bounds), (*bounds, len(schedule.ops)))
@@ -252,10 +293,10 @@ def run_schedule(
                 attached_here = True
             state = apply_op(state, op, spectrum, marked)
         if on_stage is not None and schedule.stage_boundaries:
-            on_stage(stage, state)
+            on_stage(stage, _rotate(state, home))
     if attached_here:
         state = detach_ancilla(state)
-    return state
+    return _rotate(state, home)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +310,9 @@ def fidelity(state: StateVector, target: int | StateVector | np.ndarray) -> floa
         if not 0 <= target < st.n:
             raise SimulationError(f"vertex {target} out of range for n={st.n}")
         return float(abs(st.amps[int(target)]) ** 2)
-    t_amps = target.amps if isinstance(target, StateVector) else np.asarray(target)
+    if isinstance(target, StateVector):
+        target = _project_ancilla(target).amps
+    t_amps = np.asarray(target)
     if len(t_amps) != st.n:
         raise SimulationError(
             f"target dimension {len(t_amps)} does not match state n={st.n}"

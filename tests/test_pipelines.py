@@ -109,6 +109,20 @@ def test_oracle_bound_beyond_the_suite():
     assert report.bound_ratio <= math.pi
 
 
+def test_large_n_sampling_and_transfer():
+    # N = 1024: each op costs O(N) in the eigenbasis, so this stays fast
+    g = graph.hamming(10, 2)
+    ctx = pipelines.prepare(g)
+    cap = math.pi * 2**ctx.chain.depth * math.sqrt(g.n)
+    report = pipelines.uniform_sample(g, 5, ctx=ctx)
+    assert report.fidelity >= THRESHOLD
+    assert all(f >= THRESHOLD for f in report.stage_fidelities)
+    assert report.oracle_count <= cap
+    report = pipelines.transfer(g, 0, g.n - 1, ctx=ctx)
+    assert report.fidelity >= THRESHOLD
+    assert report.oracle_count <= cap  # both schedules of the pair
+
+
 def test_search_hamming_2_2(c4):
     g = graph.hamming(2, 2)
     for m in range(g.n):
@@ -156,6 +170,16 @@ def test_bipartite_k23_every_vertex():
             b.walk_time == pytest.approx(math.pi / math.sqrt(6), abs=1e-12)
             for b in report.branches
         )
+
+
+def test_bipartite_failing_branch_breaks_ties_low():
+    # the failing branch ends uniform on its block: every vertex there ties,
+    # and the report names the lowest one whatever the roundoff
+    for m in range(11):
+        report = pipelines.search_bipartite(4, 7, m)
+        failed = next(b for b in report.branches if not b.succeeded)
+        assert failed.candidate == (0 if failed.side == 1 else 4)
+        assert failed.fidelity == pytest.approx(1 / (4 if failed.side == 1 else 7))
 
 
 def test_bipartite_star_center_found_by_first_branch():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qwalk import depth, graph, schedule, simulate, spectral
+from qwalk import depth, graph, pipelines, schedule, simulate, spectral
 from qwalk.errors import SimulationError
 
 
@@ -21,6 +21,53 @@ def c4_level_pairs(c4_spec, vertex=0):
 
 def to_vertex_space(spec, coeffs):
     return spec.eigenvectors @ coeffs
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return amps / np.linalg.norm(amps)
+
+
+def in_frame(amps, frame):
+    """A state whose vertex amplitudes are ``amps``, written in ``frame``."""
+    n = frame.shape[0]
+    blocks = np.reshape(amps, (-1, n))
+    return simulate.StateVector((blocks @ frame).ravel(), n, frame)
+
+
+def vertex_amps(state):
+    if state.frame is None:
+        return state.amps
+    return (state.amps.reshape(-1, state.n) @ state.frame.T).ravel()
+
+
+NEEDS_ANCILLA = (schedule.AncillaHadamard, schedule.AncillaPhase, schedule.ControlledWalkPhase)
+
+
+def op_by_op(state, sched, spec, marked):
+    """Reference executor: every op on a vertex-basis state, one at a time."""
+    attached = False
+    for op in sched.ops:
+        if isinstance(op, NEEDS_ANCILLA) and not state.has_ancilla:
+            state = simulate.attach_ancilla(state)
+            attached = True
+        state = simulate.apply_op(state, op, spec, marked)
+    return simulate.detach_ancilla(state) if attached else state
+
+
+@pytest.fixture(params=["c4", "rook33"])
+def frame_case(request, c4):
+    # rook(3,3) has degenerate eigenspaces, so its basis is solver-chosen
+    g = c4 if request.param == "c4" else graph.rook(3, 3)
+    ctx = pipelines.prepare(g)
+    m = g.n - 1
+    ancilla_in = simulate.attach_ancilla(simulate.from_amplitudes(random_state(g.n, 7)))
+    return ctx, m, [
+        (simulate.vertex_state(g.n, m), pipelines.sampling_schedule(ctx, m)),
+        (simulate.uniform_state(g.n), pipelines.transitive_search_schedule(ctx)),
+        (ancilla_in, pipelines.sampling_schedule(ctx, m)),
+    ]
 
 
 def test_walk_zero_time_is_identity(c4_spec):
@@ -191,6 +238,57 @@ def test_norm_preserved_over_full_schedule(c4, c4_spec):
     assert stages == [0, 1]
 
 
+def test_run_schedule_matches_op_by_op(frame_case):
+    ctx, m, cases = frame_case
+    for state, sched in cases:
+        out = simulate.run_schedule(state, sched, ctx.spectrum, m)
+        ref = op_by_op(state, sched, ctx.spectrum, m)
+        assert out.frame is None
+        assert out.has_ancilla == state.has_ancilla == ref.has_ancilla
+        assert np.max(np.abs(out.amps - ref.amps)) < 1e-12
+
+
+def test_run_schedule_keeps_callers_frame(frame_case):
+    ctx, m, cases = frame_case
+    n = ctx.graph.n
+    frame = np.linalg.qr(np.random.default_rng(11).normal(size=(n, n)))[0]
+    for state, sched in cases:
+        ref_stages, stages = [], []
+        ref = simulate.run_schedule(
+            state, sched, ctx.spectrum, m, on_stage=lambda i, s: ref_stages.append(s)
+        )
+        out = simulate.run_schedule(
+            in_frame(state.amps, frame), sched, ctx.spectrum, m,
+            on_stage=lambda i, s: stages.append(s),
+        )
+        assert out.frame is frame
+        assert np.max(np.abs(vertex_amps(out) - ref.amps)) < 1e-12
+        assert len(stages) == len(ref_stages) == len(sched.stage_boundaries)
+        for got, want in zip(stages, ref_stages):
+            assert got.frame is frame and want.frame is None
+            assert np.max(np.abs(vertex_amps(got) - want.amps)) < 1e-12
+        assert simulate.fidelity(out, ref) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ops_in_a_foreign_frame(c4_spec):
+    # the path P4 has the same dimension as c4 but another eigenbasis
+    p4 = graph.load_edge_list("0 1\n1 2\n2 3\n")
+    path = spectral.eigendecompose(graph.laplacian(p4))
+    psi = random_state(8, 3)
+    vertex = simulate.from_amplitudes(psi, n=4)
+    foreign = in_frame(psi, path.eigenvectors)
+    for controlled in (False, True):
+        want = simulate.apply_walk_phase(vertex, c4_spec, 0.83, controlled=controlled)
+        got = simulate.apply_walk_phase(foreign, c4_spec, 0.83, controlled=controlled)
+        assert got.frame is path.eigenvectors
+        assert np.max(np.abs(vertex_amps(got) - want.amps)) < 1e-12
+    want = simulate.apply_oracle_phase(vertex, 2, 1.1, -1)
+    got = simulate.apply_oracle_phase(foreign, 2, 1.1, -1)
+    assert np.max(np.abs(vertex_amps(got) - want.amps)) < 1e-12
+    assert np.allclose(simulate.measure_distribution(foreign),
+                       simulate.measure_distribution(vertex), atol=1e-12)
+
+
 def test_unitarity_round_trip(c4_spec):
     ints = spectral.validate_integer_spectrum(c4_spec)
     chain = depth.build_depth_chain(ints)
@@ -239,3 +337,5 @@ def test_dimension_mismatch_errors(c4_spec):
     st = simulate.uniform_state(5)
     with pytest.raises(SimulationError, match="dimension"):
         simulate.apply_walk_phase(st, c4_spec, 1.0)
+    with pytest.raises(SimulationError, match="dimension"):
+        simulate.run_schedule(st, schedule.Schedule(), c4_spec)
