@@ -4,12 +4,17 @@ A state records the basis its amplitudes are written in: ``frame`` is
 None for the vertex basis, or an orthonormal real matrix whose columns are
 the basis vectors (vertex amplitudes = frame @ amps, block by block).
 ``run_schedule`` rotates the state into the spectrum's eigenbasis once and
-back once at the end.  In between, a walk is an elementwise phase
-exp(-i*lambda_i*t) and the oracle a rank-1 update with row ``marked`` of
-the eigenvector matrix, so every op costs O(N); only the two rotations
-cost O(N^2), as real products on the (re, im) pairs.  Every primitive
-stays exactly unitary at float64 precision, and results do not depend on
-the frame: observables rotate to the vertex basis first.
+back once at the end; those two rotations cost O(N^2), as real products on
+the (re, im) pairs.  In between, every op but the oracle is diagonal in
+the eigenbasis: a walk phases component i by exp(-i*lambda_i*t), and the
+ancilla gates act on the two blocks alike for every component.  So each
+maximal oracle-free run of ops acts on component i as one 2x2 matrix on
+the ancilla, built once per distinct run and applied in O(N); each oracle
+is a rank-1 update with row ``marked`` of the eigenvector matrix, also
+O(N).  ``apply_op`` and the per-op primitives remain the op-by-op
+reference.  Every primitive stays exactly unitary at float64 precision,
+and results do not depend on the frame: observables rotate to the vertex
+basis first.
 
 The ancilla qubit is the leading tensor factor (amplitude layout
 [block0, block1]).  During a schedule it is attached lazily at the first
@@ -164,22 +169,37 @@ def apply_oracle_phase(
     state: StateVector, marked: int, theta: float, sign: int = 1
 ) -> StateVector:
     """Multiply the marked vertex amplitude by exp(-i*sign*theta) in every
-    ancilla block: an index multiply in the vertex basis, otherwise the
-    rank-1 update block += (factor - 1) (row . block) row with the frame's
-    row ``marked``."""
-    if not 0 <= marked < state.n:
-        raise SimulationError(f"marked vertex {marked} out of range for n={state.n}")
-    factor = cmath.exp(-1j * sign * theta)
+    ancilla block: an index multiply in the vertex basis, otherwise a
+    rank-1 update (``_oracle_blocks``)."""
+    _marked_vertex(marked, state.n)
     if state.frame is not None:
-        row = state.frame[marked]
         blocks = state.amps.reshape(-1, state.n)
-        amps = blocks + (factor - 1) * np.outer(blocks @ row, row)
-        return _like(state, amps.ravel())
+        return _like(state, _oracle_blocks(blocks, state.frame, marked, theta, sign).ravel())
+    factor = cmath.exp(-1j * sign * theta)
     amps = state.amps.copy()
     amps[marked] *= factor
     if state.has_ancilla:
         amps[state.n + marked] *= factor
     return _like(state, amps)
+
+
+def _marked_vertex(marked: int | None, n: int) -> int:
+    if marked is None:
+        raise SimulationError("schedule contains oracle ops but no marked vertex")
+    if not 0 <= marked < n:
+        raise SimulationError(f"marked vertex {marked} out of range for n={n}")
+    return marked
+
+
+def _oracle_blocks(
+    blocks: np.ndarray, frame: np.ndarray, marked: int, theta: float, sign: int
+) -> np.ndarray:
+    """The oracle on rows of amplitudes written in ``frame``:
+    block += (exp(-i*sign*theta) - 1) (row . block) row, with row
+    ``marked`` of the frame."""
+    row = frame[marked]
+    factor = cmath.exp(-1j * sign * theta)
+    return blocks + ((factor - 1) * (blocks @ row))[:, None] * row
 
 
 def apply_ancilla_hadamard(state: StateVector) -> StateVector:
@@ -245,8 +265,6 @@ def apply_op(
     if isinstance(op, ControlledWalkPhase):
         return apply_walk_phase(state, spectrum, op.t, controlled=True)
     if isinstance(op, OraclePhase):
-        if marked is None:
-            raise SimulationError("schedule contains oracle ops but no marked vertex")
         return apply_oracle_phase(state, marked, op.theta, op.sign)
     if isinstance(op, AncillaHadamard):
         return apply_ancilla_hadamard(state)
@@ -261,6 +279,42 @@ def _needs_ancilla(op: PrimitiveOp) -> bool:
     return isinstance(op, (AncillaHadamard, AncillaPhase, ControlledWalkPhase))
 
 
+def _segments(ops: tuple[PrimitiveOp, ...]):
+    """``ops`` as single oracle ops and the maximal oracle-free runs
+    (tuples) between them."""
+    start = 0
+    for i, op in enumerate(ops):
+        if isinstance(op, OraclePhase):
+            if i > start:
+                yield tuple(ops[start:i])
+            yield op
+            start = i + 1
+    if start < len(ops):
+        yield tuple(ops[start:])
+
+
+def _fuse(run: tuple[PrimitiveOp, ...], eigenvalues: np.ndarray) -> np.ndarray:
+    """An oracle-free run of ops as one 2x2 ancilla matrix per
+    eigencomponent: ``m[r, c, i]``, so that block r after the run is
+    sum over c of m[r, c] * block c before it, in the eigenbasis."""
+    m = np.zeros((2, 2, len(eigenvalues)), dtype=complex)
+    m[0, 0] = m[1, 1] = 1.0
+    for op in run:
+        if isinstance(op, AncillaHadamard):
+            m = np.stack([m[0] + m[1], m[0] - m[1]]) * _SQRT_HALF
+        elif isinstance(op, AncillaPhase):
+            m[1] *= np.exp(1j * op.theta)
+        elif isinstance(op, ControlledWalkPhase):
+            m[1] *= np.exp(-1j * eigenvalues * op.t)
+        elif isinstance(op, WalkPhase):
+            m *= np.exp(-1j * eigenvalues * op.t)
+        elif isinstance(op, GlobalPhase):
+            m *= np.exp(1j * op.gamma)
+        else:
+            raise SimulationError(f"unknown primitive op {op!r}")
+    return m
+
+
 def run_schedule(
     state: StateVector,
     schedule: Schedule,
@@ -272,8 +326,11 @@ def run_schedule(
     """Apply every op in order, managing the ancilla automatically.
 
     The ops run in the spectrum's eigenbasis: the state is rotated into it
-    once and the result is returned in the caller's frame.  The ancilla is
-    attached at the first op that needs it and detached at the end of the
+    once and the result is returned in the caller's frame.  Between
+    oracles, each distinct run of ops is fused once per call into a 2x2
+    ancilla matrix per eigencomponent (``_fuse``); it gives the same
+    state as ``apply_op`` op by op, up to rounding.  The ancilla is
+    attached at the first run that needs it and detached at the end of the
     schedule if it was attached here (with the entanglement gate); a state
     that already carried an ancilla keeps it.  When given,
     ``on_stage(i, state)`` runs after the last op of stage i, before any
@@ -281,20 +338,32 @@ def run_schedule(
     caller's frame.
     """
     _check_dimension(spectrum, state)
-    home = state.frame
-    state = _rotate(state, spectrum.eigenvectors)
-    attached_here = False
+    home, frame, n = state.frame, spectrum.eigenvectors, state.n
+    blocks = _rotate(state, frame).amps.reshape(-1, n)
+    carried = len(blocks) == 2
+    kernels: dict[tuple[PrimitiveOp, ...], tuple[np.ndarray, bool]] = {}
     bounds = schedule.stage_boundaries[1:]
     spans = zip((0, *bounds), (*bounds, len(schedule.ops)))
     for stage, (start, end) in enumerate(spans):
-        for op in schedule.ops[start:end]:
-            if _needs_ancilla(op) and not state.has_ancilla:
-                state = attach_ancilla(state)
-                attached_here = True
-            state = apply_op(state, op, spectrum, marked)
+        for seg in _segments(schedule.ops[start:end]):
+            if isinstance(seg, OraclePhase):
+                v = _marked_vertex(marked, n)
+                blocks = _oracle_blocks(blocks, frame, v, seg.theta, seg.sign)
+                continue
+            kernel = kernels.get(seg)
+            if kernel is None:
+                kernel = kernels[seg] = (
+                    _fuse(seg, spectrum.eigenvalues), any(map(_needs_ancilla, seg))
+                )
+            m, needs_ancilla = kernel
+            if needs_ancilla and len(blocks) == 1:
+                blocks = np.vstack([blocks, np.zeros(n, dtype=complex)])
+            k = len(blocks)
+            blocks = (m[:k, :k] * blocks).sum(axis=1)
         if on_stage is not None and schedule.stage_boundaries:
-            on_stage(stage, _rotate(state, home))
-    if attached_here:
+            on_stage(stage, _rotate(_state(blocks.ravel(), n, frame), home))
+    state = _state(blocks.ravel(), n, frame)
+    if state.has_ancilla and not carried:
         state = detach_ancilla(state)
     return _rotate(state, home)
 

@@ -56,17 +56,56 @@ def op_by_op(state, sched, spec, marked):
     return simulate.detach_ancilla(state) if attached else state
 
 
-@pytest.fixture(params=["c4", "rook33"])
+def hand_built():
+    """Schedules synthesis never emits: every op kind, oracles first, last
+    and adjacent (an empty run between), and a stage boundary inside a
+    run.  The first leaves the ancilla entangled, so it runs on a state
+    that carries one; the second attaches it mid-run and returns it
+    clean."""
+    S = schedule
+    every_kind = S.Schedule(
+        ops=(S.OraclePhase(0.7), S.WalkPhase(0.3), S.GlobalPhase(0.2),
+             S.AncillaHadamard(), S.ControlledWalkPhase(0.5), S.AncillaPhase(1.1),
+             S.OraclePhase(0.4, -1), S.OraclePhase(1.3), S.AncillaHadamard(),
+             S.ControlledWalkPhase(-0.2), S.WalkPhase(-0.6), S.GlobalPhase(-0.9),
+             S.AncillaPhase(0.3), S.AncillaHadamard(), S.OraclePhase(0.8)),
+        stage_boundaries=(0, 10),
+    )
+    clean = S.Schedule(
+        ops=(S.WalkPhase(0.3), S.GlobalPhase(0.2), S.AncillaHadamard(),
+             S.ControlledWalkPhase(0.7), S.AncillaPhase(1.1), S.AncillaPhase(-1.1),
+             S.ControlledWalkPhase(-0.7), S.AncillaHadamard(), S.OraclePhase(0.5),
+             S.WalkPhase(-0.2), S.OraclePhase(0.9, -1), S.OraclePhase(0.4)),
+        stage_boundaries=(0, 5),
+    )
+    return every_kind, clean
+
+
+@pytest.fixture(params=["c4", "rook33", "bipartite47"])
 def frame_case(request, c4):
-    # rook(3,3) has degenerate eigenspaces, so its basis is solver-chosen
-    g = c4 if request.param == "c4" else graph.rook(3, 3)
-    ctx = pipelines.prepare(g)
-    m = g.n - 1
-    ancilla_in = simulate.attach_ancilla(simulate.from_amplitudes(random_state(g.n, 7)))
-    return ctx, m, [
-        (simulate.vertex_state(g.n, m), pipelines.sampling_schedule(ctx, m)),
-        (simulate.uniform_state(g.n), pipelines.transitive_search_schedule(ctx)),
-        (ancilla_in, pipelines.sampling_schedule(ctx, m)),
+    # rook(3,3) has degenerate eigenspaces, so its basis is solver-chosen;
+    # the bipartite context runs its branches on the adjacency spectrum
+    if request.param == "bipartite47":
+        ctx = pipelines.prepare_bipartite(4, 7)
+        m, n = 2, ctx.graph.n
+        cases = [
+            (simulate.block_uniform_state(n, 0, 4), ctx.branches[0]),
+            (simulate.block_uniform_state(n, 4, n), ctx.branches[1]),
+        ]
+    else:
+        g = c4 if request.param == "c4" else graph.rook(3, 3)
+        ctx = pipelines.prepare(g)
+        m, n = g.n - 1, g.n
+        cases = [
+            (simulate.vertex_state(n, m), pipelines.sampling_schedule(ctx, m)),
+            (simulate.uniform_state(n), pipelines.transitive_search_schedule(ctx)),
+        ]
+    ancilla_in = simulate.attach_ancilla(simulate.from_amplitudes(random_state(n, 7)))
+    every_kind, clean = hand_built()
+    return ctx, m, cases + [
+        (ancilla_in, cases[0][1]),
+        (ancilla_in, every_kind),
+        (simulate.vertex_state(n, 1), clean),
     ]
 
 
@@ -133,12 +172,18 @@ def test_attach_detach_round_trip():
     assert np.allclose(back.amps, st.amps)
 
 
-def test_detach_rejects_entangled_state():
+def test_detach_rejects_entangled_state(c4_spec):
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[2] = 1 / math.sqrt(2)  # |0>|v0> + |1>|v0| on n=2
     st = simulate.from_amplitudes(amps, n=2)
     with pytest.raises(SimulationError, match="entangled"):
         simulate.detach_ancilla(st)
+    # the fused executor keeps the gate at the end of a schedule
+    sched = schedule.Schedule(
+        ops=(schedule.AncillaHadamard(), schedule.ControlledWalkPhase(0.3))
+    )
+    with pytest.raises(SimulationError, match="entangled"):
+        simulate.run_schedule(simulate.vertex_state(4, 0), sched, c4_spec)
 
 
 def test_kickback_circuit_zero_phase_is_identity(c4_spec):
@@ -222,6 +267,9 @@ def test_run_schedule_requires_marked(c4_spec):
     sched = schedule.Schedule(ops=(schedule.OraclePhase(1.0, 1),), oracle_count=1)
     with pytest.raises(SimulationError, match="marked"):
         simulate.run_schedule(simulate.uniform_state(4), sched, c4_spec)
+    for marked in (4, -1):
+        with pytest.raises(SimulationError, match="out of range"):
+            simulate.run_schedule(simulate.uniform_state(4), sched, c4_spec, marked)
 
 
 def test_norm_preserved_over_full_schedule(c4, c4_spec):
