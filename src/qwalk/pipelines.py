@@ -140,13 +140,8 @@ class BipartiteContext:
     branches: tuple[sched_mod.Schedule, sched_mod.Schedule]
 
 
-@functools.lru_cache(maxsize=4)
 def prepare_bipartite(n1: int, n2: int) -> BipartiteContext:
-    """Eigendecompose the adjacency matrix and synthesize both branches.
-
-    Memoized per (n1, n2): the context is immutable (frozen graph,
-    read-only spectrum arrays, frozen schedules), so every search on the
-    same blocks shares one."""
+    """Eigendecompose the adjacency matrix and synthesize both branches."""
     g = complete_bipartite(n1, n2)
     spectrum = spectral.eigendecompose(adjacency(g))
     return BipartiteContext(n1, n2, g, spectrum, sched_mod.synth_bipartite_search(n1, n2))

@@ -170,11 +170,6 @@ def test_bipartite_k23_every_vertex():
             b.walk_time == pytest.approx(math.pi / math.sqrt(6), abs=1e-12)
             for b in report.branches
         )
-    # every search on the same blocks shares one read-only context
-    bctx = pipelines.prepare_bipartite(2, 3)
-    assert pipelines.prepare_bipartite(2, 3) is bctx
-    assert not bctx.spectrum.eigenvalues.flags.writeable
-    assert not bctx.spectrum.eigenvectors.flags.writeable
 
 
 def test_bipartite_failing_branch_breaks_ties_low():
