@@ -414,11 +414,13 @@ def schedule_to_json_dict(schedule: Schedule) -> dict:
 def schedule_from_json_dict(data: dict) -> Schedule:
     ops = tuple(_op_from_json(d) for d in data["ops"])
     boundaries = tuple(int(i) for i in data["stage_boundaries"])
-    # stages partition the op list, so each op runs exactly once
+    # stages partition the op list from op 0, so each op runs exactly once
     if list(boundaries) != sorted(boundaries) or not all(
         0 <= b <= len(ops) for b in boundaries
     ):
         raise ScheduleError(f"stage boundaries {list(boundaries)} are not sorted op indices")
+    if boundaries and boundaries[0] != 0:
+        raise ScheduleError(f"stage boundaries {list(boundaries)} do not start at op 0")
     return Schedule(
         ops=ops,
         direction=data["direction"],

@@ -1,20 +1,16 @@
 """Exact dense state-vector execution of schedules.
 
-A state records the basis its amplitudes are written in: ``frame`` is
-None for the vertex basis, or an orthonormal real matrix whose columns are
-the basis vectors (vertex amplitudes = frame @ amps, block by block).
-``run_schedule`` rotates the state into the spectrum's eigenbasis once and
-back once at the end; those two rotations cost O(N^2), as real products on
-the (re, im) pairs.  In between, every op but the oracle is diagonal in
-the eigenbasis: a walk phases component i by exp(-i*lambda_i*t), and the
-ancilla gates act on the two blocks alike for every component.  So each
-maximal oracle-free run of ops acts on component i as one 2x2 matrix on
-the ancilla, built once per distinct run and applied in O(N); each oracle
-is a rank-1 update with row ``marked`` of the eigenvector matrix, also
-O(N).  ``apply_op`` and the per-op primitives remain the op-by-op
-reference.  Every primitive stays exactly unitary at float64 precision,
-and results do not depend on the frame: observables rotate to the vertex
-basis first.
+States are written in the vertex basis.  ``run_schedule`` rotates the
+state into the spectrum's eigenbasis once and back once at the end; those
+two rotations cost O(N^2), as real products on the (re, im) pairs.  In
+between, every op but the oracle is diagonal in the eigenbasis: a walk
+phases component i by exp(-i*lambda_i*t), and the ancilla gates act on the
+two blocks alike for every component.  So each maximal oracle-free run of
+ops acts on component i as one 2x2 matrix on the ancilla, built once per
+distinct run and applied in O(N); each oracle is a rank-1 update with row
+``marked`` of the eigenvector matrix, also O(N).  ``apply_op`` and the
+per-op primitives remain the op-by-op reference.  Every primitive stays
+exactly unitary at float64 precision.
 
 The ancilla qubit is the leading tensor factor (amplitude layout
 [block0, block1]).  During a schedule it is attached lazily at the first
@@ -53,13 +49,11 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized complex amplitudes over n vertices, optionally tensored
-    with one ancilla qubit (dimension 2n, ancilla block-major), written in
-    ``frame`` (None: the vertex basis)."""
+    """Normalized complex vertex amplitudes over n vertices, optionally
+    tensored with one ancilla qubit (dimension 2n, ancilla block-major)."""
 
     amps: np.ndarray
     n: int
-    frame: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(self.amps) not in (self.n, 2 * self.n):
@@ -76,15 +70,10 @@ class StateVector:
         return len(self.amps) == 2 * self.n
 
 
-def _state(amps: np.ndarray, n: int, frame: np.ndarray | None = None) -> StateVector:
+def _state(amps: np.ndarray, n: int) -> StateVector:
     amps = np.ascontiguousarray(amps, dtype=complex)
     amps.flags.writeable = False
-    return StateVector(amps, n, frame)
-
-
-def _like(state: StateVector, amps: np.ndarray) -> StateVector:
-    """New amplitudes in the dimension and frame of ``state``."""
-    return _state(amps, state.n, state.frame)
+    return StateVector(amps, n)
 
 
 def vertex_state(n: int, v: int) -> StateVector:
@@ -123,19 +112,11 @@ def _blocks(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     return state.amps[: state.n], state.amps[state.n :]
 
 
-def _rotate(state: StateVector, frame: np.ndarray | None) -> StateVector:
-    """The same state with every block written in ``frame`` (None: the
-    vertex basis).  The products are real, on the float64 (re, im) view,
-    so no complex copy of a frame is ever made."""
-    if state.frame is frame:
-        return state
-    amps = np.ascontiguousarray(state.amps, dtype=complex)
-    pairs = amps.view(np.float64).reshape(-1, state.n, 2)
-    if state.frame is not None:
-        pairs = state.frame @ pairs
-    if frame is not None:
-        pairs = frame.T @ pairs
-    return _state(pairs.view(complex).ravel(), state.n, frame)
+def _rotate(basis: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``basis @ block`` for each row of ``blocks``, as real products on
+    the float64 (re, im) view, so no complex copy of ``basis`` is made."""
+    pairs = np.ascontiguousarray(blocks, dtype=complex).view(np.float64)
+    return (basis @ pairs.reshape(*blocks.shape, 2)).view(complex).reshape(blocks.shape)
 
 
 def _check_dimension(spectrum: Spectrum, state: StateVector) -> None:
@@ -148,39 +129,31 @@ def _check_dimension(spectrum: Spectrum, state: StateVector) -> None:
 def apply_walk_phase(
     state: StateVector, spectrum: Spectrum, t: float, *, controlled: bool = False
 ) -> StateVector:
-    """Spectral application of the walk: rotate into the eigenbasis, phase
-    eigencomponent i by exp(-i*lambda_i*t), rotate back to the state's own
-    frame; O(N) when that frame is already the eigenbasis.  With
-    controlled=True only the ancilla-1 block evolves."""
+    """Spectral application of the walk: rotate each block into the
+    eigenbasis, phase eigencomponent i by exp(-i*lambda_i*t) and rotate
+    back, O(N^2).  With controlled=True only the ancilla-1 block evolves."""
     _check_dimension(spectrum, state)
     if controlled and not state.has_ancilla:
         raise SimulationError("controlled walk requires an attached ancilla")
     phases = np.exp(-1j * spectrum.eigenvalues * t)
-    eig = _rotate(state, spectrum.eigenvectors)
-    blocks = eig.amps.reshape(-1, state.n)
+    vectors = spectrum.eigenvectors
+    blocks = _rotate(vectors.T, state.amps.reshape(-1, state.n))
     if controlled:
-        amps = np.concatenate([blocks[0], phases * blocks[1]])
+        blocks[1] = phases * blocks[1]
     else:
-        amps = (phases * blocks).ravel()
-    return _rotate(_state(amps, state.n, eig.frame), state.frame)
+        blocks = phases * blocks
+    return _state(_rotate(vectors, blocks).ravel(), state.n)
 
 
 def apply_oracle_phase(
     state: StateVector, marked: int, theta: float, sign: int = 1
 ) -> StateVector:
     """Multiply the marked vertex amplitude by exp(-i*sign*theta) in every
-    ancilla block: an index multiply in the vertex basis, otherwise a
-    rank-1 update (``_oracle_blocks``)."""
+    ancilla block."""
     _marked_vertex(marked, state.n)
-    if state.frame is not None:
-        blocks = state.amps.reshape(-1, state.n)
-        return _like(state, _oracle_blocks(blocks, state.frame, marked, theta, sign).ravel())
-    factor = cmath.exp(-1j * sign * theta)
     amps = state.amps.copy()
-    amps[marked] *= factor
-    if state.has_ancilla:
-        amps[state.n + marked] *= factor
-    return _like(state, amps)
+    amps[marked :: state.n] *= cmath.exp(-1j * sign * theta)
+    return _state(amps, state.n)
 
 
 def _marked_vertex(marked: int | None, n: int) -> int:
@@ -192,37 +165,37 @@ def _marked_vertex(marked: int | None, n: int) -> int:
 
 
 def _oracle_blocks(
-    blocks: np.ndarray, frame: np.ndarray, marked: int, theta: float, sign: int
+    blocks: np.ndarray, vectors: np.ndarray, marked: int, theta: float, sign: int
 ) -> np.ndarray:
-    """The oracle on rows of amplitudes written in ``frame``:
+    """The oracle on rows of eigenbasis amplitudes:
     block += (exp(-i*sign*theta) - 1) (row . block) row, with row
-    ``marked`` of the frame."""
-    row = frame[marked]
+    ``marked`` of the eigenvector matrix ``vectors``."""
+    row = vectors[marked]
     factor = cmath.exp(-1j * sign * theta)
     return blocks + ((factor - 1) * (blocks @ row))[:, None] * row
 
 
 def apply_ancilla_hadamard(state: StateVector) -> StateVector:
     b0, b1 = _blocks(state)
-    return _like(
-        state, np.concatenate([(b0 + b1) * _SQRT_HALF, (b0 - b1) * _SQRT_HALF])
+    return _state(
+        np.concatenate([(b0 + b1) * _SQRT_HALF, (b0 - b1) * _SQRT_HALF]), state.n
     )
 
 
 def apply_ancilla_phase(state: StateVector, theta: float) -> StateVector:
     b0, b1 = _blocks(state)
-    return _like(state, np.concatenate([b0, np.exp(1j * theta) * b1]))
+    return _state(np.concatenate([b0, np.exp(1j * theta) * b1]), state.n)
 
 
 def apply_global_phase(state: StateVector, gamma: float) -> StateVector:
-    return _like(state, np.exp(1j * gamma) * state.amps)
+    return _state(np.exp(1j * gamma) * state.amps, state.n)
 
 
 def attach_ancilla(state: StateVector) -> StateVector:
     """Tensor an ancilla |0> onto the state (ancilla leading)."""
     if state.has_ancilla:
         raise SimulationError("ancilla already attached")
-    return _like(state, np.concatenate([state.amps, np.zeros(state.n, dtype=complex)]))
+    return _state(np.concatenate([state.amps, np.zeros(state.n, dtype=complex)]), state.n)
 
 
 def detach_ancilla(state: StateVector, *, tol: float = DETACH_TOL) -> StateVector:
@@ -231,23 +204,26 @@ def detach_ancilla(state: StateVector, *, tol: float = DETACH_TOL) -> StateVecto
     The mass on ancilla |1> must be below ``tol``; anything larger means
     a disentanglement guarantee was broken upstream.
     """
-    b0, b1 = _blocks(state)
+    return _state(_detached(*_blocks(state), tol), state.n)
+
+
+def _detached(b0: np.ndarray, b1: np.ndarray, tol: float = DETACH_TOL) -> np.ndarray:
+    """Block 0 renormalized, once block 1 is checked to carry at most ``tol``."""
     leak = float(np.linalg.norm(b1) ** 2)
     if leak > tol:
         raise SimulationError(f"ancilla entangled at detach point: |1> mass {leak:.3e}")
-    return _like(state, b0 / np.linalg.norm(b0))
+    return b0 / np.linalg.norm(b0)
 
 
 def _project_ancilla(state: StateVector) -> StateVector:
-    """Measurement-free projection used by read-only observables, in the
-    vertex basis."""
-    if state.has_ancilla:
-        b0 = state.amps[: state.n]
-        norm = float(np.linalg.norm(b0))
-        if norm < 1e-12:
-            raise SimulationError("no amplitude left on ancilla |0>")
-        state = _like(state, b0 / norm)
-    return _rotate(state, None)
+    """Measurement-free projection used by read-only observables."""
+    if not state.has_ancilla:
+        return state
+    b0 = state.amps[: state.n]
+    norm = float(np.linalg.norm(b0))
+    if norm < 1e-12:
+        raise SimulationError("no amplitude left on ancilla |0>")
+    return _state(b0 / norm, state.n)
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +302,19 @@ def run_schedule(
     """Apply every op in order, managing the ancilla automatically.
 
     The ops run in the spectrum's eigenbasis: the state is rotated into it
-    once and the result is returned in the caller's frame.  Between
-    oracles, each distinct run of ops is fused once per call into a 2x2
-    ancilla matrix per eigencomponent (``_fuse``); it gives the same
-    state as ``apply_op`` op by op, up to rounding.  The ancilla is
-    attached at the first run that needs it and detached at the end of the
-    schedule if it was attached here (with the entanglement gate); a state
-    that already carried an ancilla keeps it.  When given,
-    ``on_stage(i, state)`` runs after the last op of stage i, before any
-    detach, for every stage the schedule declares, with the state in the
-    caller's frame.
+    once and back to the vertex basis at the end.  Between oracles, each
+    distinct run of ops is fused once per call into a 2x2 ancilla matrix
+    per eigencomponent (``_fuse``); it gives the same state as
+    ``apply_op`` op by op, up to rounding.  The ancilla is attached at the
+    first run that needs it and detached at the end of the schedule if it
+    was attached here (with the entanglement gate); a state that already
+    carried an ancilla keeps it.  When given, ``on_stage(i, state)`` runs
+    after the last op of stage i, before any detach, for every stage the
+    schedule declares.
     """
     _check_dimension(spectrum, state)
-    home, frame, n = state.frame, spectrum.eigenvectors, state.n
-    blocks = _rotate(state, frame).amps.reshape(-1, n)
+    vectors, n = spectrum.eigenvectors, state.n
+    blocks = _rotate(vectors.T, state.amps.reshape(-1, n))
     carried = len(blocks) == 2
     kernels: dict[tuple[PrimitiveOp, ...], tuple[np.ndarray, bool]] = {}
     bounds = schedule.stage_boundaries[1:]
@@ -348,7 +323,7 @@ def run_schedule(
         for seg in _segments(schedule.ops[start:end]):
             if isinstance(seg, OraclePhase):
                 v = _marked_vertex(marked, n)
-                blocks = _oracle_blocks(blocks, frame, v, seg.theta, seg.sign)
+                blocks = _oracle_blocks(blocks, vectors, v, seg.theta, seg.sign)
                 continue
             kernel = kernels.get(seg)
             if kernel is None:
@@ -361,11 +336,10 @@ def run_schedule(
             k = len(blocks)
             blocks = (m[:k, :k] * blocks).sum(axis=1)
         if on_stage is not None and schedule.stage_boundaries:
-            on_stage(stage, _rotate(_state(blocks.ravel(), n, frame), home))
-    state = _state(blocks.ravel(), n, frame)
-    if state.has_ancilla and not carried:
-        state = detach_ancilla(state)
-    return _rotate(state, home)
+            on_stage(stage, _state(_rotate(vectors, blocks).ravel(), n))
+    if len(blocks) == 2 and not carried:
+        blocks = _detached(*blocks)[None]
+    return _state(_rotate(vectors, blocks).ravel(), n)
 
 
 # ---------------------------------------------------------------------------

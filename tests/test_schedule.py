@@ -229,6 +229,11 @@ def test_schedule_json_round_trip(c4):
     data["stage_boundaries"].reverse()
     with pytest.raises(ScheduleError, match="stage boundaries"):
         schedule.schedule_from_json_dict(data)
+    # sorted, but stage 0 would not start at op 0: the executor would run
+    # it from op 0 anyway, and the dagger would drop the edit
+    data["stage_boundaries"] = [1, *sched.stage_boundaries[1:]]
+    with pytest.raises(ScheduleError, match="do not start at op 0"):
+        schedule.schedule_from_json_dict(data)
 
 
 def test_schedule_bytes_deterministic(c4):

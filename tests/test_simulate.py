@@ -29,31 +29,27 @@ def random_state(n, seed):
     return amps / np.linalg.norm(amps)
 
 
-def in_frame(amps, frame):
-    """A state whose vertex amplitudes are ``amps``, written in ``frame``."""
-    n = frame.shape[0]
-    blocks = np.reshape(amps, (-1, n))
-    return simulate.StateVector((blocks @ frame).ravel(), n, frame)
-
-
-def vertex_amps(state):
-    if state.frame is None:
-        return state.amps
-    return (state.amps.reshape(-1, state.n) @ state.frame.T).ravel()
-
-
 NEEDS_ANCILLA = (schedule.AncillaHadamard, schedule.AncillaPhase, schedule.ControlledWalkPhase)
 
 
 def op_by_op(state, sched, spec, marked):
-    """Reference executor: every op on a vertex-basis state, one at a time."""
-    attached = False
-    for op in sched.ops:
-        if isinstance(op, NEEDS_ANCILLA) and not state.has_ancilla:
-            state = simulate.attach_ancilla(state)
-            attached = True
-        state = simulate.apply_op(state, op, spec, marked)
-    return simulate.detach_ancilla(state) if attached else state
+    """Reference executor: every op through ``apply_op``, one at a time.
+    Returns the final state and the state at the end of each declared
+    stage, before any detach."""
+    attached, stages = False, []
+    bounds = sched.stage_boundaries
+    ends = (*bounds[1:], len(sched.ops))
+    start = 0
+    for end in ends:
+        for op in sched.ops[start:end]:
+            if isinstance(op, NEEDS_ANCILLA) and not state.has_ancilla:
+                state = simulate.attach_ancilla(state)
+                attached = True
+            state = simulate.apply_op(state, op, spec, marked)
+        stages.append(state)
+        start = end
+    final = simulate.detach_ancilla(state) if attached else state
+    return final, stages if bounds else []
 
 
 def hand_built():
@@ -82,7 +78,7 @@ def hand_built():
 
 
 @pytest.fixture(params=["c4", "rook33", "bipartite47"])
-def frame_case(request, c4):
+def schedule_case(request, c4):
     # rook(3,3) has degenerate eigenspaces, so its basis is solver-chosen;
     # the bipartite context runs its branches on the adjacency spectrum
     if request.param == "bipartite47":
@@ -286,55 +282,28 @@ def test_norm_preserved_over_full_schedule(c4, c4_spec):
     assert stages == [0, 1]
 
 
-def test_run_schedule_matches_op_by_op(frame_case):
-    ctx, m, cases = frame_case
+def test_run_schedule_matches_op_by_op(schedule_case):
+    ctx, m, cases = schedule_case
     for state, sched in cases:
         out = simulate.run_schedule(state, sched, ctx.spectrum, m)
-        ref = op_by_op(state, sched, ctx.spectrum, m)
-        assert out.frame is None
+        ref, _ = op_by_op(state, sched, ctx.spectrum, m)
         assert out.has_ancilla == state.has_ancilla == ref.has_ancilla
         assert np.max(np.abs(out.amps - ref.amps)) < 1e-12
 
 
-def test_run_schedule_keeps_callers_frame(frame_case):
-    ctx, m, cases = frame_case
-    n = ctx.graph.n
-    frame = np.linalg.qr(np.random.default_rng(11).normal(size=(n, n)))[0]
+def test_run_schedule_stage_states_match_op_by_op(schedule_case):
+    ctx, m, cases = schedule_case
     for state, sched in cases:
-        ref_stages, stages = [], []
-        ref = simulate.run_schedule(
-            state, sched, ctx.spectrum, m, on_stage=lambda i, s: ref_stages.append(s)
+        stages = []
+        simulate.run_schedule(
+            state, sched, ctx.spectrum, m, on_stage=lambda i, s: stages.append((i, s))
         )
-        out = simulate.run_schedule(
-            in_frame(state.amps, frame), sched, ctx.spectrum, m,
-            on_stage=lambda i, s: stages.append(s),
-        )
-        assert out.frame is frame
-        assert np.max(np.abs(vertex_amps(out) - ref.amps)) < 1e-12
-        assert len(stages) == len(ref_stages) == len(sched.stage_boundaries)
-        for got, want in zip(stages, ref_stages):
-            assert got.frame is frame and want.frame is None
-            assert np.max(np.abs(vertex_amps(got) - want.amps)) < 1e-12
-        assert simulate.fidelity(out, ref) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_ops_in_a_foreign_frame(c4_spec):
-    # the path P4 has the same dimension as c4 but another eigenbasis
-    p4 = graph.load_edge_list("0 1\n1 2\n2 3\n")
-    path = spectral.eigendecompose(graph.laplacian(p4))
-    psi = random_state(8, 3)
-    vertex = simulate.from_amplitudes(psi, n=4)
-    foreign = in_frame(psi, path.eigenvectors)
-    for controlled in (False, True):
-        want = simulate.apply_walk_phase(vertex, c4_spec, 0.83, controlled=controlled)
-        got = simulate.apply_walk_phase(foreign, c4_spec, 0.83, controlled=controlled)
-        assert got.frame is path.eigenvectors
-        assert np.max(np.abs(vertex_amps(got) - want.amps)) < 1e-12
-    want = simulate.apply_oracle_phase(vertex, 2, 1.1, -1)
-    got = simulate.apply_oracle_phase(foreign, 2, 1.1, -1)
-    assert np.max(np.abs(vertex_amps(got) - want.amps)) < 1e-12
-    assert np.allclose(simulate.measure_distribution(foreign),
-                       simulate.measure_distribution(vertex), atol=1e-12)
+        _, ref = op_by_op(state, sched, ctx.spectrum, m)
+        assert sched.stage_boundaries
+        assert [i for i, _ in stages] == list(range(len(sched.stage_boundaries)))
+        for (_, got), want in zip(stages, ref, strict=True):
+            assert got.has_ancilla == want.has_ancilla
+            assert np.max(np.abs(got.amps - want.amps)) < 1e-12
 
 
 def test_unitarity_round_trip(c4_spec):
@@ -387,3 +356,20 @@ def test_dimension_mismatch_errors(c4_spec):
         simulate.apply_walk_phase(st, c4_spec, 1.0)
     with pytest.raises(SimulationError, match="dimension"):
         simulate.run_schedule(st, schedule.Schedule(), c4_spec)
+
+
+def test_state_and_ancilla_errors(c4_spec):
+    with pytest.raises(SimulationError, match="matches neither"):
+        simulate.StateVector(np.full(3, 1 / math.sqrt(3), dtype=complex), 2)
+    with pytest.raises(SimulationError, match="norm defect"):
+        simulate.from_amplitudes(np.ones(4))
+    st = simulate.uniform_state(4)
+    with pytest.raises(SimulationError, match="requires an attached ancilla"):
+        simulate.apply_ancilla_hadamard(st)
+    with pytest.raises(SimulationError, match="requires an attached ancilla"):
+        simulate.apply_ancilla_phase(st, 0.3)
+    with pytest.raises(SimulationError, match="controlled walk requires an attached ancilla"):
+        simulate.apply_walk_phase(st, c4_spec, 0.3, controlled=True)
+    ancilla_one = simulate.from_amplitudes(np.array([0, 0, 1, 0]), n=2)
+    with pytest.raises(SimulationError, match="no amplitude left"):
+        simulate.fidelity(ancilla_one, 0)
