@@ -57,6 +57,7 @@ from .schedule import (
     GlobalPhase,
     OraclePhase,
     Schedule,
+    Stage,
     StageParams,
     WalkPhase,
     dagger,

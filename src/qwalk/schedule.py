@@ -1,28 +1,32 @@
 """Alternating-walk schedule synthesis.
 
-A schedule is a flat, immutable sequence of primitive operations.  Each
-active refinement level contributes one amplitude-amplification stage that
-rotates the current kept state onto the next one:
+Each active refinement level contributes one amplitude-amplification
+stage that rotates the current kept state onto the next one:
 
 * the target-side phase comes from the walk reflection wrapped in an
   ancilla phase-kickback circuit, so an arbitrary relative phase can be
   applied with two controlled walk steps;
-* the source-side phase is the marked-vertex oracle, conjugated by the
-  already-emitted prefix so it acts on the current kept state rather than
-  on the start vertex.
+* the source-side phase is the marked-vertex oracle, conjugated by every
+  earlier stage so it acts on the current kept state rather than on the
+  start vertex.
 
 With both phases matched to the same analytic angle the stage rotation
 lands exactly, so the whole schedule maps the start state to the target
 with fidelity 1 up to floating-point error.  The marked vertex never
-appears in the ops; it is bound at simulation time, which is what makes
+appears in a schedule; it is bound at simulation time, which is what makes
 search schedules identical for every hidden vertex.
+
+Synthesis emits one ``Stage`` record per stage, and the costs follow from
+them in O(depth).  The flat ops, whose count grows like 2^depth, are
+expanded only when read (JSON artifacts, the op-by-op reference); a
+schedule read from JSON or built by hand holds flat ops and no stages.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,17 +121,32 @@ class StageParams:
 
 
 @dataclass(frozen=True)
+class Stage:
+    """One stage: each of its ``params.iterations`` iterations runs
+    ``target_phase_ops(walk_time, kick)``, then the oracle with angle
+    ``params.alpha`` conjugated by every earlier stage."""
+
+    level: int
+    walk_time: float
+    kick: float
+    params: StageParams
+
+
+@dataclass(frozen=True)
 class Schedule:
-    """Immutable flat operation list with cost metadata.
+    """Immutable schedule: flat ``ops``, or ``stages`` with ``ops`` expanded
+    from them on first read.
 
     ``stage_boundaries[i]`` is the op index where active stage i begins and
     ``stage_levels[i]`` the refinement level it implements.  ``total_time``
     sums magnitudes: |t| over walk segments plus |theta| over oracle and
     ancilla phases.  ``global_phase`` is the angle by which the final state
     leads the ideal target (never asserted; fidelity is phase-insensitive).
+    A stage tree derives its boundaries, levels, time and oracle count from
+    ``stages``, which are kept in forward order whatever the direction.
     """
 
-    ops: tuple[PrimitiveOp, ...] = ()
+    ops: tuple[PrimitiveOp, ...] = field(default_factory=tuple)
     direction: str = FORWARD
     hamiltonian: str = LAPLACIAN
     stage_boundaries: tuple[int, ...] = ()
@@ -135,6 +154,36 @@ class Schedule:
     global_phase: float = 0.0
     total_time: float = 0.0
     oracle_count: int = 0
+    stages: tuple[Stage, ...] = field(default=(), repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.stages:
+            # stages partition the op list from op 0, so each op runs exactly once
+            bounds = list(self.stage_boundaries)
+            if bounds != sorted(bounds) or not all(0 <= b <= len(self.ops) for b in bounds):
+                raise ScheduleError(f"stage boundaries {bounds} are not sorted op indices")
+            if bounds and bounds[0] != 0:
+                raise ScheduleError(f"stage boundaries {bounds} do not start at op 0")
+            return
+        if self.ops:
+            raise ScheduleError("a schedule holds flat ops or stages, not both")
+        length, starts, oracles, time, _ = _tree_costs(self.stages)
+        levels = tuple(st.level for st in self.stages)
+        if self.direction == REVERSED:
+            starts, levels = _reversed_boundaries(starts, length), levels[::-1]
+        object.__delattr__(self, "ops")  # expanded by __getattr__ when read
+        for name, value in (("stage_boundaries", starts), ("stage_levels", levels),
+                            ("total_time", time), ("oracle_count", oracles)):
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str):
+        if name != "ops":
+            raise AttributeError(name)
+        ops = _expand(self.stages)
+        if self.direction == REVERSED:
+            ops = _adjoint_ops(ops)
+        object.__setattr__(self, "ops", ops)
+        return ops
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +251,61 @@ def _adjoint_ops(ops: tuple[PrimitiveOp, ...]) -> tuple[PrimitiveOp, ...]:
     return tuple(_adjoint_op(op) for op in reversed(ops))
 
 
+def _reversed_boundaries(starts: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """Stage starts of the adjoint of an op list of ``length`` ops."""
+    return tuple(sorted(length - e for e in (*starts[1:], length))) if starts else ()
+
+
 def dagger(schedule: Schedule) -> Schedule:
-    """Element-wise adjoints in reverse order; total time is preserved."""
-    length = len(schedule.ops)
-    if schedule.stage_boundaries:
-        ends = list(schedule.stage_boundaries[1:]) + [length]
-        boundaries = tuple(sorted(length - e for e in ends))
-    else:
-        boundaries = ()
+    """Element-wise adjoints in reverse order; total time is preserved.  A
+    stage tree keeps its stages and flips its direction, in O(depth)."""
+    direction = REVERSED if schedule.direction == FORWARD else FORWARD
+    if schedule.stages:
+        return Schedule(direction=direction, hamiltonian=schedule.hamiltonian,
+                        global_phase=-schedule.global_phase, stages=schedule.stages)
     return Schedule(
         ops=_adjoint_ops(schedule.ops),
-        direction=REVERSED if schedule.direction == FORWARD else FORWARD,
+        direction=direction,
         hamiltonian=schedule.hamiltonian,
-        stage_boundaries=boundaries,
+        stage_boundaries=_reversed_boundaries(schedule.stage_boundaries, len(schedule.ops)),
         stage_levels=tuple(reversed(schedule.stage_levels)),
         global_phase=-schedule.global_phase,
         total_time=schedule.total_time,
         oracle_count=schedule.oracle_count,
     )
+
+
+def _expand(stages: tuple[Stage, ...]) -> tuple[PrimitiveOp, ...]:
+    """The forward flat op list of a stage tree: each iteration of stage k
+    is its kickback circuit, then the oracle conjugated by the ops of every
+    earlier stage."""
+    ops: list[PrimitiveOp] = []
+    for stage in stages:
+        prefix = tuple(ops)
+        prefix_adjoint = _adjoint_ops(prefix)
+        for _ in range(stage.params.iterations):
+            ops.extend(target_phase_ops(stage.walk_time, stage.kick))
+            ops.extend(prefix_adjoint)
+            ops.append(OraclePhase(stage.params.alpha, 1))
+            ops.extend(prefix)
+    return tuple(ops)
+
+
+def _tree_costs(stages: tuple[Stage, ...]) -> tuple[int, tuple[int, ...], int, float, float]:
+    """Op count, stage starts, oracle count, total time and ancilla time of
+    ``_expand(stages)``: an iteration runs its kick, oracle and prefix twice."""
+    length = oracles = 0
+    time = ancilla = 0.0
+    starts = []
+    for stage in stages:
+        it = stage.params.iterations
+        starts.append(length)
+        length += it * (2 * length + 8)  # the seven kick ops and the oracle
+        oracles += it * (2 * oracles + 1)
+        kick = 2.0 * abs(stage.walk_time) + abs(stage.kick)
+        time += it * (2.0 * time + kick + abs(stage.params.alpha))
+        ancilla += it * (2.0 * ancilla + abs(stage.kick))
+    return length, tuple(starts), oracles, time, ancilla
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +342,15 @@ def synth_sampling_schedule(chain: DepthChain, overlaps: np.ndarray) -> Schedule
 
     ``overlaps`` has one entry per refinement step, either the per-vertex
     values or the vertex-independent cardinality ratios; entries at 1.0
-    mark skipped stages.  Stage k>=1 conjugates its oracle by the emitted
-    prefix, expanded into a flat op list.
+    mark skipped stages.  Each active level gives one ``Stage``; stage
+    k>=1 conjugates its oracle by the stages before it.
     """
     overlaps = np.asarray(overlaps, dtype=float)
     if len(overlaps) != chain.depth:
         raise ScheduleError(
             f"expected {chain.depth} overlaps, got {len(overlaps)}"
         )
-    ops: list[PrimitiveOp] = []
-    boundaries: list[int] = []
-    levels: list[int] = []
+    stages: list[Stage] = []
     phase = 0.0
     for k in range(chain.depth):
         s = float(overlaps[k])
@@ -275,28 +359,9 @@ def synth_sampling_schedule(chain: DepthChain, overlaps: np.ndarray) -> Schedule
         if s < OVERLAP_FLOOR:
             raise ScheduleError(f"overlap at level {k} below floor: {s:.3e}")
         params = stage_params(s)
-        walk_time = reflection_time(chain.levels[k].gcd)
-        prefix = tuple(ops)
-        prefix_adjoint = _adjoint_ops(prefix)
-        boundaries.append(len(ops))
-        levels.append(k)
-        for _ in range(params.iterations):
-            ops.extend(target_phase_ops(walk_time, params.alpha))
-            ops.extend(prefix_adjoint)
-            ops.append(OraclePhase(params.alpha, 1))
-            ops.extend(prefix)
+        stages.append(Stage(k, reflection_time(chain.levels[k].gcd), params.alpha, params))
         phase += _landing_phase(params, target_phased=False)
-    all_ops = tuple(ops)
-    return Schedule(
-        ops=all_ops,
-        direction=FORWARD,
-        hamiltonian=LAPLACIAN,
-        stage_boundaries=tuple(boundaries),
-        stage_levels=tuple(levels),
-        global_phase=phase % (2.0 * math.pi),
-        total_time=_total_time(all_ops),
-        oracle_count=_oracle_count(all_ops),
-    )
+    return Schedule(global_phase=phase % (2.0 * math.pi), stages=tuple(stages))
 
 
 def synth_bipartite_search(n1: int, n2: int) -> tuple[Schedule, Schedule]:
@@ -320,44 +385,23 @@ def _bipartite_branch(block_size: int, walk_time: float) -> Schedule:
     if block_size == 1:
         return Schedule(direction=REVERSED, hamiltonian=ADJACENCY)
     params = stage_params(1.0 / math.sqrt(block_size))
-    ops: list[PrimitiveOp] = []
     # The -1 eigenspace of the adjacency walk contains the target axis
     # itself, so phasing it by -alpha realizes the target-side rotation
     # with no extra global phase.
-    kick_theta = (2.0 * math.pi - params.alpha) % (2.0 * math.pi)
-    for _ in range(params.iterations):
-        ops.extend(target_phase_ops(walk_time, kick_theta))
-        ops.append(OraclePhase(params.alpha, 1))
-    forward = Schedule(
-        ops=tuple(ops),
-        direction=FORWARD,
+    kick = (2.0 * math.pi - params.alpha) % (2.0 * math.pi)
+    return Schedule(
+        direction=REVERSED,
         hamiltonian=ADJACENCY,
-        stage_boundaries=(0,),
-        stage_levels=(0,),
-        global_phase=_landing_phase(params, target_phased=True) % (2.0 * math.pi),
-        total_time=_total_time(tuple(ops)),
-        oracle_count=params.iterations,
+        global_phase=-(_landing_phase(params, target_phased=True) % (2.0 * math.pi)),
+        stages=(Stage(0, walk_time, kick, params),),
     )
-    return dagger(forward)
-
-
-def _total_time(ops: tuple[PrimitiveOp, ...]) -> float:
-    total = 0.0
-    for op in ops:
-        if isinstance(op, (WalkPhase, ControlledWalkPhase)):
-            total += abs(op.t)
-        elif isinstance(op, (OraclePhase, AncillaPhase)):
-            total += abs(op.theta)
-    return total
-
-
-def _oracle_count(ops: tuple[PrimitiveOp, ...]) -> int:
-    return sum(1 for op in ops if isinstance(op, OraclePhase))
 
 
 def ancilla_phase_time(schedule: Schedule) -> float:
     """Total angle spent in ancilla phase gates (reported separately in
     cost accounting)."""
+    if schedule.stages:
+        return _tree_costs(schedule.stages)[4]
     return sum(abs(op.theta) for op in schedule.ops if isinstance(op, AncillaPhase))
 
 
@@ -412,20 +456,11 @@ def schedule_to_json_dict(schedule: Schedule) -> dict:
 
 
 def schedule_from_json_dict(data: dict) -> Schedule:
-    ops = tuple(_op_from_json(d) for d in data["ops"])
-    boundaries = tuple(int(i) for i in data["stage_boundaries"])
-    # stages partition the op list from op 0, so each op runs exactly once
-    if list(boundaries) != sorted(boundaries) or not all(
-        0 <= b <= len(ops) for b in boundaries
-    ):
-        raise ScheduleError(f"stage boundaries {list(boundaries)} are not sorted op indices")
-    if boundaries and boundaries[0] != 0:
-        raise ScheduleError(f"stage boundaries {list(boundaries)} do not start at op 0")
     return Schedule(
-        ops=ops,
+        ops=tuple(_op_from_json(d) for d in data["ops"]),
         direction=data["direction"],
         hamiltonian=data["hamiltonian"],
-        stage_boundaries=boundaries,
+        stage_boundaries=tuple(int(i) for i in data["stage_boundaries"]),
         stage_levels=tuple(int(i) for i in data.get("stage_levels", [])),
         global_phase=float(data["global_phase"]),
         total_time=float(data["total_time"]),

@@ -1,28 +1,25 @@
 """Exact dense state-vector execution of schedules.
 
 States are written in the vertex basis.  ``run_schedule`` rotates the
-state into the spectrum's eigenbasis once and back once at the end; those
-two rotations cost O(N^2), as real products on the (re, im) pairs.  In
-between, every op but the oracle is diagonal in the eigenbasis: a walk
-phases component i by exp(-i*lambda_i*t), and the ancilla gates act on the
-two blocks alike for every component.  So each maximal oracle-free run of
-ops acts on component i as one 2x2 matrix on the ancilla, built once per
-distinct run and applied in O(N); each oracle is a rank-1 update with row
-``marked`` of the eigenvector matrix, also O(N).  ``apply_op`` and the
-per-op primitives remain the op-by-op reference.  Every primitive stays
-exactly unitary at float64 precision.
+state into the spectrum's eigenbasis once and back once at the end (two
+O(N^2) real products on the (re, im) pairs).  In between, every op but the
+oracle is diagonal, and the oracle acts on both ancilla values: conjugated
+by the prefix U of earlier stages it is U O U^dagger = I + (e^{-i alpha}
+- 1) sum_a |w_a><w_a| with w_a = U|a, m>, exactly and for any state.  So
+a stage tree costs O(N) per stage iteration (``_run_stages``), and a flat
+schedule, read from JSON or built by hand, O(N) per oracle-free run and
+per oracle (``_run_flat``).  ``apply_op`` and the per-op primitives remain
+the op-by-op reference.  Every primitive stays exactly unitary.
 
 The ancilla qubit is the leading tensor factor (amplitude layout
-[block0, block1]).  During a schedule it is attached lazily at the first
-ancilla operation and detached at the end.  Mid-schedule detaching is
-deliberately not attempted: inside conjugated-oracle regions the transient
-states are legitimately ancilla-entangled, and only at stage boundaries or
-the end of the schedule is the ancilla guaranteed back in |0>.
+[block0, block1]), attached at the first op that needs it; only at stage
+boundaries or the end of a schedule is it guaranteed back in |0>.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +27,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .schedule import (
+    FORWARD,
     AncillaHadamard,
     AncillaPhase,
     ControlledWalkPhase,
@@ -38,6 +36,7 @@ from .schedule import (
     PrimitiveOp,
     Schedule,
     WalkPhase,
+    target_phase_ops,
 )
 from .spectral import Spectrum
 
@@ -164,17 +163,6 @@ def _marked_vertex(marked: int | None, n: int) -> int:
     return marked
 
 
-def _oracle_blocks(
-    blocks: np.ndarray, vectors: np.ndarray, marked: int, theta: float, sign: int
-) -> np.ndarray:
-    """The oracle on rows of eigenbasis amplitudes:
-    block += (exp(-i*sign*theta) - 1) (row . block) row, with row
-    ``marked`` of the eigenvector matrix ``vectors``."""
-    row = vectors[marked]
-    factor = cmath.exp(-1j * sign * theta)
-    return blocks + ((factor - 1) * (blocks @ row))[:, None] * row
-
-
 def apply_ancilla_hadamard(state: StateVector) -> StateVector:
     b0, b1 = _blocks(state)
     return _state(
@@ -258,15 +246,8 @@ def _needs_ancilla(op: PrimitiveOp) -> bool:
 def _segments(ops: tuple[PrimitiveOp, ...]):
     """``ops`` as single oracle ops and the maximal oracle-free runs
     (tuples) between them."""
-    start = 0
-    for i, op in enumerate(ops):
-        if isinstance(op, OraclePhase):
-            if i > start:
-                yield tuple(ops[start:i])
-            yield op
-            start = i + 1
-    if start < len(ops):
-        yield tuple(ops[start:])
+    for oracles, group in itertools.groupby(ops, lambda op: isinstance(op, OraclePhase)):
+        yield from group if oracles else [tuple(group)]
 
 
 def _fuse(run: tuple[PrimitiveOp, ...], eigenvalues: np.ndarray) -> np.ndarray:
@@ -299,31 +280,41 @@ def run_schedule(
     *,
     on_stage: Callable[[int, StateVector], None] | None = None,
 ) -> StateVector:
-    """Apply every op in order, managing the ancilla automatically.
+    """Apply the schedule in the eigenbasis, managing the ancilla.
 
-    The ops run in the spectrum's eigenbasis: the state is rotated into it
-    once and back to the vertex basis at the end.  Between oracles, each
-    distinct run of ops is fused once per call into a 2x2 ancilla matrix
-    per eigencomponent (``_fuse``); it gives the same state as
-    ``apply_op`` op by op, up to rounding.  The ancilla is attached at the
-    first run that needs it and detached at the end of the schedule if it
-    was attached here (with the entanglement gate); a state that already
-    carried an ancilla keeps it.  When given, ``on_stage(i, state)`` runs
-    after the last op of stage i, before any detach, for every stage the
-    schedule declares.
+    A stage tree runs on ``_run_stages``, a flat schedule on ``_run_flat``;
+    both give the state ``apply_op`` gives op by op, up to rounding.  The
+    ancilla is detached at the end (with the entanglement gate) unless the
+    state arrived carrying it.  When given, ``on_stage(i, state)`` runs
+    after stage i, before any detach, for every stage the schedule declares.
     """
     _check_dimension(spectrum, state)
     vectors, n = spectrum.eigenvectors, state.n
     blocks = _rotate(vectors.T, state.amps.reshape(-1, n))
     carried = len(blocks) == 2
+    run = _run_stages if schedule.stages else _run_flat
+    for stage, blocks in enumerate(run(blocks, schedule, spectrum, marked)):
+        if on_stage is not None and schedule.stage_boundaries:
+            on_stage(stage, _state(_rotate(vectors, blocks).ravel(), n))
+    if len(blocks) == 2 and not carried:
+        blocks = _detached(*blocks)[None]
+    return _state(_rotate(vectors, blocks).ravel(), n)
+
+
+def _run_flat(blocks, schedule, spectrum, marked):
+    """Flat ops on eigenbasis blocks, yielding the blocks after each stage:
+    each distinct oracle-free run is fused once per call (``_fuse``) and
+    each oracle is a rank-1 update."""
+    vectors, n = spectrum.eigenvectors, spectrum.n
     kernels: dict[tuple[PrimitiveOp, ...], tuple[np.ndarray, bool]] = {}
     bounds = schedule.stage_boundaries[1:]
     spans = zip((0, *bounds), (*bounds, len(schedule.ops)))
-    for stage, (start, end) in enumerate(spans):
+    for start, end in spans:
         for seg in _segments(schedule.ops[start:end]):
-            if isinstance(seg, OraclePhase):
-                v = _marked_vertex(marked, n)
-                blocks = _oracle_blocks(blocks, vectors, v, seg.theta, seg.sign)
+            if isinstance(seg, OraclePhase):  # rank 1, with row m of the eigenvectors
+                row = vectors[_marked_vertex(marked, n)]
+                factor = cmath.exp(-1j * seg.sign * seg.theta) - 1
+                blocks = blocks + (factor * (blocks @ row))[:, None] * row
                 continue
             kernel = kernels.get(seg)
             if kernel is None:
@@ -335,11 +326,39 @@ def run_schedule(
                 blocks = np.vstack([blocks, np.zeros(n, dtype=complex)])
             k = len(blocks)
             blocks = (m[:k, :k] * blocks).sum(axis=1)
-        if on_stage is not None and schedule.stage_boundaries:
-            on_stage(stage, _state(_rotate(vectors, blocks).ravel(), n))
-    if len(blocks) == 2 and not carried:
-        blocks = _detached(*blocks)[None]
-    return _state(_rotate(vectors, blocks).ravel(), n)
+        yield blocks
+
+
+def _run_stages(blocks, schedule, spectrum, marked):
+    """A stage tree on eigenbasis blocks, yielding the blocks after each
+    stage.  A pass over the pair w_a = U|a, m> alone stores the pair at the
+    start of each stage; then the stages run in order, each iteration a
+    fused kick and a rank-2 oracle update, or their adjoints in reverse."""
+    row = spectrum.eigenvectors[_marked_vertex(marked, spectrum.n)]
+    stages, starts = schedule.stages, [np.eye(2)[:, :, None] * row]
+    kicks = [_fuse(target_phase_ops(st.walk_time, st.kick), spectrum.eigenvalues)
+             for st in stages]
+
+    def power(x: np.ndarray, k: int, adjoint: bool = False) -> np.ndarray:
+        # every iteration of stage k on the rows of x, shape (R, 2, N)
+        w = starts[k].reshape(2, -1)
+        kick = kicks[k].conj().transpose(1, 0, 2) if adjoint else kicks[k]
+        factor = cmath.exp((1j if adjoint else -1j) * stages[k].params.alpha) - 1
+        for _ in range(stages[k].params.iterations):
+            if not adjoint:
+                x = (kick * x[:, None]).sum(axis=2)
+            x = x + factor * ((x.reshape(len(x), -1) @ w.conj().T) @ w).reshape(x.shape)
+            if adjoint:
+                x = (kick * x[:, None]).sum(axis=2)
+        return x
+
+    for k in range(len(stages) - 1):
+        starts.append(power(starts[k], k))
+    forward = schedule.direction == FORWARD
+    x = np.vstack([blocks, np.zeros((2 - len(blocks), len(row)))])[None]
+    for k in range(len(stages)) if forward else reversed(range(len(stages))):
+        x = power(x, k, adjoint=not forward)
+        yield x[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qwalk import depth, graph, schedule, simulate, spectral
+from qwalk import depth, graph, pipelines, schedule, simulate, spectral
 from qwalk.errors import ScheduleError
 
 
@@ -243,3 +243,97 @@ def test_schedule_bytes_deterministic(c4):
     assert json.dumps(schedule.schedule_to_json_dict(a)) == json.dumps(
         schedule.schedule_to_json_dict(b)
     )
+
+
+def test_schedule_rejects_boundaries_not_from_op_0():
+    # stage 0 would run from op 0 anyway, and the dagger would drop the edit
+    with pytest.raises(ScheduleError, match="do not start at op 0"):
+        schedule.Schedule(ops=(schedule.WalkPhase(0.1),) * 6, stage_boundaries=(3, 5))
+    with pytest.raises(ScheduleError, match="not sorted op indices"):
+        schedule.Schedule(ops=(schedule.WalkPhase(0.1),) * 6, stage_boundaries=(0, 7))
+
+
+def reference_flat(stages):
+    """The stage tree's forward ops and stage starts, written out flat:
+    every iteration of a stage conjugates its oracle by all ops before
+    the stage."""
+    ops, starts = [], []
+    for st in stages:
+        prefix = tuple(ops)
+        starts.append(len(ops))
+        for _ in range(st.params.iterations):
+            ops.extend(schedule.target_phase_ops(st.walk_time, st.kick))
+            ops.extend(schedule._adjoint_op(op) for op in reversed(prefix))
+            ops.append(schedule.OraclePhase(st.params.alpha, 1))
+            ops.extend(prefix)
+    return tuple(ops), tuple(starts)
+
+
+def stage_trees(g):
+    """Per-vertex sampling trees, their daggers and the search tree of g."""
+    ctx = pipelines.prepare(g)
+    trees = [pipelines.sampling_schedule(ctx, m) for m in (0, g.n - 1)]
+    return trees + [schedule.dagger(t) for t in trees] + [ctx.search_schedule]
+
+
+@pytest.fixture(params=["c4", "rook33", "hamming42", "bipartite47"])
+def trees(request, c4):
+    if request.param == "bipartite47":
+        return list(schedule.synth_bipartite_search(4, 7))
+    g = {"c4": c4, "rook33": graph.rook(3, 3), "hamming42": graph.hamming(4, 2)}
+    return stage_trees(g[request.param])
+
+
+def test_expansion_matches_flat_reference(trees):
+    for tree in trees:
+        assert tree.stages
+        ops, starts = reference_flat(tree.stages)
+        ref = schedule.Schedule(ops=ops, stage_boundaries=starts,
+                                stage_levels=tuple(st.level for st in tree.stages))
+        if tree.direction == "reversed":
+            ref = schedule.dagger(ref)
+        assert tree.ops == ref.ops
+        assert tree.stage_boundaries == ref.stage_boundaries
+        assert tree.stage_levels == ref.stage_levels
+
+
+def test_tree_costs_match_expanded_ops(trees):
+    for tree in trees:
+        ops = tree.ops
+        assert tree.oracle_count == sum(isinstance(op, schedule.OraclePhase) for op in ops)
+        times = math.fsum(
+            abs(op.t) if isinstance(op, (schedule.WalkPhase, schedule.ControlledWalkPhase))
+            else abs(op.theta) for op in ops if not isinstance(op, schedule.AncillaHadamard)
+        )
+        ancilla = math.fsum(abs(op.theta) for op in ops if isinstance(op, schedule.AncillaPhase))
+        assert tree.total_time == pytest.approx(times, rel=1e-12)
+        assert schedule.ancilla_phase_time(tree) == pytest.approx(ancilla, rel=1e-12)
+        flat = schedule.Schedule(ops=ops)
+        assert schedule.ancilla_phase_time(flat) == pytest.approx(ancilla, rel=1e-12)
+
+
+def test_dagger_of_tree_keeps_stages(trees):
+    for tree in trees:
+        twice = schedule.dagger(schedule.dagger(tree))
+        assert twice.stages == tree.stages
+        assert twice.ops == tree.ops
+        assert twice == tree
+
+
+def test_pipelines_never_expand_ops(monkeypatch):
+    g = graph.hamming(8, 2)
+    ctx = pipelines.prepare(g)
+
+    def refuse(stages):
+        raise AssertionError("a pipeline run expanded a stage tree's ops")
+
+    monkeypatch.setattr(schedule, "_expand", refuse)
+    for report in (
+        pipelines.uniform_sample(g, 3, ctx=ctx),
+        pipelines.transfer(g, 0, 200, ctx=ctx),
+        pipelines.search_vertex_transitive(g, 7, ctx=ctx),
+    ):
+        assert report.fidelity > pipelines.FIDELITY_THRESHOLD
+    assert "ops" not in vars(ctx.search_schedule)
+    with pytest.raises(AssertionError, match="expanded"):
+        ctx.search_schedule.ops

@@ -373,3 +373,121 @@ def test_state_and_ancilla_errors(c4_spec):
     ancilla_one = simulate.from_amplitudes(np.array([0, 0, 1, 0]), n=2)
     with pytest.raises(SimulationError, match="no amplitude left"):
         simulate.fidelity(ancilla_one, 0)
+
+
+# ---------------------------------------------------------------------------
+# Stage-tree executor against the flat fused executor
+# ---------------------------------------------------------------------------
+
+def flat_copy(sched):
+    """The same schedule as flat ops with the same metadata, so
+    ``run_schedule`` takes the flat fused executor."""
+    return schedule.Schedule(
+        ops=sched.ops, direction=sched.direction, hamiltonian=sched.hamiltonian,
+        stage_boundaries=sched.stage_boundaries, stage_levels=sched.stage_levels,
+        global_phase=sched.global_phase, total_time=sched.total_time,
+        oracle_count=sched.oracle_count,
+    )
+
+
+def run_with_stages(state, sched, spec, m):
+    stages = []
+    out = simulate.run_schedule(
+        state, sched, spec, m, on_stage=lambda i, s: stages.append((i, s))
+    )
+    return out, stages
+
+
+def assert_executors_agree(state, tree, spec, m):
+    flat = flat_copy(tree)
+    assert not flat.stages
+    got, got_stages = run_with_stages(state, tree, spec, m)
+    want, want_stages = run_with_stages(state, flat, spec, m)
+    assert got.has_ancilla == want.has_ancilla == state.has_ancilla
+    assert np.max(np.abs(got.amps - want.amps)) < 1e-12
+    assert [i for i, _ in got_stages] == [i for i, _ in want_stages]
+    assert len(got_stages) == len(tree.stages)
+    for (_, a), (_, b) in zip(got_stages, want_stages):
+        assert a.has_ancilla == b.has_ancilla
+        assert np.max(np.abs(a.amps - b.amps)) < 1e-12
+    return got
+
+
+def test_stage_executor_sampling_and_daggers(sampling_suite):
+    for g in sampling_suite:
+        ctx = pipelines.prepare(g)
+        for m in (0, g.n - 1):
+            tree = pipelines.sampling_schedule(ctx, m)
+            assert tree.stages
+            assert_executors_agree(simulate.vertex_state(g.n, m), tree, ctx.spectrum, m)
+            assert_executors_agree(
+                simulate.uniform_state(g.n), schedule.dagger(tree), ctx.spectrum, m
+            )
+
+
+def test_stage_executor_transitive_search(search_suite):
+    for g in search_suite:
+        ctx = pipelines.prepare(g)
+        tree = pipelines.transitive_search_schedule(ctx)
+        assert tree.stages and tree.direction == "reversed"
+        out = assert_executors_agree(simulate.uniform_state(g.n), tree, ctx.spectrum, 1)
+        assert simulate.fidelity(out, 1) > 1 - 1e-10
+
+
+def test_stage_executor_transfer_composition():
+    g = graph.johnson(6, 2)
+    ctx = pipelines.prepare(g)
+    u, v = 0, g.n - 1
+    sched_u = pipelines.sampling_schedule(ctx, u)
+    back_v = schedule.dagger(pipelines.sampling_schedule(ctx, v))
+    mid = assert_executors_agree(simulate.vertex_state(g.n, u), sched_u, ctx.spectrum, u)
+    out = assert_executors_agree(mid, back_v, ctx.spectrum, v)
+    assert simulate.fidelity(out, v) > 1 - 1e-10
+
+
+@pytest.mark.parametrize("n1,n2", [(4, 7), (1, 5)])
+def test_stage_executor_bipartite_branches(n1, n2):
+    ctx = pipelines.prepare_bipartite(n1, n2)
+    n, m = ctx.graph.n, n1 + 1
+    starts = ((0, n1), (n1, n))
+    for (start, stop), branch in zip(starts, ctx.branches):
+        # a size-1 block gives an empty branch, which has no stages
+        assert bool(branch.stages) == (stop - start > 1)
+        state = simulate.block_uniform_state(n, start, stop)
+        assert_executors_agree(state, branch, ctx.spectrum, m)
+
+
+def test_stage_executor_skipped_first_stage():
+    star = graph.complete_bipartite(1, 3)
+    ctx = pipelines.prepare(star)
+    tree = pipelines.sampling_schedule(ctx, 0)
+    assert [st.level for st in tree.stages] == [1]
+    out = assert_executors_agree(simulate.vertex_state(star.n, 0), tree, ctx.spectrum, 0)
+    assert simulate.fidelity(out, simulate.uniform_state(star.n)) > 1 - 1e-10
+    assert_executors_agree(simulate.uniform_state(star.n), schedule.dagger(tree),
+                           ctx.spectrum, 0)
+
+
+def test_stage_executor_zero_stages():
+    ctx = pipelines.prepare(graph.single_vertex())
+    tree = pipelines.sampling_schedule(ctx, 0)
+    assert tree.stages == () and tree.ops == ()
+    out = assert_executors_agree(simulate.vertex_state(1, 0), tree, ctx.spectrum, 0)
+    assert not out.has_ancilla
+
+
+def test_stage_executor_keeps_incoming_ancilla():
+    g = graph.rook(3, 3)
+    ctx = pipelines.prepare(g)
+    tree = pipelines.sampling_schedule(ctx, 4)
+    state = simulate.attach_ancilla(simulate.from_amplitudes(random_state(g.n, 11)))
+    for sched in (tree, schedule.dagger(tree)):
+        assert assert_executors_agree(state, sched, ctx.spectrum, 4).has_ancilla
+
+
+def test_stage_executor_marked_vertex_errors(c4_spec, c4):
+    tree = pipelines.sampling_schedule(pipelines.prepare(c4), 0)
+    with pytest.raises(SimulationError, match="marked"):
+        simulate.run_schedule(simulate.vertex_state(4, 0), tree, c4_spec)
+    with pytest.raises(SimulationError, match="out of range"):
+        simulate.run_schedule(simulate.vertex_state(4, 0), tree, c4_spec, 4)
