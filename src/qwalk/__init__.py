@@ -24,7 +24,6 @@ from .graph import (
     Graph,
     adjacency,
     build_family,
-    check_vertex_transitive_bruteforce,
     complete_bipartite,
     complete_square,
     cycle,

@@ -130,14 +130,18 @@ def _cmd_depth(args, parser) -> int:
     return 0
 
 
+def _bipartite_context(g: Graph) -> pipelines.BipartiteContext:
+    blocks = pipelines.bipartite_blocks(g)
+    if blocks is None:
+        raise GraphError("bipartite search needs a complete bipartite graph")
+    return pipelines.prepare_bipartite(*blocks)
+
+
 def _synth_artifact(args, parser) -> dict:
     g = _resolve_graph(args, parser)
     probe = args.marked if args.marked is not None else 0
     if args.task == "bipartite":
-        _, blocks = pipelines.search_route(g)
-        if blocks is None:
-            parser.error("--task bipartite requires --family complete_bipartite")
-        bctx = pipelines.prepare_bipartite(*blocks)
+        bctx = _bipartite_context(g)
         report = pipelines.execute_bipartite(bctx, bctx.branches, probe)
         schedules = {"branches": [sched_mod.schedule_to_json_dict(s) for s in bctx.branches]}
     else:
@@ -173,20 +177,17 @@ def _resimulate_artifact(
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     g = graph_from_json_dict(data["graph"])
     m = marked if marked is not None else int(data["probe_marked"])
-    route, blocks = pipelines.search_route(g)
     if data["task"] == pipelines.TASK_BIPARTITE:
-        if blocks is None:
-            raise GraphError("bipartite artifact graph is not tagged complete_bipartite")
-        bctx = pipelines.prepare_bipartite(*blocks)
+        bctx = _bipartite_context(g)
         branches = tuple(sched_mod.schedule_from_json_dict(s) for s in data["branches"])
         return pipelines.execute_bipartite(bctx, branches, m, threshold)
     ctx = pipelines.prepare(g)
     schedule = sched_mod.schedule_from_json_dict(data["schedule"])
     if data["task"] == pipelines.TASK_SAMPLE:
         return pipelines.execute_sample(ctx, schedule, m)
-    if route != "blackbox":
-        raise GraphError("search artifact graph is not flagged vertex-transitive")
-    return pipelines.execute_search(ctx, schedule, m, route)
+    if not ctx.uniform_level_masses:
+        raise GraphError("search artifact graph has vertex-dependent level masses")
+    return pipelines.execute_search(ctx, schedule, m, "blackbox")
 
 
 def _cmd_run(args, parser) -> int:
@@ -205,24 +206,16 @@ def _cmd_run(args, parser) -> int:
     elif args.task == "search":
         if args.marked is None:
             parser.error("run search requires --marked (the hidden vertex)")
-        g = _resolve_graph(args, parser)
-        route, blocks = pipelines.search_route(g)
-        if route == "blackbox":
-            report = pipelines.search_vertex_transitive(g, args.marked)
-        elif route == "bipartite":
-            report = pipelines.search_bipartite(
-                *blocks, args.marked, threshold=args.fidelity_threshold
-            )
-        else:
-            report = pipelines.search_promise(g, args.marked)
+        _, search = pipelines.search_route(
+            _resolve_graph(args, parser), threshold=args.fidelity_threshold
+        )
+        report = search(args.marked)
     else:  # bipartite
-        _, blocks = pipelines.search_route(_resolve_graph(args, parser))
-        if blocks is None:
-            parser.error("run bipartite requires --family complete_bipartite")
         if args.marked is None:
             parser.error("run bipartite requires --marked")
-        report = pipelines.search_bipartite(
-            *blocks, args.marked, threshold=args.fidelity_threshold
+        bctx = _bipartite_context(_resolve_graph(args, parser))
+        report = pipelines.execute_bipartite(
+            bctx, bctx.branches, args.marked, args.fidelity_threshold
         )
     emit_report(report, args.format, args.out)
     return 0

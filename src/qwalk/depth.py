@@ -179,9 +179,10 @@ def overlaps(chain: DepthChain, alphas: np.ndarray) -> np.ndarray:
 def transitive_overlaps(chain: DepthChain) -> np.ndarray:
     """Vertex-independent overlaps from level cardinalities.
 
-    On a vertex-transitive graph every vertex projects equally onto each
-    eigenspace, so the mass of a level is its cardinality over N and the
-    overlap reduces to the square root of the cardinality ratio.
+    On a vertex-transitive or walk-regular graph every vertex projects
+    equally onto each eigenspace, so the mass of a level is its cardinality
+    over N and the overlap reduces to the square root of the cardinality
+    ratio.
     """
     out = np.empty(chain.depth)
     for k in range(chain.depth):

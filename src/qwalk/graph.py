@@ -27,7 +27,9 @@ class Graph:
     """Simple undirected connected graph with an optional family tag.
 
     ``edges`` holds normalized pairs ``(u, v)`` with ``u < v``.  Instances
-    are immutable and safe to share across threads.
+    are immutable and safe to share across threads.  The family tag and
+    the ``vertex_transitive`` flag are records for artifacts; no route
+    reads them.
     """
 
     n: int
@@ -231,18 +233,6 @@ def build_family(name: str, params: tuple[int, ...]) -> Graph:
     return builder(*params)
 
 
-def family_params(g: Graph) -> tuple[str, tuple[int, ...]] | None:
-    """Parse a generator-produced family tag back into (name, params)."""
-    if g.family is None or "(" not in g.family:
-        return None
-    name, rest = g.family.split("(", 1)
-    try:
-        params = tuple(int(tok) for tok in rest.rstrip(")").split(","))
-    except ValueError:
-        raise GraphError(f"malformed family tag {g.family!r}") from None
-    return name, params
-
-
 # ---------------------------------------------------------------------------
 # Edge-list text format
 # ---------------------------------------------------------------------------
@@ -300,31 +290,6 @@ def laplacian(g: Graph) -> np.ndarray:
     """Dense Laplacian: degree matrix minus adjacency matrix."""
     a = adjacency(g)
     return np.diag(a.sum(axis=1)) - a
-
-
-# ---------------------------------------------------------------------------
-# Vertex transitivity (test oracle, factorial cost)
-# ---------------------------------------------------------------------------
-
-def check_vertex_transitive_bruteforce(g: Graph) -> bool:
-    """Decide vertex transitivity by enumerating all vertex permutations.
-
-    Only feasible for n <= 8.  The automorphisms form a group, so the graph
-    is vertex-transitive iff the images of vertex 0 under adjacency-
-    preserving permutations cover every vertex.
-    """
-    if g.n > 8:
-        raise GraphError(f"brute-force transitivity check limited to n <= 8, got {g.n}")
-    edges = g.edges
-    reachable: set[int] = set()
-    for perm in itertools.permutations(range(g.n)):
-        if perm[0] in reachable:
-            continue
-        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges):
-            reachable.add(perm[0])
-            if len(reachable) == g.n:
-                return True
-    return len(reachable) == g.n
 
 
 # ---------------------------------------------------------------------------

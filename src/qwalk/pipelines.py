@@ -3,9 +3,10 @@
 Four tasks share the same machinery: exact uniform sampling (start vertex
 to uniform state), perfect state transfer (forward schedule for the source
 followed by the adjoint schedule for the destination), deterministic
-search on vertex-transitive graphs (the reversed vertex-independent
-schedule applied to the uniform state), and the two-branch search on
-complete bipartite graphs driven by the adjacency walk.
+search on graphs whose vertices all have the same level masses (the
+reversed vertex-independent schedule applied to the uniform state), and
+the two-branch search on complete bipartite graphs driven by the
+adjacency walk.
 
 Success is declared by fidelity threshold on the exact final state, not by
 sampled measurement; ``measure_distribution`` exists for demonstration.
@@ -18,7 +19,7 @@ import functools
 import io
 import math
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,19 +29,14 @@ from . import schedule as sched_mod
 from . import simulate as sim
 from . import spectral
 from .errors import GraphError, ScheduleError
-from .graph import (
-    Graph,
-    adjacency,
-    build_family,
-    complete_bipartite,
-    family_params,
-    laplacian,
-)
+from .graph import Graph, adjacency, complete_bipartite, laplacian
 
 #: A run counts as exact when the final fidelity clears this.
 FIDELITY_THRESHOLD = 1.0 - 1e-8
 #: Vertex probabilities closer than this count as tied.
 TIE_TOL = 1e-9
+#: Level masses this close to |level| / N count as vertex-independent.
+LEVEL_MASS_TOL = 1e-9
 
 TASK_SAMPLE = "sample"
 TASK_TRANSFER = "transfer"
@@ -67,7 +63,7 @@ class RunReport:
 
     ``bound_ratio`` is oracle_count / (2^depth * sqrt(N)); ``search_mode``
     distinguishes the black-box route from the promise route on graphs
-    that are not vertex-transitive.
+    whose level masses depend on the vertex.
     """
 
     task: str
@@ -113,6 +109,22 @@ class LaplacianContext:
         return self.graph.family or f"custom(n={self.graph.n})"
 
     @functools.cached_property
+    def uniform_level_masses(self) -> bool:
+        """Whether every vertex puts mass |level| / N on every depth level.
+
+        Then the overlaps, and so the sampling schedule, are the same for
+        every vertex, and the black-box search schedule finds any hidden
+        vertex.  Vertex-transitive and walk-regular graphs qualify (Godsil
+        & McKay 1980); levels are unions of eigenspaces, so the masses do
+        not depend on the basis inside a degenerate eigenspace.
+        """
+        member = np.zeros((self.graph.n, len(self.chain.levels)))
+        for k, level in enumerate(self.chain.levels):
+            member[list(level.indices), k] = 1.0
+        masses = self.spectrum.eigenvectors**2 @ member
+        return bool(np.all(np.abs(masses - member.mean(axis=0)) <= LEVEL_MASS_TOL))
+
+    @functools.cached_property
     def search_schedule(self) -> sched_mod.Schedule:
         """The vertex-independent reversed schedule for black-box search,
         synthesized on first use."""
@@ -147,25 +159,42 @@ def prepare_bipartite(n1: int, n2: int) -> BipartiteContext:
     return BipartiteContext(n1, n2, g, spectrum, sched_mod.synth_bipartite_search(n1, n2))
 
 
-def search_route(g: Graph) -> tuple[str, tuple[int, ...] | None]:
-    """Pick the search route for g, with its block sizes if it is tagged
-    complete bipartite.
+def bipartite_blocks(g: Graph) -> tuple[int, int] | None:
+    """The block sizes (n1, n2) when g is ``complete_bipartite(n1, n2)``
+    in generator order (the first n1 vertices form one block), else None.
 
-    Vertex-transitive graphs take the black-box route, other complete
-    bipartite graphs the two-branch route, anything else the promise
-    route.  The block sizes come from the family tag, so a tag that does
-    not describe the graph's own edges is rejected.
+    Vertex 0 misses exactly its own block, so n1 = N - deg(0); then g is
+    complete bipartite iff it has n1 * n2 edges, each crossing the cut.
     """
-    fam = family_params(g)
-    blocks = None
-    if fam is not None and fam[0] == "complete_bipartite":
-        tagged = build_family(*fam)
-        if (tagged.n, tagged.edges) != (g.n, g.edges):
-            raise GraphError(f"family tag {g.family!r} does not match the graph's edges")
-        blocks = fam[1]
-    if g.vertex_transitive == "yes":
-        return "blackbox", blocks
-    return ("bipartite" if blocks else "promise"), blocks
+    n1 = g.n - g.degree(0)
+    n2 = g.n - n1
+    if n2 and len(g.edges) == n1 * n2 and all(u < n1 <= v for u, v in g.edges):
+        return n1, n2
+    return None
+
+
+def search_route(
+    g: Graph,
+    *,
+    ctx: LaplacianContext | None = None,
+    threshold: float = FIDELITY_THRESHOLD,
+) -> tuple[str, Callable[[int], RunReport]]:
+    """Pick the search route from g's edges and spectrum and return it with
+    a function that searches for one hidden vertex on it.
+
+    Complete bipartite graphs with unequal blocks take the two-branch
+    route; otherwise graphs with uniform level masses take the black-box
+    route and the rest the promise route.  The contexts are built once and
+    shared by every call of the returned function.
+    """
+    blocks = bipartite_blocks(g)
+    if blocks and blocks[0] != blocks[1]:
+        bctx = prepare_bipartite(*blocks)
+        return "bipartite", lambda m: execute_bipartite(bctx, bctx.branches, m, threshold)
+    ctx = ctx or prepare(g)
+    if ctx.uniform_level_masses:
+        return "blackbox", lambda m: search_vertex_transitive(g, m, ctx=ctx)
+    return "promise", lambda m: search_promise(g, m, ctx=ctx)
 
 
 def _report(
@@ -270,18 +299,19 @@ def transitive_search_schedule(ctx: LaplacianContext) -> sched_mod.Schedule:
 def search_vertex_transitive(
     g: Graph, marked: int, *, ctx: LaplacianContext | None = None
 ) -> RunReport:
-    """Black-box search on a vertex-transitive graph.
+    """Black-box search on a graph with uniform level masses, such as a
+    vertex-transitive one.
 
     The schedule is synthesized from cardinality-ratio overlaps and never
     mentions the hidden vertex; it enters only through the oracle at run
     time, so the emitted bytes are identical for every hidden vertex.
     """
-    if g.vertex_transitive != "yes":
+    ctx = ctx or prepare(g)
+    if not ctx.uniform_level_masses:
         raise GraphError(
-            "graph is not flagged vertex-transitive; use search_promise or the "
+            "level masses depend on the vertex; use search_promise or the "
             "bipartite route"
         )
-    ctx = ctx or prepare(g)
     return execute_search(ctx, transitive_search_schedule(ctx), marked, "blackbox")
 
 
@@ -402,21 +432,13 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
 
     Sampling runs from every vertex; transfer on all ordered pairs (or a
     deterministic subset above 10 vertices); search on every hidden vertex
-    via the route ``search_route`` picks, whose schedules and contexts are
-    built once and shared by every hidden vertex.
+    via the route ``search_route`` picks.
     """
     if g.n > cap:
         raise GraphError(f"graph has {g.n} vertices, exceeding the cap {cap}")
     started = time.perf_counter()
     ctx = prepare(g)
-    route, blocks = search_route(g)
-    if route == "blackbox":
-        search = lambda m: search_vertex_transitive(g, m, ctx=ctx)
-    elif route == "bipartite":
-        bctx = prepare_bipartite(*blocks)
-        search = lambda m: execute_bipartite(bctx, bctx.branches, m)
-    else:
-        search = lambda m: search_promise(g, m, ctx=ctx)
+    route, search = search_route(g, ctx=ctx)
 
     reports = [uniform_sample(g, m, ctx=ctx) for m in range(g.n)]
     reports += [transfer(g, u, v, ctx=ctx) for u, v in _transfer_pairs(g.n)]

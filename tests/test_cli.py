@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qwalk import cli
+from qwalk import cli, graph, pipelines, schedule
 
 
 def run_cli(args, capsys):
@@ -169,7 +169,25 @@ def test_bipartite_schedule_artifact(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("family", [None, "complete_bipartite(7,4)"])
-def test_bipartite_artifact_tag_must_match_edges(tmp_path, capsys, family):
+def test_bipartite_artifact_blocks_come_from_edges(tmp_path, capsys, family):
+    artifact = tmp_path / "bip.json"
+    code, _, _ = run_cli(
+        ["schedule", "--family", "complete_bipartite", "--params", "4,7",
+         "--task", "bipartite", "--marked", "2", "--out", str(artifact)],
+        capsys,
+    )
+    assert code == 0
+    code, reference, _ = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+    assert code == 0
+    data = json.loads(artifact.read_text())
+    data["graph"]["family"] = family
+    artifact.write_text(json.dumps(data))
+    code, out, _ = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+    assert code == 0
+    assert out == reference
+
+
+def test_bipartite_artifact_needs_complete_bipartite_edges(tmp_path, capsys):
     artifact = tmp_path / "bip.json"
     code, _, _ = run_cli(
         ["schedule", "--family", "complete_bipartite", "--params", "4,7",
@@ -178,12 +196,81 @@ def test_bipartite_artifact_tag_must_match_edges(tmp_path, capsys, family):
     )
     assert code == 0
     data = json.loads(artifact.read_text())
-    data["graph"]["family"] = family
+    data["graph"]["edges"].remove([0, 4])  # still connected
     artifact.write_text(json.dumps(data))
     code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
     assert code == 1
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_search_schedule_from_edge_list(tmp_path, capsys):
+    edges = tmp_path / "rook33.edges"
+    code, _, _ = run_cli(
+        ["graph", "--family", "rook", "--params", "3,3", "--format", "edgelist",
+         "--out", str(edges)],
+        capsys,
+    )
+    assert code == 0
+    artifacts = [tmp_path / "edges.json", tmp_path / "family.json"]
+    for source, artifact in zip(
+        (["--edges", str(edges)], ["--family", "rook", "--params", "3,3"]), artifacts
+    ):
+        code, _, _ = run_cli(
+            ["schedule", *source, "--task", "search", "--out", str(artifact)], capsys
+        )
+        assert code == 0
+    from_edges, from_family = (json.loads(a.read_text()) for a in artifacts)
+    assert from_edges["graph"]["vertex_transitive"] == "unknown"
+    assert json.dumps(from_edges["schedule"]) == json.dumps(from_family["schedule"])
+    code, out, _ = run_cli(["run", "schedule", "--schedule", str(artifacts[0])], capsys)
+    assert code == 0
+    rerun = json.loads(out)
+    assert abs(rerun["fidelity"] - from_edges["reported_fidelity"]) <= 1e-10
+    assert rerun["search_mode"] == "blackbox"
+
+
+def test_vertex_transitive_field_is_not_a_route(tmp_path, capsys):
+    artifact = tmp_path / "rook.json"
+    code, _, _ = run_cli(
+        ["schedule", "--family", "rook", "--params", "3,3", "--task", "search",
+         "--marked", "4", "--out", str(artifact)],
+        capsys,
+    )
+    assert code == 0
+    code, reference, _ = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+    assert code == 0
+    data = json.loads(artifact.read_text())
+    data["graph"]["vertex_transitive"] = "no"
+    artifact.write_text(json.dumps(data))
+    code, out, _ = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+    assert code == 0
+    assert out == reference
+    assert json.loads(out)["search_mode"] == "blackbox"
+
+    # K4 - e: the promise schedule of vertex 0, flagged "yes", is still refused
+    k4e = graph.graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+                                 vertex_transitive="yes")
+    ctx = pipelines.prepare(k4e)
+    data = {
+        "task": "search",
+        "graph": graph.graph_to_json_dict(k4e),
+        "probe_marked": 0,
+        "reported_fidelity": 1.0,
+        "schedule": schedule.schedule_to_json_dict(
+            schedule.dagger(pipelines.sampling_schedule(ctx, 0))
+        ),
+    }
+    artifact.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+    assert code == 1
+    assert "level masses" in err
+    assert out == ""
+    edges = tmp_path / "k4e.edges"
+    edges.write_text(graph.dump_edge_list(k4e))
+    code, out, err = run_cli(["schedule", "--edges", str(edges), "--task", "search"], capsys)
+    assert code == 1
+    assert "level masses depend on the vertex" in err
 
 
 def test_run_transfer(capsys):

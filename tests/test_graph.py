@@ -7,7 +7,7 @@ import pytest
 from qwalk import graph
 from qwalk.errors import GraphError
 
-from conftest import laplacian_eigenvalues
+from conftest import check_vertex_transitive_bruteforce, laplacian_eigenvalues
 
 
 def test_johnson_4_2_degrees():
@@ -93,7 +93,6 @@ def test_complete_square_vertex_count():
 def test_build_family_dispatch(name, params):
     g = graph.build_family(name, params)
     assert g.family == f"{name}({','.join(str(p) for p in params)})"
-    assert graph.family_params(g) == (name, params)
 
 
 def test_build_family_bad_parameters():
@@ -162,15 +161,15 @@ def test_laplacian_structure(sampling_suite, c4):
 
 
 def test_vertex_transitive_bruteforce():
-    assert graph.check_vertex_transitive_bruteforce(graph.rook(2, 2))
-    assert graph.check_vertex_transitive_bruteforce(graph.complete_bipartite(2, 2))
+    assert check_vertex_transitive_bruteforce(graph.rook(2, 2))
+    assert check_vertex_transitive_bruteforce(graph.complete_bipartite(2, 2))
     path3 = graph.load_edge_list("0 1\n1 2\n")
-    assert not graph.check_vertex_transitive_bruteforce(path3)
-    assert not graph.check_vertex_transitive_bruteforce(
+    assert not check_vertex_transitive_bruteforce(path3)
+    assert not check_vertex_transitive_bruteforce(
         graph.complete_bipartite(1, 3)
     )
     with pytest.raises(GraphError, match="n <= 8"):
-        graph.check_vertex_transitive_bruteforce(graph.johnson(5, 2))
+        check_vertex_transitive_bruteforce(graph.johnson(5, 2))
 
 
 def test_bruteforce_agrees_with_family_tags():
@@ -183,7 +182,7 @@ def test_bruteforce_agrees_with_family_tags():
     ]
     for g in small:
         assert g.n <= 8
-        assert graph.check_vertex_transitive_bruteforce(g), g.family
+        assert check_vertex_transitive_bruteforce(g), g.family
 
 
 def test_graph_validation_errors():

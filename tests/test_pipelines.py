@@ -1,10 +1,14 @@
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qwalk import depth, graph, pipelines, schedule, simulate
 from qwalk.errors import GraphError, SpectrumError
+
+from conftest import check_vertex_transitive_bruteforce
 
 THRESHOLD = 1 - 1e-8
 
@@ -129,10 +133,121 @@ def test_search_hamming_2_2(c4):
         assert pipelines.search_vertex_transitive(g, m).fidelity >= THRESHOLD
 
 
-def test_search_requires_transitive_flag():
+def test_search_requires_uniform_level_masses(k4_minus_edge):
+    with pytest.raises(GraphError, match="level masses depend on the vertex"):
+        pipelines.search_vertex_transitive(k4_minus_edge, 0)
+    # the stored flag is a record, never a route
+    flagged = graph.graph_from_edges(4, k4_minus_edge.edges, vertex_transitive="yes")
+    with pytest.raises(GraphError, match="level masses depend on the vertex"):
+        pipelines.search_vertex_transitive(flagged, 0)
+    unflagged = graph.graph_from_edges(9, graph.rook(3, 3).edges, vertex_transitive="no")
+    assert pipelines.search_vertex_transitive(unflagged, 4).fidelity >= THRESHOLD
+
+
+def test_bipartite_blocks_from_edges():
+    assert pipelines.bipartite_blocks(graph.complete_bipartite(4, 7)) == (4, 7)
+    assert pipelines.bipartite_blocks(graph.complete_bipartite(7, 4)) == (7, 4)
+    assert pipelines.bipartite_blocks(graph.complete_bipartite(1, 3)) == (1, 3)
+    assert pipelines.bipartite_blocks(graph.hamming(1, 2)) == (1, 1)
+    # the blocks come from the edges, whatever the tag says
+    untagged = graph.load_edge_list(graph.dump_edge_list(graph.complete_bipartite(2, 3)))
+    assert pipelines.bipartite_blocks(untagged) == (2, 3)
+    missing = graph.graph_from_edges(5, set(untagged.edges) - {(1, 4)})
+    assert pipelines.bipartite_blocks(missing) is None
+    assert pipelines.bipartite_blocks(graph.rook(2, 2)) is None  # C4 is K(2,2) relabelled
+    assert pipelines.bipartite_blocks(graph.johnson(3, 1)) is None
+    assert pipelines.bipartite_blocks(graph.single_vertex()) is None
+
+
+def test_chang_graphs_search_black_box(chang_graphs):
+    # SRG(28,12,6,4) but not vertex-transitive: 4-cliques through a vertex
+    # differ between vertices, yet every vertex has the same level masses
+    cliques = {"4K2": {32, 36}, "C8": {34, 36}, "C3+C5": {33, 35}}
+    for name, g in chang_graphs.items():
+        a = graph.adjacency(g)
+        through = set()
+        for v in range(g.n):
+            nb = np.flatnonzero(a[v])
+            sub = a[np.ix_(nb, nb)]
+            through.add(round(np.trace(sub @ sub @ sub) / 6))
+        assert through == cliques[name]
+        ctx = pipelines.prepare(g)
+        route, search = pipelines.search_route(g, ctx=ctx)
+        assert route == "blackbox", name
+        for m in range(g.n):
+            report = search(m)
+            assert report.target == m, (name, m)
+            assert report.fidelity >= THRESHOLD, (name, m)
+            assert report.bound_ratio <= math.pi, (name, m)
+            assert report.search_mode == "blackbox"
+
+
+def _small_groups():
+    """Generating matrices of every group of order <= 8: the cyclic groups,
+    Z2^2, Z2 x Z4, Z2^3, S3 and D4 as permutations, Q8 as 2 x 2 complex
+    matrices."""
+    def perm(n, *cycles):
+        m = np.eye(n)
+        for c in cycles:
+            m[:, list(c)] = m[:, list(c[1:] + c[:1])]
+        return m
+
+    groups = [[perm(n, tuple(range(n)))] for n in range(1, 9)]
+    groups += [
+        [perm(4, (0, 1)), perm(4, (2, 3))],
+        [perm(6, (0, 1)), perm(6, (2, 3, 4, 5))],
+        [perm(6, (0, 1)), perm(6, (2, 3)), perm(6, (4, 5))],
+        [perm(3, (0, 1)), perm(3, (0, 1, 2))],
+        [perm(4, (0, 1, 2, 3)), perm(4, (0, 2))],
+        [np.array([[1j, 0], [0, -1j]]), np.array([[0, 1], [-1, 0]])],
+    ]
+    return groups
+
+
+def _cayley_graphs(gens):
+    """Every connected Cayley graph of the group the matrices generate."""
+    key = lambda m: tuple(np.round(m, 9).ravel().tolist())
+    identity = np.eye(len(gens[0]))
+    elements = {key(identity): identity}
+    frontier = [identity]
+    while frontier:
+        frontier = [x @ s for x in frontier for s in gens if key(x @ s) not in elements]
+        elements.update((key(x), x) for x in frontier)
+    mats = list(elements.values())
+    index = {k: i for i, k in enumerate(elements)}
+    classes = {frozenset((index[key(x)], index[key(np.linalg.inv(x))])) for x in mats[1:]}
+    classes = sorted(sorted(c) for c in classes)
+    for r in range(len(classes) + 1):
+        for chosen in itertools.combinations(classes, r):
+            conn = [mats[i] for c in chosen for i in c]
+            edges = {(index[key(x)], index[key(x @ s)]) for x in mats for s in conn}
+            try:
+                yield graph.graph_from_edges(len(mats), edges)
+            except GraphError:  # the connection set does not generate
+                continue
+
+
+def test_vertex_transitive_graphs_route_blackbox():
+    # every vertex-transitive graph on at most 8 vertices is a Cayley graph
+    # (the smallest that is not is the Petersen graph), so this reaches all
+    # of them that have an integer spectrum
+    checked = 0
+    for gens in _small_groups():
+        for g in _cayley_graphs(gens):
+            if g.n <= 6:
+                assert check_vertex_transitive_bruteforce(g)
+            try:
+                ctx = pipelines.prepare(g)
+            except SpectrumError:
+                continue
+            assert pipelines.search_route(g, ctx=ctx)[0] == "blackbox", g.edges
+            checked += 1
+    assert checked > 100
+    # an implication, not an iff: path3 is not vertex-transitive, but at
+    # depth 1 its level masses are uniform all the same
     path3 = graph.load_edge_list("0 1\n1 2\n")
-    with pytest.raises(GraphError, match="not flagged vertex-transitive"):
-        pipelines.search_vertex_transitive(path3, 0)
+    assert not check_vertex_transitive_bruteforce(path3)
+    assert pipelines.search_route(path3)[0] == "blackbox"
 
 
 def test_promise_search_on_path_graph():
@@ -250,10 +365,17 @@ def test_verify_petersen_spectrum_crosscheck():
     assert result.min_fidelity >= THRESHOLD
 
 
-def test_verify_path3_uses_promise_route():
+def test_verify_k4_minus_edge_uses_promise_route(k4_minus_edge):
+    result = pipelines.verify_graph(k4_minus_edge)
+    assert result.search_route == "promise"
+    assert result.min_fidelity >= THRESHOLD
+    assert {r.search_mode for r in result.reports if r.task == "search"} == {"promise"}
+
+
+def test_verify_path3_uses_blackbox_route():
     path3 = graph.load_edge_list("0 1\n1 2\n")
     result = pipelines.verify_graph(path3)
-    assert result.search_route == "promise"
+    assert result.search_route == "blackbox"
     assert result.min_fidelity >= THRESHOLD
 
 
