@@ -173,21 +173,24 @@ def _resimulate_artifact(
     path: str, marked: int | None, threshold: float
 ) -> pipelines.RunReport:
     """Execute an artifact's schedules exactly as ``run <task>`` executes
-    freshly synthesized ones."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    g = graph_from_json_dict(data["graph"])
-    m = marked if marked is not None else int(data["probe_marked"])
-    if data["task"] == pipelines.TASK_BIPARTITE:
-        bctx = _bipartite_context(g)
-        branches = tuple(sched_mod.schedule_from_json_dict(s) for s in data["branches"])
-        return pipelines.execute_bipartite(bctx, branches, m, threshold)
+    freshly synthesized ones: the JSON decodes into stage trees, so the
+    reported costs come from the artifact's ops."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        task, g = data["task"], graph_from_json_dict(data["graph"])
+        m = marked if marked is not None else int(data["probe_marked"])
+        raw = data["branches"] if task == pipelines.TASK_BIPARTITE else [data["schedule"]]
+        schedules = tuple(sched_mod.schedule_from_json_dict(s) for s in raw)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise QwalkError(f"malformed artifact {path}: {type(exc).__name__}: {exc}") from exc
+    if task == pipelines.TASK_BIPARTITE:
+        return pipelines.execute_bipartite(_bipartite_context(g), schedules, m, threshold)
     ctx = pipelines.prepare(g)
-    schedule = sched_mod.schedule_from_json_dict(data["schedule"])
-    if data["task"] == pipelines.TASK_SAMPLE:
-        return pipelines.execute_sample(ctx, schedule, m)
+    if task == pipelines.TASK_SAMPLE:
+        return pipelines.execute_sample(ctx, schedules[0], m)
     if not ctx.uniform_level_masses:
         raise GraphError("search artifact graph has vertex-dependent level masses")
-    return pipelines.execute_search(ctx, schedule, m, "blackbox")
+    return pipelines.execute_search(ctx, schedules[0], m, "blackbox")
 
 
 def _cmd_run(args, parser) -> int:

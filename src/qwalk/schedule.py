@@ -16,17 +16,19 @@ with fidelity 1 up to floating-point error.  The marked vertex never
 appears in a schedule; it is bound at simulation time, which is what makes
 search schedules identical for every hidden vertex.
 
-Synthesis emits one ``Stage`` record per stage, and the costs follow from
+A schedule is one ``Stage`` record per stage, and its costs follow from
 them in O(depth).  The flat ops, whose count grows like 2^depth, are
-expanded only when read (JSON artifacts, the op-by-op reference); a
-schedule read from JSON or built by hand holds flat ops and no stages.
+expanded only when read (JSON artifacts, the op-by-op reference).  A JSON
+artifact stores the flat ops; reading it decodes them back into stages
+and accepts them only if the stages re-expand to exactly those ops.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,10 +110,12 @@ class StageParams:
     matched phase ``alpha`` = 2*arcsin(sin(pi/(4p+6))/overlap) real.  The
     rotation then lands exactly after p + 1 two-phase iterations, the
     fewest exact amplification allows; ``iterations`` exposes this count,
-    which the synthesizer emits.
+    which the synthesizer emits.  Equality ignores ``overlap``, the
+    synthesis input: a schedule read from JSON recovers it only to
+    rounding, as sin(pi/(4p+6)) / sin(alpha/2).
     """
 
-    overlap: float
+    overlap: float = field(compare=False)
     p: int
     alpha: float
 
@@ -134,56 +138,44 @@ class Stage:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Immutable schedule: flat ``ops``, or ``stages`` with ``ops`` expanded
-    from them on first read.
+    """Immutable schedule: one ``Stage`` per active level, kept in forward
+    order whatever the direction; everything else derives from them.
 
+    ``ops`` is the flat op list, expanded on first read.
     ``stage_boundaries[i]`` is the op index where active stage i begins and
     ``stage_levels[i]`` the refinement level it implements.  ``total_time``
     sums magnitudes: |t| over walk segments plus |theta| over oracle and
     ancilla phases.  ``global_phase`` is the angle by which the final state
     leads the ideal target (never asserted; fidelity is phase-insensitive).
-    A stage tree derives its boundaries, levels, time and oracle count from
-    ``stages``, which are kept in forward order whatever the direction.
     """
 
-    ops: tuple[PrimitiveOp, ...] = field(default_factory=tuple)
+    stages: tuple[Stage, ...] = ()
     direction: str = FORWARD
     hamiltonian: str = LAPLACIAN
-    stage_boundaries: tuple[int, ...] = ()
-    stage_levels: tuple[int, ...] = ()
     global_phase: float = 0.0
-    total_time: float = 0.0
-    oracle_count: int = 0
-    stages: tuple[Stage, ...] = field(default=(), repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.stages:
-            # stages partition the op list from op 0, so each op runs exactly once
-            bounds = list(self.stage_boundaries)
-            if bounds != sorted(bounds) or not all(0 <= b <= len(self.ops) for b in bounds):
-                raise ScheduleError(f"stage boundaries {bounds} are not sorted op indices")
-            if bounds and bounds[0] != 0:
-                raise ScheduleError(f"stage boundaries {bounds} do not start at op 0")
-            return
-        if self.ops:
-            raise ScheduleError("a schedule holds flat ops or stages, not both")
-        length, starts, oracles, time, _ = _tree_costs(self.stages)
-        levels = tuple(st.level for st in self.stages)
-        if self.direction == REVERSED:
-            starts, levels = _reversed_boundaries(starts, length), levels[::-1]
-        object.__delattr__(self, "ops")  # expanded by __getattr__ when read
-        for name, value in (("stage_boundaries", starts), ("stage_levels", levels),
-                            ("total_time", time), ("oracle_count", oracles)):
-            object.__setattr__(self, name, value)
-
-    def __getattr__(self, name: str):
-        if name != "ops":
-            raise AttributeError(name)
+    @functools.cached_property
+    def ops(self) -> tuple[PrimitiveOp, ...]:
         ops = _expand(self.stages)
-        if self.direction == REVERSED:
-            ops = _adjoint_ops(ops)
-        object.__setattr__(self, "ops", ops)
-        return ops
+        return _adjoint_ops(ops) if self.direction == REVERSED else ops
+
+    @property
+    def stage_boundaries(self) -> tuple[int, ...]:
+        length, starts = _tree_costs(self.stages)[:2]
+        return _reversed_boundaries(starts, length) if self.direction == REVERSED else starts
+
+    @property
+    def stage_levels(self) -> tuple[int, ...]:
+        levels = tuple(st.level for st in self.stages)
+        return levels[::-1] if self.direction == REVERSED else levels
+
+    @property
+    def total_time(self) -> float:
+        return _tree_costs(self.stages)[3]
+
+    @property
+    def oracle_count(self) -> int:
+        return _tree_costs(self.stages)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +225,6 @@ def target_phase_ops(walk_time: float, theta: float) -> tuple[PrimitiveOp, ...]:
 # ---------------------------------------------------------------------------
 
 def _adjoint_op(op: PrimitiveOp) -> PrimitiveOp:
-    if isinstance(op, WalkPhase):
-        return WalkPhase(-op.t)
     if isinstance(op, ControlledWalkPhase):
         return ControlledWalkPhase(-op.t)
     if isinstance(op, OraclePhase):
@@ -242,8 +232,6 @@ def _adjoint_op(op: PrimitiveOp) -> PrimitiveOp:
     if isinstance(op, AncillaPhase):
         # plain negation (like walk times) keeps the adjoint exactly involutive
         return AncillaPhase(-op.theta)
-    if isinstance(op, GlobalPhase):
-        return GlobalPhase(-op.gamma)
     return op  # AncillaHadamard is self-adjoint
 
 
@@ -257,22 +245,10 @@ def _reversed_boundaries(starts: tuple[int, ...], length: int) -> tuple[int, ...
 
 
 def dagger(schedule: Schedule) -> Schedule:
-    """Element-wise adjoints in reverse order; total time is preserved.  A
-    stage tree keeps its stages and flips its direction, in O(depth)."""
+    """Element-wise adjoints in reverse order; total time is preserved.  The
+    stages stay and the direction flips, in O(1)."""
     direction = REVERSED if schedule.direction == FORWARD else FORWARD
-    if schedule.stages:
-        return Schedule(direction=direction, hamiltonian=schedule.hamiltonian,
-                        global_phase=-schedule.global_phase, stages=schedule.stages)
-    return Schedule(
-        ops=_adjoint_ops(schedule.ops),
-        direction=direction,
-        hamiltonian=schedule.hamiltonian,
-        stage_boundaries=_reversed_boundaries(schedule.stage_boundaries, len(schedule.ops)),
-        stage_levels=tuple(reversed(schedule.stage_levels)),
-        global_phase=-schedule.global_phase,
-        total_time=schedule.total_time,
-        oracle_count=schedule.oracle_count,
-    )
+    return replace(schedule, direction=direction, global_phase=-schedule.global_phase)
 
 
 def _expand(stages: tuple[Stage, ...]) -> tuple[PrimitiveOp, ...]:
@@ -400,9 +376,7 @@ def _bipartite_branch(block_size: int, walk_time: float) -> Schedule:
 def ancilla_phase_time(schedule: Schedule) -> float:
     """Total angle spent in ancilla phase gates (reported separately in
     cost accounting)."""
-    if schedule.stages:
-        return _tree_costs(schedule.stages)[4]
-    return sum(abs(op.theta) for op in schedule.ops if isinstance(op, AncillaPhase))
+    return _tree_costs(schedule.stages)[4]
 
 
 # ---------------------------------------------------------------------------
@@ -410,25 +384,17 @@ def ancilla_phase_time(schedule: Schedule) -> float:
 # ---------------------------------------------------------------------------
 
 def _op_to_json(op: PrimitiveOp) -> dict:
-    if isinstance(op, WalkPhase):
-        return {"op": "walk", "t": op.t}
     if isinstance(op, OraclePhase):
         return {"op": "oracle", "theta": op.theta, "sign": op.sign}
-    if isinstance(op, AncillaHadamard):
-        return {"op": "anc_h"}
     if isinstance(op, AncillaPhase):
         return {"op": "anc_z", "theta": op.theta}
     if isinstance(op, ControlledWalkPhase):
         return {"op": "cwalk", "t": op.t}
-    if isinstance(op, GlobalPhase):
-        return {"op": "gphase", "gamma": op.gamma}
-    raise ScheduleError(f"unknown op {op!r}")
+    return {"op": "anc_h"}
 
 
 def _op_from_json(data: dict) -> PrimitiveOp:
     kind = data["op"]
-    if kind == "walk":
-        return WalkPhase(float(data["t"]))
     if kind == "oracle":
         return OraclePhase(float(data["theta"]), int(data["sign"]))
     if kind == "anc_h":
@@ -437,8 +403,6 @@ def _op_from_json(data: dict) -> PrimitiveOp:
         return AncillaPhase(float(data["theta"]))
     if kind == "cwalk":
         return ControlledWalkPhase(float(data["t"]))
-    if kind == "gphase":
-        return GlobalPhase(float(data["gamma"]))
     raise ScheduleError(f"unknown op kind {kind!r}")
 
 
@@ -456,13 +420,50 @@ def schedule_to_json_dict(schedule: Schedule) -> dict:
 
 
 def schedule_from_json_dict(data: dict) -> Schedule:
-    return Schedule(
-        ops=tuple(_op_from_json(d) for d in data["ops"]),
-        direction=data["direction"],
-        hamiltonian=data["hamiltonian"],
-        stage_boundaries=tuple(int(i) for i in data["stage_boundaries"]),
-        stage_levels=tuple(int(i) for i in data.get("stage_levels", [])),
-        global_phase=float(data["global_phase"]),
-        total_time=float(data["total_time"]),
-        oracle_count=int(data["oracle_count"]),
-    )
+    """Decode an artifact's ops back into its stage tree.
+
+    In forward order, stage k starts at op s_k and runs
+    (s_{k+1} - s_k) / (2*s_k + 8) iterations; its walk time, kick and
+    oracle angle are read from its first iteration.  The artifact is
+    accepted only if the tree re-expands to exactly its ops and oracle
+    count, and to its total time within 1e-9 relative.
+    """
+    direction = data["direction"]
+    if direction not in (FORWARD, REVERSED):
+        raise ScheduleError(f"unknown schedule direction {direction!r}")
+    ops = tuple(_op_from_json(d) for d in data["ops"])
+    bounds = tuple(int(i) for i in data["stage_boundaries"])
+    levels = tuple(int(i) for i in data["stage_levels"])
+    if list(bounds) != sorted(bounds) or not all(0 <= b <= len(ops) for b in bounds):
+        raise ScheduleError(f"stage boundaries {list(bounds)} are not sorted op indices")
+    if bounds and bounds[0] != 0:
+        raise ScheduleError(f"stage boundaries {list(bounds)} do not start at op 0")
+    if len(levels) != len(bounds):
+        raise ScheduleError(f"{len(levels)} stage levels for {len(bounds)} stages")
+    forward = ops
+    if direction == REVERSED:
+        forward, bounds = _adjoint_ops(ops), _reversed_boundaries(bounds, len(ops))
+        levels = levels[::-1]
+    stages = []
+    for k, (start, end) in enumerate(zip(bounds, (*bounds[1:], len(ops)))):
+        iterations, rest = divmod(end - start, 2 * start + 8)
+        if iterations < 1 or rest:
+            raise ScheduleError(f"stage {k} spans {end - start} ops, not whole iterations")
+        cwalk, kick, oracle = forward[start + 1], forward[start + 3], forward[2 * start + 7]
+        if not (isinstance(cwalk, ControlledWalkPhase) and isinstance(kick, AncillaPhase)
+                and isinstance(oracle, OraclePhase) and math.sin(oracle.theta / 2) > 0):
+            raise ScheduleError(f"stage {k} does not start with a kickback and an oracle")
+        p = iterations - 1
+        overlap = math.sin(math.pi / (4 * p + 6)) / math.sin(oracle.theta / 2)
+        stages.append(Stage(levels[k], cwalk.t, kick.theta,
+                            StageParams(overlap, p, oracle.theta)))
+    schedule = Schedule(tuple(stages), direction, data["hamiltonian"],
+                        float(data["global_phase"]))
+    if schedule.ops != ops:
+        raise ScheduleError("the ops are not the expansion of the stages they encode")
+    count, time = int(data["oracle_count"]), float(data["total_time"])
+    if count != schedule.oracle_count:
+        raise ScheduleError(f"oracle count {count} is not the ops' {schedule.oracle_count}")
+    if not math.isclose(time, schedule.total_time, rel_tol=1e-9):
+        raise ScheduleError(f"total time {time} is not the ops' {schedule.total_time:.12g}")
+    return schedule

@@ -6,10 +6,9 @@ O(N^2) real products on the (re, im) pairs).  In between, every op but the
 oracle is diagonal, and the oracle acts on both ancilla values: conjugated
 by the prefix U of earlier stages it is U O U^dagger = I + (e^{-i alpha}
 - 1) sum_a |w_a><w_a| with w_a = U|a, m>, exactly and for any state.  So
-a stage tree costs O(N) per stage iteration (``_run_stages``), and a flat
-schedule, read from JSON or built by hand, O(N) per oracle-free run and
-per oracle (``_run_flat``).  ``apply_op`` and the per-op primitives remain
-the op-by-op reference.  Every primitive stays exactly unitary.
+every schedule, synthesized or read from JSON, costs O(N) per stage
+iteration (``_run_stages``).  ``apply_op`` and the per-op primitives
+remain the op-by-op reference.  Every primitive stays exactly unitary.
 
 The ancilla qubit is the leading tensor factor (amplitude layout
 [block0, block1]), attached at the first op that needs it; only at stage
@@ -19,7 +18,6 @@ boundaries or the end of a schedule is it guaranteed back in |0>.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,8 +33,8 @@ from .schedule import (
     OraclePhase,
     PrimitiveOp,
     Schedule,
+    Stage,
     WalkPhase,
-    target_phase_ops,
 )
 from .spectral import Spectrum
 
@@ -239,37 +237,17 @@ def apply_op(
     raise SimulationError(f"unknown primitive op {op!r}")
 
 
-def _needs_ancilla(op: PrimitiveOp) -> bool:
-    return isinstance(op, (AncillaHadamard, AncillaPhase, ControlledWalkPhase))
-
-
-def _segments(ops: tuple[PrimitiveOp, ...]):
-    """``ops`` as single oracle ops and the maximal oracle-free runs
-    (tuples) between them."""
-    for oracles, group in itertools.groupby(ops, lambda op: isinstance(op, OraclePhase)):
-        yield from group if oracles else [tuple(group)]
-
-
-def _fuse(run: tuple[PrimitiveOp, ...], eigenvalues: np.ndarray) -> np.ndarray:
-    """An oracle-free run of ops as one 2x2 ancilla matrix per
-    eigencomponent: ``m[r, c, i]``, so that block r after the run is
-    sum over c of m[r, c] * block c before it, in the eigenbasis."""
-    m = np.zeros((2, 2, len(eigenvalues)), dtype=complex)
-    m[0, 0] = m[1, 1] = 1.0
-    for op in run:
-        if isinstance(op, AncillaHadamard):
-            m = np.stack([m[0] + m[1], m[0] - m[1]]) * _SQRT_HALF
-        elif isinstance(op, AncillaPhase):
-            m[1] *= np.exp(1j * op.theta)
-        elif isinstance(op, ControlledWalkPhase):
-            m[1] *= np.exp(-1j * eigenvalues * op.t)
-        elif isinstance(op, WalkPhase):
-            m *= np.exp(-1j * eigenvalues * op.t)
-        elif isinstance(op, GlobalPhase):
-            m *= np.exp(1j * op.gamma)
-        else:
-            raise SimulationError(f"unknown primitive op {op!r}")
-    return m
+def _kick_kernel(stage: Stage, eigenvalues: np.ndarray) -> np.ndarray:
+    """``target_phase_ops(stage.walk_time, stage.kick)`` as one 2x2 ancilla
+    matrix per eigencomponent, ``m[r, c, i]``, so that block r after it is
+    sum over c of m[r, c] * block c before it, in the eigenbasis.  H c(W) H
+    is [[a, b], [b, a]] with a, b = (1 +- e^{-i lambda t}) / 2, and the
+    circuit is that matrix on both sides of diag(1, e^{i theta})."""
+    phi = np.exp(-1j * eigenvalues * stage.walk_time)
+    z = cmath.exp(1j * stage.kick)
+    a, b = (1 + phi) / 2, (1 - phi) / 2
+    off = a * b * (1 + z)
+    return np.array([[a * a + b * b * z, off], [off, b * b + a * a * z]])
 
 
 def run_schedule(
@@ -282,67 +260,41 @@ def run_schedule(
 ) -> StateVector:
     """Apply the schedule in the eigenbasis, managing the ancilla.
 
-    A stage tree runs on ``_run_stages``, a flat schedule on ``_run_flat``;
-    both give the state ``apply_op`` gives op by op, up to rounding.  The
-    ancilla is detached at the end (with the entanglement gate) unless the
-    state arrived carrying it.  When given, ``on_stage(i, state)`` runs
-    after stage i, before any detach, for every stage the schedule declares.
+    The result is the state ``apply_op`` gives op by op, up to rounding.
+    The ancilla is detached at the end (with the entanglement gate) unless
+    the state arrived carrying it.  When given, ``on_stage(i, state)`` runs
+    after stage i, before any detach, for every stage of the schedule.
     """
     _check_dimension(spectrum, state)
     vectors, n = spectrum.eigenvectors, state.n
     blocks = _rotate(vectors.T, state.amps.reshape(-1, n))
     carried = len(blocks) == 2
-    run = _run_stages if schedule.stages else _run_flat
-    for stage, blocks in enumerate(run(blocks, schedule, spectrum, marked)):
-        if on_stage is not None and schedule.stage_boundaries:
+    for stage, blocks in enumerate(_run_stages(blocks, schedule, spectrum, marked)):
+        if on_stage is not None:
             on_stage(stage, _state(_rotate(vectors, blocks).ravel(), n))
     if len(blocks) == 2 and not carried:
         blocks = _detached(*blocks)[None]
     return _state(_rotate(vectors, blocks).ravel(), n)
 
 
-def _run_flat(blocks, schedule, spectrum, marked):
-    """Flat ops on eigenbasis blocks, yielding the blocks after each stage:
-    each distinct oracle-free run is fused once per call (``_fuse``) and
-    each oracle is a rank-1 update."""
-    vectors, n = spectrum.eigenvectors, spectrum.n
-    kernels: dict[tuple[PrimitiveOp, ...], tuple[np.ndarray, bool]] = {}
-    bounds = schedule.stage_boundaries[1:]
-    spans = zip((0, *bounds), (*bounds, len(schedule.ops)))
-    for start, end in spans:
-        for seg in _segments(schedule.ops[start:end]):
-            if isinstance(seg, OraclePhase):  # rank 1, with row m of the eigenvectors
-                row = vectors[_marked_vertex(marked, n)]
-                factor = cmath.exp(-1j * seg.sign * seg.theta) - 1
-                blocks = blocks + (factor * (blocks @ row))[:, None] * row
-                continue
-            kernel = kernels.get(seg)
-            if kernel is None:
-                kernel = kernels[seg] = (
-                    _fuse(seg, spectrum.eigenvalues), any(map(_needs_ancilla, seg))
-                )
-            m, needs_ancilla = kernel
-            if needs_ancilla and len(blocks) == 1:
-                blocks = np.vstack([blocks, np.zeros(n, dtype=complex)])
-            k = len(blocks)
-            blocks = (m[:k, :k] * blocks).sum(axis=1)
-        yield blocks
-
-
 def _run_stages(blocks, schedule, spectrum, marked):
     """A stage tree on eigenbasis blocks, yielding the blocks after each
     stage.  A pass over the pair w_a = U|a, m> alone stores the pair at the
     start of each stage; then the stages run in order, each iteration a
-    fused kick and a rank-2 oracle update, or their adjoints in reverse."""
+    fused kick and a rank-2 oracle update, or their adjoints in reverse.
+    A schedule without stages needs no marked vertex."""
+    stages = schedule.stages
+    if not stages:
+        return
     row = spectrum.eigenvectors[_marked_vertex(marked, spectrum.n)]
-    stages, starts = schedule.stages, [np.eye(2)[:, :, None] * row]
-    kicks = [_fuse(target_phase_ops(st.walk_time, st.kick), spectrum.eigenvalues)
-             for st in stages]
+    starts = [np.eye(2)[:, :, None] * row]
+    kicks = [_kick_kernel(st, spectrum.eigenvalues) for st in stages]
 
     def power(x: np.ndarray, k: int, adjoint: bool = False) -> np.ndarray:
-        # every iteration of stage k on the rows of x, shape (R, 2, N)
+        # every iteration of stage k on the rows of x, shape (R, 2, N); the
+        # kick kernel is symmetric, so its adjoint is its conjugate
         w = starts[k].reshape(2, -1)
-        kick = kicks[k].conj().transpose(1, 0, 2) if adjoint else kicks[k]
+        kick = kicks[k].conj() if adjoint else kicks[k]
         factor = cmath.exp((1j if adjoint else -1j) * stages[k].params.alpha) - 1
         for _ in range(stages[k].params.iterations):
             if not adjoint:

@@ -204,6 +204,46 @@ def test_bipartite_artifact_needs_complete_bipartite_edges(tmp_path, capsys):
     assert out == ""
 
 
+def edit_json(edit):
+    def apply(text):
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data)
+    return apply
+
+
+def cwalks(data):
+    return [op for op in data["schedule"]["ops"] if op["op"] == "cwalk"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text[:-20],
+    edit_json(lambda d: d.pop("task")),
+    edit_json(lambda d: cwalks(d)[0].pop("t")),
+    edit_json(lambda d: cwalks(d)[0].update(t="abc")),
+    edit_json(lambda d: d["schedule"].update(ops=None)),
+    edit_json(lambda d: d["graph"].update(edges="x")),
+    edit_json(lambda d: d["schedule"].update(oracle_count=1)),
+    edit_json(lambda d: d["schedule"].update(total_time=50.0)),
+    edit_json(lambda d: cwalks(d)[-1].update(t=-1.0)),
+], ids=["not_json", "no_task", "cwalk_without_t", "t_not_a_number", "ops_null",
+        "edges_not_pairs", "oracle_count", "total_time", "cwalk_time"])
+def test_malformed_artifact_exits_one(tmp_path, capsys, edit):
+    # johnson(5,2) search: two stages, seven oracle calls
+    artifact = tmp_path / "sched.json"
+    code, _, _ = run_cli(
+        ["schedule", "--family", "johnson", "--params", "5,2", "--task", "search",
+         "--out", str(artifact)],
+        capsys,
+    )
+    assert code == 0
+    artifact.write_text(edit(artifact.read_text()))
+    code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
 def test_search_schedule_from_edge_list(tmp_path, capsys):
     edges = tmp_path / "rook33.edges"
     code, _, _ = run_cli(

@@ -245,14 +245,6 @@ def test_schedule_bytes_deterministic(c4):
     )
 
 
-def test_schedule_rejects_boundaries_not_from_op_0():
-    # stage 0 would run from op 0 anyway, and the dagger would drop the edit
-    with pytest.raises(ScheduleError, match="do not start at op 0"):
-        schedule.Schedule(ops=(schedule.WalkPhase(0.1),) * 6, stage_boundaries=(3, 5))
-    with pytest.raises(ScheduleError, match="not sorted op indices"):
-        schedule.Schedule(ops=(schedule.WalkPhase(0.1),) * 6, stage_boundaries=(0, 7))
-
-
 def reference_flat(stages):
     """The stage tree's forward ops and stage starts, written out flat:
     every iteration of a stage conjugates its oracle by all ops before
@@ -288,13 +280,15 @@ def test_expansion_matches_flat_reference(trees):
     for tree in trees:
         assert tree.stages
         ops, starts = reference_flat(tree.stages)
-        ref = schedule.Schedule(ops=ops, stage_boundaries=starts,
-                                stage_levels=tuple(st.level for st in tree.stages))
+        levels = tuple(st.level for st in tree.stages)
         if tree.direction == "reversed":
-            ref = schedule.dagger(ref)
-        assert tree.ops == ref.ops
-        assert tree.stage_boundaries == ref.stage_boundaries
-        assert tree.stage_levels == ref.stage_levels
+            # the adjoint runs the stages last to first
+            ends = (*starts[1:], len(ops))
+            ops = tuple(schedule._adjoint_op(op) for op in reversed(ops))
+            starts, levels = tuple(sorted(len(ops) - e for e in ends)), levels[::-1]
+        assert tree.ops == ops
+        assert tree.stage_boundaries == starts
+        assert tree.stage_levels == levels
 
 
 def test_tree_costs_match_expanded_ops(trees):
@@ -302,14 +296,12 @@ def test_tree_costs_match_expanded_ops(trees):
         ops = tree.ops
         assert tree.oracle_count == sum(isinstance(op, schedule.OraclePhase) for op in ops)
         times = math.fsum(
-            abs(op.t) if isinstance(op, (schedule.WalkPhase, schedule.ControlledWalkPhase))
+            abs(op.t) if isinstance(op, schedule.ControlledWalkPhase)
             else abs(op.theta) for op in ops if not isinstance(op, schedule.AncillaHadamard)
         )
         ancilla = math.fsum(abs(op.theta) for op in ops if isinstance(op, schedule.AncillaPhase))
         assert tree.total_time == pytest.approx(times, rel=1e-12)
         assert schedule.ancilla_phase_time(tree) == pytest.approx(ancilla, rel=1e-12)
-        flat = schedule.Schedule(ops=ops)
-        assert schedule.ancilla_phase_time(flat) == pytest.approx(ancilla, rel=1e-12)
 
 
 def test_dagger_of_tree_keeps_stages(trees):
@@ -337,3 +329,74 @@ def test_pipelines_never_expand_ops(monkeypatch):
     assert "ops" not in vars(ctx.search_schedule)
     with pytest.raises(AssertionError, match="expanded"):
         ctx.search_schedule.ops
+
+
+def every_schedule_kind():
+    """Forward sample, reversed search, both K(4,7) branches, the empty
+    K(1,5) branch, the zero-stage single vertex and the star centre whose
+    first stage is skipped."""
+    h42 = pipelines.prepare(graph.hamming(4, 2))
+    star = pipelines.prepare(graph.complete_bipartite(1, 3))
+    return {
+        "sample": pipelines.sampling_schedule(h42, 3),
+        "search": pipelines.prepare(graph.johnson(5, 2)).search_schedule,
+        "k47_block1": schedule.synth_bipartite_search(4, 7)[0],
+        "k47_block2": schedule.synth_bipartite_search(4, 7)[1],
+        "k15_empty": schedule.synth_bipartite_search(1, 5)[0],
+        "single_vertex": pipelines.sampling_schedule(
+            pipelines.prepare(graph.single_vertex()), 0),
+        "star_centre": pipelines.sampling_schedule(star, 0),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(every_schedule_kind()))
+def test_decoder_round_trips_every_kind(kind):
+    sched = every_schedule_kind()[kind]
+    data = json.loads(json.dumps(schedule.schedule_to_json_dict(sched)))
+    back = schedule.schedule_from_json_dict(data)
+    assert back.ops == sched.ops
+    assert back.stage_boundaries == sched.stage_boundaries
+    assert back.stage_levels == sched.stage_levels
+    assert back.oracle_count == sched.oracle_count
+    assert back.total_time == sched.total_time
+    # stage equality compares level, walk time, kick, p and alpha; the
+    # overlap is recovered only to rounding, and equality ignores it
+    assert back.stages == sched.stages and back == sched
+    for got, want in zip(back.stages, sched.stages, strict=True):
+        assert got.params.overlap == pytest.approx(want.params.overlap, rel=1e-9)
+
+
+def test_decoder_reads_rounded_artifacts():
+    # CLI artifacts keep 12 significant digits; the tree re-expands to the
+    # rounded ops exactly, and its time moves only in the last digits
+    for sched in every_schedule_kind().values():
+        data = schedule.schedule_to_json_dict(sched)
+        rounded = json.loads(json.dumps(data), parse_float=lambda x: float(f"{float(x):.12g}"))
+        back = schedule.schedule_from_json_dict(rounded)
+        assert schedule.schedule_to_json_dict(back)["ops"] == rounded["ops"]
+        assert back.total_time == pytest.approx(sched.total_time, rel=1e-11)
+
+
+def edited(data, edit):
+    data = json.loads(json.dumps(data))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["ops"].pop(5),
+    lambda d: d["ops"].append({"op": "anc_h"}),
+    lambda d: next(op for op in reversed(d["ops"]) if op["op"] == "anc_z").update(theta=0.5),
+    lambda d: d.update(oracle_count=d["oracle_count"] - 1),
+    lambda d: d.update(total_time=d["total_time"] * (1 + 1e-8)),
+    lambda d: d.update(stage_levels=d["stage_levels"][1:]),
+    lambda d: d.update(direction="sideways"),
+    lambda d: d["ops"].__setitem__(0, {"op": "walk", "t": 0.1}),
+    lambda d: [op.update(theta=0.0) for op in d["ops"] if op["op"] == "oracle"],
+], ids=["dropped_op", "extra_op", "kick_angle", "oracle_count", "total_time",
+        "levels", "direction", "walk_op", "oracle_angle_zero"])
+def test_decoder_rejects_edited_artifacts(edit):
+    for kind in ("sample", "search"):
+        data = schedule.schedule_to_json_dict(every_schedule_kind()[kind])
+        with pytest.raises(ScheduleError):
+            schedule.schedule_from_json_dict(edited(data, edit))

@@ -29,6 +29,12 @@ def random_state(n, seed):
     return amps / np.linalg.norm(amps)
 
 
+def one_stage(walk_time, kick=1.0):
+    """A hand-built one-stage tree on level 0."""
+    params = schedule.stage_params(0.5)
+    return schedule.Schedule((schedule.Stage(0, walk_time, kick, params),))
+
+
 NEEDS_ANCILLA = (schedule.AncillaHadamard, schedule.AncillaPhase, schedule.ControlledWalkPhase)
 
 
@@ -52,31 +58,6 @@ def op_by_op(state, sched, spec, marked):
     return final, stages if bounds else []
 
 
-def hand_built():
-    """Schedules synthesis never emits: every op kind, oracles first, last
-    and adjacent (an empty run between), and a stage boundary inside a
-    run.  The first leaves the ancilla entangled, so it runs on a state
-    that carries one; the second attaches it mid-run and returns it
-    clean."""
-    S = schedule
-    every_kind = S.Schedule(
-        ops=(S.OraclePhase(0.7), S.WalkPhase(0.3), S.GlobalPhase(0.2),
-             S.AncillaHadamard(), S.ControlledWalkPhase(0.5), S.AncillaPhase(1.1),
-             S.OraclePhase(0.4, -1), S.OraclePhase(1.3), S.AncillaHadamard(),
-             S.ControlledWalkPhase(-0.2), S.WalkPhase(-0.6), S.GlobalPhase(-0.9),
-             S.AncillaPhase(0.3), S.AncillaHadamard(), S.OraclePhase(0.8)),
-        stage_boundaries=(0, 10),
-    )
-    clean = S.Schedule(
-        ops=(S.WalkPhase(0.3), S.GlobalPhase(0.2), S.AncillaHadamard(),
-             S.ControlledWalkPhase(0.7), S.AncillaPhase(1.1), S.AncillaPhase(-1.1),
-             S.ControlledWalkPhase(-0.7), S.AncillaHadamard(), S.OraclePhase(0.5),
-             S.WalkPhase(-0.2), S.OraclePhase(0.9, -1), S.OraclePhase(0.4)),
-        stage_boundaries=(0, 5),
-    )
-    return every_kind, clean
-
-
 @pytest.fixture(params=["c4", "rook33", "bipartite47"])
 def schedule_case(request, c4):
     # rook(3,3) has degenerate eigenspaces, so its basis is solver-chosen;
@@ -97,12 +78,7 @@ def schedule_case(request, c4):
             (simulate.uniform_state(n), pipelines.transitive_search_schedule(ctx)),
         ]
     ancilla_in = simulate.attach_ancilla(simulate.from_amplitudes(random_state(n, 7)))
-    every_kind, clean = hand_built()
-    return ctx, m, cases + [
-        (ancilla_in, cases[0][1]),
-        (ancilla_in, every_kind),
-        (simulate.vertex_state(n, 1), clean),
-    ]
+    return ctx, m, cases + [(ancilla_in, cases[0][1])]
 
 
 def test_walk_zero_time_is_identity(c4_spec):
@@ -174,12 +150,11 @@ def test_detach_rejects_entangled_state(c4_spec):
     st = simulate.from_amplitudes(amps, n=2)
     with pytest.raises(SimulationError, match="entangled"):
         simulate.detach_ancilla(st)
-    # the fused executor keeps the gate at the end of a schedule
-    sched = schedule.Schedule(
-        ops=(schedule.AncillaHadamard(), schedule.ControlledWalkPhase(0.3))
-    )
+    # the executor keeps the gate at the end of a schedule: a walk time of
+    # 0.3 is no reflection on C4, so the kickback leaves the ancilla entangled
+    sched = one_stage(0.3)
     with pytest.raises(SimulationError, match="entangled"):
-        simulate.run_schedule(simulate.vertex_state(4, 0), sched, c4_spec)
+        simulate.run_schedule(simulate.vertex_state(4, 0), sched, c4_spec, 0)
 
 
 def test_kickback_circuit_zero_phase_is_identity(c4_spec):
@@ -260,7 +235,7 @@ def test_run_schedule_empty_is_identity(c4_spec):
 
 
 def test_run_schedule_requires_marked(c4_spec):
-    sched = schedule.Schedule(ops=(schedule.OraclePhase(1.0, 1),), oracle_count=1)
+    sched = one_stage(math.pi / 2)
     with pytest.raises(SimulationError, match="marked"):
         simulate.run_schedule(simulate.uniform_state(4), sched, c4_spec)
     for marked in (4, -1):
@@ -376,19 +351,8 @@ def test_state_and_ancilla_errors(c4_spec):
 
 
 # ---------------------------------------------------------------------------
-# Stage-tree executor against the flat fused executor
+# Stage-tree executor against the op-by-op reference
 # ---------------------------------------------------------------------------
-
-def flat_copy(sched):
-    """The same schedule as flat ops with the same metadata, so
-    ``run_schedule`` takes the flat fused executor."""
-    return schedule.Schedule(
-        ops=sched.ops, direction=sched.direction, hamiltonian=sched.hamiltonian,
-        stage_boundaries=sched.stage_boundaries, stage_levels=sched.stage_levels,
-        global_phase=sched.global_phase, total_time=sched.total_time,
-        oracle_count=sched.oracle_count,
-    )
-
 
 def run_with_stages(state, sched, spec, m):
     stages = []
@@ -399,15 +363,12 @@ def run_with_stages(state, sched, spec, m):
 
 
 def assert_executors_agree(state, tree, spec, m):
-    flat = flat_copy(tree)
-    assert not flat.stages
     got, got_stages = run_with_stages(state, tree, spec, m)
-    want, want_stages = run_with_stages(state, flat, spec, m)
+    want, want_stages = op_by_op(state, tree, spec, m)
     assert got.has_ancilla == want.has_ancilla == state.has_ancilla
     assert np.max(np.abs(got.amps - want.amps)) < 1e-12
-    assert [i for i, _ in got_stages] == [i for i, _ in want_stages]
-    assert len(got_stages) == len(tree.stages)
-    for (_, a), (_, b) in zip(got_stages, want_stages):
+    assert [i for i, _ in got_stages] == list(range(len(tree.stages)))
+    for (_, a), b in zip(got_stages, want_stages, strict=True):
         assert a.has_ancilla == b.has_ancilla
         assert np.max(np.abs(a.amps - b.amps)) < 1e-12
     return got
