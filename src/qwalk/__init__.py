@@ -83,6 +83,7 @@ from .spectral import (
     Spectrum,
     eigendecompose,
     eigenspace_amplitudes,
+    integer_spectrum,
     validate_integer_spectrum,
 )
 

@@ -114,19 +114,19 @@ def _cmd_graph(args, parser) -> int:
 
 
 def _cmd_spectrum(args, parser) -> int:
-    g = _resolve_graph(args, parser)
-    spec = spectral.eigendecompose(laplacian(g))
-    ints = spectral.validate_integer_spectrum(spec, int_tol=args.int_tol)
-    if args.vectors_csv:
+    lap = laplacian(_resolve_graph(args, parser))
+    # eigenvectors only when they are written out
+    spec = spectral.eigendecompose(lap) if args.vectors_csv else None
+    ints = spectral.integer_spectrum(lap, spec, int_tol=args.int_tol)
+    if spec is not None:
         _emit(spectral.eigenvectors_to_csv(spec), args.vectors_csv)
     emit_json(spectral.spectrum_to_json_dict(ints), args.out)
     return 0
 
 
 def _cmd_depth(args, parser) -> int:
-    g = _resolve_graph(args, parser)
-    ctx = pipelines.prepare(g)
-    emit_json(depth_mod.chain_to_json_dict(ctx.chain), args.out)
+    ints = spectral.integer_spectrum(laplacian(_resolve_graph(args, parser)))
+    emit_json(depth_mod.chain_to_json_dict(depth_mod.build_depth_chain(ints)), args.out)
     return 0
 
 

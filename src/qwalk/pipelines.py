@@ -134,8 +134,9 @@ class LaplacianContext:
 
 def prepare(g: Graph) -> LaplacianContext:
     """Eigendecompose the Laplacian and gate it as an integer spectrum."""
-    spectrum = spectral.eigendecompose(laplacian(g))
-    ints = spectral.validate_integer_spectrum(spectrum)
+    lap = laplacian(g)
+    spectrum = spectral.eigendecompose(lap)
+    ints = spectral.integer_spectrum(lap, spectrum)
     chain = depth_mod.build_depth_chain(ints)
     return LaplacianContext(g, spectrum, ints, chain)
 
@@ -227,15 +228,31 @@ def sampling_schedule(ctx: LaplacianContext, m: int) -> sched_mod.Schedule:
     return sched_mod.synth_sampling_schedule(ctx.chain, overlaps)
 
 
+def _check_stages(ctx: LaplacianContext, schedule: sched_mod.Schedule) -> None:
+    """Reject a schedule that cannot run on ctx's Laplacian: one for another
+    Hamiltonian, or a stage whose walk time is not the reflection time of
+    the chain level it claims.  O(depth)."""
+    if schedule.hamiltonian != sched_mod.LAPLACIAN:
+        raise ScheduleError(f"a {schedule.hamiltonian} schedule cannot run on the Laplacian")
+    levels = ctx.chain.levels
+    for stage in schedule.stages:
+        if not (0 <= stage.level < ctx.chain.depth and math.isclose(
+                stage.walk_time, sched_mod.reflection_time(levels[stage.level].gcd),
+                rel_tol=1e-9)):
+            raise ScheduleError(
+                f"stage at level {stage.level} walks for {stage.walk_time:.12g}, "
+                "not the reflection time of that depth-chain level"
+            )
+
+
 def execute_sample(
     ctx: LaplacianContext, schedule: sched_mod.Schedule, m: int
 ) -> RunReport:
     """Run a forward schedule from vertex m, checking each stage against
     its level target state.  Stage ends are safe projection points for the
     ancilla."""
+    _check_stages(ctx, schedule)
     levels = schedule.stage_levels
-    if not set(levels) <= set(range(ctx.chain.depth)):
-        raise ScheduleError("schedule stages do not match the depth chain")
     alphas = spectral.eigenspace_amplitudes(ctx.spectrum, m)
     pairs = depth_mod.level_states(ctx.chain, alphas)
     stage_fids: list[float] = []
@@ -332,6 +349,7 @@ def execute_search(
 ) -> RunReport:
     """Run a reversed schedule from the uniform state with the oracle bound
     to ``marked``; the most probable vertex is the one found."""
+    _check_stages(ctx, schedule)
     state = sim.uniform_state(ctx.graph.n)
     state = sim.run_schedule(state, schedule, ctx.spectrum, marked)
     found = _most_probable(sim.measure_distribution(state))
@@ -380,6 +398,8 @@ def execute_bipartite(
         raise GraphError(f"marked vertex {marked} out of range for n={n}")
     if len(branches) != 2:
         raise ScheduleError(f"bipartite search takes 2 branches, got {len(branches)}")
+    if any(b.hamiltonian != sched_mod.ADJACENCY for b in branches):
+        raise ScheduleError("bipartite branches must run on the adjacency matrix")
     walk_time = math.pi / math.sqrt(bctx.n1 * bctx.n2)
     blocks = ((1, 0, bctx.n1), (2, bctx.n1, n))
     results = []

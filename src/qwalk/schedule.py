@@ -431,6 +431,9 @@ def schedule_from_json_dict(data: dict) -> Schedule:
     direction = data["direction"]
     if direction not in (FORWARD, REVERSED):
         raise ScheduleError(f"unknown schedule direction {direction!r}")
+    hamiltonian = data["hamiltonian"]
+    if hamiltonian not in (LAPLACIAN, ADJACENCY):
+        raise ScheduleError(f"unknown schedule hamiltonian {hamiltonian!r}")
     ops = tuple(_op_from_json(d) for d in data["ops"])
     bounds = tuple(int(i) for i in data["stage_boundaries"])
     levels = tuple(int(i) for i in data["stage_levels"])
@@ -457,7 +460,7 @@ def schedule_from_json_dict(data: dict) -> Schedule:
         overlap = math.sin(math.pi / (4 * p + 6)) / math.sin(oracle.theta / 2)
         stages.append(Stage(levels[k], cwalk.t, kick.theta,
                             StageParams(overlap, p, oracle.theta)))
-    schedule = Schedule(tuple(stages), direction, data["hamiltonian"],
+    schedule = Schedule(tuple(stages), direction, hamiltonian,
                         float(data["global_phase"]))
     if schedule.ops != ops:
         raise ScheduleError("the ops are not the expansion of the stages they encode")

@@ -1,13 +1,26 @@
-"""Dense symmetric eigendecomposition, eigenspace grouping, and
-integer-spectrum validation.
+"""Dense symmetric eigendecomposition, eigenspace grouping, and the
+integer-spectrum gate.
 
 All downstream formulas consume eigenspace projection masses (sums over a
 degenerate group), never individual eigenvectors, so results do not depend
 on the solver's arbitrary basis choice inside a degenerate eigenspace.
+
+``integer_spectrum`` is the one gate every Laplacian passes.  Given only
+the matrix it computes eigenvalues alone (``eigvalsh``), which is all the
+spectrum and the depth chain need; given a full decomposition it gates
+that.  Either way the float values are rounded within ``INTEGER_TOL`` and
+the result is then certified in exact integer arithmetic on the matrix:
+the product of (L - lambda I) over the distinct rounded values kills a
+pseudo-random vector modulo a prime, so every eigenvalue is one of them;
+the multiplicities reproduce N, tr L and ||L||_F^2; and L 1 = 0 with a
+simple zero makes the uniform state the kernel.  A loose tolerance
+therefore cannot admit a non-integer spectrum.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +33,13 @@ GROUP_TOL = 1e-6
 INTEGER_TOL = 1e-6
 ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
-UNIFORM_EIGENVECTOR_TOL = 1e-8
+#: The certificate's modulus, the Mersenne prime 2^31 - 1.  Residues below
+#: it times a row whose absolute sum is under 2^22 stay below 2^53, so
+#: float64 BLAS computes them exactly.
+CERT_PRIME = 2**31 - 1
+#: Seed of the certificate's test vector, fixed so the gate is
+#: deterministic.
+CERT_SEED = 20240601
 
 
 @dataclass(frozen=True)
@@ -40,11 +59,12 @@ class Spectrum:
     """Orthonormal real eigendecomposition of a symmetric matrix.
 
     ``eigenvalues`` are ascending; column i of ``eigenvectors`` pairs with
-    eigenvalue i.  Arrays are frozen read-only.
+    eigenvalue i.  ``eigenvectors`` is None when only the eigenvalues were
+    computed.  Arrays are frozen read-only.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     groups: tuple[EigenGroup, ...]
 
     @property
@@ -54,7 +74,8 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class IntegerSpectrum:
-    """A Spectrum validated to be integral with a simple zero eigenvalue."""
+    """A Spectrum validated to be integral with a simple zero eigenvalue;
+    ``integer_spectrum`` also certifies it exactly."""
 
     base: Spectrum
     int_eigenvalues: tuple[int, ...]
@@ -72,17 +93,8 @@ def eigendecompose(matrix: np.ndarray, *, group_tol: float = GROUP_TOL) -> Spect
     converge, or the decomposition misses the orthonormality/reconstruction
     contract.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise SpectrumError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if float(np.max(np.abs(m - m.T))) > 1e-12 * (1.0 + scale):
-        raise SpectrumError("matrix is not symmetric")
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise SpectrumError(f"symmetric eigensolver failed to converge: {exc}") from exc
-
+    m, scale = _symmetric(matrix)
+    eigenvalues, eigenvectors = _solve(np.linalg.eigh, m)
     n = len(eigenvalues)
     ortho = float(np.max(np.abs(eigenvectors.T @ eigenvectors - np.eye(n))))
     if ortho > ORTHONORMALITY_TOL:
@@ -97,6 +109,24 @@ def eigendecompose(matrix: np.ndarray, *, group_tol: float = GROUP_TOL) -> Spect
     eigenvalues.flags.writeable = False
     eigenvectors.flags.writeable = False
     return Spectrum(eigenvalues, eigenvectors, groups)
+
+
+def _symmetric(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """The matrix as a float array, with its largest entry magnitude."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise SpectrumError(f"expected a square matrix, got shape {m.shape}")
+    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    if float(np.max(np.abs(m - m.T))) > 1e-12 * (1.0 + scale):
+        raise SpectrumError("matrix is not symmetric")
+    return m, scale
+
+
+def _solve(solver, m: np.ndarray):
+    try:
+        return solver(m)
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumError(f"symmetric eigensolver failed to converge: {exc}") from exc
 
 
 def _group_eigenvalues(eigenvalues: np.ndarray, tol: float) -> tuple[EigenGroup, ...]:
@@ -121,11 +151,11 @@ def _group_eigenvalues(eigenvalues: np.ndarray, tol: float) -> tuple[EigenGroup,
 def validate_integer_spectrum(
     spectrum: Spectrum, *, int_tol: float = INTEGER_TOL
 ) -> IntegerSpectrum:
-    """Gate a spectrum as integral with a simple zero eigenvalue.
+    """Round a spectrum to integers with a simple zero eigenvalue.
 
-    Intended for Laplacians of connected graphs: exactly one eigenvalue
-    must round to 0 and its eigenvector must be the uniform vector up to
-    overall sign.
+    This is the float half of the gate: every eigenvalue must lie within
+    ``int_tol`` of an integer and exactly one must round to 0.
+    ``integer_spectrum`` adds the exact certificate on the matrix.
     """
     ints = []
     for i, value in enumerate(spectrum.eigenvalues):
@@ -140,13 +170,75 @@ def validate_integer_spectrum(
         raise SpectrumError(
             f"zero eigenvalue is not simple: multiplicity {len(zeros)}"
         )
-    zero_index = zeros[0]
-    n = spectrum.n
-    vec = spectrum.eigenvectors[:, zero_index]
-    sign = 1.0 if vec[int(np.argmax(np.abs(vec)))] >= 0 else -1.0
-    if float(np.max(np.abs(vec - sign / np.sqrt(n)))) > UNIFORM_EIGENVECTOR_TOL:
-        raise SpectrumError("zero-eigenvalue eigenvector is not uniform")
-    return IntegerSpectrum(spectrum, tuple(ints), zero_index)
+    return IntegerSpectrum(spectrum, tuple(ints), zeros[0])
+
+
+def integer_spectrum(
+    matrix: np.ndarray,
+    spectrum: Spectrum | None = None,
+    *,
+    int_tol: float = INTEGER_TOL,
+) -> IntegerSpectrum:
+    """The integer gate: round ``spectrum``, the eigendecomposition of
+    ``matrix``, to integers and certify the result exactly on ``matrix``.
+
+    Without ``spectrum`` only the eigenvalues are computed (``eigvalsh``),
+    and the result's ``base.eigenvectors`` is None.  Raises SpectrumError
+    if the values do not round within ``int_tol``, the zero is not simple,
+    or the certificate fails.
+    """
+    if spectrum is None:
+        values = _solve(np.linalg.eigvalsh, _symmetric(matrix)[0])
+        values.flags.writeable = False
+        spectrum = Spectrum(values, None, _group_eigenvalues(values, GROUP_TOL))
+    ints = validate_integer_spectrum(spectrum, int_tol=int_tol)
+    _certify(np.asarray(matrix, dtype=float), ints)
+    return ints
+
+
+def _certify(m: np.ndarray, ints: IntegerSpectrum) -> None:
+    """Check the rounded spectrum against the matrix in exact arithmetic.
+
+    Every float below holds an integer under 2^53, so it is exact.  The
+    product over the distinct values of (m - lambda I) applied to a
+    pseudo-random vector must vanish modulo p = ``CERT_PRIME``.  Were an
+    eigenvalue outside the set, the product would be a nonzero integer
+    matrix, which kills a uniformly random vector with probability at most
+    1/p unless p divides all its entries (Schwartz-Zippel).  With every
+    eigenvalue among the rounded integers, the solver's error (far below
+    1/2) fixes the multiplicities; the moments N, tr m and ||m||_F^2
+    cross-check them exactly.  Rows summing to 0 put the uniform vector in
+    the kernel, which the simple zero makes the whole kernel.
+    """
+    groups = [(int(round(g.value)), g.multiplicity) for g in ints.base.groups]
+    values = [v for v, _ in groups]
+    if not np.array_equal(m, np.rint(m)):
+        raise SpectrumError("matrix entries are not integers")
+    row_sq = np.einsum("ij,ij->i", m, m)
+    # a row's absolute sum is at most sqrt(n * its squared norm)
+    bound = math.sqrt(len(m) * float(row_sq.max())) + max(map(abs, values))
+    if bound * CERT_PRIME >= 2.0**53:
+        raise SpectrumError("matrix entries too large for the exact certificate")
+
+    p = float(CERT_PRIME)
+    # random, not numpy.random, which costs a cold import of tens of ms
+    raw = random.Random(CERT_SEED).randbytes(4 * len(m))
+    w = (np.frombuffer(raw, dtype=np.uint32) % CERT_PRIME).astype(float)
+    for value in values:
+        w = np.mod(m @ w - value * w, p)
+    if np.any(w):
+        raise SpectrumError(
+            f"eigenvalues are not all among the rounded integers {values}"
+        )
+
+    moments = (len(m), int(np.trace(m)), int(row_sq.astype(np.int64).sum()))
+    claimed = tuple(sum(k * v**e for v, k in groups) for e in range(3))
+    if claimed != moments:
+        raise SpectrumError(
+            f"multiplicities give moments {claimed}, the matrix {moments}"
+        )
+    if np.any(m.sum(axis=1)):
+        raise SpectrumError("matrix rows do not sum to 0: the kernel is not uniform")
 
 
 def eigenspace_amplitudes(spectrum: Spectrum, vertex: int) -> np.ndarray:
@@ -157,6 +249,8 @@ def eigenspace_amplitudes(spectrum: Spectrum, vertex: int) -> np.ndarray:
     """
     if not 0 <= vertex < spectrum.n:
         raise SpectrumError(f"vertex index {vertex} out of range for n={spectrum.n}")
+    if spectrum.eigenvectors is None:
+        raise SpectrumError("the spectrum holds eigenvalues only")
     amps = spectrum.eigenvectors[vertex, :].copy()
     total = float(np.sum(amps**2))
     if abs(total - 1.0) > 1e-10:

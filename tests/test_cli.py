@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qwalk import cli, graph, pipelines, schedule
@@ -46,6 +47,39 @@ def test_spectrum_cycle5_exits_one(capsys):
     assert code == 1
     assert "non-integer" in err
     assert out == ""
+
+
+def test_spectrum_cycle5_loose_tolerance_exits_one(capsys):
+    # 1.38 and 3.62 lie within 0.5 of 1 and 4; the certificate refuses them
+    code, out, err = run_cli(
+        ["spectrum", "--family", "cycle5", "--int-tol", "0.5"], capsys
+    )
+    assert code == 1
+    assert err.startswith("error:") and "rounded integers" in err
+    assert out == ""
+
+
+def test_spectrum_and_depth_skip_eigenvectors(tmp_path, capsys, monkeypatch):
+    edges = tmp_path / "rook33.edges"
+    edges.write_text(graph.dump_edge_list(graph.rook(3, 3)))
+    expected = {}
+    verbs = {
+        "spectrum": ["spectrum", "--family", "hamming", "--params", "4,2"],
+        "depth": ["depth", "--edges", str(edges)],
+    }
+    for verb, argv in verbs.items():
+        expected[verb] = run_cli(argv, capsys)
+
+    def no_eigh(m):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for verb, argv in verbs.items():
+        assert run_cli(argv, capsys) == expected[verb]
+        assert expected[verb][0] == 0
+    # the patch is live: the eigenvector dump still needs eigh
+    with pytest.raises(AssertionError, match="eigh called"):
+        cli.main(verbs["spectrum"] + ["--vectors-csv", str(tmp_path / "v.csv")])
 
 
 def test_spectrum_c4(capsys):
@@ -216,27 +250,43 @@ def cwalks(data):
     return [op for op in data["schedule"]["ops"] if op["op"] == "cwalk"]
 
 
-@pytest.mark.parametrize("edit", [
-    lambda text: text[:-20],
-    edit_json(lambda d: d.pop("task")),
-    edit_json(lambda d: cwalks(d)[0].pop("t")),
-    edit_json(lambda d: cwalks(d)[0].update(t="abc")),
-    edit_json(lambda d: d["schedule"].update(ops=None)),
-    edit_json(lambda d: d["graph"].update(edges="x")),
-    edit_json(lambda d: d["schedule"].update(oracle_count=1)),
-    edit_json(lambda d: d["schedule"].update(total_time=50.0)),
-    edit_json(lambda d: cwalks(d)[-1].update(t=-1.0)),
-], ids=["not_json", "no_task", "cwalk_without_t", "t_not_a_number", "ops_null",
-        "edges_not_pairs", "oracle_count", "total_time", "cwalk_time"])
-def test_malformed_artifact_exits_one(tmp_path, capsys, edit):
+ARTIFACT_ARGS = {
     # johnson(5,2) search: two stages, seven oracle calls
+    "search": ["--family", "johnson", "--params", "5,2", "--task", "search"],
+    # hamming(4,2) sample: levels 0, 1, 2 walk for pi/2, pi/4, pi/8
+    "sample": ["--family", "hamming", "--params", "4,2", "--task", "sample",
+               "--marked", "3"],
+    "bipartite": ["--family", "complete_bipartite", "--params", "4,7", "--task",
+                  "bipartite", "--marked", "2"],
+}
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("search", lambda text: text[:-20]),
+    ("search", edit_json(lambda d: d.pop("task"))),
+    ("search", edit_json(lambda d: cwalks(d)[0].pop("t"))),
+    ("search", edit_json(lambda d: cwalks(d)[0].update(t="abc"))),
+    ("search", edit_json(lambda d: d["schedule"].update(ops=None))),
+    ("search", edit_json(lambda d: d["graph"].update(edges="x"))),
+    ("search", edit_json(lambda d: d["schedule"].update(oracle_count=1))),
+    ("search", edit_json(lambda d: d["schedule"].update(total_time=50.0))),
+    ("search", edit_json(lambda d: cwalks(d)[-1].update(t=-1.0))),
+    ("search", edit_json(lambda d: d["schedule"].update(hamiltonian="banana"))),
+    ("search", edit_json(lambda d: d["schedule"].update(hamiltonian="adjacency"))),
+    ("search", edit_json(lambda d: d["schedule"]["stage_levels"].reverse())),
+    ("sample", edit_json(lambda d: d["schedule"].update(hamiltonian="adjacency"))),
+    ("sample", edit_json(lambda d: d["schedule"]["stage_levels"].reverse())),
+    ("bipartite", edit_json(lambda d: d["branches"][0].update(hamiltonian="laplacian"))),
+], ids=["not_json", "no_task", "cwalk_without_t", "t_not_a_number", "ops_null",
+        "edges_not_pairs", "oracle_count", "total_time", "cwalk_time",
+        "hamiltonian_unknown", "search_on_adjacency", "search_levels_reversed",
+        "sample_on_adjacency", "sample_levels_reversed", "branch_on_laplacian"])
+def test_malformed_artifact_exits_one(tmp_path, capsys, kind, edit):
     artifact = tmp_path / "sched.json"
-    code, _, _ = run_cli(
-        ["schedule", "--family", "johnson", "--params", "5,2", "--task", "search",
-         "--out", str(artifact)],
-        capsys,
-    )
+    code, _, _ = run_cli(["schedule", *ARTIFACT_ARGS[kind], "--out", str(artifact)], capsys)
     assert code == 0
+    code, _, _ = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+    assert code == 0  # the unedited artifact runs
     artifact.write_text(edit(artifact.read_text()))
     code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
     assert code == 1

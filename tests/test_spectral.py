@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qwalk import graph, spectral
+from qwalk import depth, graph, spectral
 from qwalk.errors import SpectrumError
 
 
@@ -231,3 +231,60 @@ def test_eigenvector_csv(c4):
     lines = csv.strip().splitlines()
     assert lines[0].startswith("vertex,eig_0")
     assert len(lines) == 5
+
+
+def gate_cases(sampling_suite, chang_graphs, k4_minus_edge):
+    rook33 = graph.load_edge_list(graph.dump_edge_list(graph.rook(3, 3)))
+    return [
+        *sampling_suite, *chang_graphs.values(), k4_minus_edge, rook33,
+        *(graph.complete_bipartite(*p) for p in ((2, 3), (4, 7), (40, 60))),
+    ]
+
+
+def test_eigenvalue_only_gate_matches_eigendecompose(
+    sampling_suite, chang_graphs, k4_minus_edge
+):
+    for g in gate_cases(sampling_suite, chang_graphs, k4_minus_edge):
+        lap = graph.laplacian(g)
+        full = spectral.validate_integer_spectrum(spectral.eigendecompose(lap))
+        ints = spectral.integer_spectrum(lap)
+        assert ints.base.eigenvectors is None
+        assert spectral.spectrum_to_json_dict(ints) == spectral.spectrum_to_json_dict(full)
+        assert depth.chain_to_json_dict(depth.build_depth_chain(ints)) == (
+            depth.chain_to_json_dict(depth.build_depth_chain(full))
+        )
+    with pytest.raises(SpectrumError, match="eigenvalues only"):
+        spectral.eigenspace_amplitudes(ints.base, 0)
+
+
+def test_certificate_rejects_loose_tolerance():
+    # 2 - 2cos(2pi/5) = 1.38 and 2 - 2cos(4pi/5) = 3.62 round to 1 and 4
+    with pytest.raises(SpectrumError, match="not all among the rounded integers"):
+        spectral.integer_spectrum(graph.laplacian(graph.cycle(5)), int_tol=0.5)
+
+
+@pytest.mark.parametrize("values, match", [
+    ([0, 2, 4, 4], "moments"),  # a multiplicity moved from 2 to 4
+    ([0, 2, 2, 5], "not all among"),  # a value off by one
+], ids=["multiplicity_moved", "value_off_by_one"])
+def test_certificate_rejects_wrong_multiset(c4, monkeypatch, values, match):
+    # the true C4 spectrum is {0, 2, 2, 4}; the solver is made to lie
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array(values, dtype=float))
+    with pytest.raises(SpectrumError, match=match):
+        spectral.integer_spectrum(graph.laplacian(c4))
+
+
+def test_certificate_runs_on_full_decompositions(c4):
+    lap = graph.laplacian(c4)
+    spec = spectral.eigendecompose(lap)
+    assert spectral.integer_spectrum(lap, spec).int_eigenvalues == (0, 2, 2, 4)
+    # the star K(1,3) has the integer spectrum {0, 1, 1, 4}, not C4's
+    star = spectral.eigendecompose(graph.laplacian(graph.load_edge_list("0 1\n0 2\n0 3\n")))
+    with pytest.raises(SpectrumError, match="not all among"):
+        spectral.integer_spectrum(lap, star)
+
+
+def test_certificate_rejects_non_uniform_kernel():
+    # spectrum {0, 2} with kernel (1, -1): integral, but no Laplacian
+    with pytest.raises(SpectrumError, match="kernel is not uniform"):
+        spectral.integer_spectrum(np.array([[1.0, 1.0], [1.0, 1.0]]))
