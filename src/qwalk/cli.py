@@ -134,7 +134,7 @@ def _bipartite_context(g: Graph) -> pipelines.BipartiteContext:
     blocks = pipelines.bipartite_blocks(g)
     if blocks is None:
         raise GraphError("bipartite search needs a complete bipartite graph")
-    return pipelines.prepare_bipartite(*blocks)
+    return pipelines.prepare_bipartite(len(blocks[0]), len(blocks[1]), blocks[0] + blocks[1])
 
 
 def _synth_artifact(args, parser) -> dict:

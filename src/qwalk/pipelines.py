@@ -125,6 +125,13 @@ class LaplacianContext:
         return bool(np.all(np.abs(masses - member.mean(axis=0)) <= LEVEL_MASS_TOL))
 
     @functools.cached_property
+    def group_depths(self) -> np.ndarray:
+        """The deepest chain level holding each eigenspace group."""
+        first = [g.indices[0] for g in self.spectrum.groups]
+        held = [np.isin(first, level.indices) for level in self.chain.levels]
+        return np.sum(held, axis=0) - 1
+
+    @functools.cached_property
     def search_schedule(self) -> sched_mod.Schedule:
         """The vertex-independent reversed schedule for black-box search,
         synthesized on first use."""
@@ -144,33 +151,39 @@ def prepare(g: Graph) -> LaplacianContext:
 @dataclass(frozen=True)
 class BipartiteContext:
     """Shared read-only data reused across searches on one complete
-    bipartite graph: its adjacency spectrum and its two branch schedules."""
+    bipartite graph: its adjacency spectrum, its two branch schedules and
+    ``order``, the searched graph's vertex at each generator position."""
 
     n1: int
     n2: int
     graph: Graph
     spectrum: spectral.Spectrum
     branches: tuple[sched_mod.Schedule, sched_mod.Schedule]
+    order: tuple[int, ...]
 
 
-def prepare_bipartite(n1: int, n2: int) -> BipartiteContext:
-    """Eigendecompose the adjacency matrix and synthesize both branches."""
+def prepare_bipartite(n1: int, n2: int, order: Sequence[int] = ()) -> BipartiteContext:
+    """Eigendecompose the adjacency matrix and synthesize both branches;
+    ``order`` defaults to the identity."""
     g = complete_bipartite(n1, n2)
     spectrum = spectral.eigendecompose(adjacency(g))
-    return BipartiteContext(n1, n2, g, spectrum, sched_mod.synth_bipartite_search(n1, n2))
+    branches = sched_mod.synth_bipartite_search(n1, n2)
+    return BipartiteContext(n1, n2, g, spectrum, branches, tuple(order or range(g.n)))
 
 
-def bipartite_blocks(g: Graph) -> tuple[int, int] | None:
-    """The block sizes (n1, n2) when g is ``complete_bipartite(n1, n2)``
-    in generator order (the first n1 vertices form one block), else None.
+def bipartite_blocks(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The two blocks of g, each ascending and the first holding vertex 0,
+    when g is complete bipartite, else None.
 
-    Vertex 0 misses exactly its own block, so n1 = N - deg(0); then g is
-    complete bipartite iff it has n1 * n2 edges, each crossing the cut.
+    Colour each vertex by whether it is adjacent to vertex 0, the only
+    2-colouring a complete bipartite graph has; then g is complete
+    bipartite iff n1 * n2 edges all cross the colouring.  O(E).
     """
-    n1 = g.n - g.degree(0)
-    n2 = g.n - n1
-    if n2 and len(g.edges) == n1 * n2 and all(u < n1 <= v for u, v in g.edges):
-        return n1, n2
+    near = set(g.neighbors(0))
+    blocks = tuple(v for v in range(g.n) if v not in near), tuple(sorted(near))
+    if near and len(g.edges) == len(near) * len(blocks[0]) and all(
+            (u in near) != (v in near) for u, v in g.edges):
+        return blocks
     return None
 
 
@@ -189,8 +202,8 @@ def search_route(
     shared by every call of the returned function.
     """
     blocks = bipartite_blocks(g)
-    if blocks and blocks[0] != blocks[1]:
-        bctx = prepare_bipartite(*blocks)
+    if blocks and len(blocks[0]) != len(blocks[1]):
+        bctx = prepare_bipartite(len(blocks[0]), len(blocks[1]), blocks[0] + blocks[1])
         return "bipartite", lambda m: execute_bipartite(bctx, bctx.branches, m, threshold)
     ctx = ctx or prepare(g)
     if ctx.uniform_level_masses:
@@ -248,26 +261,27 @@ def _check_stages(ctx: LaplacianContext, schedule: sched_mod.Schedule) -> None:
 def execute_sample(
     ctx: LaplacianContext, schedule: sched_mod.Schedule, m: int
 ) -> RunReport:
-    """Run a forward schedule from vertex m, checking each stage against
-    its level target state.  Stage ends are safe projection points for the
-    ancilla."""
+    """Run a forward schedule from vertex m in its frame, checking each
+    stage against its level's kept state.  Stage ends are safe projection
+    points for the ancilla; coordinate 0 is the uniform state."""
     _check_stages(ctx, schedule)
     levels = schedule.stage_levels
-    alphas = spectral.eigenspace_amplitudes(ctx.spectrum, m)
-    pairs = depth_mod.level_states(ctx.chain, alphas)
+    frame = sim.vertex_frame(ctx.spectrum, [m])
+    row = frame.coords[0]
+    depths = ctx.group_depths[frame.group]
     stage_fids: list[float] = []
 
-    def check_stage(stage: int, state: sim.StateVector) -> None:
-        target = ctx.spectrum.eigenvectors @ pairs[levels[stage] + 1].kept
-        stage_fids.append(sim.fidelity(state, target))
+    def check_stage(stage: int, blocks: np.ndarray) -> None:
+        kept = np.where(depths > levels[stage], row, 0.0)
+        overlap = abs(np.vdot(kept, blocks[0])) ** 2
+        stage_fids.append(float(overlap / (kept @ kept) / np.linalg.norm(blocks[0]) ** 2))
 
-    state = sim.vertex_state(ctx.graph.n, m)
-    state = sim.run_schedule(state, schedule, ctx.spectrum, m, on_stage=check_stage)
+    x = frame.run(row[None], schedule, on_stage=check_stage)
     return _report(
         TASK_SAMPLE, ctx.label, ctx.graph.n, ctx.chain.depth, [schedule],
         marked=m,
         target=None,
-        fidelity=sim.fidelity(state, sim.uniform_state(ctx.graph.n)),
+        fidelity=float(abs(x[0, 0]) ** 2),
         stage_fidelities=tuple(stage_fids),
     )
 
@@ -290,14 +304,14 @@ def transfer(
     ctx = ctx or prepare(g)
     sched_u = sampling_schedule(ctx, u)
     sched_v = sampling_schedule(ctx, v)
-    state = sim.vertex_state(ctx.graph.n, u)
-    state = sim.run_schedule(state, sched_u, ctx.spectrum, u)
-    state = sim.run_schedule(state, sched_mod.dagger(sched_v), ctx.spectrum, v)
+    frame = sim.vertex_frame(ctx.spectrum, [u, v])
+    x = frame.run(frame.coords[:1], sched_u)
+    x = frame.run(x, sched_mod.dagger(sched_v), 1)
     return _report(
         TASK_TRANSFER, ctx.label, ctx.graph.n, ctx.chain.depth, [sched_u, sched_v],
         marked=u,
         target=v,
-        fidelity=sim.fidelity(state, v),
+        fidelity=float(abs(np.vdot(frame.coords[1], x[0])) ** 2),
     )
 
 
@@ -347,17 +361,18 @@ def search_promise(
 def execute_search(
     ctx: LaplacianContext, schedule: sched_mod.Schedule, marked: int, mode: str
 ) -> RunReport:
-    """Run a reversed schedule from the uniform state with the oracle bound
-    to ``marked``; the most probable vertex is the one found."""
+    """Run a reversed schedule from the uniform state (coordinate 0 of the
+    frame) with the oracle bound to ``marked``; the most probable vertex is
+    the one found."""
     _check_stages(ctx, schedule)
-    state = sim.uniform_state(ctx.graph.n)
-    state = sim.run_schedule(state, schedule, ctx.spectrum, marked)
-    found = _most_probable(sim.measure_distribution(state))
+    frame = sim.vertex_frame(ctx.spectrum, [marked])
+    x = frame.run(np.eye(1, len(frame.values)), schedule)
+    found = _most_probable(sim.measure_distribution(sim.lift(ctx.spectrum, frame, x[0])))
     return _report(
         TASK_SEARCH, ctx.label, ctx.graph.n, ctx.chain.depth, [schedule],
         marked=marked,
         target=found,
-        fidelity=sim.fidelity(state, marked),
+        fidelity=float(abs(np.vdot(frame.coords[0], x[0])) ** 2),
         search_mode=mode,
     )
 
@@ -392,10 +407,11 @@ def execute_bipartite(
     threshold: float = FIDELITY_THRESHOLD,
 ) -> RunReport:
     """Run one branch schedule per block of ``bctx`` and confirm the
-    candidates against ``marked``."""
+    candidates against ``marked``, mapped through ``bctx.order``."""
     n = bctx.graph.n
     if not 0 <= marked < n:
         raise GraphError(f"marked vertex {marked} out of range for n={n}")
+    position = bctx.order.index(marked)
     if len(branches) != 2:
         raise ScheduleError(f"bipartite search takes 2 branches, got {len(branches)}")
     if any(b.hamiltonian != sched_mod.ADJACENCY for b in branches):
@@ -405,15 +421,15 @@ def execute_bipartite(
     results = []
     for (side, start, stop), schedule in zip(blocks, branches):
         state = sim.block_uniform_state(n, start, stop)
-        state = sim.run_schedule(state, schedule, bctx.spectrum, marked)
+        state = sim.run_schedule(state, schedule, bctx.spectrum, position)
         probs = sim.measure_distribution(state)
         candidate = _most_probable(probs)
         fid_candidate = float(probs[candidate])
-        succeeded = fid_candidate >= threshold and candidate == marked
+        succeeded = fid_candidate >= threshold and candidate == position
         results.append(
             BranchResult(
                 side=side,
-                candidate=candidate,
+                candidate=bctx.order[candidate],
                 fidelity=fid_candidate,
                 succeeded=succeeded,
                 oracle_count=schedule.oracle_count,

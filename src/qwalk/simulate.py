@@ -1,14 +1,15 @@
 """Exact dense state-vector execution of schedules.
 
-States are written in the vertex basis.  ``run_schedule`` rotates the
-state into the spectrum's eigenbasis once and back once at the end (two
-O(N^2) real products on the (re, im) pairs).  In between, every op but the
-oracle is diagonal, and the oracle acts on both ancilla values: conjugated
-by the prefix U of earlier stages it is U O U^dagger = I + (e^{-i alpha}
-- 1) sum_a |w_a><w_a| with w_a = U|a, m>, exactly and for any state.  So
-every schedule, synthesized or read from JSON, costs O(N) per stage
-iteration (``_run_stages``).  ``apply_op`` and the per-op primitives
-remain the op-by-op reference.  Every primitive stays exactly unitary.
+Every op but the oracle is diagonal in the eigenbasis, and the oracle acts
+on both ancilla values: conjugated by the prefix U of earlier stages it is
+U O U^dagger = I + (e^{-i alpha} - 1) sum_a |w_a><w_a| with w_a = U|a, m>,
+exactly and for any state.  So a schedule costs O(r) per stage iteration
+in any r-dimensional frame where the walk is diagonal (``_run_stages``).
+A run from vertices S with oracles on S stays in span{E_g|s>}, which
+``vertex_frame`` spans with at most |S| coordinates per eigenvalue and no
+N x N product; ``run_schedule`` takes any vertex-basis state and rotates
+it into the eigenbasis and back, O(N^2).  ``apply_op`` and the per-op
+primitives remain the op-by-op reference; every one is exactly unitary.
 
 The ancilla qubit is the leading tensor factor (amplitude layout
 [block0, block1]), attached at the first op that needs it; only at stage
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .depth import SKIP_MASS_TOL
 from .errors import SimulationError
 from .schedule import (
     FORWARD,
@@ -267,39 +269,79 @@ def run_schedule(
     """
     _check_dimension(spectrum, state)
     vectors, n = spectrum.eigenvectors, state.n
+    row = vectors[_marked_vertex(marked, n)] if schedule.stages else None
     blocks = _rotate(vectors.T, state.amps.reshape(-1, n))
-    carried = len(blocks) == 2
-    for stage, blocks in enumerate(_run_stages(blocks, schedule, spectrum, marked)):
-        if on_stage is not None:
-            on_stage(stage, _state(_rotate(vectors, blocks).ravel(), n))
-    if len(blocks) == 2 and not carried:
-        blocks = _detached(*blocks)[None]
+    report = on_stage and (lambda i, b: on_stage(i, _state(_rotate(vectors, b).ravel(), n)))
+    blocks = _run_stages(blocks, schedule, spectrum.eigenvalues, row, report)
     return _state(_rotate(vectors, blocks).ravel(), n)
 
 
-def _run_stages(blocks, schedule, spectrum, marked):
-    """A stage tree on eigenbasis blocks, yielding the blocks after each
-    stage.  A pass over the pair w_a = U|a, m> alone stores the pair at the
-    start of each stage; then the stages run in order, each iteration a
-    fused kick and a rank-2 oracle update, or their adjoints in reverse.
-    A schedule without stages needs no marked vertex."""
-    stages = schedule.stages
-    if not stages:
-        return
-    row = spectrum.eigenvectors[_marked_vertex(marked, spectrum.n)]
-    starts = [np.eye(2)[:, :, None] * row]
-    kicks = [_kick_kernel(st, spectrum.eigenvalues) for st in stages]
+@dataclass(frozen=True)
+class Frame:
+    """Orthonormal coordinates on span{E_g|s>} over eigenspaces g and s in
+    ``vertices``: coordinate j lies in ``spectrum.groups[group[j]]``, of
+    eigenvalue ``values[j]``, and row k of ``coords`` is |vertices[k]>."""
+
+    vertices: tuple[int, ...]
+    values: np.ndarray
+    group: np.ndarray
+    coords: np.ndarray
+
+    def run(
+        self, blocks: np.ndarray, schedule: Schedule, k: int = 0,
+        on_stage: Callable[[int, np.ndarray], None] | None = None,
+    ) -> np.ndarray:
+        """``run_schedule`` on (1 or 2, r) ancilla blocks of coordinates,
+        with m = vertices[k]; ``on_stage`` gets the blocks."""
+        return _run_stages(blocks, schedule, self.values, self.coords[k], on_stage)
+
+
+def vertex_frame(spectrum: Spectrum, vertices: Sequence[int]) -> Frame:
+    """The frame of ``vertices``: per eigenspace g, the eigenvectors of the
+    Gram matrix (E_g)_st = sum over i in g of V[s, i] V[t, i] with eigenvalue
+    above ``SKIP_MASS_TOL`` (a vertex may have no mass on g).  O(N |S|^2)."""
+    vertices = tuple(_marked_vertex(v, spectrum.n) for v in vertices)
+    rows = spectrum.eigenvectors[list(vertices)]
+    starts = [g.indices[0] for g in spectrum.groups]  # groups are index runs
+    gram = np.add.reduceat(rows[:, None] * rows, starts, axis=2)
+    lam, vecs = np.linalg.eigh(gram.T)
+    group, j = np.nonzero(lam > SKIP_MASS_TOL)
+    coords = (np.sqrt(lam[group, j])[:, None] * vecs[group, :, j]).T
+    return Frame(vertices, np.array([g.value for g in spectrum.groups])[group], group, coords)
+
+
+def lift(spectrum: Spectrum, frame: Frame, x: np.ndarray) -> StateVector:
+    """The vertex-basis state with coordinates x in the frame of one vertex
+    s, where coordinate j is E_g|s> / coords[0, j]: one N x N product."""
+    per_group = np.zeros(len(spectrum.groups), dtype=complex)
+    per_group[frame.group] = x / frame.coords[0]
+    y = spectrum.eigenvectors[frame.vertices[0]] * np.repeat(
+        per_group, [g.multiplicity for g in spectrum.groups])
+    return _state(_rotate(spectrum.eigenvectors, y[None])[0], spectrum.n)
+
+
+def _run_stages(blocks, schedule, eigenvalues, row, on_stage=None):
+    """A stage tree on ancilla blocks in a frame where the walk is diagonal
+    with ``eigenvalues`` and m has coordinates ``row``.  A pass over the
+    pair w_a = U|a, m> alone stores the pair at the start of each stage;
+    then the stages run in order, each iteration a fused kick and a rank-2
+    oracle update, or their adjoints in reverse.  The norm check and the
+    detach gate close every run; a schedule without stages needs no m."""
+    stages, carried = schedule.stages, len(blocks) == 2
+    starts = [np.eye(2)[:, :, None] * row] if stages else []
+    kicks = [_kick_kernel(st, eigenvalues) for st in stages]
 
     def power(x: np.ndarray, k: int, adjoint: bool = False) -> np.ndarray:
-        # every iteration of stage k on the rows of x, shape (R, 2, N); the
+        # every iteration of stage k on the rows of x, shape (R, 2, r); the
         # kick kernel is symmetric, so its adjoint is its conjugate
         w = starts[k].reshape(2, -1)
+        w_adj = w.conj().T
         kick = kicks[k].conj() if adjoint else kicks[k]
         factor = cmath.exp((1j if adjoint else -1j) * stages[k].params.alpha) - 1
         for _ in range(stages[k].params.iterations):
             if not adjoint:
                 x = (kick * x[:, None]).sum(axis=2)
-            x = x + factor * ((x.reshape(len(x), -1) @ w.conj().T) @ w).reshape(x.shape)
+            x = x + factor * ((x.reshape(len(x), -1) @ w_adj) @ w).reshape(x.shape)
             if adjoint:
                 x = (kick * x[:, None]).sum(axis=2)
         return x
@@ -307,10 +349,14 @@ def _run_stages(blocks, schedule, spectrum, marked):
     for k in range(len(stages) - 1):
         starts.append(power(starts[k], k))
     forward = schedule.direction == FORWARD
-    x = np.vstack([blocks, np.zeros((2 - len(blocks), len(row)))])[None]
-    for k in range(len(stages)) if forward else reversed(range(len(stages))):
+    x = np.vstack([blocks, np.zeros((2 - len(blocks), blocks.shape[1]))])[None]
+    for i, k in enumerate(range(len(stages)) if forward else reversed(range(len(stages)))):
         x = power(x, k, adjoint=not forward)
-        yield x[0]
+        blocks = x[0]
+        if on_stage is not None:
+            on_stage(i, blocks)
+    StateVector(blocks.ravel(), blocks.shape[1])  # the norm check
+    return _detached(*blocks)[None] if len(blocks) == 2 and not carried else blocks
 
 
 # ---------------------------------------------------------------------------

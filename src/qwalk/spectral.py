@@ -259,14 +259,6 @@ def eigenspace_amplitudes(spectrum: Spectrum, vertex: int) -> np.ndarray:
     return amps
 
 
-def group_masses(spectrum: Spectrum, vertex: int) -> dict[float, float]:
-    """Squared projection mass of a vertex state on each eigenspace."""
-    amps = eigenspace_amplitudes(spectrum, vertex)
-    return {
-        g.value: float(np.sum(amps[list(g.indices)] ** 2)) for g in spectrum.groups
-    }
-
-
 def spectrum_to_json_dict(ints: IntegerSpectrum) -> dict:
     return {
         "eigenvalues": list(ints.int_eigenvalues),

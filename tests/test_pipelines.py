@@ -144,19 +144,45 @@ def test_search_requires_uniform_level_masses(k4_minus_edge):
     assert pipelines.search_vertex_transitive(unflagged, 4).fidelity >= THRESHOLD
 
 
+#: complete_bipartite(2, 3) with blocks {0, 2} and {1, 3, 4}
+RELABELLED_K23 = graph.load_edge_list("0 1\n0 3\n0 4\n2 1\n2 3\n2 4\n")
+
+
 def test_bipartite_blocks_from_edges():
-    assert pipelines.bipartite_blocks(graph.complete_bipartite(4, 7)) == (4, 7)
-    assert pipelines.bipartite_blocks(graph.complete_bipartite(7, 4)) == (7, 4)
-    assert pipelines.bipartite_blocks(graph.complete_bipartite(1, 3)) == (1, 3)
-    assert pipelines.bipartite_blocks(graph.hamming(1, 2)) == (1, 1)
+    def sizes(g):
+        return tuple(map(len, pipelines.bipartite_blocks(g)))
+
+    k47 = pipelines.bipartite_blocks(graph.complete_bipartite(4, 7))
+    assert k47 == (tuple(range(4)), tuple(range(4, 11)))
+    assert sizes(graph.complete_bipartite(7, 4)) == (7, 4)
+    assert sizes(graph.complete_bipartite(1, 3)) == (1, 3)
+    assert sizes(graph.hamming(1, 2)) == (1, 1)
     # the blocks come from the edges, whatever the tag says
     untagged = graph.load_edge_list(graph.dump_edge_list(graph.complete_bipartite(2, 3)))
-    assert pipelines.bipartite_blocks(untagged) == (2, 3)
+    assert sizes(untagged) == (2, 3)
     missing = graph.graph_from_edges(5, set(untagged.edges) - {(1, 4)})
     assert pipelines.bipartite_blocks(missing) is None
-    assert pipelines.bipartite_blocks(graph.rook(2, 2)) is None  # C4 is K(2,2) relabelled
+    # and from a 2-colouring, whatever the vertex order: C4 is K(2,2)
+    assert pipelines.bipartite_blocks(graph.rook(2, 2)) == ((0, 3), (1, 2))
+    assert pipelines.bipartite_blocks(RELABELLED_K23) == ((0, 2), (1, 3, 4))
     assert pipelines.bipartite_blocks(graph.johnson(3, 1)) is None
     assert pipelines.bipartite_blocks(graph.single_vertex()) is None
+
+
+def test_relabelled_complete_bipartite_routes_bipartite():
+    # the branches run in generator order; the report speaks the graph's
+    # labels, and a failing branch names the lowest vertex of its block
+    route, search = pipelines.search_route(RELABELLED_K23)
+    assert route == "bipartite"
+    for m in range(5):
+        report = search(m)
+        reference = pipelines.search_bipartite(2, 3, [0, 2, 1, 3, 4].index(m))
+        assert report.target == m
+        assert report.fidelity == pytest.approx(reference.fidelity, abs=1e-12)
+        assert report.oracle_count == reference.oracle_count
+        for branch in report.branches:
+            lowest = 0 if branch.side == 1 else 1
+            assert branch.candidate == (m if branch.succeeded else lowest)
 
 
 def test_chang_graphs_search_black_box(chang_graphs):
@@ -244,10 +270,12 @@ def test_vertex_transitive_graphs_route_blackbox():
             checked += 1
     assert checked > 100
     # an implication, not an iff: path3 is not vertex-transitive, but at
-    # depth 1 its level masses are uniform all the same
+    # depth 1 its level masses are uniform all the same; as K(1,2) it
+    # takes the two-branch route first
     path3 = graph.load_edge_list("0 1\n1 2\n")
     assert not check_vertex_transitive_bruteforce(path3)
-    assert pipelines.search_route(path3)[0] == "blackbox"
+    assert pipelines.prepare(path3).uniform_level_masses
+    assert pipelines.search_route(path3)[0] == "bipartite"
 
 
 def test_promise_search_on_path_graph():
@@ -372,10 +400,11 @@ def test_verify_k4_minus_edge_uses_promise_route(k4_minus_edge):
     assert {r.search_mode for r in result.reports if r.task == "search"} == {"promise"}
 
 
-def test_verify_path3_uses_blackbox_route():
+def test_verify_path3_uses_bipartite_route():
+    # path3 is complete_bipartite(1, 2) with the centre relabelled 1
     path3 = graph.load_edge_list("0 1\n1 2\n")
     result = pipelines.verify_graph(path3)
-    assert result.search_route == "blackbox"
+    assert result.search_route == "bipartite"
     assert result.min_fidelity >= THRESHOLD
 
 

@@ -452,3 +452,167 @@ def test_stage_executor_marked_vertex_errors(c4_spec, c4):
         simulate.run_schedule(simulate.vertex_state(4, 0), tree, c4_spec)
     with pytest.raises(SimulationError, match="out of range"):
         simulate.run_schedule(simulate.vertex_state(4, 0), tree, c4_spec, 4)
+
+
+# ---------------------------------------------------------------------------
+# Vertex frames: the pipelines' executor against run_schedule and op by op
+# ---------------------------------------------------------------------------
+
+#: (sample and search vertices, transfer pairs); K(2,3) pairs lie within
+#: block {0, 1}, within block {2, 3, 4} and across
+FRAME_CASES = {
+    "rook33": ((0, 4, 8), ((0, 8), (4, 1))),
+    "k4_minus_edge": ((0, 2, 3), ((0, 1), (2, 3), (0, 2))),
+    "k23": ((0, 1, 2, 4), ((0, 1), (2, 4), (0, 4), (3, 1))),
+    "chang": ((0, 13, 27), ((0, 27), (5, 6))),
+    "hamming102": ((0, 1000), ((0, 1023), (7, 300))),
+}
+
+
+@pytest.fixture(params=list(FRAME_CASES))
+def frame_case(request, k4_minus_edge, chang_graphs):
+    g = {
+        "rook33": lambda: graph.rook(3, 3),
+        "k4_minus_edge": lambda: k4_minus_edge,
+        "k23": lambda: graph.complete_bipartite(2, 3),
+        "chang": lambda: chang_graphs["C8"],
+        "hamming102": lambda: graph.hamming(10, 2),
+    }[request.param]()
+    # the op-by-op reference makes two N x N products per op
+    return pipelines.prepare(g), *FRAME_CASES[request.param], g.n <= 64
+
+
+def frame_basis(spec, frame):
+    """The frame's vectors as vertex-basis columns: coordinate j of group g
+    is sum over s of coords[s, j] E_g|s>, over its Gram eigenvalue."""
+    v, rows = spec.eigenvectors, list(frame.vertices)
+    columns = []
+    for j, g in enumerate(frame.group):
+        idx = list(spec.groups[g].indices)
+        c = frame.coords[:, j]
+        columns.append(v[:, idx] @ v[rows][:, idx].T @ c / (c @ c))
+    return np.array(columns).T
+
+
+def assert_close(a, b):
+    assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-12
+
+
+def test_vertex_frame_is_orthonormal_and_holds_its_vertices(frame_case):
+    ctx, vertices, pairs, _ = frame_case
+    groups = len(ctx.spectrum.groups)
+    for s in [(m,) for m in vertices] + list(pairs):
+        frame = simulate.vertex_frame(ctx.spectrum, s)
+        basis = frame_basis(ctx.spectrum, frame)
+        assert len(frame.values) <= len(s) * groups
+        assert_close(basis.T @ basis, np.eye(len(frame.values)))
+        for k, vertex in enumerate(s):
+            assert_close(basis @ frame.coords[k], np.eye(ctx.graph.n)[vertex])
+
+
+def test_vertex_frame_drops_empty_eigenspaces():
+    # K(2,3) has Laplacian eigenspaces 0, 2 (on block {2,3,4}, dimension
+    # 2), 3 (on block {0,1}, dimension 1) and 5 (dimension 1)
+    spec = pipelines.prepare(graph.complete_bipartite(2, 3)).spectrum
+    for s, values in [((0,), [0, 3, 5]), ((4,), [0, 2, 5]),
+                      ((0, 1), [0, 3, 5]), ((2, 4), [0, 2, 2, 5]), ((0, 4), [0, 2, 3, 5])]:
+        frame = simulate.vertex_frame(spec, s)
+        assert np.allclose(frame.values, values, atol=1e-9)
+    with pytest.raises(SimulationError, match="out of range"):
+        simulate.vertex_frame(spec, [5])
+
+
+def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
+    ctx, vertices, _, op_by_op_too = frame_case
+    spec, n = ctx.spectrum, ctx.graph.n
+    for m in vertices:
+        sched = pipelines.sampling_schedule(ctx, m)
+        frame = simulate.vertex_frame(spec, [m])
+        row = frame.coords[0]
+        got = frame.run(row[None], sched)
+        lifted = simulate.lift(spec, frame, got[0])
+        assert_close(lifted.amps, frame_basis(spec, frame) @ got[0])
+
+        pairs = depth.level_states(ctx.chain, spectral.eigenspace_amplitudes(spec, m))
+        stage_fids = []
+
+        def check(i, state):
+            target = spec.eigenvectors @ pairs[sched.stage_levels[i] + 1].kept
+            stage_fids.append(simulate.fidelity(state, target))
+
+        ref = simulate.run_schedule(simulate.vertex_state(n, m), sched, spec, m, on_stage=check)
+        assert_close(lifted.amps, ref.amps)
+        report = pipelines.execute_sample(ctx, sched, m)
+        assert_close(report.stage_fidelities, stage_fids)
+        assert_close(report.fidelity, simulate.fidelity(ref, simulate.uniform_state(n)))
+        if op_by_op_too:
+            assert_close(lifted.amps, op_by_op(simulate.vertex_state(n, m), sched, spec, m)[0].amps)
+
+
+def test_frame_transfer_matches_run_schedule_and_op_by_op(frame_case):
+    ctx, _, pairs, op_by_op_too = frame_case
+    spec, n = ctx.spectrum, ctx.graph.n
+    for u, v in pairs:
+        fwd, back = pipelines.sampling_schedule(ctx, u), pipelines.sampling_schedule(ctx, v)
+        back = schedule.dagger(back)
+        frame = simulate.vertex_frame(spec, [u, v])
+        x = frame.run(frame.coords[:1], fwd)
+        x = frame.run(x, back, 1)
+        got = frame_basis(spec, frame) @ x[0]
+
+        ref = simulate.run_schedule(simulate.vertex_state(n, u), fwd, spec, u)
+        ref = simulate.run_schedule(ref, back, spec, v)
+        assert_close(got, ref.amps)
+        assert_close(pipelines.transfer(ctx.graph, u, v, ctx=ctx).fidelity,
+                     simulate.fidelity(ref, v))
+        if op_by_op_too:
+            mid = op_by_op(simulate.vertex_state(n, u), fwd, spec, u)[0]
+            assert_close(got, op_by_op(mid, back, spec, v)[0].amps)
+
+
+def test_frame_search_matches_run_schedule_and_op_by_op(frame_case):
+    ctx, vertices, _, op_by_op_too = frame_case
+    spec, n = ctx.spectrum, ctx.graph.n
+    for m in vertices:
+        if ctx.uniform_level_masses:
+            sched = pipelines.transitive_search_schedule(ctx)
+        else:
+            sched = schedule.dagger(pipelines.sampling_schedule(ctx, m))
+        frame = simulate.vertex_frame(spec, [m])
+        row = frame.coords[0]
+        x = frame.run(np.eye(1, len(row)), sched)
+        got = simulate.lift(spec, frame, x[0])
+
+        ref = simulate.run_schedule(simulate.uniform_state(n), sched, spec, m)
+        assert_close(got.amps, ref.amps)
+        report = pipelines.execute_search(ctx, sched, m, "promise")
+        assert report.target == m
+        assert report.target == pipelines._most_probable(simulate.measure_distribution(ref))
+        assert_close(report.fidelity, simulate.fidelity(ref, m))
+        if op_by_op_too:
+            assert_close(got.amps, op_by_op(simulate.uniform_state(n), sched, spec, m)[0].amps)
+
+
+def test_frame_runs_keep_the_norm_check_and_detach_gate():
+    ctx = pipelines.prepare(graph.rook(3, 3))
+    frame = simulate.vertex_frame(ctx.spectrum, [0, 1])
+    sched = pipelines.sampling_schedule(ctx, 0)
+    with pytest.raises(SimulationError, match="norm defect"):
+        frame.run(2 * frame.coords[:1], sched)
+    # the oracle on vertex 1 under vertex 0's schedule leaves the ancilla
+    # entangled at the end
+    with pytest.raises(SimulationError, match="ancilla entangled"):
+        frame.run(frame.coords[:1], sched, 1)
+
+
+def test_frame_pipelines_make_no_dense_products(monkeypatch):
+    g = graph.hamming(6, 2)
+    ctx = pipelines.prepare(g)
+    calls = []
+    rotate = simulate._rotate
+    monkeypatch.setattr(simulate, "_rotate", lambda *args: calls.append(1) or rotate(*args))
+    pipelines.uniform_sample(g, 3, ctx=ctx)
+    pipelines.transfer(g, 0, 63, ctx=ctx)
+    assert not calls
+    assert pipelines.search_vertex_transitive(g, 5, ctx=ctx).target == 5
+    assert len(calls) <= 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qwalk import depth, graph, spectral
+from qwalk import depth, graph, simulate, spectral
 from qwalk.errors import SpectrumError
 
 
@@ -170,11 +170,23 @@ def test_amplitudes_out_of_range(c4):
         spectral.eigenspace_amplitudes(spec, 4)
 
 
+def frame_masses(spec, v):
+    """Vertex v's mass on each eigenspace, from its executor frame."""
+    frame = simulate.vertex_frame(spec, [v])
+    return dict(zip(frame.values, frame.coords[0] ** 2))
+
+
+def pair_gram(spec, u, v):
+    """(E_g)_uv for every eigenspace g, from the frame of {u, v}."""
+    frame = simulate.vertex_frame(spec, [u, v])
+    return np.bincount(frame.group, frame.coords[0] * frame.coords[1], len(spec.groups))
+
+
 def test_c4_vertex_masses(c4):
     # by hand: eigenvectors (1,1,1,1)/2, (1,0,-1,0)/sqrt2, (0,1,0,-1)/sqrt2,
     # (1,-1,1,-1)/2 give vertex-0 masses 1/4, 1/2, 1/4
     spec = spectral.eigendecompose(graph.laplacian(c4))
-    masses = spectral.group_masses(spec, 0)
+    masses = frame_masses(spec, 0)
     by_value = {int(round(k)): v for k, v in masses.items()}
     assert by_value[0] == pytest.approx(0.25, abs=1e-10)
     assert by_value[2] == pytest.approx(0.5, abs=1e-10)
@@ -182,6 +194,8 @@ def test_c4_vertex_masses(c4):
 
 
 def test_masses_invariant_under_degenerate_remixing(c4):
+    # the executor runs on these masses and Gram entries, so they must not
+    # depend on the basis the solver picks inside a degenerate eigenspace
     rng = np.random.default_rng(7)
     for g in [c4, graph.johnson(5, 2)]:
         spec = spectral.eigendecompose(graph.laplacian(g))
@@ -195,10 +209,13 @@ def test_masses_invariant_under_degenerate_remixing(c4):
             vectors[:, idx] = vectors[:, idx] @ q
         remixed = spectral.Spectrum(spec.eigenvalues, vectors, spec.groups)
         for v in range(g.n):
-            a = spectral.group_masses(spec, v)
-            b = spectral.group_masses(remixed, v)
+            a = frame_masses(spec, v)
+            b = frame_masses(remixed, v)
+            assert a.keys() == b.keys()
             for key in a:
                 assert a[key] == pytest.approx(b[key], abs=1e-10)
+            u = (v + 1) % g.n
+            assert np.allclose(pair_gram(spec, u, v), pair_gram(remixed, u, v), atol=1e-10)
 
 
 def test_transitive_masses_match_multiplicity_over_n(sampling_suite):
