@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import depth as depth_mod
 from . import pipelines, schedule as sched_mod, spectral
-from .errors import GraphError, QwalkError
+from .errors import QwalkError
 from .graph import (
     Graph,
     build_family,
@@ -130,18 +130,11 @@ def _cmd_depth(args, parser) -> int:
     return 0
 
 
-def _bipartite_context(g: Graph) -> pipelines.BipartiteContext:
-    blocks = pipelines.bipartite_blocks(g)
-    if blocks is None:
-        raise GraphError("bipartite search needs a complete bipartite graph")
-    return pipelines.prepare_bipartite(len(blocks[0]), len(blocks[1]), blocks[0] + blocks[1])
-
-
 def _synth_artifact(args, parser) -> dict:
     g = _resolve_graph(args, parser)
     probe = args.marked if args.marked is not None else 0
     if args.task == "bipartite":
-        bctx = _bipartite_context(g)
+        bctx = pipelines.prepare_bipartite(g)
         report = pipelines.execute_bipartite(bctx, bctx.branches, probe)
         schedules = {"branches": [sched_mod.schedule_to_json_dict(s) for s in bctx.branches]}
     else:
@@ -184,12 +177,11 @@ def _resimulate_artifact(
     except (ValueError, KeyError, TypeError) as exc:
         raise QwalkError(f"malformed artifact {path}: {type(exc).__name__}: {exc}") from exc
     if task == pipelines.TASK_BIPARTITE:
-        return pipelines.execute_bipartite(_bipartite_context(g), schedules, m, threshold)
+        bctx = pipelines.prepare_bipartite(g)
+        return pipelines.execute_bipartite(bctx, schedules, m, threshold)
     ctx = pipelines.prepare(g)
     if task == pipelines.TASK_SAMPLE:
         return pipelines.execute_sample(ctx, schedules[0], m)
-    if not ctx.uniform_level_masses:
-        raise GraphError("search artifact graph has vertex-dependent level masses")
     return pipelines.execute_search(ctx, schedules[0], m, "blackbox")
 
 
@@ -216,10 +208,9 @@ def _cmd_run(args, parser) -> int:
     else:  # bipartite
         if args.marked is None:
             parser.error("run bipartite requires --marked")
-        bctx = _bipartite_context(_resolve_graph(args, parser))
-        report = pipelines.execute_bipartite(
-            bctx, bctx.branches, args.marked, args.fidelity_threshold
-        )
+        bctx = pipelines.prepare_bipartite(_resolve_graph(args, parser))
+        report = pipelines.execute_bipartite(bctx, bctx.branches, args.marked,
+                                             args.fidelity_threshold)
     emit_report(report, args.format, args.out)
     return 0
 

@@ -14,6 +14,7 @@ eigenvalues keep their identity and projections stay exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -60,6 +61,15 @@ class DepthChain:
 
     def complement_values(self, k: int) -> list[int]:
         return sorted(self.values[i] for i in self.levels[k].complement)
+
+    @functools.cached_property
+    def index_depths(self) -> np.ndarray:
+        """The deepest level holding each eigen-index; the levels are
+        nested, so index i lies in level k iff ``index_depths[i] >= k``."""
+        depths = np.zeros(len(self.values), dtype=int)
+        for k, level in enumerate(self.levels[1:], 1):
+            depths[list(level.indices)] = k
+        return depths
 
 
 @dataclass(frozen=True)
@@ -118,9 +128,10 @@ def _level_masses(chain: DepthChain, alphas: np.ndarray) -> np.ndarray:
             f"amplitude vector length {len(a)} does not match chain size "
             f"{len(chain.values)}"
         )
-    return np.array(
-        [float(np.sum(a[list(level.indices)] ** 2)) for level in chain.levels]
-    )
+    # summed in index order, level by level: a stage whose overlap puts
+    # the matched phase near pi magnifies any other rounding in its angle
+    squares, depths = a**2, chain.index_depths
+    return np.array([squares[depths >= k].sum() for k in range(len(chain.levels))])
 
 
 def level_states(chain: DepthChain, alphas: np.ndarray) -> list[LevelStatePair]:
@@ -132,23 +143,17 @@ def level_states(chain: DepthChain, alphas: np.ndarray) -> list[LevelStatePair]:
     """
     a = np.asarray(alphas, dtype=float)
     masses = _level_masses(chain, a)
+    depths = chain.index_depths
     pairs: list[LevelStatePair] = []
-    for k, level in enumerate(chain.levels):
+    for k in range(len(chain.levels)):
         if masses[k] <= SKIP_MASS_TOL:
             raise DepthError(f"level {k} kept mass vanished; inconsistent amplitudes")
-        kept = np.zeros(len(a))
-        idx = list(level.indices)
-        kept[idx] = a[idx]
-        kept /= np.sqrt(masses[k])
-        split = None
-        if level.complement:
-            cidx = list(level.complement)
-            cmass = float(np.sum(a[cidx] ** 2))
-            if cmass > SKIP_MASS_TOL:
-                split = np.zeros(len(a))
-                split[cidx] = a[cidx]
-                split /= np.sqrt(cmass)
-        pairs.append(LevelStatePair(k, kept, split))
+        kept = np.where(depths >= k, a, 0.0) / np.sqrt(masses[k])
+        # level k splits off the indices of depth k - 1
+        split = np.where(depths == k - 1, a, 0.0)
+        cmass = float(split @ split)
+        pairs.append(LevelStatePair(
+            k, kept, split / np.sqrt(cmass) if cmass > SKIP_MASS_TOL else None))
     return pairs
 
 

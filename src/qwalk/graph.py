@@ -56,9 +56,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(u + w - v for u, w in self.edges if v in (u, w))
-
 
 def _is_connected(n: int, edges: Iterable[Edge]) -> bool:
     adj: list[list[int]] = [[] for _ in range(n)]

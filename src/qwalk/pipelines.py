@@ -6,7 +6,9 @@ followed by the adjoint schedule for the destination), deterministic
 search on graphs whose vertices all have the same level masses (the
 reversed vertex-independent schedule applied to the uniform state), and
 the two-branch search on complete bipartite graphs driven by the
-adjacency walk.
+adjacency walk.  Every search route runs each branch, a reversed schedule
+from the uniform state on a vertex set, in the marked vertex's frame of
+the Laplacian or adjacency spectrum (``_run_branch``).
 
 Success is declared by fidelity threshold on the exact final state, not by
 sampled measurement; ``measure_distribution`` exists for demonstration.
@@ -20,7 +22,7 @@ import io
 import math
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -104,9 +106,21 @@ class LaplacianContext:
     ints: spectral.IntegerSpectrum
     chain: depth_mod.DepthChain
 
+    hamiltonian = sched_mod.LAPLACIAN
+
     @property
     def label(self) -> str:
         return self.graph.family or f"custom(n={self.graph.n})"
+
+    @functools.cached_property
+    def walk_times(self) -> tuple[float, ...]:
+        """The walk time of a stage at each level: its reflection time."""
+        return tuple(sched_mod.reflection_time(level.gcd) for level in self.chain.levels[:-1])
+
+    @functools.cached_property
+    def uniform_coeffs(self) -> np.ndarray:
+        """The eigen-coefficients of the uniform state, where search starts."""
+        return self.spectrum.eigenvectors.sum(axis=0) / math.sqrt(self.graph.n)
 
     @functools.cached_property
     def uniform_level_masses(self) -> bool:
@@ -118,18 +132,14 @@ class LaplacianContext:
         & McKay 1980); levels are unions of eigenspaces, so the masses do
         not depend on the basis inside a degenerate eigenspace.
         """
-        member = np.zeros((self.graph.n, len(self.chain.levels)))
-        for k, level in enumerate(self.chain.levels):
-            member[list(level.indices), k] = 1.0
+        member = self.chain.index_depths[:, None] >= np.arange(len(self.chain.levels))
         masses = self.spectrum.eigenvectors**2 @ member
         return bool(np.all(np.abs(masses - member.mean(axis=0)) <= LEVEL_MASS_TOL))
 
     @functools.cached_property
     def group_depths(self) -> np.ndarray:
         """The deepest chain level holding each eigenspace group."""
-        first = [g.indices[0] for g in self.spectrum.groups]
-        held = [np.isin(first, level.indices) for level in self.chain.levels]
-        return np.sum(held, axis=0) - 1
+        return self.chain.index_depths[[g.indices[0] for g in self.spectrum.groups]]
 
     @functools.cached_property
     def search_schedule(self) -> sched_mod.Schedule:
@@ -151,24 +161,39 @@ def prepare(g: Graph) -> LaplacianContext:
 @dataclass(frozen=True)
 class BipartiteContext:
     """Shared read-only data reused across searches on one complete
-    bipartite graph: its adjacency spectrum, its two branch schedules and
-    ``order``, the searched graph's vertex at each generator position."""
+    bipartite graph: its adjacency spectrum, its two blocks (as
+    ``bipartite_blocks`` gives them) and one branch schedule per block."""
 
-    n1: int
-    n2: int
     graph: Graph
     spectrum: spectral.Spectrum
+    blocks: tuple[tuple[int, ...], tuple[int, ...]]
     branches: tuple[sched_mod.Schedule, sched_mod.Schedule]
-    order: tuple[int, ...]
+
+    hamiltonian = sched_mod.ADJACENCY
+
+    @property
+    def walk_times(self) -> tuple[float]:
+        """The one level's walk time, pi / sqrt(n1 * n2)."""
+        return (math.pi / math.sqrt(len(self.blocks[0]) * len(self.blocks[1])),)
+
+    @functools.cached_property
+    def block_coeffs(self) -> np.ndarray:
+        """Row i: the eigen-coefficients of the uniform state on block i,
+        where branch i starts."""
+        vectors = self.spectrum.eigenvectors
+        return np.array([vectors[list(block)].sum(axis=0) / math.sqrt(len(block))
+                         for block in self.blocks])
 
 
-def prepare_bipartite(n1: int, n2: int, order: Sequence[int] = ()) -> BipartiteContext:
-    """Eigendecompose the adjacency matrix and synthesize both branches;
-    ``order`` defaults to the identity."""
-    g = complete_bipartite(n1, n2)
+def prepare_bipartite(g: Graph) -> BipartiteContext:
+    """Find g's blocks, eigendecompose its adjacency matrix and synthesize
+    both branches."""
+    blocks = bipartite_blocks(g)
+    if blocks is None:
+        raise GraphError("bipartite search needs a complete bipartite graph")
     spectrum = spectral.eigendecompose(adjacency(g))
-    branches = sched_mod.synth_bipartite_search(n1, n2)
-    return BipartiteContext(n1, n2, g, spectrum, branches, tuple(order or range(g.n)))
+    branches = sched_mod.synth_bipartite_search(len(blocks[0]), len(blocks[1]))
+    return BipartiteContext(g, spectrum, blocks, branches)
 
 
 def bipartite_blocks(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -179,7 +204,7 @@ def bipartite_blocks(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None
     2-colouring a complete bipartite graph has; then g is complete
     bipartite iff n1 * n2 edges all cross the colouring.  O(E).
     """
-    near = set(g.neighbors(0))
+    near = {v for u, v in g.edges if u == 0}  # edges are pairs (u, v) with u < v
     blocks = tuple(v for v in range(g.n) if v not in near), tuple(sorted(near))
     if near and len(g.edges) == len(near) * len(blocks[0]) and all(
             (u in near) != (v in near) for u, v in g.edges):
@@ -203,7 +228,7 @@ def search_route(
     """
     blocks = bipartite_blocks(g)
     if blocks and len(blocks[0]) != len(blocks[1]):
-        bctx = prepare_bipartite(len(blocks[0]), len(blocks[1]), blocks[0] + blocks[1])
+        bctx = prepare_bipartite(g)
         return "bipartite", lambda m: execute_bipartite(bctx, bctx.branches, m, threshold)
     ctx = ctx or prepare(g)
     if ctx.uniform_level_masses:
@@ -241,20 +266,21 @@ def sampling_schedule(ctx: LaplacianContext, m: int) -> sched_mod.Schedule:
     return sched_mod.synth_sampling_schedule(ctx.chain, overlaps)
 
 
-def _check_stages(ctx: LaplacianContext, schedule: sched_mod.Schedule) -> None:
-    """Reject a schedule that cannot run on ctx's Laplacian: one for another
-    Hamiltonian, or a stage whose walk time is not the reflection time of
-    the chain level it claims.  O(depth)."""
-    if schedule.hamiltonian != sched_mod.LAPLACIAN:
-        raise ScheduleError(f"a {schedule.hamiltonian} schedule cannot run on the Laplacian")
-    levels = ctx.chain.levels
+def _check_stages(ctx: LaplacianContext | BipartiteContext,
+                  schedule: sched_mod.Schedule) -> None:
+    """Reject a schedule that cannot run on ctx: one for another
+    Hamiltonian, or a stage whose walk time is not ``ctx.walk_times`` at
+    the level it claims.  O(depth)."""
+    if schedule.hamiltonian != ctx.hamiltonian:
+        raise ScheduleError(
+            f"a {schedule.hamiltonian} schedule cannot run on the {ctx.hamiltonian} walk")
+    times = ctx.walk_times
     for stage in schedule.stages:
-        if not (0 <= stage.level < ctx.chain.depth and math.isclose(
-                stage.walk_time, sched_mod.reflection_time(levels[stage.level].gcd),
-                rel_tol=1e-9)):
+        if not (0 <= stage.level < len(times) and math.isclose(
+                stage.walk_time, times[stage.level], rel_tol=1e-9)):
             raise ScheduleError(
                 f"stage at level {stage.level} walks for {stage.walk_time:.12g}, "
-                "not the reflection time of that depth-chain level"
+                "not the reflection time of that level"
             )
 
 
@@ -336,11 +362,6 @@ def search_vertex_transitive(
     time, so the emitted bytes are identical for every hidden vertex.
     """
     ctx = ctx or prepare(g)
-    if not ctx.uniform_level_masses:
-        raise GraphError(
-            "level masses depend on the vertex; use search_promise or the "
-            "bipartite route"
-        )
     return execute_search(ctx, transitive_search_schedule(ctx), marked, "blackbox")
 
 
@@ -361,20 +382,36 @@ def search_promise(
 def execute_search(
     ctx: LaplacianContext, schedule: sched_mod.Schedule, marked: int, mode: str
 ) -> RunReport:
-    """Run a reversed schedule from the uniform state (coordinate 0 of the
-    frame) with the oracle bound to ``marked``; the most probable vertex is
-    the one found."""
+    """Run a reversed schedule from the uniform state with the oracle bound
+    to ``marked``; the most probable vertex is the one found.  The
+    black-box mode needs every vertex to have the same level masses."""
     _check_stages(ctx, schedule)
-    frame = sim.vertex_frame(ctx.spectrum, [marked])
-    x = frame.run(np.eye(1, len(frame.values)), schedule)
-    found = _most_probable(sim.measure_distribution(sim.lift(ctx.spectrum, frame, x[0])))
+    if mode == "blackbox" and not ctx.uniform_level_masses:
+        raise GraphError("level masses depend on the vertex; use search_promise "
+                         "or the bipartite route")
+    fidelity, probs = _run_branch(ctx.spectrum, ctx.uniform_coeffs, schedule, marked)
     return _report(
         TASK_SEARCH, ctx.label, ctx.graph.n, ctx.chain.depth, [schedule],
         marked=marked,
-        target=found,
-        fidelity=float(abs(np.vdot(frame.coords[0], x[0])) ** 2),
+        target=_most_probable(probs),
+        fidelity=fidelity,
         search_mode=mode,
     )
+
+
+def _run_branch(spectrum: spectral.Spectrum, start: np.ndarray,
+                schedule: sched_mod.Schedule, marked: int) -> tuple[float, np.ndarray]:
+    """Run a reversed schedule in marked's frame from the state with
+    eigen-coefficients ``start``, a uniform state on a vertex set whose
+    projection on each eigenspace g is parallel to E_g|marked>; return the
+    fidelity with |marked> and the vertex distribution.  Coordinate j of
+    the start is <marked|E_g|start> / coords[0, j], O(N)."""
+    frame = sim.vertex_frame(spectrum, [marked])
+    group_starts = [g.indices[0] for g in spectrum.groups]
+    x = np.add.reduceat(spectrum.eigenvectors[marked] * start, group_starts)[frame.group]
+    x = frame.run((x / frame.coords[0])[None], schedule)[0]
+    fidelity = float(abs(np.vdot(frame.coords[0], x)) ** 2)
+    return fidelity, sim.measure_distribution(sim.lift(spectrum, frame, x))
 
 
 def _most_probable(probs: np.ndarray) -> int:
@@ -396,7 +433,7 @@ def search_bipartite(
     against the oracle, which is what a physical run would do by
     measurement and one check query.
     """
-    bctx = prepare_bipartite(n1, n2)
+    bctx = prepare_bipartite(complete_bipartite(n1, n2))
     return execute_bipartite(bctx, bctx.branches, marked, threshold)
 
 
@@ -407,39 +444,24 @@ def execute_bipartite(
     threshold: float = FIDELITY_THRESHOLD,
 ) -> RunReport:
     """Run one branch schedule per block of ``bctx`` and confirm the
-    candidates against ``marked``, mapped through ``bctx.order``."""
-    n = bctx.graph.n
-    if not 0 <= marked < n:
-        raise GraphError(f"marked vertex {marked} out of range for n={n}")
-    position = bctx.order.index(marked)
+    candidates against ``marked``."""
     if len(branches) != 2:
         raise ScheduleError(f"bipartite search takes 2 branches, got {len(branches)}")
-    if any(b.hamiltonian != sched_mod.ADJACENCY for b in branches):
-        raise ScheduleError("bipartite branches must run on the adjacency matrix")
-    walk_time = math.pi / math.sqrt(bctx.n1 * bctx.n2)
-    blocks = ((1, 0, bctx.n1), (2, bctx.n1, n))
     results = []
-    for (side, start, stop), schedule in zip(blocks, branches):
-        state = sim.block_uniform_state(n, start, stop)
-        state = sim.run_schedule(state, schedule, bctx.spectrum, position)
-        probs = sim.measure_distribution(state)
+    for side, (start, schedule) in enumerate(zip(bctx.block_coeffs, branches), 1):
+        _check_stages(bctx, schedule)
+        _, probs = _run_branch(bctx.spectrum, start, schedule, marked)
         candidate = _most_probable(probs)
-        fid_candidate = float(probs[candidate])
-        succeeded = fid_candidate >= threshold and candidate == position
-        results.append(
-            BranchResult(
-                side=side,
-                candidate=bctx.order[candidate],
-                fidelity=fid_candidate,
-                succeeded=succeeded,
-                oracle_count=schedule.oracle_count,
-                total_time=schedule.total_time,
-                walk_time=walk_time,
-            )
-        )
+        fid = float(probs[candidate])
+        results.append(BranchResult(
+            side=side, candidate=candidate, fidelity=fid,
+            succeeded=fid >= threshold and candidate == marked,
+            oracle_count=schedule.oracle_count, total_time=schedule.total_time,
+            walk_time=bctx.walk_times[0]))
     winner = next((b for b in results if b.succeeded), None)
     return _report(
-        TASK_BIPARTITE, bctx.graph.family, n, 1, branches,
+        TASK_BIPARTITE, "complete_bipartite({},{})".format(*map(len, bctx.blocks)),
+        bctx.graph.n, 1, branches,
         marked=marked,
         target=winner.candidate if winner else None,
         fidelity=winner.fidelity if winner else max(b.fidelity for b in results),
@@ -499,35 +521,13 @@ CSV_HEADER = "graph,task,m,fidelity,p,T,d,bound_ratio"
 
 
 def report_to_json_dict(report: RunReport) -> dict:
-    data = {
-        "task": report.task,
-        "graph": report.graph,
-        "n": report.n,
-        "depth": report.depth,
-        "marked": report.marked,
-        "target": report.target,
-        "fidelity": report.fidelity,
-        "oracle_count": report.oracle_count,
-        "total_time": report.total_time,
-        "bound_ratio": report.bound_ratio,
-        "ancilla_phase_time": report.ancilla_phase_time,
-        "stage_fidelities": list(report.stage_fidelities),
-    }
-    if report.search_mode is not None:
-        data["search_mode"] = report.search_mode
-    if report.branches:
-        data["branches"] = [
-            {
-                "side": b.side,
-                "candidate": b.candidate,
-                "fidelity": b.fidelity,
-                "succeeded": b.succeeded,
-                "oracle_count": b.oracle_count,
-                "total_time": b.total_time,
-                "walk_time": b.walk_time,
-            }
-            for b in report.branches
-        ]
+    """The report's fields, without ``search_mode`` and ``branches`` when
+    they are unset."""
+    data = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(report).items()}
+    if report.search_mode is None:
+        del data["search_mode"]
+    if not report.branches:
+        del data["branches"]
     return data
 
 

@@ -7,9 +7,11 @@ exactly and for any state.  So a schedule costs O(r) per stage iteration
 in any r-dimensional frame where the walk is diagonal (``_run_stages``).
 A run from vertices S with oracles on S stays in span{E_g|s>}, which
 ``vertex_frame`` spans with at most |S| coordinates per eigenvalue and no
-N x N product; ``run_schedule`` takes any vertex-basis state and rotates
-it into the eigenbasis and back, O(N^2).  ``apply_op`` and the per-op
-primitives remain the op-by-op reference; every one is exactly unitary.
+N x N product; every pipeline runs there, on the Laplacian or the
+adjacency spectrum.  ``run_schedule`` takes any vertex-basis state and
+rotates it into the eigenbasis and back, O(N^2); it, ``apply_op`` and the
+per-op primitives are the references the frame runs are tested against,
+and every one is exactly unitary.
 
 The ancilla qubit is the leading tensor factor (amplitude layout
 [block0, block1]), attached at the first op that needs it; only at stage

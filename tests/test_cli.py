@@ -250,6 +250,47 @@ def cwalks(data):
     return [op for op in data["schedule"]["ops"] if op["op"] == "cwalk"]
 
 
+@pytest.mark.parametrize("factor", [3.0, 1.5])
+def test_bipartite_walk_times_are_checked(tmp_path, capsys, factor):
+    # stretched walks with a re-summed total time decode cleanly; x3 used to
+    # run to exit 0 and x1.5 to fail only at the detach gate
+    artifact = tmp_path / "kb57.json"
+    code, _, _ = run_cli(
+        ["schedule", "--family", "complete_bipartite", "--params", "5,7",
+         "--task", "bipartite", "--out", str(artifact)],
+        capsys,
+    )
+    assert code == 0
+    data = json.loads(artifact.read_text())
+    for branch in data["branches"]:
+        for op in branch["ops"]:
+            if op["op"] == "cwalk":
+                op["t"] *= factor
+        branch["total_time"] = sum(abs(op.get("t", 0.0)) + abs(op.get("theta", 0.0))
+                                   for op in branch["ops"])
+    artifact.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+    assert code == 1
+    assert err.startswith("error: stage at level 0 walks for ")
+    assert out == ""
+
+
+def test_search_artifact_needs_uniform_level_masses(tmp_path, capsys, k4_minus_edge):
+    # a black-box artifact on a graph whose level masses depend on the
+    # vertex, with stages that fit its depth chain
+    ctx = pipelines.prepare(k4_minus_edge)
+    artifact = tmp_path / "k4e.json"
+    artifact.write_text(json.dumps({
+        "task": "search", "graph": graph.graph_to_json_dict(k4_minus_edge),
+        "probe_marked": 0, "reported_fidelity": 1.0,
+        "schedule": schedule.schedule_to_json_dict(ctx.search_schedule),
+    }))
+    code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+    assert code == 1
+    assert err.startswith("error: level masses depend on the vertex")
+    assert out == ""
+
+
 ARTIFACT_ARGS = {
     # johnson(5,2) search: two stages, seven oracle calls
     "search": ["--family", "johnson", "--params", "5,2", "--task", "search"],

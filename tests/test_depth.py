@@ -83,6 +83,8 @@ def test_chain_invariants_random_multisets(nonzero):
         assert kept | split == set(chain.levels[k].indices)
         assert not kept & split
         assert split  # every refinement step splits something off
+    for k, level in enumerate(chain.levels):
+        assert tuple(np.flatnonzero(chain.index_depths >= k)) == level.indices
 
 
 @given(st.permutations(list(range(6))))
@@ -107,6 +109,28 @@ def test_level_states_reach_uniform(sampling_suite):
             pairs = depth.level_states(chain, alphas)
             top = ints.base.eigenvectors @ pairs[-1].kept
             assert abs(abs(np.dot(uniform, top)) ** 2 - 1.0) < 1e-10
+
+
+def test_level_states_match_per_level_sums(sampling_suite):
+    # the reference sums and projects over each level's own index list
+    for g in sampling_suite:
+        ints = prepare_ints(g)
+        chain = depth.build_depth_chain(ints)
+        for m in range(g.n):
+            a = spectral.eigenspace_amplitudes(ints.base, m)
+            masses = [float(np.sum(a[list(level.indices)] ** 2)) for level in chain.levels]
+            # summed in the same order, so the masses and overlaps are bit-exact
+            assert depth._level_masses(chain, a).tolist() == masses
+            for pair, level, mass in zip(depth.level_states(chain, a), chain.levels, masses):
+                kept = np.zeros(g.n)
+                kept[list(level.indices)] = a[list(level.indices)] / math.sqrt(mass)
+                assert np.max(np.abs(pair.kept - kept)) < 1e-15
+                split = np.zeros(g.n)
+                split[list(level.complement)] = a[list(level.complement)]
+                if np.sum(split**2) > depth.SKIP_MASS_TOL:
+                    assert np.max(np.abs(pair.split - split / np.linalg.norm(split))) < 1e-12
+                else:
+                    assert pair.split is None
 
 
 def test_level_states_single_vertex():

@@ -63,7 +63,7 @@ def schedule_case(request, c4):
     # rook(3,3) has degenerate eigenspaces, so its basis is solver-chosen;
     # the bipartite context runs its branches on the adjacency spectrum
     if request.param == "bipartite47":
-        ctx = pipelines.prepare_bipartite(4, 7)
+        ctx = pipelines.prepare_bipartite(graph.complete_bipartite(4, 7))
         m, n = 2, ctx.graph.n
         cases = [
             (simulate.block_uniform_state(n, 0, 4), ctx.branches[0]),
@@ -408,7 +408,7 @@ def test_stage_executor_transfer_composition():
 
 @pytest.mark.parametrize("n1,n2", [(4, 7), (1, 5)])
 def test_stage_executor_bipartite_branches(n1, n2):
-    ctx = pipelines.prepare_bipartite(n1, n2)
+    ctx = pipelines.prepare_bipartite(graph.complete_bipartite(n1, n2))
     n, m = ctx.graph.n, n1 + 1
     starts = ((0, n1), (n1, n))
     for (start, stop), branch in zip(starts, ctx.branches):
@@ -593,6 +593,34 @@ def test_frame_search_matches_run_schedule_and_op_by_op(frame_case):
             assert_close(got.amps, op_by_op(simulate.uniform_state(n), sched, spec, m)[0].amps)
 
 
+BIPARTITE_GRAPHS = {
+    "k13": lambda: graph.complete_bipartite(1, 3),
+    "k23": lambda: graph.complete_bipartite(2, 3),
+    "k47": lambda: graph.complete_bipartite(4, 7),
+    "k23_relabelled": lambda: graph.load_edge_list("0 1\n0 3\n0 4\n2 1\n2 3\n2 4\n"),
+    "path3": lambda: graph.load_edge_list("0 1\n1 2\n"),
+}
+
+
+@pytest.mark.parametrize("name", BIPARTITE_GRAPHS)
+def test_frame_branches_match_run_schedule(name):
+    # each branch runs on g's own labels; the reference runs it on the
+    # generator-ordered graph, whose blocks are index ranges, and maps back
+    g = BIPARTITE_GRAPHS[name]()
+    ctx = pipelines.prepare_bipartite(g)
+    n1 = len(ctx.blocks[0])
+    position = np.argsort(ctx.blocks[0] + ctx.blocks[1])  # g's vertex -> generator index
+    ref_ctx = pipelines.prepare_bipartite(graph.complete_bipartite(n1, g.n - n1))
+    for start, branch, block in zip(ctx.block_coeffs, ctx.branches, ((0, n1), (n1, g.n))):
+        state = simulate.block_uniform_state(g.n, *block)
+        for m in range(g.n):
+            fid, probs = pipelines._run_branch(ctx.spectrum, start, branch, m)
+            ref = simulate.run_schedule(state, branch, ref_ctx.spectrum, position[m])
+            ref = simulate.measure_distribution(ref)[position]
+            assert_close(probs, ref)
+            assert_close(fid, ref[m])
+
+
 def test_frame_runs_keep_the_norm_check_and_detach_gate():
     ctx = pipelines.prepare(graph.rook(3, 3))
     frame = simulate.vertex_frame(ctx.spectrum, [0, 1])
@@ -616,3 +644,11 @@ def test_frame_pipelines_make_no_dense_products(monkeypatch):
     assert not calls
     assert pipelines.search_vertex_transitive(g, 5, ctx=ctx).target == 5
     assert len(calls) <= 1
+    # bipartite search: one lift per branch, and no run_schedule
+    monkeypatch.setattr(simulate, "run_schedule", lambda *args, **kw: pytest.fail())
+    for search in (lambda m: pipelines.search_bipartite(4, 7, m),
+                   pipelines.search_route(BIPARTITE_GRAPHS["k23_relabelled"]())[1]):
+        for m in (0, 3, 4):
+            calls.clear()
+            assert search(m).target == m
+            assert len(calls) <= 2
