@@ -133,27 +133,22 @@ def _cmd_depth(args, parser) -> int:
 def _synth_artifact(args, parser) -> dict:
     g = _resolve_graph(args, parser)
     probe = args.marked if args.marked is not None else 0
-    if args.task == "bipartite":
-        bctx = pipelines.prepare_bipartite(g)
-        report = pipelines.execute_bipartite(bctx, bctx.branches, probe)
-        schedules = {"branches": [sched_mod.schedule_to_json_dict(s) for s in bctx.branches]}
+    ctx = pipelines.prepare_bipartite(g) if args.task == "bipartite" else pipelines.prepare(g)
+    if args.task == "sample":
+        if args.marked is None:
+            parser.error("--task sample requires --marked (the start vertex)")
+        schedules = [pipelines.sampling_schedule(ctx, probe)]
+        report = pipelines.execute_sample(ctx, schedules[0], probe)
     else:
-        ctx = pipelines.prepare(g)
-        if args.task == "sample":
-            if args.marked is None:
-                parser.error("--task sample requires --marked (the start vertex)")
-            schedule = pipelines.sampling_schedule(ctx, probe)
-            report = pipelines.execute_sample(ctx, schedule, probe)
-        else:  # search
-            report = pipelines.search_vertex_transitive(g, probe, ctx=ctx)
-            schedule = pipelines.transitive_search_schedule(ctx)
-        schedules = {"schedule": sched_mod.schedule_to_json_dict(schedule)}
+        schedules = ctx.branches
+        report = pipelines.execute_search(ctx, schedules, probe)
+    encoded = [sched_mod.schedule_to_json_dict(s) for s in schedules]
     return {
         "task": report.task,
         "graph": graph_to_json_dict(g),
         "probe_marked": probe,
         "reported_fidelity": report.fidelity,
-        **schedules,
+        **({"schedule": encoded[0]} if len(encoded) == 1 else {"branches": encoded}),
     }
 
 
@@ -171,18 +166,20 @@ def _resimulate_artifact(
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         task, g = data["task"], graph_from_json_dict(data["graph"])
-        m = marked if marked is not None else int(data["probe_marked"])
-        raw = data["branches"] if task == pipelines.TASK_BIPARTITE else [data["schedule"]]
+        m = marked if marked is not None else data["probe_marked"]
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise TypeError(f"probe_marked {m!r} is not a vertex index")
+        raw = data["branches"] if "branches" in data else [data["schedule"]]
         schedules = tuple(sched_mod.schedule_from_json_dict(s) for s in raw)
     except (ValueError, KeyError, TypeError) as exc:
         raise QwalkError(f"malformed artifact {path}: {type(exc).__name__}: {exc}") from exc
-    if task == pipelines.TASK_BIPARTITE:
-        bctx = pipelines.prepare_bipartite(g)
-        return pipelines.execute_bipartite(bctx, schedules, m, threshold)
-    ctx = pipelines.prepare(g)
     if task == pipelines.TASK_SAMPLE:
-        return pipelines.execute_sample(ctx, schedules[0], m)
-    return pipelines.execute_search(ctx, schedules[0], m, "blackbox")
+        if len(schedules) != 1:
+            raise QwalkError(f"malformed artifact {path}: sampling runs one schedule")
+        return pipelines.execute_sample(pipelines.prepare(g), schedules[0], m)
+    bipartite = task == pipelines.TASK_BIPARTITE
+    ctx = pipelines.prepare_bipartite(g) if bipartite else pipelines.prepare(g)
+    return pipelines.execute_search(ctx, schedules, m, threshold)
 
 
 def _cmd_run(args, parser) -> int:
@@ -209,8 +206,8 @@ def _cmd_run(args, parser) -> int:
         if args.marked is None:
             parser.error("run bipartite requires --marked")
         bctx = pipelines.prepare_bipartite(_resolve_graph(args, parser))
-        report = pipelines.execute_bipartite(bctx, bctx.branches, args.marked,
-                                             args.fidelity_threshold)
+        report = pipelines.execute_search(bctx, bctx.branches, args.marked,
+                                          args.fidelity_threshold)
     emit_report(report, args.format, args.out)
     return 0
 
@@ -287,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fidelity-threshold",
         type=float,
         default=pipelines.FIDELITY_THRESHOLD,
-        help="success threshold for bipartite branch confirmation",
+        help="probability a search branch's candidate needs to be confirmed; "
+        "it decides which branch succeeds when a search runs more than one",
     )
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
     p_run.add_argument("--out")

@@ -1,14 +1,13 @@
 """End-to-end task pipelines and the verification harness.
 
-Four tasks share the same machinery: exact uniform sampling (start vertex
+Three tasks share the same machinery: exact uniform sampling (start vertex
 to uniform state), perfect state transfer (forward schedule for the source
-followed by the adjoint schedule for the destination), deterministic
-search on graphs whose vertices all have the same level masses (the
-reversed vertex-independent schedule applied to the uniform state), and
-the two-branch search on complete bipartite graphs driven by the
-adjacency walk.  Every search route runs each branch, a reversed schedule
-from the uniform state on a vertex set, in the marked vertex's frame of
-the Laplacian or adjacency spectrum (``_run_branch``).
+followed by the adjoint schedule for the destination), and deterministic
+search, whose branches ``execute_search`` runs in the marked vertex's
+frame and checks against the oracle: one per level-mass class under the
+Laplacian walk, or one per block of a complete bipartite graph under the
+adjacency walk.  Each branch is a reversed schedule from the uniform
+state on a vertex set.
 
 Success is declared by fidelity threshold on the exact final state, not by
 sampled measurement; ``measure_distribution`` exists for demonstration.
@@ -37,7 +36,7 @@ from .graph import Graph, adjacency, complete_bipartite, laplacian
 FIDELITY_THRESHOLD = 1.0 - 1e-8
 #: Vertex probabilities closer than this count as tied.
 TIE_TOL = 1e-9
-#: Level masses this close to |level| / N count as vertex-independent.
+#: Vertices whose level masses agree this closely share a mass class.
 LEVEL_MASS_TOL = 1e-9
 
 TASK_SAMPLE = "sample"
@@ -48,7 +47,8 @@ TASK_BIPARTITE = "bipartite_search"
 
 @dataclass(frozen=True)
 class BranchResult:
-    """Outcome of one bipartite search branch."""
+    """Outcome of one search branch: its candidate, the candidate's
+    probability, and whether the oracle check confirmed it."""
 
     side: int
     candidate: int
@@ -56,16 +56,17 @@ class BranchResult:
     succeeded: bool
     oracle_count: int
     total_time: float
-    walk_time: float
 
 
 @dataclass(frozen=True)
 class RunReport:
     """Cost and fidelity record of one pipeline run.
 
-    ``bound_ratio`` is oracle_count / (2^depth * sqrt(N)); ``search_mode``
-    distinguishes the black-box route from the promise route on graphs
-    whose level masses depend on the vertex.
+    ``bound_ratio`` is oracle_count / (2^depth * sqrt(N)), with the oracle
+    count summed over every schedule the run executed.  ``search_mode`` is
+    "blackbox" on every search, since synthesis never sees the marked
+    vertex; ``branches`` lists a search's branches when it runs more than
+    one.
     """
 
     task: str
@@ -107,10 +108,15 @@ class LaplacianContext:
     chain: depth_mod.DepthChain
 
     hamiltonian = sched_mod.LAPLACIAN
+    search_task = TASK_SEARCH
 
     @property
     def label(self) -> str:
         return self.graph.family or f"custom(n={self.graph.n})"
+
+    @property
+    def depth(self) -> int:
+        return self.chain.depth
 
     @functools.cached_property
     def walk_times(self) -> tuple[float, ...]:
@@ -118,35 +124,45 @@ class LaplacianContext:
         return tuple(sched_mod.reflection_time(level.gcd) for level in self.chain.levels[:-1])
 
     @functools.cached_property
-    def uniform_coeffs(self) -> np.ndarray:
-        """The eigen-coefficients of the uniform state, where search starts."""
-        return self.spectrum.eigenvectors.sum(axis=0) / math.sqrt(self.graph.n)
-
-    @functools.cached_property
-    def uniform_level_masses(self) -> bool:
-        """Whether every vertex puts mass |level| / N on every depth level.
-
-        Then the overlaps, and so the sampling schedule, are the same for
-        every vertex, and the black-box search schedule finds any hidden
-        vertex.  Vertex-transitive and walk-regular graphs qualify (Godsil
-        & McKay 1980); levels are unions of eigenspaces, so the masses do
-        not depend on the basis inside a degenerate eigenspace.
-        """
+    def mass_classes(self) -> tuple[int, ...]:
+        """The lowest vertex of each class of vertices whose masses on every
+        depth level (eigenvector squares summed over it, so basis-free)
+        agree to ``LEVEL_MASS_TOL``.  A sampling schedule depends on its
+        vertex only through these masses, so one reversed schedule per
+        class finds every vertex of the class.  Vertex-transitive and
+        walk-regular graphs have one class (Godsil & McKay 1980)."""
         member = self.chain.index_depths[:, None] >= np.arange(len(self.chain.levels))
         masses = self.spectrum.eigenvectors**2 @ member
-        return bool(np.all(np.abs(masses - member.mean(axis=0)) <= LEVEL_MASS_TOL))
+        free, reps = np.arange(self.graph.n), []
+        while free.size:
+            reps.append(int(free[0]))
+            far = np.abs(masses[free] - masses[free[0]]) > LEVEL_MASS_TOL
+            free = free[far.any(axis=1)]
+        return tuple(reps)
+
+    @functools.cached_property
+    def branches(self) -> tuple[sched_mod.Schedule, ...]:
+        """One reversed sampling schedule per mass class, synthesized on
+        first use.  With one class every vertex puts mass |level| / N on
+        each level, and the branch comes from those cardinality ratios."""
+        if len(self.mass_classes) == 1:
+            forward = [sched_mod.synth_sampling_schedule(
+                self.chain, depth_mod.transitive_overlaps(self.chain))]
+        else:
+            forward = [sampling_schedule(self, m) for m in self.mass_classes]
+        return tuple(map(sched_mod.dagger, forward))
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        """Row i: the eigen-coefficients of the uniform state, where branch
+        i starts."""
+        uniform = self.spectrum.eigenvectors.sum(axis=0) / math.sqrt(self.graph.n)
+        return np.broadcast_to(uniform, (len(self.mass_classes), self.graph.n))
 
     @functools.cached_property
     def group_depths(self) -> np.ndarray:
         """The deepest chain level holding each eigenspace group."""
         return self.chain.index_depths[[g.indices[0] for g in self.spectrum.groups]]
-
-    @functools.cached_property
-    def search_schedule(self) -> sched_mod.Schedule:
-        """The vertex-independent reversed schedule for black-box search,
-        synthesized on first use."""
-        overlaps = depth_mod.transitive_overlaps(self.chain)
-        return sched_mod.dagger(sched_mod.synth_sampling_schedule(self.chain, overlaps))
 
 
 def prepare(g: Graph) -> LaplacianContext:
@@ -161,15 +177,27 @@ def prepare(g: Graph) -> LaplacianContext:
 @dataclass(frozen=True)
 class BipartiteContext:
     """Shared read-only data reused across searches on one complete
-    bipartite graph: its adjacency spectrum, its two blocks (as
-    ``bipartite_blocks`` gives them) and one branch schedule per block."""
+    bipartite graph with the two blocks ``bipartite_blocks`` gives."""
 
     graph: Graph
-    spectrum: spectral.Spectrum
     blocks: tuple[tuple[int, ...], tuple[int, ...]]
-    branches: tuple[sched_mod.Schedule, sched_mod.Schedule]
 
     hamiltonian = sched_mod.ADJACENCY
+    search_task = TASK_BIPARTITE
+    depth = 1
+
+    @property
+    def label(self) -> str:
+        return "complete_bipartite({},{})".format(*map(len, self.blocks))
+
+    @functools.cached_property
+    def spectrum(self) -> spectral.Spectrum:
+        return spectral.eigendecompose(adjacency(self.graph))
+
+    @functools.cached_property
+    def branches(self) -> tuple[sched_mod.Schedule, sched_mod.Schedule]:
+        """One reversed schedule per block."""
+        return sched_mod.synth_bipartite_search(*map(len, self.blocks))
 
     @property
     def walk_times(self) -> tuple[float]:
@@ -177,7 +205,7 @@ class BipartiteContext:
         return (math.pi / math.sqrt(len(self.blocks[0]) * len(self.blocks[1])),)
 
     @functools.cached_property
-    def block_coeffs(self) -> np.ndarray:
+    def starts(self) -> np.ndarray:
         """Row i: the eigen-coefficients of the uniform state on block i,
         where branch i starts."""
         vectors = self.spectrum.eigenvectors
@@ -186,14 +214,11 @@ class BipartiteContext:
 
 
 def prepare_bipartite(g: Graph) -> BipartiteContext:
-    """Find g's blocks, eigendecompose its adjacency matrix and synthesize
-    both branches."""
+    """The bipartite context of g, once its blocks are found."""
     blocks = bipartite_blocks(g)
     if blocks is None:
         raise GraphError("bipartite search needs a complete bipartite graph")
-    spectrum = spectral.eigendecompose(adjacency(g))
-    branches = sched_mod.synth_bipartite_search(len(blocks[0]), len(blocks[1]))
-    return BipartiteContext(g, spectrum, blocks, branches)
+    return BipartiteContext(g, blocks)
 
 
 def bipartite_blocks(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -218,22 +243,19 @@ def search_route(
     ctx: LaplacianContext | None = None,
     threshold: float = FIDELITY_THRESHOLD,
 ) -> tuple[str, Callable[[int], RunReport]]:
-    """Pick the search route from g's edges and spectrum and return it with
-    a function that searches for one hidden vertex on it.
+    """Pick the search route from g's edges and return it with a function
+    that searches for one hidden vertex on it, sharing one context.
 
     Complete bipartite graphs with unequal blocks take the two-branch
-    route; otherwise graphs with uniform level masses take the black-box
-    route and the rest the promise route.  The contexts are built once and
-    shared by every call of the returned function.
+    adjacency route; every other graph the black-box route, one Laplacian
+    branch per mass class.
     """
     blocks = bipartite_blocks(g)
     if blocks and len(blocks[0]) != len(blocks[1]):
-        bctx = prepare_bipartite(g)
-        return "bipartite", lambda m: execute_bipartite(bctx, bctx.branches, m, threshold)
+        bctx = BipartiteContext(g, blocks)
+        return "bipartite", lambda m: execute_search(bctx, bctx.branches, m, threshold)
     ctx = ctx or prepare(g)
-    if ctx.uniform_level_masses:
-        return "blackbox", lambda m: search_vertex_transitive(g, m, ctx=ctx)
-    return "promise", lambda m: search_promise(g, m, ctx=ctx)
+    return "blackbox", lambda m: execute_search(ctx, ctx.branches, m, threshold)
 
 
 def _report(
@@ -346,72 +368,98 @@ def transfer(
 # ---------------------------------------------------------------------------
 
 def transitive_search_schedule(ctx: LaplacianContext) -> sched_mod.Schedule:
-    """The vertex-independent reversed schedule used for black-box search,
-    built once per context."""
-    return ctx.search_schedule
+    """The first mass class's branch: on a graph whose vertices share
+    their level masses, the one vertex-independent black-box schedule."""
+    return ctx.branches[0]
 
 
 def search_vertex_transitive(
     g: Graph, marked: int, *, ctx: LaplacianContext | None = None
 ) -> RunReport:
-    """Black-box search on a graph with uniform level masses, such as a
-    vertex-transitive one.
-
-    The schedule is synthesized from cardinality-ratio overlaps and never
-    mentions the hidden vertex; it enters only through the oracle at run
-    time, so the emitted bytes are identical for every hidden vertex.
-    """
+    """Black-box search on the Laplacian walk, one branch per mass class
+    (one on vertex-transitive and walk-regular graphs).  The schedules
+    never mention the hidden vertex, which enters only through the oracle,
+    so the emitted bytes are the same for every hidden vertex."""
     ctx = ctx or prepare(g)
-    return execute_search(ctx, transitive_search_schedule(ctx), marked, "blackbox")
+    return execute_search(ctx, ctx.branches, marked)
 
 
 def search_promise(
     g: Graph, marked: int, *, ctx: LaplacianContext | None = None
 ) -> RunReport:
-    """Search with the marked vertex known to synthesis (promise variant).
+    """The same as ``search_vertex_transitive``: its mass-class branches
+    reach every graph with an integer Laplacian spectrum without being
+    told the marked vertex, so no promise is needed."""
+    return search_vertex_transitive(g, marked, ctx=ctx)
 
-    On graphs that are not vertex-transitive the overlaps depend on the
-    vertex, so this is not a black-box search; it exercises the same
-    machinery end to end and is labeled accordingly.
-    """
-    ctx = ctx or prepare(g)
-    schedule = sched_mod.dagger(sampling_schedule(ctx, marked))
-    return execute_search(ctx, schedule, marked, "promise")
+
+def search_bipartite(
+    n1: int, n2: int, marked: int, *, threshold: float = FIDELITY_THRESHOLD
+) -> RunReport:
+    """Two-branch deterministic search on the complete bipartite graph:
+    branch i rotates the uniform state on block i onto the marked vertex
+    under the adjacency walk, so exactly one branch finds it."""
+    g = complete_bipartite(n1, n2)
+    bctx = BipartiteContext(g, (tuple(range(n1)), tuple(range(n1, g.n))))
+    return execute_search(bctx, bctx.branches, marked, threshold)
 
 
 def execute_search(
-    ctx: LaplacianContext, schedule: sched_mod.Schedule, marked: int, mode: str
+    ctx: LaplacianContext | BipartiteContext,
+    schedules: Sequence[sched_mod.Schedule],
+    marked: int,
+    threshold: float = FIDELITY_THRESHOLD,
 ) -> RunReport:
-    """Run a reversed schedule from the uniform state with the oracle bound
-    to ``marked``; the most probable vertex is the one found.  The
-    black-box mode needs every vertex to have the same level masses."""
-    _check_stages(ctx, schedule)
-    if mode == "blackbox" and not ctx.uniform_level_masses:
-        raise GraphError("level masses depend on the vertex; use search_promise "
-                         "or the bipartite route")
-    fidelity, probs = _run_branch(ctx.spectrum, ctx.uniform_coeffs, schedule, marked)
+    """Run branch i, the reversed schedule ``schedules[i]``, from
+    ``ctx.starts[i]`` with the oracle bound to ``marked``, in marked's
+    frame and with the ancilla carried: a branch for another mass class can
+    leave it entangled.  A branch's candidate, the most probable vertex of
+    its vertex marginal, is checked against the oracle (one query); it
+    succeeds when it is ``marked`` with probability at least
+    ``threshold``.  The first success is the result and must pass the
+    detach gate."""
+    if len(schedules) != len(ctx.starts):
+        raise ScheduleError(
+            f"search on this graph takes {len(ctx.starts)} branches, got {len(schedules)}")
+    for schedule in schedules:
+        _check_stages(ctx, schedule)
+    frame = sim.vertex_frame(ctx.spectrum, [marked])
+    results: list[BranchResult] = []
+    winner = None
+    for side, (start, schedule) in enumerate(zip(ctx.starts, schedules), 1):
+        state = _run_branch(ctx.spectrum, frame, start, schedule)
+        probs = (np.abs(state.amps.reshape(2, -1)) ** 2).sum(axis=0)
+        candidate = _most_probable(probs)
+        fid = float(probs[candidate])
+        result = BranchResult(
+            side=side, candidate=candidate, fidelity=fid,
+            succeeded=fid >= threshold and candidate == marked,
+            oracle_count=schedule.oracle_count, total_time=schedule.total_time)
+        if result.succeeded and winner is None:
+            sim.detach_ancilla(state)
+            winner = result
+        results.append(result)
     return _report(
-        TASK_SEARCH, ctx.label, ctx.graph.n, ctx.chain.depth, [schedule],
+        ctx.search_task, ctx.label, ctx.graph.n, ctx.depth, schedules,
         marked=marked,
-        target=_most_probable(probs),
-        fidelity=fidelity,
-        search_mode=mode,
+        target=winner.candidate if winner else None,
+        fidelity=winner.fidelity if winner else max(b.fidelity for b in results),
+        search_mode="blackbox",
+        branches=tuple(results) if len(results) > 1 else (),
     )
 
 
-def _run_branch(spectrum: spectral.Spectrum, start: np.ndarray,
-                schedule: sched_mod.Schedule, marked: int) -> tuple[float, np.ndarray]:
-    """Run a reversed schedule in marked's frame from the state with
-    eigen-coefficients ``start``, a uniform state on a vertex set whose
-    projection on each eigenspace g is parallel to E_g|marked>; return the
-    fidelity with |marked> and the vertex distribution.  Coordinate j of
-    the start is <marked|E_g|start> / coords[0, j], O(N)."""
-    frame = sim.vertex_frame(spectrum, [marked])
+def _run_branch(spectrum: spectral.Spectrum, frame: sim.Frame, start: np.ndarray,
+                schedule: sched_mod.Schedule) -> sim.StateVector:
+    """Run a reversed schedule in the frame of one vertex m from the state
+    with eigen-coefficients ``start``, a uniform state on a vertex set
+    whose projection on each eigenspace g is parallel to E_g|m>; return
+    the vertex-basis state with the ancilla carried.  Coordinate j of the
+    start is <m|E_g|start> / coords[0, j], O(N)."""
     group_starts = [g.indices[0] for g in spectrum.groups]
-    x = np.add.reduceat(spectrum.eigenvectors[marked] * start, group_starts)[frame.group]
-    x = frame.run((x / frame.coords[0])[None], schedule)[0]
-    fidelity = float(abs(np.vdot(frame.coords[0], x)) ** 2)
-    return fidelity, sim.measure_distribution(sim.lift(spectrum, frame, x))
+    x = np.add.reduceat(spectrum.eigenvectors[frame.vertices[0]] * start, group_starts)
+    x = x[frame.group] / frame.coords[0]
+    return sim.lift(spectrum, frame, frame.run(np.stack([x, 0 * x]), schedule))
 
 
 def _most_probable(probs: np.ndarray) -> int:
@@ -419,55 +467,6 @@ def _most_probable(probs: np.ndarray) -> int:
     bipartite branch ends uniform on its block, so without the tolerance
     roundoff would pick its candidate."""
     return int(np.flatnonzero(probs >= probs.max() - TIE_TOL)[0])
-
-
-def search_bipartite(
-    n1: int, n2: int, marked: int, *, threshold: float = FIDELITY_THRESHOLD
-) -> RunReport:
-    """Two-branch deterministic search on the complete bipartite graph.
-
-    Branch 1 assumes the marked vertex is in the first block and runs the
-    reversed rotation from the uniform state over that block under the
-    adjacency walk; branch 2 mirrors it.  Exactly one branch ends on the
-    marked vertex with fidelity 1; a branch's candidate is confirmed
-    against the oracle, which is what a physical run would do by
-    measurement and one check query.
-    """
-    bctx = prepare_bipartite(complete_bipartite(n1, n2))
-    return execute_bipartite(bctx, bctx.branches, marked, threshold)
-
-
-def execute_bipartite(
-    bctx: BipartiteContext,
-    branches: tuple[sched_mod.Schedule, ...],
-    marked: int,
-    threshold: float = FIDELITY_THRESHOLD,
-) -> RunReport:
-    """Run one branch schedule per block of ``bctx`` and confirm the
-    candidates against ``marked``."""
-    if len(branches) != 2:
-        raise ScheduleError(f"bipartite search takes 2 branches, got {len(branches)}")
-    results = []
-    for side, (start, schedule) in enumerate(zip(bctx.block_coeffs, branches), 1):
-        _check_stages(bctx, schedule)
-        _, probs = _run_branch(bctx.spectrum, start, schedule, marked)
-        candidate = _most_probable(probs)
-        fid = float(probs[candidate])
-        results.append(BranchResult(
-            side=side, candidate=candidate, fidelity=fid,
-            succeeded=fid >= threshold and candidate == marked,
-            oracle_count=schedule.oracle_count, total_time=schedule.total_time,
-            walk_time=bctx.walk_times[0]))
-    winner = next((b for b in results if b.succeeded), None)
-    return _report(
-        TASK_BIPARTITE, "complete_bipartite({},{})".format(*map(len, bctx.blocks)),
-        bctx.graph.n, 1, branches,
-        marked=marked,
-        target=winner.candidate if winner else None,
-        fidelity=winner.fidelity if winner else max(b.fidelity for b in results),
-        search_mode="blackbox",
-        branches=tuple(results),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -313,13 +313,15 @@ def vertex_frame(spectrum: Spectrum, vertices: Sequence[int]) -> Frame:
 
 
 def lift(spectrum: Spectrum, frame: Frame, x: np.ndarray) -> StateVector:
-    """The vertex-basis state with coordinates x in the frame of one vertex
-    s, where coordinate j is E_g|s> / coords[0, j]: one N x N product."""
-    per_group = np.zeros(len(spectrum.groups), dtype=complex)
-    per_group[frame.group] = x / frame.coords[0]
+    """The vertex-basis state with coordinates x, one row per ancilla block
+    or a single row, in the frame of one vertex s, where coordinate j is
+    E_g|s> / coords[0, j]: one N x N product per row."""
+    x = np.atleast_2d(x)
+    per_group = np.zeros((len(x), len(spectrum.groups)), dtype=complex)
+    per_group[:, frame.group] = x / frame.coords[0]
     y = spectrum.eigenvectors[frame.vertices[0]] * np.repeat(
-        per_group, [g.multiplicity for g in spectrum.groups])
-    return _state(_rotate(spectrum.eigenvectors, y[None])[0], spectrum.n)
+        per_group, [g.multiplicity for g in spectrum.groups], axis=1)
+    return _state(_rotate(spectrum.eigenvectors, y).ravel(), spectrum.n)
 
 
 def _run_stages(blocks, schedule, eigenvalues, row, on_stage=None):

@@ -114,9 +114,6 @@ def test_criterion_5_bipartite_search():
                 assert report.target == m, (n1, n2, m)
                 assert report.fidelity >= THRESHOLD, (n1, n2, m)
                 assert sum(b.succeeded for b in report.branches) == 1, (n1, n2, m)
-                assert report.branches[0].walk_time == pytest.approx(
-                    expected_t, rel=1e-12
-                )
         assert time.perf_counter() - start < 5.0
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qwalk import cli, graph, pipelines, schedule
+from qwalk import cli, depth, graph, pipelines, schedule
 
 
 def run_cli(args, capsys):
@@ -275,20 +275,50 @@ def test_bipartite_walk_times_are_checked(tmp_path, capsys, factor):
     assert out == ""
 
 
-def test_search_artifact_needs_uniform_level_masses(tmp_path, capsys, k4_minus_edge):
-    # a black-box artifact on a graph whose level masses depend on the
-    # vertex, with stages that fit its depth chain
+def test_search_artifact_needs_one_branch_per_class(tmp_path, capsys, k4_minus_edge):
+    # the cardinality-ratio schedule fits K4 - e's depth chain, but its
+    # level masses depend on the vertex: two classes, two branches
     ctx = pipelines.prepare(k4_minus_edge)
+    sampling = schedule.synth_sampling_schedule(
+        ctx.chain, depth.transitive_overlaps(ctx.chain))
     artifact = tmp_path / "k4e.json"
     artifact.write_text(json.dumps({
         "task": "search", "graph": graph.graph_to_json_dict(k4_minus_edge),
         "probe_marked": 0, "reported_fidelity": 1.0,
-        "schedule": schedule.schedule_to_json_dict(ctx.search_schedule),
+        "schedule": schedule.schedule_to_json_dict(schedule.dagger(sampling)),
     }))
     code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
     assert code == 1
-    assert err.startswith("error: level masses depend on the vertex")
+    assert err.startswith("error: search on this graph takes 2 branches, got 1")
     assert out == ""
+
+
+def test_class_search_artifact_k4_minus_edge(tmp_path, capsys):
+    edges = tmp_path / "k4e.edges"
+    edges.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n")
+    blobs = set()
+    for m in range(4):
+        artifact = tmp_path / f"k4e_{m}.json"
+        code, _, _ = run_cli(["schedule", "--edges", str(edges), "--task", "search",
+                              "--marked", str(m), "--out", str(artifact)], capsys)
+        assert code == 0
+        stored = json.loads(artifact.read_text())
+        assert "schedule" not in stored and len(stored["branches"]) == 2
+        blobs.add(json.dumps(stored["branches"]))
+        code, out, _ = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+        assert code == 0
+        rerun = json.loads(out)
+        assert abs(rerun["fidelity"] - stored["reported_fidelity"]) <= 1e-10
+        assert rerun["target"] == m and rerun["search_mode"] == "blackbox"
+        assert sum(b["succeeded"] for b in rerun["branches"]) == 1
+    assert len(blobs) == 1  # no branch depends on the hidden vertex
+    branches = stored["branches"]
+    for edited in (branches[:1], branches + branches[:1]):  # dropped, duplicated
+        artifact.write_text(json.dumps({**stored, "branches": edited}))
+        code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+        assert code == 1
+        assert err.startswith("error: search on this graph takes 2 branches")
+        assert out == ""
 
 
 ARTIFACT_ARGS = {
@@ -318,10 +348,14 @@ ARTIFACT_ARGS = {
     ("sample", edit_json(lambda d: d["schedule"].update(hamiltonian="adjacency"))),
     ("sample", edit_json(lambda d: d["schedule"]["stage_levels"].reverse())),
     ("bipartite", edit_json(lambda d: d["branches"][0].update(hamiltonian="laplacian"))),
+    ("search", edit_json(lambda d: d.update(probe_marked=2.9))),
+    ("search", edit_json(lambda d: d.update(probe_marked=True))),
+    ("sample", edit_json(lambda d: d.update(branches=[d["schedule"]] * 2))),
 ], ids=["not_json", "no_task", "cwalk_without_t", "t_not_a_number", "ops_null",
         "edges_not_pairs", "oracle_count", "total_time", "cwalk_time",
         "hamiltonian_unknown", "search_on_adjacency", "search_levels_reversed",
-        "sample_on_adjacency", "sample_levels_reversed", "branch_on_laplacian"])
+        "sample_on_adjacency", "sample_levels_reversed", "branch_on_laplacian",
+        "probe_float", "probe_bool", "sample_two_schedules"])
 def test_malformed_artifact_exits_one(tmp_path, capsys, kind, edit):
     artifact = tmp_path / "sched.json"
     code, _, _ = run_cli(["schedule", *ARTIFACT_ARGS[kind], "--out", str(artifact)], capsys)
@@ -379,7 +413,8 @@ def test_vertex_transitive_field_is_not_a_route(tmp_path, capsys):
     assert out == reference
     assert json.loads(out)["search_mode"] == "blackbox"
 
-    # K4 - e: the promise schedule of vertex 0, flagged "yes", is still refused
+    # K4 - e flagged "yes" still takes one branch per mass class: vertex 0's
+    # class branch alone is refused
     k4e = graph.graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
                                  vertex_transitive="yes")
     ctx = pipelines.prepare(k4e)
@@ -388,20 +423,13 @@ def test_vertex_transitive_field_is_not_a_route(tmp_path, capsys):
         "graph": graph.graph_to_json_dict(k4e),
         "probe_marked": 0,
         "reported_fidelity": 1.0,
-        "schedule": schedule.schedule_to_json_dict(
-            schedule.dagger(pipelines.sampling_schedule(ctx, 0))
-        ),
+        "schedule": schedule.schedule_to_json_dict(ctx.branches[0]),
     }
     artifact.write_text(json.dumps(data))
     code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
     assert code == 1
-    assert "level masses" in err
+    assert "takes 2 branches" in err
     assert out == ""
-    edges = tmp_path / "k4e.edges"
-    edges.write_text(graph.dump_edge_list(k4e))
-    code, out, err = run_cli(["schedule", "--edges", str(edges), "--task", "search"], capsys)
-    assert code == 1
-    assert "level masses depend on the vertex" in err
 
 
 def test_run_transfer(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qwalk import depth, graph, pipelines, schedule, simulate
-from qwalk.errors import GraphError, SpectrumError
+from qwalk.errors import GraphError, ScheduleError, SpectrumError
 
 from conftest import check_vertex_transitive_bruteforce
 
@@ -133,13 +133,21 @@ def test_search_hamming_2_2(c4):
         assert pipelines.search_vertex_transitive(g, m).fidelity >= THRESHOLD
 
 
-def test_search_requires_uniform_level_masses(k4_minus_edge):
-    with pytest.raises(GraphError, match="level masses depend on the vertex"):
-        pipelines.search_vertex_transitive(k4_minus_edge, 0)
-    # the stored flag is a record, never a route
+def test_search_takes_one_branch_per_mass_class(k4_minus_edge):
+    # K4 - e: the degree-2 vertices 0, 1 and the degree-3 vertices 2, 3 form
+    # two mass classes; the stored flag is a record, never a route
     flagged = graph.graph_from_edges(4, k4_minus_edge.edges, vertex_transitive="yes")
-    with pytest.raises(GraphError, match="level masses depend on the vertex"):
-        pipelines.search_vertex_transitive(flagged, 0)
+    for g in (k4_minus_edge, flagged):
+        ctx = pipelines.prepare(g)
+        assert ctx.mass_classes == (0, 2)
+        for m in range(4):
+            report = pipelines.search_vertex_transitive(g, m, ctx=ctx)
+            assert report.target == m and report.fidelity >= THRESHOLD
+            assert report.search_mode == "blackbox"
+            assert [b.succeeded for b in report.branches] == [m < 2, m >= 2]
+            assert report.oracle_count == sum(b.oracle_count for b in ctx.branches)
+        with pytest.raises(ScheduleError, match="takes 2 branches, got 1"):
+            pipelines.execute_search(ctx, ctx.branches[:1], 0)
     unflagged = graph.graph_from_edges(9, graph.rook(3, 3).edges, vertex_transitive="no")
     assert pipelines.search_vertex_transitive(unflagged, 4).fidelity >= THRESHOLD
 
@@ -200,6 +208,7 @@ def test_chang_graphs_search_black_box(chang_graphs):
         ctx = pipelines.prepare(g)
         route, search = pipelines.search_route(g, ctx=ctx)
         assert route == "blackbox", name
+        assert len(ctx.mass_classes) == 1, name
         for m in range(g.n):
             report = search(m)
             assert report.target == m, (name, m)
@@ -274,22 +283,92 @@ def test_vertex_transitive_graphs_route_blackbox():
     # takes the two-branch route first
     path3 = graph.load_edge_list("0 1\n1 2\n")
     assert not check_vertex_transitive_bruteforce(path3)
-    assert pipelines.prepare(path3).uniform_level_masses
+    assert len(pipelines.prepare(path3).mass_classes) == 1
     assert pipelines.search_route(path3)[0] == "bipartite"
 
 
 def test_promise_search_on_path_graph():
+    # search_promise runs the class route; path3 has one mass class
     path3 = graph.load_edge_list("0 1\n1 2\n")
     for m in range(3):
         report = pipelines.search_promise(path3, m)
         assert report.fidelity >= THRESHOLD
-        assert report.search_mode == "promise"
+        assert report.target == m
+        assert report.search_mode == "blackbox"
+        assert report.branches == ()
 
 
 def test_promise_search_star_center_skips_first_stage():
+    # on the Laplacian walk the centre of K(1,3) has no mass on eigenvalue
+    # 1, split off at level 0, so its class's branch skips that stage
     star = graph.complete_bipartite(1, 3)
-    report = pipelines.search_promise(star, 0)
-    assert report.fidelity >= THRESHOLD
+    ctx = pipelines.prepare(star)
+    assert ctx.mass_classes == (0, 1)
+    assert [b.stage_levels for b in ctx.branches] == [(1,), (1, 0)]
+    for m in range(4):
+        report = pipelines.search_promise(star, m, ctx=ctx)
+        assert report.fidelity >= THRESHOLD and report.target == m
+        assert report.search_mode == "blackbox"
+        assert [b.succeeded for b in report.branches] == [m == 0, m > 0]
+
+
+#: K = 3; under the oracle on vertex 5 the branch of vertex 1's class ends
+#: with 0.709 of its mass on ancilla |1>
+LEAKING = "0 1\n0 2\n0 3\n0 4\n0 5\n1 2\n1 3\n2 3\n"
+
+
+def six_vertex_spectrum_graphs():
+    """The first connected graph, by edge bitmask, of each integer
+    Laplacian spectrum on 6 vertices."""
+    pairs = list(itertools.combinations(range(6), 2))
+    bits = (np.arange(1, 1 << len(pairs))[:, None] >> np.arange(len(pairs))) & 1
+    adj = np.zeros((len(bits), 6, 6))
+    for k, (u, v) in enumerate(pairs):
+        adj[:, u, v] = adj[:, v, u] = bits[:, k]
+    values = np.linalg.eigvalsh(adj.sum(axis=2)[:, :, None] * np.eye(6) - adj)
+    integral = np.all(np.abs(values - np.round(values)) < 1e-6, axis=1)
+    first = {}
+    for i in np.flatnonzero(integral & (values[:, 1] > 0.5)):
+        key = tuple(np.round(values[i]).astype(int))
+        first.setdefault(key, [p for p, bit in zip(pairs, bits[i]) if bit])
+    return [graph.graph_from_edges(6, edges) for edges in first.values()]
+
+
+def test_class_route_finds_every_vertex(k4_minus_edge):
+    graphs = six_vertex_spectrum_graphs()
+    assert len(graphs) == 37
+    k5e = graph.graph_from_edges(5, set(itertools.combinations(range(5), 2)) - {(0, 1)})
+    for g in graphs + [k4_minus_edge, k5e]:
+        ctx = pipelines.prepare(g)
+        cap = math.pi * 2**ctx.chain.depth * math.sqrt(g.n)
+        assert all(b.oracle_count <= cap for b in ctx.branches), g.edges
+        start = simulate.attach_ancilla(simulate.uniform_state(g.n))
+        for m in range(g.n):
+            report = pipelines.search_vertex_transitive(g, m, ctx=ctx)
+            assert report.target == m and report.fidelity >= THRESHOLD, (g.edges, m)
+            if len(ctx.branches) > 1:
+                assert len(report.branches) == len(ctx.branches)
+                wins = [b.side - 1 for b in report.branches if b.succeeded]
+            else:
+                assert report.branches == ()
+                wins = [0]
+            assert len(wins) == 1, (g.edges, m)
+            ref = simulate.run_schedule(start, ctx.branches[wins[0]], ctx.spectrum, m)
+            assert np.linalg.norm(ref.amps[g.n:]) ** 2 <= simulate.DETACH_TOL
+
+
+def test_class_route_survives_a_leaking_branch():
+    g = graph.load_edge_list(LEAKING)
+    ctx = pipelines.prepare(g)
+    assert ctx.mass_classes == (0, 1, 4)
+    start = simulate.attach_ancilla(simulate.uniform_state(6))
+    leaks = [np.linalg.norm(simulate.run_schedule(start, b, ctx.spectrum, 5).amps[6:]) ** 2
+             for b in ctx.branches]
+    assert leaks[1] == pytest.approx(0.709, abs=1e-3)
+    assert leaks[2] <= simulate.DETACH_TOL
+    report = pipelines.search_vertex_transitive(g, 5, ctx=ctx)
+    assert report.target == 5 and report.fidelity >= THRESHOLD
+    assert [b.succeeded for b in report.branches] == [False, False, True]
 
 
 def test_search_duality_with_sampling(search_suite):
@@ -309,10 +388,6 @@ def test_bipartite_k23_every_vertex():
         assert report.target == m
         assert report.fidelity >= THRESHOLD
         assert sum(b.succeeded for b in report.branches) == 1
-        assert all(
-            b.walk_time == pytest.approx(math.pi / math.sqrt(6), abs=1e-12)
-            for b in report.branches
-        )
 
 
 def test_bipartite_failing_branch_breaks_ties_low():
@@ -393,11 +468,14 @@ def test_verify_petersen_spectrum_crosscheck():
     assert result.min_fidelity >= THRESHOLD
 
 
-def test_verify_k4_minus_edge_uses_promise_route(k4_minus_edge):
+def test_verify_k4_minus_edge_uses_class_route(k4_minus_edge):
     result = pipelines.verify_graph(k4_minus_edge)
-    assert result.search_route == "promise"
+    assert result.search_route == "blackbox"
     assert result.min_fidelity >= THRESHOLD
-    assert {r.search_mode for r in result.reports if r.task == "search"} == {"promise"}
+    assert result.max_bound_ratio <= math.pi
+    searches = [r for r in result.reports if r.task == "search"]
+    assert {r.search_mode for r in searches} == {"blackbox"}
+    assert all(len(r.branches) == 2 for r in searches)
 
 
 def test_verify_path3_uses_bipartite_route():

@@ -265,7 +265,7 @@ def stage_trees(g):
     """Per-vertex sampling trees, their daggers and the search tree of g."""
     ctx = pipelines.prepare(g)
     trees = [pipelines.sampling_schedule(ctx, m) for m in (0, g.n - 1)]
-    return trees + [schedule.dagger(t) for t in trees] + [ctx.search_schedule]
+    return trees + [schedule.dagger(t) for t in trees] + [ctx.branches[0]]
 
 
 @pytest.fixture(params=["c4", "rook33", "hamming42", "bipartite47"])
@@ -326,9 +326,9 @@ def test_pipelines_never_expand_ops(monkeypatch):
         pipelines.search_vertex_transitive(g, 7, ctx=ctx),
     ):
         assert report.fidelity > pipelines.FIDELITY_THRESHOLD
-    assert "ops" not in vars(ctx.search_schedule)
+    assert "ops" not in vars(ctx.branches[0])
     with pytest.raises(AssertionError, match="expanded"):
-        ctx.search_schedule.ops
+        ctx.branches[0].ops
 
 
 def every_schedule_kind():
@@ -339,7 +339,7 @@ def every_schedule_kind():
     star = pipelines.prepare(graph.complete_bipartite(1, 3))
     return {
         "sample": pipelines.sampling_schedule(h42, 3),
-        "search": pipelines.prepare(graph.johnson(5, 2)).search_schedule,
+        "search": pipelines.prepare(graph.johnson(5, 2)).branches[0],
         "k47_block1": schedule.synth_bipartite_search(4, 7)[0],
         "k47_block2": schedule.synth_bipartite_search(4, 7)[1],
         "k15_empty": schedule.synth_bipartite_search(1, 5)[0],
