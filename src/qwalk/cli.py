@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -114,18 +115,19 @@ def _cmd_graph(args, parser) -> int:
 
 
 def _cmd_spectrum(args, parser) -> int:
-    lap = laplacian(_resolve_graph(args, parser))
-    # eigenvectors only when they are written out
-    spec = spectral.eigendecompose(lap) if args.vectors_csv else None
-    ints = spectral.integer_spectrum(lap, spec, int_tol=args.int_tol)
-    if spec is not None:
+    g = _resolve_graph(args, parser)
+    if not args.vectors_csv:  # eigenvectors only when they are written out
+        ints = spectral.graph_integer_spectrum(g, int_tol=args.int_tol)
+    else:
+        spec = spectral.eigendecompose(lap := laplacian(g))
+        ints = spectral.integer_spectrum(lap, spec, int_tol=args.int_tol)
         _emit(spectral.eigenvectors_to_csv(spec), args.vectors_csv)
     emit_json(spectral.spectrum_to_json_dict(ints), args.out)
     return 0
 
 
 def _cmd_depth(args, parser) -> int:
-    ints = spectral.integer_spectrum(laplacian(_resolve_graph(args, parser)))
+    ints = spectral.graph_integer_spectrum(_resolve_graph(args, parser))
     emit_json(depth_mod.chain_to_json_dict(depth_mod.build_depth_chain(ints)), args.out)
     return 0
 
@@ -208,6 +210,9 @@ def _cmd_run(args, parser) -> int:
         bctx = pipelines.prepare_bipartite(_resolve_graph(args, parser))
         report = pipelines.execute_search(bctx, bctx.branches, args.marked,
                                           args.fidelity_threshold)
+    if report.target is None and report.task != pipelines.TASK_SAMPLE:
+        raise QwalkError(f"no search branch found vertex {report.marked}: "
+                         f"best fidelity {report.fidelity:.12g}")
     emit_report(report, args.format, args.out)
     return 0
 
@@ -241,6 +246,15 @@ def _cmd_verify(args, parser) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _bounded(high: float):
+    """argparse type: a finite float in (0, high]."""
+    def number(text: str) -> float:
+        if not (math.isfinite(value := float(text)) and 0 < value <= high):
+            raise argparse.ArgumentTypeError(f"need a finite number in (0, {high}], got {text!r}")
+        return value
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwalk",
@@ -256,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="integer Laplacian spectrum gate")
     _add_graph_source(p_spec)
-    p_spec.add_argument("--int-tol", type=float, default=spectral.INTEGER_TOL)
+    p_spec.add_argument("--int-tol", type=_bounded(math.inf), default=spectral.INTEGER_TOL,
+                        help="rounding tolerance of the dense route; graphs whose edges are "
+                        "a built-in family's take exact closed-form values")
     p_spec.add_argument("--vectors-csv", help="also dump the eigenbasis as CSV here")
     p_spec.add_argument("--out")
 
@@ -282,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--schedule", help="schedule artifact to re-simulate")
     p_run.add_argument(
         "--fidelity-threshold",
-        type=float,
+        type=_bounded(1.0),
         default=pipelines.FIDELITY_THRESHOLD,
         help="probability a search branch's candidate needs to be confirmed; "
         "it decides which branch succeeds when a search runs more than one",

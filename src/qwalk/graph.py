@@ -9,6 +9,7 @@ every downstream artifact is reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -228,6 +229,66 @@ def build_family(name: str, params: tuple[int, ...]) -> Graph:
     if len(params) != arity:
         raise GraphError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
     return builder(*params)
+
+
+# ---------------------------------------------------------------------------
+# Family recognition
+# ---------------------------------------------------------------------------
+
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)])
+
+
+def family_matches(g: Graph) -> list[tuple[str, tuple[int, ...]]]:
+    """Every built-in family whose generator gives exactly g's labelled
+    edges, decided from the edges alone, never the tag or the
+    vertex-transitive flag.  The vertex and edge counts fix the candidates;
+    each edge obeying a candidate's adjacency rule on the labels then
+    proves the edge sets equal.  A complete graph needs no rule."""
+    n, e = g.n, len(g.edges)
+    u, v = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T
+    return [(name, params) for name, params, rule in _candidates(n, e)
+            if 2 * e == n * (n - 1) or rule(u, v).all()]
+
+
+def _candidates(n: int, e: int):
+    """(name, params, edge rule) of each family with n vertices and e edges."""
+    for d in range(1, n.bit_length()):
+        q = round(n ** (1 / d))
+        if q**d == n and 2 * e == n * d * (q - 1):
+            yield "hamming", (d, q), lambda u, v, d=d, q=q: sum(
+                u // q**i % q != v // q**i % q for i in range(d)) == 1
+    for a, b in _sum_product_pairs(n, e):
+        yield "complete_bipartite", (a, b), lambda u, v, a=a: (u < a) & (v >= a)
+    for a, b in _sum_product_pairs(2 * e // n + 2, n) if 2 * e % n == 0 else ():
+        if min(a, b) >= 2:
+            yield "rook", (a, b), lambda u, v, b=b: (u // b == v // b) | (u % b == v % b)
+    if n % 4 == 0 and n >= 8 and 2 * e == n * (n // 4 + 1):
+        yield "complete_square", (n // 4,), lambda u, v: (u % 4 == v % 4) | (
+            (u // 4 == v // 4) & ((v - u) % 2 == 1))
+    subsets = {(n, 1), (n, n - 1)} if n >= 2 else set()  # every C(m, k) = n
+    for m in range(4, math.isqrt(2 * n) + 2):  # C(m, k) >= C(m, 2) for 2 <= k <= m - 2
+        for k in itertools.takewhile(lambda k: math.comb(m, k) <= n, range(2, m // 2 + 1)):
+            subsets |= {(m, k), (m, m - k)} if math.comb(m, k) == n else set()
+    for m, k in sorted(subsets):
+        if 2 * e == n * k * (m - k):
+            yield "johnson", (m, k), lambda u, v, m=m, k=k: _meet(m, k, u, v) == k - 1
+        if 2 * e == n * math.comb(m - k, k):  # under n - 1 edges when m <= 2k, k > 1
+            yield "kneser", (m, k), lambda u, v, m=m, k=k: _meet(m, k, u, v) == 0
+
+
+def _sum_product_pairs(total: int, product: int) -> list[tuple[int, int]]:
+    """The ordered positive pairs (a, b) with a + b = total, a * b = product."""
+    a = (total - math.isqrt(max(total * total - 4 * product, 0))) // 2
+    return sorted({(a, total - a), (total - a, a)}) if a > 0 and a * (total - a) == product else []
+
+
+def _meet(m: int, k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|S_u & S_v| over the lex-ranked k-subsets S of range(m): the
+    popcount of the and of their packed membership masks."""
+    member = np.zeros((math.comb(m, k), m), dtype=bool)
+    np.put_along_axis(member, np.array(list(itertools.combinations(range(m), k))), True, 1)
+    masks = np.packbits(member, axis=1)
+    return _POPCOUNT[masks[u] & masks[v]].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,18 @@ All downstream formulas consume eigenspace projection masses (sums over a
 degenerate group), never individual eigenvectors, so results do not depend
 on the solver's arbitrary basis choice inside a degenerate eigenspace.
 
-``integer_spectrum`` is the one gate every Laplacian passes.  Given only
-the matrix it computes eigenvalues alone (``eigvalsh``), which is all the
-spectrum and the depth chain need; given a full decomposition it gates
-that.  Either way the float values are rounded within ``INTEGER_TOL`` and
-the result is then certified in exact integer arithmetic on the matrix:
-the product of (L - lambda I) over the distinct rounded values kills a
-pseudo-random vector modulo a prime, so every eigenvalue is one of them;
-the multiplicities reproduce N, tr L and ||L||_F^2; and L 1 = 0 with a
-simple zero makes the uniform state the kernel.  A loose tolerance
-therefore cannot admit a non-integer spectrum.
+``integer_spectrum`` is the gate on a matrix.  Given only the matrix it
+computes eigenvalues alone (``eigvalsh``), which is all the spectrum and
+the depth chain need; given a full decomposition it gates that.  Either
+way the float values are rounded within ``INTEGER_TOL`` and the result is
+then certified in exact integer arithmetic on the matrix: the product of
+(L - lambda I) over the distinct rounded values kills a pseudo-random
+vector modulo a prime, so every eigenvalue is one of them; the
+multiplicities reproduce N, tr L and ||L||_F^2; and L 1 = 0 with a simple
+zero makes the uniform state the kernel.  A loose tolerance therefore
+cannot admit a non-integer spectrum.  ``graph_integer_spectrum`` skips the
+dense solve when a graph's edges are a built-in family's: the values come
+in closed form and the same certificate runs on the edge list.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpectrumError
+from .graph import Graph, family_matches, laplacian
 
 #: Eigenvalues closer than this are treated as one eigenspace.
 GROUP_TOL = 1e-6
@@ -192,12 +195,66 @@ def integer_spectrum(
         values.flags.writeable = False
         spectrum = Spectrum(values, None, _group_eigenvalues(values, GROUP_TOL))
     ints = validate_integer_spectrum(spectrum, int_tol=int_tol)
-    _certify(np.asarray(matrix, dtype=float), ints)
+    m = np.asarray(matrix, dtype=float)
+    if not np.array_equal(m, np.rint(m)):
+        raise SpectrumError("matrix entries are not integers")
+    _certify(ints, lambda w: m @ w, np.trace(m), np.einsum("ij,ij->i", m, m))
+    if np.any(m.sum(axis=1)):
+        raise SpectrumError("matrix rows do not sum to 0: the kernel is not uniform")
     return ints
 
 
-def _certify(m: np.ndarray, ints: IntegerSpectrum) -> None:
-    """Check the rounded spectrum against the matrix in exact arithmetic.
+def graph_integer_spectrum(g: Graph, *, int_tol: float = INTEGER_TOL) -> IntegerSpectrum:
+    """The eigenvalue-only integer gate on g's Laplacian.
+
+    When g's edges are a built-in family's (``graph.family_matches``) the
+    values come in closed form and the certificate runs on the edges,
+    O(G·E), so ``int_tol`` has nothing to round; every other graph takes
+    the dense ``eigvalsh`` route of ``integer_spectrum``.
+    """
+    matches = family_matches(g)
+    if not matches:
+        return integer_spectrum(laplacian(g), int_tol=int_tol)
+    ints = family_spectrum(*matches[0])
+    u, v = np.array(list(g.edges)).T
+    deg = np.bincount(np.concatenate([u, v]), minlength=g.n).astype(float)
+    _certify(ints, lambda w: deg * w - np.bincount(u, w[v], g.n) - np.bincount(v, w[u], g.n),
+             deg.sum(), deg**2 + deg)
+    return ints
+
+
+def family_spectrum(name: str, params: tuple[int, ...]) -> IntegerSpectrum:
+    """A built-in family's Laplacian eigenvalues in closed form, ascending,
+    through the float half of the gate; ``base.eigenvectors`` is None."""
+    if name == "hamming":
+        d, q = params
+        terms = [(q * i, math.comb(d, i) * (q - 1) ** i) for i in range(d + 1)]
+    elif name in ("johnson", "kneser"):
+        # eigenspace i of the Johnson scheme; Kneser is C(n-k, k)-regular
+        # with adjacency eigenvalue (-1)^i C(n-k-i, k-i) there
+        n, k = params
+        terms = [(i * (n + 1 - i) if name == "johnson" else
+                  math.comb(n - k, k) - (-1) ** i * math.comb(n - k - i, k - i),
+                  math.comb(n, i) - (math.comb(n, i - 1) if i else 0))
+                 for i in range(min(k, n - k) + 1)]
+    elif name == "complete_bipartite":
+        a, b = params
+        terms = [(0, 1), (a, b - 1), (b, a - 1), (a + b, 1)]
+    else:  # rook and complete_square: sums over the two Cartesian factors
+        a, b = params if name == "rook" else (params[0], 4)
+        second = [(0, 1), (b, b - 1)] if name == "rook" else [(0, 1), (2, 2), (4, 1)]
+        terms = [(x + y, mx * my) for x, mx in [(0, 1), (a, a - 1)] for y, my in second]
+    value, mult = np.array(terms).T
+    values = np.sort(np.repeat(value, mult)).astype(float)
+    values.flags.writeable = False
+    return validate_integer_spectrum(
+        Spectrum(values, None, _group_eigenvalues(values, GROUP_TOL)))
+
+
+def _certify(ints: IntegerSpectrum, matvec, trace: float, row_sq: np.ndarray) -> None:
+    """Check the rounded spectrum against an integer symmetric matrix,
+    given by its product with a vector, its trace and its squared row
+    norms, in exact arithmetic.
 
     Every float below holds an integer under 2^53, so it is exact.  The
     product over the distinct values of (m - lambda I) applied to a
@@ -206,39 +263,34 @@ def _certify(m: np.ndarray, ints: IntegerSpectrum) -> None:
     matrix, which kills a uniformly random vector with probability at most
     1/p unless p divides all its entries (Schwartz-Zippel).  With every
     eigenvalue among the rounded integers, the solver's error (far below
-    1/2) fixes the multiplicities; the moments N, tr m and ||m||_F^2
-    cross-check them exactly.  Rows summing to 0 put the uniform vector in
-    the kernel, which the simple zero makes the whole kernel.
+    1/2) fixes the multiplicities, or on the closed-form route the
+    formula; the moments N, tr m and ||m||_F^2 cross-check them exactly.
     """
     groups = [(int(round(g.value)), g.multiplicity) for g in ints.base.groups]
     values = [v for v, _ in groups]
-    if not np.array_equal(m, np.rint(m)):
-        raise SpectrumError("matrix entries are not integers")
-    row_sq = np.einsum("ij,ij->i", m, m)
+    n = len(row_sq)
     # a row's absolute sum is at most sqrt(n * its squared norm)
-    bound = math.sqrt(len(m) * float(row_sq.max())) + max(map(abs, values))
+    bound = math.sqrt(n * float(row_sq.max())) + max(map(abs, values))
     if bound * CERT_PRIME >= 2.0**53:
         raise SpectrumError("matrix entries too large for the exact certificate")
 
     p = float(CERT_PRIME)
     # random, not numpy.random, which costs a cold import of tens of ms
-    raw = random.Random(CERT_SEED).randbytes(4 * len(m))
+    raw = random.Random(CERT_SEED).randbytes(4 * n)
     w = (np.frombuffer(raw, dtype=np.uint32) % CERT_PRIME).astype(float)
     for value in values:
-        w = np.mod(m @ w - value * w, p)
+        w = np.mod(matvec(w) - value * w, p)
     if np.any(w):
         raise SpectrumError(
             f"eigenvalues are not all among the rounded integers {values}"
         )
 
-    moments = (len(m), int(np.trace(m)), int(row_sq.astype(np.int64).sum()))
+    moments = (n, int(trace), int(row_sq.astype(np.int64).sum()))
     claimed = tuple(sum(k * v**e for v, k in groups) for e in range(3))
     if claimed != moments:
         raise SpectrumError(
             f"multiplicities give moments {claimed}, the matrix {moments}"
         )
-    if np.any(m.sum(axis=1)):
-        raise SpectrumError("matrix rows do not sum to 0: the kernel is not uniform")
 
 
 def eigenspace_amplitudes(spectrum: Spectrum, vertex: int) -> np.ndarray:

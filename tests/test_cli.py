@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qwalk import cli, depth, graph, pipelines, schedule
+from qwalk import cli, depth, graph, pipelines, schedule, spectral
 
 
 def run_cli(args, capsys):
@@ -62,23 +62,33 @@ def test_spectrum_cycle5_loose_tolerance_exits_one(capsys):
 def test_spectrum_and_depth_skip_eigenvectors(tmp_path, capsys, monkeypatch):
     edges = tmp_path / "rook33.edges"
     edges.write_text(graph.dump_edge_list(graph.rook(3, 3)))
-    expected = {}
+    big_edges = tmp_path / "hamming10_2.edges"
+    big_edges.write_text(graph.dump_edge_list(graph.hamming(10, 2)))
+    big = spectral.integer_spectrum(graph.laplacian(graph.hamming(10, 2)))
     verbs = {
         "spectrum": ["spectrum", "--family", "hamming", "--params", "4,2"],
         "depth": ["depth", "--edges", str(edges)],
+        "big_spectrum": ["spectrum", "--family", "hamming", "--params", "10,2"],
+        "big_depth": ["depth", "--edges", str(big_edges)],
     }
-    for verb, argv in verbs.items():
-        expected[verb] = run_cli(argv, capsys)
+    expected = {verb: run_cli(argv, capsys) for verb, argv in verbs.items()}
+    assert json.loads(expected["big_spectrum"][1]) == spectral.spectrum_to_json_dict(big)
+    assert json.loads(expected["big_depth"][1]) == depth.chain_to_json_dict(
+        depth.build_depth_chain(big))
 
-    def no_eigh(m):
-        raise AssertionError("eigh called")
+    def no_dense(*args):
+        raise AssertionError("dense work")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    # family edges take closed-form values: no solver and no dense Laplacian
+    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
+    for module in (graph, spectral, cli):
+        monkeypatch.setattr(module, "laplacian", no_dense)
     for verb, argv in verbs.items():
         assert run_cli(argv, capsys) == expected[verb]
         assert expected[verb][0] == 0
-    # the patch is live: the eigenvector dump still needs eigh
-    with pytest.raises(AssertionError, match="eigh called"):
+    # the patch is live: the eigenvector dump still needs the dense path
+    with pytest.raises(AssertionError, match="dense work"):
         cli.main(verbs["spectrum"] + ["--vectors-csv", str(tmp_path / "v.csv")])
 
 
@@ -123,6 +133,33 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["nosuchverb"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "search", "--family", "rook", "--params", "3,3", "--marked", "4",
+     "--fidelity-threshold", "nan"],
+    ["run", "search", "--family", "rook", "--params", "3,3", "--marked", "4",
+     "--fidelity-threshold", "2"],
+    ["run", "search", "--family", "rook", "--params", "3,3", "--marked", "4",
+     "--fidelity-threshold", "0"],
+    ["spectrum", "--family", "hamming", "--params", "4,2", "--int-tol", "nan"],
+    ["spectrum", "--family", "hamming", "--params", "4,2", "--int-tol", "-1"],
+    ["spectrum", "--family", "hamming", "--params", "4,2", "--int-tol", "inf"],
+    ["spectrum", "--family", "hamming", "--params", "4,2", "--int-tol", "abc"],
+], ids=["threshold_nan", "threshold_above_one", "threshold_zero", "int_tol_nan",
+        "int_tol_negative", "int_tol_inf", "int_tol_not_a_number"])
+def test_bad_tolerance_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: " in capsys.readouterr().err
+
+
+def test_family_spectrum_ignores_int_tol(capsys):
+    # closed-form values need no rounding; the dense route would refuse
+    # the solver's 1e-15 at this tolerance
+    argv = ["spectrum", "--family", "hamming", "--params", "4,2"]
+    assert run_cli(argv + ["--int-tol", "1e-300"], capsys) == run_cli(argv, capsys)
 
 
 def test_byte_identical_artifacts(tmp_path, capsys):
@@ -319,6 +356,23 @@ def test_class_search_artifact_k4_minus_edge(tmp_path, capsys):
         assert code == 1
         assert err.startswith("error: search on this graph takes 2 branches")
         assert out == ""
+
+
+def test_search_without_a_winner_exits_one(tmp_path, capsys):
+    # both branches are K4 - e's first: vertex 3 is in the other mass class
+    edges = tmp_path / "k4e.edges"
+    edges.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n")
+    artifact, report = tmp_path / "k4e.json", tmp_path / "report.json"
+    code, _, _ = run_cli(["schedule", "--edges", str(edges), "--task", "search",
+                          "--out", str(artifact)], capsys)
+    assert code == 0
+    stored = json.loads(artifact.read_text())
+    artifact.write_text(json.dumps({**stored, "branches": stored["branches"][:1] * 2}))
+    code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact),
+                              "--marked", "3", "--out", str(report)], capsys)
+    assert code == 1
+    assert err.startswith("error: no search branch found vertex 3: best fidelity 0.5")
+    assert len(err.splitlines()) == 1 and out == "" and not report.exists()
 
 
 ARTIFACT_ARGS = {

@@ -214,3 +214,44 @@ def test_cycle_builder():
     assert len(g.edges) == 5
     with pytest.raises(GraphError):
         graph.cycle(2)
+
+
+def family_grid(max_n):
+    """Every parameter of every built-in family with at most max_n vertices."""
+    for a in range(1, max_n + 1):
+        for b in range(1, max_n + 1):
+            if a < b and math.comb(b, a) <= max_n:
+                yield "johnson", (b, a)
+                if b > 2 * a or a == 1:
+                    yield "kneser", (b, a)
+            if b >= 2 and b**a <= max_n:
+                yield "hamming", (a, b)
+            if min(a, b) >= 2 and a * b <= max_n:
+                yield "rook", (a, b)
+            if a + b <= max_n:
+                yield "complete_bipartite", (a, b)
+        if 2 <= a <= max_n // 4:
+            yield "complete_square", (a,)
+
+
+def test_family_matches_recognises_every_small_family(monkeypatch):
+    graphs = {(name, params): graph.build_family(name, params)
+              for name, params in family_grid(40)}
+    # recognition reads the edges alone: no generator runs, no tag is read
+    for name in ("johnson", "kneser", "hamming", "rook", "complete_square",
+                 "complete_bipartite", "graph_from_edges", "_cartesian_product"):
+        monkeypatch.setattr(graph, name, None)
+    for key, g in graphs.items():
+        untagged = graph.Graph(g.n, g.edges)
+        assert key in graph.family_matches(untagged)
+        for name, params in graph.family_matches(untagged):
+            assert graphs.get((name, params), g).edges == g.edges
+
+
+def test_family_matches_needs_the_labels():
+    g = graph.johnson(6, 2)
+    swapped = graph.graph_from_edges(15, [tuple({0: 14, 14: 0}.get(x, x) for x in e)
+                                          for e in g.edges])
+    assert graph.family_matches(g) == [("johnson", (6, 2))]
+    assert graph.family_matches(swapped) == []
+    assert graph.family_matches(graph.single_vertex()) == []

@@ -305,3 +305,97 @@ def test_certificate_rejects_non_uniform_kernel():
     # spectrum {0, 2} with kernel (1, -1): integral, but no Laplacian
     with pytest.raises(SpectrumError, match="kernel is not uniform"):
         spectral.integer_spectrum(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+# every family, with the corners where labels or spectra collide: k > n/2,
+# Kneser and Hamming at K_n, equal blocks and factors, and N up to 1024
+CLOSED_FORM_GRID = [
+    *(("hamming", p) for p in ((1, 2), (1, 5), (2, 2), (2, 3), (3, 4), (4, 2), (5, 3),
+                               (2, 32), (3, 10), (5, 4), (10, 2))),
+    *(("johnson", p) for p in ((2, 1), (5, 1), (5, 2), (6, 3), (6, 4), (7, 5), (8, 2),
+                               (9, 4), (12, 4), (14, 3))),
+    *(("kneser", p) for p in ((2, 1), (6, 1), (5, 2), (7, 2), (7, 3), (9, 3), (11, 4),
+                              (12, 3))),
+    *(("rook", p) for p in ((2, 2), (2, 3), (3, 4), (4, 3), (5, 5), (20, 20), (16, 64),
+                            (32, 32))),
+    *(("complete_square", p) for p in ((2,), (3,), (5,), (16,), (256,))),
+    *(("complete_bipartite", p) for p in ((1, 1), (1, 6), (6, 1), (3, 3), (2, 5),
+                                          (40, 60), (24, 1000))),
+]
+
+
+def gate_json(ints):
+    return (spectral.spectrum_to_json_dict(ints),
+            depth.chain_to_json_dict(depth.build_depth_chain(ints)))
+
+
+@pytest.mark.parametrize("name, params", CLOSED_FORM_GRID,
+                         ids=[f"{n}({','.join(map(str, p))})" for n, p in CLOSED_FORM_GRID])
+def test_closed_form_matches_dense_gate(name, params):
+    g = graph.build_family(name, params)
+    matches = graph.family_matches(g)
+    assert (name, params) in matches
+    dense = spectral.integer_spectrum(graph.laplacian(g))
+    fast = spectral.graph_integer_spectrum(g)
+    assert fast.base.eigenvectors is None
+    assert gate_json(fast) == gate_json(dense)
+    for match in matches:  # every family the edges fit gives the same values
+        assert spectral.family_spectrum(*match).int_eigenvalues == dense.int_eigenvalues
+
+
+@pytest.mark.parametrize("g, matches", [
+    (graph.rook(20, 20), [("hamming", (2, 20)), ("rook", (20, 20))]),
+    (graph.hamming(1, 6), [("hamming", (1, 6)), ("johnson", (6, 1)), ("kneser", (6, 1)),
+                           ("johnson", (6, 5))]),
+    (graph.kneser(2, 1), [("hamming", (1, 2)), ("complete_bipartite", (1, 1)),
+                          ("johnson", (2, 1)), ("kneser", (2, 1))]),
+    (graph.complete_square(2), [("complete_square", (2,))]),
+], ids=["rook_is_hamming", "k6", "k2", "complete_square"])
+def test_every_matching_family_is_found(g, matches):
+    assert graph.family_matches(g) == matches
+
+
+def switched_hamming_4_2():
+    # 0-1 and 14-15 become 0-14 and 1-15: the degrees stay 4
+    edges = set(graph.hamming(4, 2).edges) - {(0, 1), (14, 15)} | {(0, 14), (1, 15)}
+    return graph.graph_from_edges(16, edges)
+
+
+def relabelled_hamming_4_2():
+    perm = [3, 1, 2, 0, *range(4, 16)]  # 0 and 3 trade labels
+    return graph.graph_from_edges(16, [(perm[u], perm[v]) for u, v in graph.hamming(4, 2).edges])
+
+
+def gate_outcome(run):
+    try:
+        return gate_json(run())
+    except SpectrumError as exc:
+        return str(exc)
+
+
+def test_unrecognised_graphs_take_the_dense_gate(chang_graphs, k4_minus_edge, monkeypatch):
+    cases = [relabelled_hamming_4_2(), switched_hamming_4_2(), *chang_graphs.values(),
+             k4_minus_edge, graph.cycle(6), graph.cycle(5)]
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(1) or eigvalsh(m))
+    for g in cases:
+        assert graph.family_matches(g) == []
+        dense = gate_outcome(lambda: spectral.integer_spectrum(graph.laplacian(g)))
+        assert gate_outcome(lambda: spectral.graph_integer_spectrum(g)) == dense
+    assert len(solves) == 2 * len(cases)
+    # the Chang graphs share johnson(8,2)'s counts and spectrum, not its edges
+    assert gate_outcome(lambda: spectral.graph_integer_spectrum(chang_graphs["C8"])) == (
+        gate_json(spectral.graph_integer_spectrum(graph.johnson(8, 2))))
+
+
+@pytest.mark.parametrize("values, match", [
+    ([0] + [2] * 3 + [4] * 7 + [6] * 4 + [8], "moments"),  # a multiplicity moved
+    ([0] + [2] * 4 + [4] * 6 + [6] * 4 + [9], "not all among"),  # a value off by one
+], ids=["multiplicity_moved", "value_off_by_one"])
+def test_closed_form_is_certified(monkeypatch, values, match):
+    # hamming(4,2) has the spectrum 0, 2^4, 4^6, 6^4, 8
+    fake = spectral.validate_integer_spectrum(spectral.eigendecompose(np.diag(values)))
+    monkeypatch.setattr(spectral, "family_spectrum", lambda name, params: fake)
+    with pytest.raises(SpectrumError, match=match):
+        spectral.graph_integer_spectrum(graph.hamming(4, 2))
