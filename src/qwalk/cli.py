@@ -14,6 +14,7 @@ invocations with identical arguments produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -325,8 +326,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never changes it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args, parser)

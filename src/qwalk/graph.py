@@ -102,34 +102,38 @@ def johnson(n: int, k: int) -> Graph:
     has size k-1.  J(n, 1) is the complete graph K_n."""
     if not 1 <= k < n:
         raise GraphError(f"johnson requires 1 <= k < n, got n={n}, k={k}")
-    verts = list(itertools.combinations(range(n), k))
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[a], index[b])
-        for a, b in itertools.combinations(verts, 2)
-        if len(set(a) & set(b)) == k - 1
-    ]
-    return graph_from_edges(len(verts), edges, f"johnson({n},{k})", "yes")
+    return graph_from_edges(math.comb(n, k), _subset_edges(n, k, k - 1),
+                            f"johnson({n},{k})", "yes")
 
 
 def kneser(n: int, k: int) -> Graph:
     """Kneser graph: k-subsets of an n-set, adjacent iff disjoint.
 
     Requires n >= 2k for any edges to exist; for k >= 2 the boundary case
-    n = 2k is a perfect matching and is rejected as disconnected.
+    n = 2k is a perfect matching and is rejected as disconnected.  Every
+    n >= 2k+1 gives a connected graph, of diameter ceil((k-1)/(n-2k)) + 1
+    (Valencia-Pabon and Vera 2005).
     """
     if k < 1 or n < 2 * k:
         raise GraphError(f"kneser requires 1 <= k and n >= 2k, got n={n}, k={k}")
-    verts = list(itertools.combinations(range(n), k))
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[a], index[b])
-        for a, b in itertools.combinations(verts, 2)
-        if not set(a) & set(b)
-    ]
-    if not _is_connected(len(verts), [(min(e), max(e)) for e in edges]):
+    if n == 2 * k and k > 1:
         raise GraphError(f"kneser({n},{k}) is disconnected; need n >= 2k+1")
-    return graph_from_edges(len(verts), edges, f"kneser({n},{k})", "yes")
+    return graph_from_edges(math.comb(n, k), _subset_edges(n, k, 0), f"kneser({n},{k})", "yes")
+
+
+def _subset_edges(n: int, k: int, meet: int) -> list[Edge]:
+    """The pairs u < v of lex-ranked k-subsets of range(n) that share
+    ``meet`` elements, compared about a million pairs at a time."""
+    masks = _subset_masks(n, k)
+    count = len(masks)
+    step = max(1, 2**20 // count)
+    edges: list[Edge] = []
+    for lo in range(0, count, step):
+        rows = np.arange(lo, min(lo + step, count))
+        u, v = np.nonzero(_meet(masks, rows[:, None], np.arange(count)) == meet)
+        upper = u + lo < v
+        edges += zip((u[upper] + lo).tolist(), v[upper].tolist())
+    return edges
 
 
 def hamming(d: int, q: int) -> Graph:
@@ -271,9 +275,10 @@ def _candidates(n: int, e: int):
             subsets |= {(m, k), (m, m - k)} if math.comb(m, k) == n else set()
     for m, k in sorted(subsets):
         if 2 * e == n * k * (m - k):
-            yield "johnson", (m, k), lambda u, v, m=m, k=k: _meet(m, k, u, v) == k - 1
+            yield "johnson", (m, k), lambda u, v, m=m, k=k: (
+                _meet(_subset_masks(m, k), u, v) == k - 1)
         if 2 * e == n * math.comb(m - k, k):  # under n - 1 edges when m <= 2k, k > 1
-            yield "kneser", (m, k), lambda u, v, m=m, k=k: _meet(m, k, u, v) == 0
+            yield "kneser", (m, k), lambda u, v, m=m, k=k: _meet(_subset_masks(m, k), u, v) == 0
 
 
 def _sum_product_pairs(total: int, product: int) -> list[tuple[int, int]]:
@@ -282,13 +287,17 @@ def _sum_product_pairs(total: int, product: int) -> list[tuple[int, int]]:
     return sorted({(a, total - a), (total - a, a)}) if a > 0 and a * (total - a) == product else []
 
 
-def _meet(m: int, k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """|S_u & S_v| over the lex-ranked k-subsets S of range(m): the
-    popcount of the and of their packed membership masks."""
+def _subset_masks(m: int, k: int) -> np.ndarray:
+    """The packed membership masks of the lex-ranked k-subsets of range(m)."""
     member = np.zeros((math.comb(m, k), m), dtype=bool)
     np.put_along_axis(member, np.array(list(itertools.combinations(range(m), k))), True, 1)
-    masks = np.packbits(member, axis=1)
-    return _POPCOUNT[masks[u] & masks[v]].sum(axis=1)
+    return np.packbits(member, axis=1)
+
+
+def _meet(masks: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|S_u & S_v| for index arrays u and v that broadcast: the popcount of
+    the and of the sets' packed membership ``masks``."""
+    return _POPCOUNT[masks[u] & masks[v]].sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,15 @@ Laplacian walk, or one per block of a complete bipartite graph under the
 adjacency walk.  Each branch is a reversed schedule from the uniform
 state on a vertex set.
 
+Every task runs through one sweep per task (``_sample_sweep``,
+``_transfer_sweep``, ``_search_sweep``) over rows: a start vertex, a
+vertex pair or a hidden vertex, each with its own schedules.  Rows whose
+schedules share their stage structure and whose vertex sets keep the
+same frame coordinates form a group, and each group is one pass of the
+batched executor (for search, one pass per branch).  ``verify_graph`` is one call of each sweep over
+every row of a graph, with one synthesis per vertex; the single-run
+functions are the one-row case.
+
 Success is declared by fidelity threshold on the exact final state, not by
 sampled measurement; ``measure_distribution`` exists for demonstration.
 """
@@ -20,7 +29,7 @@ import functools
 import io
 import math
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -250,12 +259,18 @@ def search_route(
     adjacency route; every other graph the black-box route, one Laplacian
     branch per mass class.
     """
+    route, sctx = _search_context(g, ctx)
+    return route, lambda m: execute_search(sctx, sctx.branches, m, threshold)
+
+
+def _search_context(
+    g: Graph, ctx: LaplacianContext | None
+) -> tuple[str, LaplacianContext | BipartiteContext]:
+    """The route ``search_route`` picks and the context it searches in."""
     blocks = bipartite_blocks(g)
     if blocks and len(blocks[0]) != len(blocks[1]):
-        bctx = BipartiteContext(g, blocks)
-        return "bipartite", lambda m: execute_search(bctx, bctx.branches, m, threshold)
-    ctx = ctx or prepare(g)
-    return "blackbox", lambda m: execute_search(ctx, ctx.branches, m, threshold)
+        return "bipartite", BipartiteContext(g, blocks)
+    return "blackbox", ctx or prepare(g)
 
 
 def _report(
@@ -275,6 +290,19 @@ def _report(
         ancilla_phase_time=sum(sched_mod.ancilla_phase_time(s) for s in schedules),
         **fields,
     )
+
+
+def _groups(spectrum: spectral.Spectrum, sets: Sequence[Sequence[int]], keys: Sequence):
+    """Split rows i, each a vertex set ``sets[i]`` and the stage structure
+    of its schedules, ``keys[i]``, into groups that share their key and
+    their frame's kept coordinates; yield each group's row indices and
+    frame."""
+    by_key: dict = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    for items in by_key.values():
+        for idx, frame in sim.vertex_frames(spectrum, [sets[i] for i in items]):
+            yield [items[i] for i in idx], frame
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +337,42 @@ def _check_stages(ctx: LaplacianContext | BipartiteContext,
 def execute_sample(
     ctx: LaplacianContext, schedule: sched_mod.Schedule, m: int
 ) -> RunReport:
-    """Run a forward schedule from vertex m in its frame, checking each
-    stage against its level's kept state.  Stage ends are safe projection
-    points for the ancilla; coordinate 0 is the uniform state."""
-    _check_stages(ctx, schedule)
-    levels = schedule.stage_levels
-    frame = sim.vertex_frame(ctx.spectrum, [m])
-    row = frame.coords[0]
-    depths = ctx.group_depths[frame.group]
-    stage_fids: list[float] = []
+    """Run a forward schedule from vertex m: the one-row sampling sweep."""
+    return _sample_sweep(ctx, [schedule], [m])[0]
 
-    def check_stage(stage: int, blocks: np.ndarray) -> None:
-        kept = np.where(depths > levels[stage], row, 0.0)
-        overlap = abs(np.vdot(kept, blocks[0])) ** 2
-        stage_fids.append(float(overlap / (kept @ kept) / np.linalg.norm(blocks[0]) ** 2))
 
-    x = frame.run(row[None], schedule, on_stage=check_stage)
-    return _report(
-        TASK_SAMPLE, ctx.label, ctx.graph.n, ctx.chain.depth, [schedule],
-        marked=m,
-        target=None,
-        fidelity=float(abs(x[0, 0]) ** 2),
-        stage_fidelities=tuple(stage_fids),
-    )
+def _sample_sweep(
+    ctx: LaplacianContext, schedules: Sequence[sched_mod.Schedule], vertices: Sequence[int]
+) -> list[RunReport]:
+    """Run forward ``schedules[i]`` from vertex ``vertices[i]`` in its
+    frame, checking each stage against its level's kept state, one
+    executor pass per group.  Stage ends are safe projection points for
+    the ancilla; coordinate 0 is the uniform state."""
+    for schedule in schedules:
+        _check_stages(ctx, schedule)
+    reports: list[RunReport] = [None] * len(vertices)
+    keys = [s.structure for s in schedules]
+    for items, frame in _groups(ctx.spectrum, [[m] for m in vertices], keys):
+        batch, row = [schedules[i] for i in items], frame.coords[:, 0]
+        ends: list[np.ndarray] = []  # block 0 of every row after each stage
+        x = frame.run(row[:, None], batch, on_stage=lambda _, blocks: ends.append(blocks[:, 0]))
+        # stage k's fidelity: that block against the kept part of m's row
+        # at the next level, both normalized
+        levels = np.array(batch[0].stage_levels)[:, None, None]
+        kept = np.where(ctx.group_depths[frame.group] > levels, row, 0.0)
+        ends = np.array(ends).reshape(kept.shape)
+        stage_fids = (np.abs(np.einsum("sij,sij->si", kept, ends)) ** 2
+                      / np.einsum("sij,sij->si", kept, kept)
+                      / np.einsum("sij,sij->si", ends.conj(), ends).real)
+        for i, item in enumerate(items):
+            reports[item] = _report(
+                TASK_SAMPLE, ctx.label, ctx.graph.n, ctx.chain.depth, [batch[i]],
+                marked=vertices[item],
+                target=None,
+                fidelity=float(abs(x[i, 0, 0]) ** 2),
+                stage_fidelities=tuple(stage_fids[:, i].tolist()),
+            )
+    return reports
 
 
 def uniform_sample(g: Graph, m: int, *, ctx: LaplacianContext | None = None) -> RunReport:
@@ -348,19 +389,36 @@ def transfer(
     g: Graph, u: int, v: int, *, ctx: LaplacianContext | None = None
 ) -> RunReport:
     """Perfect state transfer: forward schedule for u, adjoint schedule
-    for v.  Both oracles bind their own vertex."""
+    for v, the one-row transfer sweep."""
     ctx = ctx or prepare(g)
-    sched_u = sampling_schedule(ctx, u)
-    sched_v = sampling_schedule(ctx, v)
-    frame = sim.vertex_frame(ctx.spectrum, [u, v])
-    x = frame.run(frame.coords[:1], sched_u)
-    x = frame.run(x, sched_mod.dagger(sched_v), 1)
-    return _report(
-        TASK_TRANSFER, ctx.label, ctx.graph.n, ctx.chain.depth, [sched_u, sched_v],
-        marked=u,
-        target=v,
-        fidelity=float(abs(np.vdot(frame.coords[1], x[0])) ** 2),
-    )
+    schedules = {u: sampling_schedule(ctx, u), v: sampling_schedule(ctx, v)}
+    return _transfer_sweep(ctx, schedules, [(u, v)])[0]
+
+
+def _transfer_sweep(
+    ctx: LaplacianContext, schedules: Mapping[int, sched_mod.Schedule],
+    pairs: Sequence[tuple[int, int]],
+) -> list[RunReport]:
+    """Transfer for each pair (u, v) in the frame of {u, v}: forward
+    ``schedules[u]``, then the adjoint of ``schedules[v]``, whose oracles
+    bind their own vertex; one executor pass per group and half."""
+    back = {v: sched_mod.dagger(schedules[v]) for v in {v for _, v in pairs}}
+    reports: list[RunReport] = [None] * len(pairs)
+    keys = [(schedules[u].structure, back[v].structure) for u, v in pairs]
+    for items, frame in _groups(ctx.spectrum, pairs, keys):
+        x = frame.run(frame.coords[:, :1], [schedules[pairs[i][0]] for i in items])
+        x = frame.run(x, [back[pairs[i][1]] for i in items], 1)
+        fids = np.abs(np.einsum("ij,ij->i", frame.coords[:, 1], x[:, 0])) ** 2
+        for i, item in enumerate(items):
+            u, v = pairs[item]
+            reports[item] = _report(
+                TASK_TRANSFER, ctx.label, ctx.graph.n, ctx.chain.depth,
+                [schedules[u], schedules[v]],
+                marked=u,
+                target=v,
+                fidelity=float(fids[i]),
+            )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -410,56 +468,76 @@ def execute_search(
     marked: int,
     threshold: float = FIDELITY_THRESHOLD,
 ) -> RunReport:
-    """Run branch i, the reversed schedule ``schedules[i]``, from
-    ``ctx.starts[i]`` with the oracle bound to ``marked``, in marked's
-    frame and with the ancilla carried: a branch for another mass class can
-    leave it entangled.  A branch's candidate, the most probable vertex of
-    its vertex marginal, is checked against the oracle (one query); it
-    succeeds when it is ``marked`` with probability at least
-    ``threshold``.  The first success is the result and must pass the
-    detach gate."""
+    """Search for one hidden vertex: the one-vertex search sweep."""
+    return _search_sweep(ctx, schedules, [marked], threshold)[0]
+
+
+def _search_sweep(
+    ctx: LaplacianContext | BipartiteContext,
+    schedules: Sequence[sched_mod.Schedule],
+    marked: Sequence[int],
+    threshold: float = FIDELITY_THRESHOLD,
+) -> list[RunReport]:
+    """For each hidden vertex m, run branch i, the reversed schedule
+    ``schedules[i]``, from ``ctx.starts[i]`` with the oracle bound to m, in
+    m's frame and with the ancilla carried: a branch for another mass class
+    can leave it entangled.  A branch's candidate, the most probable vertex
+    of its vertex marginal, is checked against the oracle (one query); it
+    succeeds when it is m with probability at least ``threshold``.  The
+    first success is the result and must pass the detach gate.  Each
+    branch runs for every hidden vertex in one executor pass per frame."""
     if len(schedules) != len(ctx.starts):
         raise ScheduleError(
             f"search on this graph takes {len(ctx.starts)} branches, got {len(schedules)}")
     for schedule in schedules:
         _check_stages(ctx, schedule)
-    frame = sim.vertex_frame(ctx.spectrum, [marked])
-    results: list[BranchResult] = []
-    winner = None
-    for side, (start, schedule) in enumerate(zip(ctx.starts, schedules), 1):
-        state = _run_branch(ctx.spectrum, frame, start, schedule)
-        probs = (np.abs(state.amps.reshape(2, -1)) ** 2).sum(axis=0)
-        candidate = _most_probable(probs)
-        fid = float(probs[candidate])
-        result = BranchResult(
-            side=side, candidate=candidate, fidelity=fid,
-            succeeded=fid >= threshold and candidate == marked,
-            oracle_count=schedule.oracle_count, total_time=schedule.total_time)
-        if result.succeeded and winner is None:
-            sim.detach_ancilla(state)
-            winner = result
-        results.append(result)
-    return _report(
-        ctx.search_task, ctx.label, ctx.graph.n, ctx.depth, schedules,
-        marked=marked,
-        target=winner.candidate if winner else None,
-        fidelity=winner.fidelity if winner else max(b.fidelity for b in results),
-        search_mode="blackbox",
-        branches=tuple(results) if len(results) > 1 else (),
-    )
+    results: list[list[BranchResult]] = [[None] * len(schedules) for _ in marked]
+    found = {}  # (row, side): the amplitudes of a successful branch
+    frames = sim.vertex_frames(ctx.spectrum, [[m] for m in marked])
+    for side, (start, schedule) in enumerate(zip(ctx.starts, schedules)):
+        for rows, frame in frames:
+            amps = _run_branch(ctx.spectrum, frame, start, schedule)
+            probs = (np.abs(amps) ** 2).sum(axis=1)
+            for i, row in enumerate(rows):
+                candidate = _most_probable(probs[i])
+                fid = float(probs[i, candidate])
+                results[row][side] = BranchResult(
+                    side=side + 1, candidate=candidate, fidelity=fid,
+                    succeeded=fid >= threshold and candidate == marked[row],
+                    oracle_count=schedule.oracle_count, total_time=schedule.total_time)
+                if results[row][side].succeeded:
+                    found[row, side] = amps[i]
+    reports, winners = [], []
+    for row, (m, branches) in enumerate(zip(marked, results)):
+        winner = next((b for b in branches if b.succeeded), None)
+        if winner:
+            winners.append(found[row, winner.side - 1])
+        reports.append(_report(
+            ctx.search_task, ctx.label, ctx.graph.n, ctx.depth, schedules,
+            marked=m,
+            target=winner.candidate if winner else None,
+            fidelity=winner.fidelity if winner else max(b.fidelity for b in branches),
+            search_mode="blackbox",
+            branches=tuple(branches) if len(branches) > 1 else (),
+        ))
+    if winners:
+        sim.detach_blocks(np.array(winners))
+    return reports
 
 
 def _run_branch(spectrum: spectral.Spectrum, frame: sim.Frame, start: np.ndarray,
-                schedule: sched_mod.Schedule) -> sim.StateVector:
-    """Run a reversed schedule in the frame of one vertex m from the state
-    with eigen-coefficients ``start``, a uniform state on a vertex set
-    whose projection on each eigenspace g is parallel to E_g|m>; return
-    the vertex-basis state with the ancilla carried.  Coordinate j of the
-    start is <m|E_g|start> / coords[0, j], O(N)."""
+                schedule: sched_mod.Schedule) -> np.ndarray:
+    """Run a reversed schedule in the frames of single vertices m_i, the
+    rows of ``frame``, from the state with eigen-coefficients ``start``, a
+    uniform state on a vertex set whose projection on each eigenspace g is
+    parallel to E_g|m_i>; return the vertex-basis amplitudes, shape
+    (R, 2, N), with the ancilla carried.  Coordinate j of the start in row
+    i is <m_i|E_g|start> / coords[i, 0, j], O(N) per row."""
     group_starts = [g.indices[0] for g in spectrum.groups]
-    x = np.add.reduceat(spectrum.eigenvectors[frame.vertices[0]] * start, group_starts)
-    x = x[frame.group] / frame.coords[0]
-    return sim.lift(spectrum, frame, frame.run(np.stack([x, 0 * x]), schedule))
+    x = np.add.reduceat(spectrum.eigenvectors[frame.vertices[:, 0]] * start, group_starts, axis=1)
+    x = x[:, frame.group] / frame.coords[:, 0]
+    blocks = frame.run(np.stack([x, 0 * x], axis=1), [schedule] * len(x))
+    return sim.lift(spectrum, frame, blocks)
 
 
 def _most_probable(probs: np.ndarray) -> int:
@@ -487,17 +565,21 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
 
     Sampling runs from every vertex; transfer on all ordered pairs (or a
     deterministic subset above 10 vertices); search on every hidden vertex
-    via the route ``search_route`` picks.
+    via the route ``search_route`` picks.  Each vertex's sampling schedule
+    is synthesized once and serves its sample and every transfer it is in;
+    each sweep runs all its rows in one pass per group.
     """
     if g.n > cap:
         raise GraphError(f"graph has {g.n} vertices, exceeding the cap {cap}")
     started = time.perf_counter()
     ctx = prepare(g)
-    route, search = search_route(g, ctx=ctx)
+    route, sctx = _search_context(g, ctx)
+    vertices = list(range(g.n))
+    forward = [sampling_schedule(ctx, m) for m in vertices]
 
-    reports = [uniform_sample(g, m, ctx=ctx) for m in range(g.n)]
-    reports += [transfer(g, u, v, ctx=ctx) for u, v in _transfer_pairs(g.n)]
-    reports += [search(m) for m in range(g.n)]
+    reports = _sample_sweep(ctx, forward, vertices)
+    reports += _transfer_sweep(ctx, forward, _transfer_pairs(g.n))
+    reports += _search_sweep(sctx, sctx.branches, vertices)
     reports.sort(key=lambda r: (r.task, r.marked if r.marked is not None else -1,
                                 r.target if r.target is not None else -1))
 

@@ -141,7 +141,8 @@ class Schedule:
     """Immutable schedule: one ``Stage`` per active level, kept in forward
     order whatever the direction; everything else derives from them.
 
-    ``ops`` is the flat op list, expanded on first read.
+    ``ops`` is the flat op list, expanded on first read; the costs below
+    come from one pass over the stages, also made on first read.
     ``stage_boundaries[i]`` is the op index where active stage i begins and
     ``stage_levels[i]`` the refinement level it implements.  ``total_time``
     sums magnitudes: |t| over walk segments plus |theta| over oracle and
@@ -159,9 +160,13 @@ class Schedule:
         ops = _expand(self.stages)
         return _adjoint_ops(ops) if self.direction == REVERSED else ops
 
+    @functools.cached_property
+    def _costs(self) -> tuple[int, tuple[int, ...], int, float, float]:
+        return _tree_costs(self.stages)
+
     @property
     def stage_boundaries(self) -> tuple[int, ...]:
-        length, starts = _tree_costs(self.stages)[:2]
+        length, starts = self._costs[:2]
         return _reversed_boundaries(starts, length) if self.direction == REVERSED else starts
 
     @property
@@ -171,11 +176,17 @@ class Schedule:
 
     @property
     def total_time(self) -> float:
-        return _tree_costs(self.stages)[3]
+        return self._costs[3]
 
     @property
     def oracle_count(self) -> int:
-        return _tree_costs(self.stages)[2]
+        return self._costs[2]
+
+    @functools.cached_property
+    def structure(self) -> tuple[str, tuple[tuple[int, int], ...]]:
+        """What schedules run side by side as rows of one executor pass
+        share: the direction and each stage's level and iteration count."""
+        return self.direction, tuple((st.level, st.params.iterations) for st in self.stages)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +387,7 @@ def _bipartite_branch(block_size: int, walk_time: float) -> Schedule:
 def ancilla_phase_time(schedule: Schedule) -> float:
     """Total angle spent in ancilla phase gates (reported separately in
     cost accounting)."""
-    return _tree_costs(schedule.stages)[4]
+    return schedule._costs[4]
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,16 @@ U O U^dagger = I + (e^{-i alpha} - 1) sum_a |w_a><w_a| with w_a = U|a, m>,
 exactly and for any state.  So a schedule costs O(r) per stage iteration
 in any r-dimensional frame where the walk is diagonal (``_run_stages``).
 A run from vertices S with oracles on S stays in span{E_g|s>}, which
-``vertex_frame`` spans with at most |S| coordinates per eigenvalue and no
+``vertex_frames`` spans with at most |S| coordinates per eigenvalue and no
 N x N product; every pipeline runs there, on the Laplacian or the
-adjacency spectrum.  ``run_schedule`` takes any vertex-basis state and
-rotates it into the eigenbasis and back, O(N^2); it, ``apply_op`` and the
-per-op primitives are the references the frame runs are tested against,
-and every one is exactly unitary.
+adjacency spectrum.  The executor runs R rows at once, each with its own
+marked vertex, kicks and oracle angles: rows whose vertex sets keep the
+same coordinates share a frame, and rows whose schedules share their
+stage structure share every iteration, so one pass of numpy calls serves
+a whole sweep.  ``run_schedule`` takes any vertex-basis state and rotates
+it into the eigenbasis and back, O(N^2); it, ``apply_op`` and the per-op
+primitives are the references the frame runs are tested against, and
+every one is exactly unitary.
 
 The ancilla qubit is the leading tensor factor (amplitude layout
 [block0, block1]), attached at the first op that needs it; only at stage
@@ -62,13 +66,19 @@ class StateVector:
                 f"amplitude length {len(self.amps)} matches neither n={self.n} "
                 f"nor 2n={2 * self.n}"
             )
-        norm = float(np.linalg.norm(self.amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise SimulationError(f"state norm defect: {abs(norm - 1.0):.3e}")
+        _check_norms(self.amps[None])
 
     @property
     def has_ancilla(self) -> bool:
         return len(self.amps) == 2 * self.n
+
+
+def _check_norms(amps: np.ndarray) -> None:
+    """Raise on the first row of ``amps`` whose norm is off 1 by more than
+    ``NORM_TOL``."""
+    defect = np.abs(np.linalg.norm(amps.reshape(len(amps), -1), axis=1) - 1.0)
+    for d in defect[defect > NORM_TOL][:1]:
+        raise SimulationError(f"state norm defect: {d:.3e}")
 
 
 def _state(amps: np.ndarray, n: int) -> StateVector:
@@ -114,10 +124,11 @@ def _blocks(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rotate(basis: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """``basis @ block`` for each row of ``blocks``, as real products on
-    the float64 (re, im) view, so no complex copy of ``basis`` is made."""
-    pairs = np.ascontiguousarray(blocks, dtype=complex).view(np.float64)
-    return (basis @ pairs.reshape(*blocks.shape, 2)).view(complex).reshape(blocks.shape)
+    """``basis @ block`` for each row of ``blocks``, as one real product
+    with the float64 (re, im) view of the blocks as columns, so no complex
+    copy of ``basis`` is made."""
+    columns = np.ascontiguousarray(np.asarray(blocks, dtype=complex).T).view(np.float64)
+    return (basis @ columns).view(complex).T
 
 
 def _check_dimension(spectrum: Spectrum, state: StateVector) -> None:
@@ -194,15 +205,18 @@ def detach_ancilla(state: StateVector, *, tol: float = DETACH_TOL) -> StateVecto
     The mass on ancilla |1> must be below ``tol``; anything larger means
     a disentanglement guarantee was broken upstream.
     """
-    return _state(_detached(*_blocks(state), tol), state.n)
+    return _state(detach_blocks(np.stack(_blocks(state))[None], tol).ravel(), state.n)
 
 
-def _detached(b0: np.ndarray, b1: np.ndarray, tol: float = DETACH_TOL) -> np.ndarray:
-    """Block 0 renormalized, once block 1 is checked to carry at most ``tol``."""
-    leak = float(np.linalg.norm(b1) ** 2)
-    if leak > tol:
-        raise SimulationError(f"ancilla entangled at detach point: |1> mass {leak:.3e}")
-    return b0 / np.linalg.norm(b0)
+def detach_blocks(blocks: np.ndarray, tol: float = DETACH_TOL) -> np.ndarray:
+    """Block 0 of each row of (R, 2, n) ancilla blocks renormalized, shape
+    (R, 1, n), once block 1 of every row is checked to carry at most
+    ``tol``; the first row that does not raises."""
+    norms = np.linalg.norm(blocks, axis=2)
+    leak = norms[:, 1] ** 2
+    for mass in leak[leak > tol][:1]:
+        raise SimulationError(f"ancilla entangled at detach point: |1> mass {mass:.3e}")
+    return blocks[:, :1] / norms[:, :1, None]
 
 
 def _project_ancilla(state: StateVector) -> StateVector:
@@ -241,17 +255,20 @@ def apply_op(
     raise SimulationError(f"unknown primitive op {op!r}")
 
 
-def _kick_kernel(stage: Stage, eigenvalues: np.ndarray) -> np.ndarray:
-    """``target_phase_ops(stage.walk_time, stage.kick)`` as one 2x2 ancilla
-    matrix per eigencomponent, ``m[r, c, i]``, so that block r after it is
-    sum over c of m[r, c] * block c before it, in the eigenbasis.  H c(W) H
-    is [[a, b], [b, a]] with a, b = (1 +- e^{-i lambda t}) / 2, and the
+def _kick_kernels(walk_times: np.ndarray, kicks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``target_phase_ops(walk_times[i, k], kicks[i, k])``, stage k of row
+    i, as one 2x2 ancilla matrix per coordinate, ``m[i, k, r, c, j]``, so
+    that block r after it is sum over c of m[i, k, r, c] * block c before
+    it, in a frame where the walk is diagonal with ``values``.  H c(W) H is
+    [[a, b], [b, a]] with a, b = (1 +- e^{-i lambda t}) / 2, and the
     circuit is that matrix on both sides of diag(1, e^{i theta})."""
-    phi = np.exp(-1j * eigenvalues * stage.walk_time)
-    z = cmath.exp(1j * stage.kick)
+    phi = np.exp(-1j * walk_times[..., None] * values)
+    z = np.exp(1j * kicks)[..., None]
     a, b = (1 + phi) / 2, (1 - phi) / 2
-    off = a * b * (1 + z)
-    return np.array([[a * a + b * b * z, off], [off, b * b + a * a * z]])
+    m = np.empty((*phi.shape[:2], 2, 2, phi.shape[2]), dtype=complex)
+    m[:, :, 0, 0], m[:, :, 1, 1] = a * a + b * b * z, b * b + a * a * z
+    m[:, :, 0, 1] = m[:, :, 1, 0] = a * b * (1 + z)
+    return m
 
 
 def run_schedule(
@@ -271,96 +288,142 @@ def run_schedule(
     """
     _check_dimension(spectrum, state)
     vectors, n = spectrum.eigenvectors, state.n
-    row = vectors[_marked_vertex(marked, n)] if schedule.stages else None
+    rows = vectors[[_marked_vertex(marked, n)]] if schedule.stages else None
     blocks = _rotate(vectors.T, state.amps.reshape(-1, n))
-    report = on_stage and (lambda i, b: on_stage(i, _state(_rotate(vectors, b).ravel(), n)))
-    blocks = _run_stages(blocks, schedule, spectrum.eigenvalues, row, report)
+    report = on_stage and (lambda i, b: on_stage(i, _state(_rotate(vectors, b[0]).ravel(), n)))
+    blocks = _run_stages(blocks[None], [schedule], spectrum.eigenvalues, rows, report)[0]
     return _state(_rotate(vectors, blocks).ravel(), n)
 
 
 @dataclass(frozen=True)
 class Frame:
     """Orthonormal coordinates on span{E_g|s>} over eigenspaces g and s in
-    ``vertices``: coordinate j lies in ``spectrum.groups[group[j]]``, of
-    eigenvalue ``values[j]``, and row k of ``coords`` is |vertices[k]>."""
+    a vertex set S, for R sets of one size that keep the same coordinates:
+    coordinate j lies in ``spectrum.groups[group[j]]``, of eigenvalue
+    ``values[j]``, and ``coords[i, k]`` is |vertices[i, k]> in the frame
+    of set i."""
 
-    vertices: tuple[int, ...]
+    vertices: np.ndarray
     values: np.ndarray
     group: np.ndarray
     coords: np.ndarray
 
     def run(
-        self, blocks: np.ndarray, schedule: Schedule, k: int = 0,
+        self, blocks: np.ndarray, schedules: Sequence[Schedule], k: int = 0,
         on_stage: Callable[[int, np.ndarray], None] | None = None,
     ) -> np.ndarray:
-        """``run_schedule`` on (1 or 2, r) ancilla blocks of coordinates,
-        with m = vertices[k]; ``on_stage`` gets the blocks."""
-        return _run_stages(blocks, schedule, self.values, self.coords[k], on_stage)
+        """``run_schedule`` on (R, 1 or 2, r) ancilla blocks of coordinates,
+        row i running ``schedules[i]`` with m = vertices[i, k]; ``on_stage``
+        gets the (R, 2, r) blocks."""
+        return _run_stages(blocks, schedules, self.values, self.coords[:, k], on_stage)
+
+
+def vertex_frames(
+    spectrum: Spectrum, sets: Sequence[Sequence[int]]
+) -> list[tuple[list[int], Frame]]:
+    """The frames of vertex sets of one size, one ``Frame`` per pattern of
+    kept coordinates, each with the indices of its sets in ``sets``.  Per
+    eigenspace g, a set keeps the eigenvectors of its Gram matrix
+    (E_g)_st = sum over i in g of V[s, i] V[t, i] with eigenvalue above
+    ``SKIP_MASS_TOL``: a vertex may have no mass on g, and its set then
+    lands in a frame of its own.  One stacked product and one stacked
+    ``eigh`` for all sets, O(R N |S|^2)."""
+    sets = np.asarray(sets, dtype=int).reshape(len(sets), -1)
+    for v in sets.ravel().tolist():
+        _marked_vertex(v, spectrum.n)
+    rows = spectrum.eigenvectors[sets]
+    starts = [g.indices[0] for g in spectrum.groups]  # groups are index runs
+    gram = np.add.reduceat(rows[:, :, None] * rows[:, None], starts, axis=3)
+    size = sets.shape[1]
+    if size == 1:  # a 1 x 1 Gram matrix is its eigenvalue, with eigenvector 1
+        lam, vecs = gram[:, 0, 0, :, None], np.ones((*gram.shape[:1], len(starts), 1, 1))
+    else:
+        lam, vecs = np.linalg.eigh(gram.transpose(0, 3, 2, 1))
+    # column g |S| + t of set i: Gram eigenvector t of group g, times the
+    # root of its eigenvalue; the columns above SKIP_MASS_TOL are kept
+    columns = (np.sqrt(np.abs(lam))[:, :, None] * vecs).transpose(0, 2, 1, 3)
+    columns = columns.reshape(len(sets), size, -1)
+    kept = (lam > SKIP_MASS_TOL).reshape(len(sets), -1)
+    patterns: dict[bytes, list[int]] = {}
+    for i, pattern in enumerate(kept):
+        patterns.setdefault(pattern.tobytes(), []).append(i)
+    values = np.array([g.value for g in spectrum.groups])
+    frames = []
+    for idx in patterns.values():
+        keep = np.flatnonzero(kept[idx[0]])
+        group = keep // size
+        frames.append((idx, Frame(sets[idx], values[group], group, columns[idx][:, :, keep])))
+    return frames
 
 
 def vertex_frame(spectrum: Spectrum, vertices: Sequence[int]) -> Frame:
-    """The frame of ``vertices``: per eigenspace g, the eigenvectors of the
-    Gram matrix (E_g)_st = sum over i in g of V[s, i] V[t, i] with eigenvalue
-    above ``SKIP_MASS_TOL`` (a vertex may have no mass on g).  O(N |S|^2)."""
-    vertices = tuple(_marked_vertex(v, spectrum.n) for v in vertices)
-    rows = spectrum.eigenvectors[list(vertices)]
-    starts = [g.indices[0] for g in spectrum.groups]  # groups are index runs
-    gram = np.add.reduceat(rows[:, None] * rows, starts, axis=2)
-    lam, vecs = np.linalg.eigh(gram.T)
-    group, j = np.nonzero(lam > SKIP_MASS_TOL)
-    coords = (np.sqrt(lam[group, j])[:, None] * vecs[group, :, j]).T
-    return Frame(vertices, np.array([g.value for g in spectrum.groups])[group], group, coords)
+    """The one-row frame of one vertex set."""
+    return vertex_frames(spectrum, [vertices])[0][1]
 
 
-def lift(spectrum: Spectrum, frame: Frame, x: np.ndarray) -> StateVector:
-    """The vertex-basis state with coordinates x, one row per ancilla block
-    or a single row, in the frame of one vertex s, where coordinate j is
-    E_g|s> / coords[0, j]: one N x N product per row."""
-    x = np.atleast_2d(x)
-    per_group = np.zeros((len(x), len(spectrum.groups)), dtype=complex)
-    per_group[:, frame.group] = x / frame.coords[0]
-    y = spectrum.eigenvectors[frame.vertices[0]] * np.repeat(
-        per_group, [g.multiplicity for g in spectrum.groups], axis=1)
-    return _state(_rotate(spectrum.eigenvectors, y).ravel(), spectrum.n)
+def lift(spectrum: Spectrum, frame: Frame, x: np.ndarray) -> np.ndarray:
+    """The vertex-basis amplitudes, norm-checked, of coordinates x, shape
+    (R, blocks, r), in the frames of single vertices s_i = vertices[i, 0],
+    where coordinate j is E_g|s_i> / coords[i, 0, j]: one N x N product for
+    every row and block."""
+    per_group = np.zeros((*x.shape[:2], len(spectrum.groups)), dtype=complex)
+    per_group[..., frame.group] = x / frame.coords[:, :1]
+    y = spectrum.eigenvectors[frame.vertices[:, :1]] * np.repeat(
+        per_group, [g.multiplicity for g in spectrum.groups], axis=2)
+    amps = _rotate(spectrum.eigenvectors, y.reshape(-1, spectrum.n)).reshape(y.shape)
+    _check_norms(amps)
+    return amps
 
 
-def _run_stages(blocks, schedule, eigenvalues, row, on_stage=None):
-    """A stage tree on ancilla blocks in a frame where the walk is diagonal
-    with ``eigenvalues`` and m has coordinates ``row``.  A pass over the
-    pair w_a = U|a, m> alone stores the pair at the start of each stage;
-    then the stages run in order, each iteration a fused kick and a rank-2
-    oracle update, or their adjoints in reverse.  The norm check and the
-    detach gate close every run; a schedule without stages needs no m."""
-    stages, carried = schedule.stages, len(blocks) == 2
-    starts = [np.eye(2)[:, :, None] * row] if stages else []
-    kicks = [_kick_kernel(st, eigenvalues) for st in stages]
+def _run_stages(blocks, schedules, values, rows, on_stage=None):
+    """Stage trees on R rows of (1 or 2, r) ancilla blocks, row i running
+    ``schedules[i]`` with its marked vertex at coordinates ``rows[i]``, in
+    a frame where the walk is diagonal with ``values``.  The rows share
+    their stage structure and keep their own kicks and oracle angles.  A
+    pass over the pair w_a = U|a, m> alone stores the pair at the start of
+    each stage; then the stages run in order, each iteration a fused kick
+    and a rank-2 oracle update, or their adjoints in reverse.  The norm
+    check and the detach gate close every run and raise on the first row
+    that fails them; a schedule without stages needs no m."""
+    structure = schedules[0].structure
+    if any(s.structure != structure for s in schedules):
+        raise SimulationError("the rows of one run must share their stage structure")
+    count, width, carried = len(blocks), 2 * blocks.shape[2], blocks.shape[1] == 2
+    stages = schedules[0].stages
+    walk, kick, alpha = np.array(
+        [[(st.walk_time, st.kick, st.params.alpha) for st in s.stages] for s in schedules]
+    ).reshape(count, len(stages), 3).transpose(2, 0, 1)
+    kicks = _kick_kernels(walk, kick, values)
+    starts = [np.eye(2)[:, :, None] * rows[:, None, None]] if stages else []
 
     def power(x: np.ndarray, k: int, adjoint: bool = False) -> np.ndarray:
-        # every iteration of stage k on the rows of x, shape (R, 2, r); the
-        # kick kernel is symmetric, so its adjoint is its conjugate
-        w = starts[k].reshape(2, -1)
-        w_adj = w.conj().T
-        kick = kicks[k].conj() if adjoint else kicks[k]
-        factor = cmath.exp((1j if adjoint else -1j) * stages[k].params.alpha) - 1
+        # every iteration of stage k on x, shape (R, A, 2, r); the kick
+        # kernel is symmetric, so its adjoint is its conjugate
+        w = starts[k].reshape(count, 2, width)
+        w_adj = w.conj().transpose(0, 2, 1)
+        w = (np.exp((1j if adjoint else -1j) * alpha[:, k]) - 1)[:, None, None] * w
+        kernel = (kicks[:, k].conj() if adjoint else kicks[:, k])[:, None]
         for _ in range(stages[k].params.iterations):
             if not adjoint:
-                x = (kick * x[:, None]).sum(axis=2)
-            x = x + factor * ((x.reshape(len(x), -1) @ w_adj) @ w).reshape(x.shape)
+                x = (kernel * x[:, :, None]).sum(axis=3)
+            x = x + ((x.reshape(count, -1, width) @ w_adj) @ w).reshape(x.shape)
             if adjoint:
-                x = (kick * x[:, None]).sum(axis=2)
+                x = (kernel * x[:, :, None]).sum(axis=3)
         return x
 
     for k in range(len(stages) - 1):
         starts.append(power(starts[k], k))
-    forward = schedule.direction == FORWARD
-    x = np.vstack([blocks, np.zeros((2 - len(blocks), blocks.shape[1]))])[None]
+    forward = schedules[0].direction == FORWARD
+    if stages and not carried:  # the ancilla attaches at the first kick
+        blocks = np.concatenate([blocks, np.zeros_like(blocks)], axis=1)
+    x = blocks[:, None]
     for i, k in enumerate(range(len(stages)) if forward else reversed(range(len(stages)))):
         x = power(x, k, adjoint=not forward)
-        blocks = x[0]
         if on_stage is not None:
-            on_stage(i, blocks)
-    StateVector(blocks.ravel(), blocks.shape[1])  # the norm check
-    return _detached(*blocks)[None] if len(blocks) == 2 and not carried else blocks
+            on_stage(i, x[:, 0])
+    x = x[:, 0]
+    _check_norms(x)
+    return detach_blocks(x) if x.shape[1] == 2 and not carried else x
 
 
 # ---------------------------------------------------------------------------

@@ -496,6 +496,16 @@ def test_run_transfer(capsys):
     assert json.loads(out)["fidelity"] >= 1 - 1e-8
 
 
+def test_run_transfer_to_itself(capsys):
+    code, out, _ = run_cli(
+        ["run", "transfer", "--family", "rook", "--params", "3,3",
+         "--source", "2", "--target", "2"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_run_bipartite(capsys):
     code, out, _ = run_cli(
         ["run", "bipartite", "--family", "complete_bipartite", "--params", "1,4",

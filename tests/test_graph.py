@@ -31,6 +31,34 @@ def test_johnson_edge_rule_matches_direct_enumeration():
         assert ((i, j) in g.edges) == expected
 
 
+def subset_graph_edges(n, k):
+    """The johnson and kneser edges as the generators built them before they
+    were vectorized: every pair of lex-ordered k-subsets, intersected as
+    Python sets."""
+    sets = [set(v) for v in itertools.combinations(range(n), k)]
+    meets = {k - 1: set(), 0: set()}
+    for (i, a), (j, b) in itertools.combinations(enumerate(sets), 2):
+        meets.get(len(a & b), set()).add((i, j))
+    return meets[k - 1], meets[0]
+
+
+def test_subset_generators_match_itertools_construction():
+    # every johnson(n, k) and kneser(n, k) with at most 500 vertices and
+    # 2 <= k <= n - 2; k = 1 and k = n - 1 give complete graphs and their
+    # complements, checked up to n = 40
+    cases = [(n, k) for n in range(2, 41) for k in {1, n - 1}]
+    cases += [(n, k) for n in range(4, 500) for k in range(2, n - 1) if math.comb(n, k) <= 500]
+    for n, k in cases:
+        johnson, kneser = subset_graph_edges(n, k)
+        assert graph.johnson(n, k).edges == johnson, (n, k)
+        if n >= 2 * k + 1 or (n, k) == (2, 1):
+            assert graph.kneser(n, k).edges == kneser, (n, k)
+        elif n >= 2 * k:
+            with pytest.raises(GraphError, match=rf"kneser\({n},{k}\) is disconnected; "
+                               r"need n >= 2k\+1"):
+                graph.kneser(n, k)
+
+
 def test_rook_2_2_is_four_cycle():
     g = graph.rook(2, 2)
     assert g.n == 4

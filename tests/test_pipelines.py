@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from qwalk import depth, graph, pipelines, schedule, simulate
-from qwalk.errors import GraphError, ScheduleError, SpectrumError
+from qwalk.errors import GraphError, ScheduleError, SimulationError, SpectrumError
 
 from conftest import check_vertex_transitive_bruteforce
 
@@ -525,3 +526,117 @@ def test_transfer_pair_subset_above_ten_vertices():
     assert pipelines._transfer_pairs(4) == [
         (u, v) for u in range(4) for v in range(4) if u != v
     ]
+
+
+# ---------------------------------------------------------------------------
+# The one-pass verify sweep
+# ---------------------------------------------------------------------------
+
+SWEEP_GRAPHS = {
+    "rook33": lambda: graph.rook(3, 3),
+    "hamming42": lambda: graph.hamming(4, 2),
+    "k4_minus_edge": lambda: graph.load_edge_list("0 2\n0 3\n1 2\n1 3\n2 3\n"),
+    "k13": lambda: graph.complete_bipartite(1, 3),
+    "path3": lambda: graph.load_edge_list("0 1\n1 2\n"),
+    "k23_relabelled": lambda: RELABELLED_K23,
+}
+
+
+def dense_fidelities(g, ctx, sctx, report):
+    """A verify report's fidelities from ``run_schedule``, run by run: the
+    final fidelity and, for a search, each branch's (candidate, fidelity)."""
+    n, spec = g.n, ctx.spectrum
+    m, v = report.marked, report.target
+    if report.task == "sample":
+        sched = pipelines.sampling_schedule(ctx, m)
+        state = simulate.run_schedule(simulate.vertex_state(n, m), sched, spec, m)
+        return simulate.fidelity(state, simulate.uniform_state(n)), []
+    if report.task == "transfer":
+        state = simulate.run_schedule(
+            simulate.vertex_state(n, m), pipelines.sampling_schedule(ctx, m), spec, m)
+        back = schedule.dagger(pipelines.sampling_schedule(ctx, v))
+        return simulate.fidelity(simulate.run_schedule(state, back, spec, v), v), []
+    branches = []
+    for start, branch in zip(sctx.starts, sctx.branches):
+        state = simulate.from_amplitudes(sctx.spectrum.eigenvectors @ start)
+        state = simulate.run_schedule(simulate.attach_ancilla(state), branch, sctx.spectrum, m)
+        probs = (np.abs(state.amps.reshape(2, n)) ** 2).sum(axis=0)
+        candidate = pipelines._most_probable(probs)
+        branches.append((candidate, probs[candidate]))
+    return next(f for c, f in branches if c == m and f >= THRESHOLD), branches
+
+
+@pytest.mark.parametrize("name", list(SWEEP_GRAPHS))
+def test_verify_sweep_matches_dense_reference(name):
+    # every report of the batched sweep, against the dense executor and
+    # against its own single run
+    g = SWEEP_GRAPHS[name]()
+    ctx = pipelines.prepare(g)
+    route, _ = pipelines.search_route(g, ctx=ctx)
+    sctx = pipelines.prepare_bipartite(g) if route == "bipartite" else ctx
+    single = {
+        "sample": lambda r: pipelines.uniform_sample(g, r.marked, ctx=ctx),
+        "transfer": lambda r: pipelines.transfer(g, r.marked, r.target, ctx=ctx),
+        "search": lambda r: pipelines.search_route(g, ctx=ctx)[1](r.marked),
+    }
+    single["bipartite_search"] = single["search"]
+    result = pipelines.verify_graph(g)
+    assert result.search_route == route
+    assert len(result.reports) == 2 * g.n + len(pipelines._transfer_pairs(g.n))
+    for report in result.reports:
+        fidelity, branches = dense_fidelities(g, ctx, sctx, report)
+        assert report.fidelity == pytest.approx(fidelity, abs=1e-12)
+        if report.branches:
+            np.testing.assert_allclose(
+                [(b.candidate, b.fidelity) for b in report.branches], branches, rtol=0, atol=1e-12)
+        alone = single[report.task](report)
+        assert (alone.task, alone.marked, alone.target, alone.oracle_count) == (
+            report.task, report.marked, report.target, report.oracle_count)
+        assert alone.stage_fidelities == pytest.approx(report.stage_fidelities, abs=1e-12)
+
+
+def test_verify_is_one_pass(monkeypatch):
+    # rook(3,3): one synthesis per vertex and one for the search branch, and
+    # one executor pass per group and stage tree (sampling, the two halves
+    # of transfer, search) where the per-run sweep made 154 and 162
+    synths, passes = [], []
+    synth, run = schedule.synth_sampling_schedule, simulate._run_stages
+    monkeypatch.setattr(schedule, "synth_sampling_schedule",
+                        lambda *args: synths.append(1) or synth(*args))
+    monkeypatch.setattr(simulate, "_run_stages",
+                        lambda *args: passes.append(len(args[0])) or run(*args))
+    result = pipelines.verify_graph(graph.rook(3, 3))
+    assert len(result.reports) == 90 and result.min_fidelity >= THRESHOLD
+    assert len(synths) == 9 + 1
+    assert passes == [9, 72, 72, 9]
+
+
+def test_sweep_row_failure_raises_its_own_error(k4_minus_edge):
+    # LEAKING has three mass classes, {0}, {1, 2, 3} and {4, 5}
+    ctx = pipelines.prepare(graph.load_edge_list(LEAKING))
+    forward = [pipelines.sampling_schedule(ctx, m) for m in range(6)]
+    # vertex 5 runs vertex 1's schedule, beside five good rows
+    message = r"ancilla entangled at detach point: \|1> mass 1\.008e-01"
+    for schedules, vertices in (([forward[1]], [5]), (forward[:5] + [forward[1]], range(6))):
+        with pytest.raises(SimulationError, match=message):
+            pipelines._sample_sweep(ctx, schedules, vertices)
+    # a kick 10% off keeps the stage structure and the frame, so the row
+    # shares its executor pass with vertex 5's good one, in either order
+    bad = dataclasses.replace(forward[4], stages=tuple(
+        dataclasses.replace(st, kick=0.9 * st.kick) for st in forward[4].stages))
+    message = r"ancilla entangled at detach point: \|1> mass 1\.182e-02"
+    for schedules, vertices in (([bad, forward[5]], [4, 5]), ([forward[5], bad], [5, 4])):
+        with pytest.raises(SimulationError, match=message):
+            pipelines._sample_sweep(ctx, schedules, vertices)
+
+    # K4 - e: vertex 2 runs vertex 0's schedule, which misses its target
+    # without an error; every row reads what its single run reads
+    ctx = pipelines.prepare(k4_minus_edge)
+    schedules = [pipelines.sampling_schedule(ctx, m) for m in range(4)]
+    schedules[2] = schedules[0]
+    swept = pipelines._sample_sweep(ctx, schedules, range(4))
+    assert swept[2].fidelity < 0.9
+    for m, report in enumerate(swept):
+        alone = pipelines.execute_sample(ctx, schedules[m], m)
+        assert report.fidelity == pytest.approx(alone.fidelity, abs=1e-12)
+        assert report.stage_fidelities == pytest.approx(alone.stage_fidelities, abs=1e-12)

@@ -483,13 +483,14 @@ def frame_case(request, k4_minus_edge, chang_graphs):
 
 
 def frame_basis(spec, frame):
-    """The frame's vectors as vertex-basis columns: coordinate j of group g
-    is sum over s of coords[s, j] E_g|s>, over its Gram eigenvalue."""
-    v, rows = spec.eigenvectors, list(frame.vertices)
+    """A one-row frame's vectors as vertex-basis columns: coordinate j of
+    group g is sum over s of coords[0, s, j] E_g|s>, over its Gram
+    eigenvalue."""
+    v, rows = spec.eigenvectors, list(frame.vertices[0])
     columns = []
     for j, g in enumerate(frame.group):
         idx = list(spec.groups[g].indices)
-        c = frame.coords[:, j]
+        c = frame.coords[0, :, j]
         columns.append(v[:, idx] @ v[rows][:, idx].T @ c / (c @ c))
     return np.array(columns).T
 
@@ -507,7 +508,7 @@ def test_vertex_frame_is_orthonormal_and_holds_its_vertices(frame_case):
         assert len(frame.values) <= len(s) * groups
         assert_close(basis.T @ basis, np.eye(len(frame.values)))
         for k, vertex in enumerate(s):
-            assert_close(basis @ frame.coords[k], np.eye(ctx.graph.n)[vertex])
+            assert_close(basis @ frame.coords[0, k], np.eye(ctx.graph.n)[vertex])
 
 
 def test_vertex_frame_drops_empty_eigenspaces():
@@ -522,16 +523,36 @@ def test_vertex_frame_drops_empty_eigenspaces():
         simulate.vertex_frame(spec, [5])
 
 
+def test_vertex_frames_group_sets_by_kept_coordinates():
+    # the centre of K(1,3) has no mass on the Laplacian eigenspace 1, so its
+    # set gets a frame of its own; each batched frame holds what the one-row
+    # frames hold, and a batched run gives each row its own run
+    ctx = pipelines.prepare(graph.complete_bipartite(1, 3))
+    frames = simulate.vertex_frames(ctx.spectrum, [[1], [0], [3], [2]])
+    assert [idx for idx, _ in frames] == [[0, 2, 3], [1]]
+    assert [len(frame.values) for _, frame in frames] == [3, 2]
+    schedules = [pipelines.sampling_schedule(ctx, m) for m in range(4)]
+    for idx, frame in frames:
+        rows = frame.run(frame.coords[:, :1], [schedules[v] for v in frame.vertices[:, 0]])
+        for i, v in enumerate(frame.vertices[:, 0]):
+            alone = simulate.vertex_frame(ctx.spectrum, [v])
+            assert_close(frame.coords[i], alone.coords[0])
+            assert_close(rows[i], alone.run(alone.coords[:, :1], [schedules[v]])[0])
+    # rows of one run share their stage structure
+    _, frame = frames[0]
+    with pytest.raises(SimulationError, match="share their stage structure"):
+        frame.run(frame.coords[:, :1], [schedules[1], schedules[1], schedules[0]])
+
+
 def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
     ctx, vertices, _, op_by_op_too = frame_case
     spec, n = ctx.spectrum, ctx.graph.n
     for m in vertices:
         sched = pipelines.sampling_schedule(ctx, m)
         frame = simulate.vertex_frame(spec, [m])
-        row = frame.coords[0]
-        got = frame.run(row[None], sched)
-        lifted = simulate.lift(spec, frame, got[0])
-        assert_close(lifted.amps, frame_basis(spec, frame) @ got[0])
+        got = frame.run(frame.coords[:, :1], [sched])
+        lifted = simulate.lift(spec, frame, got)[0, 0]
+        assert_close(lifted, frame_basis(spec, frame) @ got[0, 0])
 
         pairs = depth.level_states(ctx.chain, spectral.eigenspace_amplitudes(spec, m))
         stage_fids = []
@@ -541,12 +562,12 @@ def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
             stage_fids.append(simulate.fidelity(state, target))
 
         ref = simulate.run_schedule(simulate.vertex_state(n, m), sched, spec, m, on_stage=check)
-        assert_close(lifted.amps, ref.amps)
+        assert_close(lifted, ref.amps)
         report = pipelines.execute_sample(ctx, sched, m)
         assert_close(report.stage_fidelities, stage_fids)
         assert_close(report.fidelity, simulate.fidelity(ref, simulate.uniform_state(n)))
         if op_by_op_too:
-            assert_close(lifted.amps, op_by_op(simulate.vertex_state(n, m), sched, spec, m)[0].amps)
+            assert_close(lifted, op_by_op(simulate.vertex_state(n, m), sched, spec, m)[0].amps)
 
 
 def test_frame_transfer_matches_run_schedule_and_op_by_op(frame_case):
@@ -556,9 +577,9 @@ def test_frame_transfer_matches_run_schedule_and_op_by_op(frame_case):
         fwd, back = pipelines.sampling_schedule(ctx, u), pipelines.sampling_schedule(ctx, v)
         back = schedule.dagger(back)
         frame = simulate.vertex_frame(spec, [u, v])
-        x = frame.run(frame.coords[:1], fwd)
-        x = frame.run(x, back, 1)
-        got = frame_basis(spec, frame) @ x[0]
+        x = frame.run(frame.coords[:, :1], [fwd])
+        x = frame.run(x, [back], 1)
+        got = frame_basis(spec, frame) @ x[0, 0]
 
         ref = simulate.run_schedule(simulate.vertex_state(n, u), fwd, spec, u)
         ref = simulate.run_schedule(ref, back, spec, v)
@@ -579,11 +600,11 @@ def test_frame_search_matches_run_schedule_and_op_by_op(frame_case):
         frame = simulate.vertex_frame(spec, [m])
         expected = []
         for coeffs, sched in zip(ctx.starts, ctx.branches):
-            got = pipelines._run_branch(spec, frame, coeffs, sched)
+            got = pipelines._run_branch(spec, frame, coeffs, sched)[0].ravel()
             ref = simulate.run_schedule(start, sched, spec, m)
-            assert_close(got.amps, ref.amps)
+            assert_close(got, ref.amps)
             if op_by_op_too:
-                assert_close(got.amps, op_by_op(start, sched, spec, m)[0].amps)
+                assert_close(got, op_by_op(start, sched, spec, m)[0].amps)
             probs = (np.abs(ref.amps.reshape(2, n)) ** 2).sum(axis=0)
             candidate = pipelines._most_probable(probs)
             expected.append((candidate, probs[candidate]))
@@ -633,9 +654,9 @@ def test_frame_branches_match_run_schedule(name):
         state = simulate.attach_ancilla(state)
         for m in range(g.n):
             frame = simulate.vertex_frame(ctx.spectrum, [m])
-            got = pipelines._run_branch(ctx.spectrum, frame, start, branch)
+            got = pipelines._run_branch(ctx.spectrum, frame, start, branch)[0]
             ref = simulate.run_schedule(state, branch, ref_ctx.spectrum, position[m])
-            assert_close(got.amps, ref.amps.reshape(2, g.n)[:, position].ravel())
+            assert_close(got.ravel(), ref.amps.reshape(2, g.n)[:, position].ravel())
             leaks.append(np.linalg.norm(ref.amps[g.n:]) ** 2)
     if name == "leaking":
         assert max(leaks) == pytest.approx(0.709, abs=1e-3)
@@ -646,11 +667,11 @@ def test_frame_runs_keep_the_norm_check_and_detach_gate():
     frame = simulate.vertex_frame(ctx.spectrum, [0, 1])
     sched = pipelines.sampling_schedule(ctx, 0)
     with pytest.raises(SimulationError, match="norm defect"):
-        frame.run(2 * frame.coords[:1], sched)
+        frame.run(2 * frame.coords[:, :1], [sched])
     # the oracle on vertex 1 under vertex 0's schedule leaves the ancilla
     # entangled at the end
     with pytest.raises(SimulationError, match="ancilla entangled"):
-        frame.run(frame.coords[:1], sched, 1)
+        frame.run(frame.coords[:, :1], [sched], 1)
 
 
 def test_frame_pipelines_make_no_dense_products(monkeypatch):
