@@ -88,10 +88,7 @@ class LevelStatePair:
 
 def gcd_nonzero(values: Iterable[int]) -> int:
     """Greatest common divisor of the nonzero entries; 1 if there are none."""
-    g = 0
-    for v in values:
-        g = math.gcd(g, abs(int(v)))
-    return g if g else 1
+    return math.gcd(*(abs(int(v)) for v in values)) or 1
 
 
 def build_depth_chain(spectrum: IntegerSpectrum | Sequence[int]) -> DepthChain:
@@ -189,12 +186,8 @@ def transitive_overlaps(chain: DepthChain) -> np.ndarray:
     over N and the overlap reduces to the square root of the cardinality
     ratio.
     """
-    out = np.empty(chain.depth)
-    for k in range(chain.depth):
-        out[k] = math.sqrt(
-            len(chain.levels[k + 1].indices) / len(chain.levels[k].indices)
-        )
-    return out
+    sizes = np.array([len(level.indices) for level in chain.levels], dtype=float)
+    return np.sqrt(sizes[1:] / sizes[:-1])
 
 
 def chain_to_json_dict(chain: DepthChain) -> dict:

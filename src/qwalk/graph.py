@@ -3,11 +3,15 @@
 Vertices are 0-based integers.  Family generators fix the vertex order to
 the lexicographic order of the underlying combinatorial labels (subsets
 sorted ascending, tuples row-major, first bipartition block first) so that
-every downstream artifact is reproducible byte for byte.
+every downstream artifact is reproducible byte for byte.  A graph keeps
+its edges in one int64 array, and every O(E) step (generating, parsing,
+checking, the matrices, the edge-list and JSON forms) is a few numpy
+passes over it, with no Python loop per edge.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,18 +27,22 @@ Edge = tuple[int, int]
 TRANSITIVE = ("yes", "no", "unknown")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected connected graph with an optional family tag.
 
-    ``edges`` holds normalized pairs ``(u, v)`` with ``u < v``.  Instances
-    are immutable and safe to share across threads.  The family tag and
-    the ``vertex_transitive`` flag are records for artifacts; no route
-    reads them.
+    ``edge_array``, the only edge store, is a read-only (E, 2) int64 array
+    of pairs u < v, unique and sorted.  The constructor takes such pairs
+    in any order, sorts them and checks connectivity by root hooking
+    (``_is_connected``), near-linear in E.  ``edges``, the same pairs as a
+    frozenset of tuples, is built on first use for callers that test
+    membership; no pipeline reads it.  Instances compare by value and are
+    immutable.  The family tag and the ``vertex_transitive`` flag are
+    records for artifacts; no route reads them.
     """
 
     n: int
-    edges: frozenset[Edge]
+    edge_array: np.ndarray
     family: str | None = None
     vertex_transitive: str = "unknown"
 
@@ -42,55 +50,65 @@ class Graph:
         if self.n < 1:
             raise GraphError(f"vertex count must be positive, got {self.n}")
         if self.vertex_transitive not in TRANSITIVE:
-            raise GraphError(
-                f"vertex_transitive must be one of {TRANSITIVE}, "
-                f"got {self.vertex_transitive!r}"
-            )
-        for u, v in self.edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
-        if not _is_connected(self.n, self.edges):
+            raise GraphError(f"vertex_transitive must be one of {TRANSITIVE}, "
+                             f"got {self.vertex_transitive!r}")
+        pairs = _pairs(self.edge_array)
+        u, v = pairs.T
+        if (loop := u == v).any():
+            raise GraphError(f"self-loop at vertex {u[loop][0]}")
+        if (bad := np.flatnonzero((u < 0) | (u > v) | (v >= self.n))).size:
+            raise GraphError(f"edge ({u[bad[0]]}, {v[bad[0]]}) out of range for n={self.n}")
+        # connected, so E >= n - 1 and the keys u * n + v stay below (E + 1)^2
+        if len(pairs) < self.n - 1 or not _is_connected(self.n, pairs):
             raise GraphError("graph is disconnected")
+        if np.any((keys := u * self.n + v)[1:] <= keys[:-1]):
+            pairs = np.column_stack(np.divmod(np.unique(keys), self.n))
+        pairs.flags.writeable = False
+        object.__setattr__(self, "edge_array", pairs)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Graph) and (self.n, self.family, self.vertex_transitive) == (
+            other.n, other.family, other.vertex_transitive) and np.array_equal(
+            self.edge_array, other.edge_array)
 
-
-def _is_connected(n: int, edges: Iterable[Edge]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
+    @functools.cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(map(tuple, self.edge_array.tolist()))
 
 
-def graph_from_edges(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    family: str | None = None,
-    vertex_transitive: str = "unknown",
-) -> Graph:
-    """Build a Graph from arbitrary (u, v) pairs, normalizing orientation
-    and collapsing duplicates."""
-    normalized = set()
-    for u, v in edges:
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        normalized.add((min(u, v), max(u, v)))
-    return Graph(n, frozenset(normalized), family, vertex_transitive)
+def _pairs(edges: np.ndarray | Iterable[Edge]) -> np.ndarray:
+    """Pairs, an (E, 2) array or an iterable, as a new (E, 2) int64 array."""
+    pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    if pairs.size and pairs.shape[1:] != (2,):
+        raise GraphError(f"edges must be vertex pairs, got an array of shape {pairs.shape}")
+    return pairs.reshape(-1, 2)
+
+
+def _is_connected(n: int, pairs: np.ndarray) -> bool:
+    """Whether ``pairs`` join all n vertices, by root hooking: each round
+    hooks the larger root of every edge across two trees onto the least
+    root it meets, shortcuts every vertex to its root and drops the edges
+    inside a tree.  A root is its tree's least vertex, so the graph is
+    connected iff every vertex ends at root 0."""
+    root = np.arange(n)
+    u, v = pairs.T
+    while u.size:
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        u, v = u[cross], v[cross]
+        np.minimum.at(root, np.maximum(ru, rv)[cross], np.minimum(ru, rv)[cross])
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return not root.any()
+
+
+def graph_from_edges(n: int, edges: np.ndarray | Iterable[Edge], family: str | None = None,
+                     vertex_transitive: str = "unknown") -> Graph:
+    """Build a Graph from arbitrary (u, v) pairs, an (E, 2) array or an
+    iterable, normalizing orientation and collapsing duplicates."""
+    u, v = _pairs(edges).T
+    return Graph(n, np.column_stack([np.minimum(u, v), np.maximum(u, v)]), family,
+                 vertex_transitive)
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +139,18 @@ def kneser(n: int, k: int) -> Graph:
     return graph_from_edges(math.comb(n, k), _subset_edges(n, k, 0), f"kneser({n},{k})", "yes")
 
 
-def _subset_edges(n: int, k: int, meet: int) -> list[Edge]:
+def _subset_edges(n: int, k: int, meet: int) -> np.ndarray:
     """The pairs u < v of lex-ranked k-subsets of range(n) that share
     ``meet`` elements, compared about a million pairs at a time."""
     masks = _subset_masks(n, k)
     count = len(masks)
     step = max(1, 2**20 // count)
-    edges: list[Edge] = []
+    blocks = []
     for lo in range(0, count, step):
         rows = np.arange(lo, min(lo + step, count))
-        u, v = np.nonzero(_meet(masks, rows[:, None], np.arange(count)) == meet)
-        upper = u + lo < v
-        edges += zip((u[upper] + lo).tolist(), v[upper].tolist())
-    return edges
+        found = np.argwhere(_meet(masks, rows[:, None], np.arange(count)) == meet) + [lo, 0]
+        blocks.append(found[found[:, 0] < found[:, 1]])
+    return np.concatenate(blocks)
 
 
 def hamming(d: int, q: int) -> Graph:
@@ -141,34 +158,29 @@ def hamming(d: int, q: int) -> Graph:
     differ in exactly one coordinate."""
     if d < 1 or q < 2:
         raise GraphError(f"hamming requires d >= 1 and q >= 2, got d={d}, q={q}")
-    verts = list(itertools.product(range(q), repeat=d))
-    index = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for a in verts:
-        for pos in range(d):
-            for sym in range(a[pos] + 1, q):
-                b = a[:pos] + (sym,) + a[pos + 1 :]
-                edges.append((index[a], index[b]))
-    return graph_from_edges(len(verts), edges, f"hamming({d},{q})", "yes")
+    # tuple a is vertex sum_i a_i q^(d-1-i); raising the digit of place
+    # value s by delta < q - digit adds delta * s, ascending over (s, delta)
+    s = np.repeat(q ** np.arange(d), q - 1)
+    delta = np.tile(np.arange(1, q), d)
+    u = np.arange(q**d)[:, None]
+    up = u // s % q + delta < q
+    pairs = np.column_stack([np.broadcast_to(u, up.shape)[up], (u + s * delta)[up]])
+    return graph_from_edges(q**d, pairs, f"hamming({d},{q})", "yes")
 
 
 def rook(m: int, n: int) -> Graph:
     """Rook graph: Cartesian product of complete graphs K_m and K_n."""
     if m < 2 or n < 2:
         raise GraphError(f"rook requires m, n >= 2, got m={m}, n={n}")
-    return _cartesian_product(
-        _complete_edges(m), m, _complete_edges(n), n, f"rook({m},{n})"
-    )
+    return _cartesian_product(_complete_edges(m), m, _complete_edges(n), n, f"rook({m},{n})")
 
 
 def complete_square(n: int) -> Graph:
     """Cartesian product of the complete graph K_n with a 4-cycle."""
     if n < 2:
         raise GraphError(f"complete_square requires n >= 2, got n={n}")
-    square = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    return _cartesian_product(
-        _complete_edges(n), n, square, 4, f"complete_square({n})"
-    )
+    square = np.array([(0, 1), (1, 2), (2, 3), (0, 3)])
+    return _cartesian_product(_complete_edges(n), n, square, 4, f"complete_square({n})")
 
 
 def complete_bipartite(n1: int, n2: int) -> Graph:
@@ -176,9 +188,9 @@ def complete_bipartite(n1: int, n2: int) -> Graph:
     joined.  Vertex-transitive only when the blocks have equal size."""
     if n1 < 1 or n2 < 1:
         raise GraphError(f"complete_bipartite requires n1, n2 >= 1, got {n1}, {n2}")
-    edges = [(u, n1 + v) for u in range(n1) for v in range(n2)]
+    pairs = np.column_stack(np.divmod(np.arange(n1 * n2), n2)) + [0, n1]  # row-major, sorted
     flag = "yes" if n1 == n2 else "no"
-    return graph_from_edges(n1 + n2, edges, f"complete_bipartite({n1},{n2})", flag)
+    return graph_from_edges(n1 + n2, pairs, f"complete_bipartite({n1},{n2})", flag)
 
 
 def cycle(n: int) -> Graph:
@@ -186,30 +198,26 @@ def cycle(n: int) -> Graph:
     non-integer Laplacian spectra and exist here to exercise that path."""
     if n < 3:
         raise GraphError(f"cycle requires n >= 3, got n={n}")
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return graph_from_edges(n, np.column_stack([np.arange(n), np.roll(np.arange(n), -1)]))
 
 
 def single_vertex() -> Graph:
     """The one-vertex graph (edgeless but trivially connected)."""
-    return Graph(1, frozenset())
+    return Graph(1, np.zeros((0, 2), dtype=np.int64))
 
 
-def _complete_edges(n: int) -> list[Edge]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+def _complete_edges(n: int) -> np.ndarray:
+    return np.argwhere(np.arange(n)[:, None] < np.arange(n))
 
 
 def _cartesian_product(
-    edges1: list[Edge], n1: int, edges2: list[Edge], n2: int, tag: str
+    edges1: np.ndarray, n1: int, edges2: np.ndarray, n2: int, tag: str
 ) -> Graph:
     # vertex (i, j) -> i * n2 + j, row-major
-    edges = []
-    for u, v in edges1:
-        for j in range(n2):
-            edges.append((u * n2 + j, v * n2 + j))
-    for i in range(n1):
-        for u, v in edges2:
-            edges.append((i * n2 + u, i * n2 + v))
-    return graph_from_edges(n1 * n2, edges, tag, "yes")
+    along1 = edges1[:, None] * n2 + np.arange(n2)[:, None]
+    along2 = np.arange(n1)[:, None, None] * n2 + edges2
+    pairs = np.concatenate([along1.reshape(-1, 2), along2.reshape(-1, 2)])
+    return graph_from_edges(n1 * n2, pairs, tag, "yes")
 
 
 _FAMILY_BUILDERS = {
@@ -248,8 +256,8 @@ def family_matches(g: Graph) -> list[tuple[str, tuple[int, ...]]]:
     vertex-transitive flag.  The vertex and edge counts fix the candidates;
     each edge obeying a candidate's adjacency rule on the labels then
     proves the edge sets equal.  A complete graph needs no rule."""
-    n, e = g.n, len(g.edges)
-    u, v = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2).T
+    n, e = g.n, len(g.edge_array)
+    u, v = g.edge_array.T
     return [(name, params) for name, params, rule in _candidates(n, e)
             if 2 * e == n * (n - 1) or rule(u, v).all()]
 
@@ -310,35 +318,40 @@ def load_edge_list(source: str | IO[str]) -> Graph:
     Each non-comment line holds two distinct 0-based vertex indices
     separated by whitespace; '#' starts a comment.  Duplicate edge lines
     collapse to one edge.  The vertex count is one plus the largest index.
+    A valid list takes one int64 conversion of all its tokens; only an
+    invalid one is read line by line, for the first bad line.
     """
     text = source if isinstance(source, str) else source.read()
-    edges: set[Edge] = set()
-    max_index = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise GraphError(f"line {lineno}: expected two vertex indices, got {raw!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphError(f"line {lineno}: non-integer token in {raw!r}") from None
-        if u == v:
-            raise GraphError(f"line {lineno}: self-loop at vertex {u}")
-        if u < 0 or v < 0:
-            raise GraphError(f"line {lineno}: negative vertex index in {raw!r}")
-        edges.add((min(u, v), max(u, v)))
-        max_index = max(max_index, u, v)
-    if max_index < 0:
+    raw = text.splitlines()
+    tokens = list(map(str.split, [r.split("#", 1)[0] for r in raw] if "#" in text else raw))
+    try:
+        pairs = np.array(list(itertools.chain.from_iterable(tokens)), dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        pairs = None
+    if pairs is None or not {*map(len, tokens)} <= {0, 2} or np.any(
+            (pairs[:, 0] == pairs[:, 1]) | (pairs < 0).any(axis=1)):
+        for lineno, (line, words) in enumerate(zip(raw, tokens), start=1):
+            if not words:
+                continue
+            if len(words) != 2:
+                raise GraphError(f"line {lineno}: expected two vertex indices, got {line!r}")
+            try:
+                u, v = map(int, words)
+            except ValueError:
+                raise GraphError(f"line {lineno}: non-integer token in {line!r}") from None
+            if u == v:
+                raise GraphError(f"line {lineno}: self-loop at vertex {u}")
+            if u < 0 or v < 0:
+                raise GraphError(f"line {lineno}: negative vertex index in {line!r}")
+        raise GraphError("graph is disconnected")  # an index past int64: E < n - 1
+    if not len(pairs):
         raise GraphError("edge list is empty")
-    return Graph(max_index + 1, frozenset(edges))
+    return graph_from_edges(int(pairs.max()) + 1, pairs)
 
 
 def dump_edge_list(g: Graph) -> str:
     """Serialize to the edge-list format, one sorted 'u v' line per edge."""
-    return "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+    return ("%d %d\n" * len(g.edge_array)) % tuple(g.edge_array.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +361,14 @@ def dump_edge_list(g: Graph) -> str:
 def adjacency(g: Graph) -> np.ndarray:
     """Dense symmetric 0/1 adjacency matrix."""
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = a[v, u] = 1.0
+    u, v = g.edge_array.T
+    a[u, v] = a[v, u] = 1.0
     return a
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Dense Laplacian: degree matrix minus adjacency matrix."""
-    a = adjacency(g)
-    return np.diag(a.sum(axis=1)) - a
+    return np.diag(np.bincount(g.edge_array.ravel(), minlength=g.n)) - adjacency(g)
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +376,15 @@ def laplacian(g: Graph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def graph_to_json_dict(g: Graph) -> dict:
-    return {
-        "n": g.n,
-        "edges": [[u, v] for u, v in sorted(g.edges)],
-        "family": g.family,
-        "vertex_transitive": g.vertex_transitive,
-    }
+    return {"n": g.n, "edges": g.edge_array.tolist(), "family": g.family,
+            "vertex_transitive": g.vertex_transitive}
 
 
 def graph_from_json_dict(data: dict) -> Graph:
+    """The graph of a JSON dict; ``n`` and every edge endpoint must be JSON
+    integers, never floats, strings or booleans."""
+    n, edges = data["n"], data["edges"]
+    if {type(n), *map(type, itertools.chain.from_iterable(edges))} != {int}:
+        raise GraphError("graph JSON: n and every edge endpoint must be integers")
     return graph_from_edges(
-        int(data["n"]),
-        [(int(u), int(v)) for u, v in data["edges"]],
-        data.get("family"),
-        data.get("vertex_transitive", "unknown"),
-    )
+        n, edges, data.get("family"), data.get("vertex_transitive", "unknown"))

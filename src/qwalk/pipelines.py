@@ -238,10 +238,11 @@ def bipartite_blocks(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None
     2-colouring a complete bipartite graph has; then g is complete
     bipartite iff n1 * n2 edges all cross the colouring.  O(E).
     """
-    near = {v for u, v in g.edges if u == 0}  # edges are pairs (u, v) with u < v
-    blocks = tuple(v for v in range(g.n) if v not in near), tuple(sorted(near))
-    if near and len(g.edges) == len(near) * len(blocks[0]) and all(
-            (u in near) != (v in near) for u, v in g.edges):
+    u, v = g.edge_array.T  # pairs u < v, sorted
+    near = np.zeros(g.n, dtype=bool)
+    near[v[u == 0]] = True
+    blocks = tuple(np.flatnonzero(~near).tolist()), tuple(np.flatnonzero(near).tolist())
+    if near.any() and len(u) == len(blocks[0]) * len(blocks[1]) and np.all(near[u] != near[v]):
         return blocks
     return None
 
@@ -566,8 +567,9 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
     Sampling runs from every vertex; transfer on all ordered pairs (or a
     deterministic subset above 10 vertices); search on every hidden vertex
     via the route ``search_route`` picks.  Each vertex's sampling schedule
-    is synthesized once and serves its sample and every transfer it is in;
-    each sweep runs all its rows in one pass per group.
+    is synthesized once and serves its sample, every transfer it is in
+    and, reversed, the search branch of a mass class it represents when
+    there are several; each sweep runs all its rows in one pass per group.
     """
     if g.n > cap:
         raise GraphError(f"graph has {g.n} vertices, exceeding the cap {cap}")
@@ -576,10 +578,12 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
     route, sctx = _search_context(g, ctx)
     vertices = list(range(g.n))
     forward = [sampling_schedule(ctx, m) for m in vertices]
+    branches = sctx.branches if sctx is not ctx or len(ctx.mass_classes) == 1 else tuple(
+        sched_mod.dagger(forward[m]) for m in ctx.mass_classes)  # the representatives' rows
 
     reports = _sample_sweep(ctx, forward, vertices)
     reports += _transfer_sweep(ctx, forward, _transfer_pairs(g.n))
-    reports += _search_sweep(sctx, sctx.branches, vertices)
+    reports += _search_sweep(sctx, branches, vertices)
     reports.sort(key=lambda r: (r.task, r.marked if r.marked is not None else -1,
                                 r.target if r.target is not None else -1))
 

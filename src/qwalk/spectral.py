@@ -135,19 +135,16 @@ def _solve(solver, m: np.ndarray):
 def _group_eigenvalues(eigenvalues: np.ndarray, tol: float) -> tuple[EigenGroup, ...]:
     # Cluster ascending eigenvalues at gaps >= tol; the spread inside one
     # cluster must stay below tol or the grouping is ambiguous.
+    cuts = [0, *(np.flatnonzero(np.diff(eigenvalues) >= tol) + 1).tolist(), len(eigenvalues)]
     groups: list[EigenGroup] = []
-    start = 0
-    n = len(eigenvalues)
-    for i in range(1, n + 1):
-        if i == n or eigenvalues[i] - eigenvalues[i - 1] >= tol:
-            block = eigenvalues[start:i]
-            if float(block[-1] - block[0]) >= tol:
-                raise SpectrumError(
-                    "ambiguous eigenvalue clustering near "
-                    f"{float(block[0]):.9g}..{float(block[-1]):.9g}"
-                )
-            groups.append(EigenGroup(float(np.mean(block)), tuple(range(start, i))))
-            start = i
+    for start, stop in zip(cuts, cuts[1:]):
+        block = eigenvalues[start:stop]
+        if float(block[-1] - block[0]) >= tol:
+            raise SpectrumError(
+                "ambiguous eigenvalue clustering near "
+                f"{float(block[0]):.9g}..{float(block[-1]):.9g}"
+            )
+        groups.append(EigenGroup(float(np.mean(block)), tuple(range(start, stop))))
     return tuple(groups)
 
 
@@ -160,20 +157,16 @@ def validate_integer_spectrum(
     ``int_tol`` of an integer and exactly one must round to 0.
     ``integer_spectrum`` adds the exact certificate on the matrix.
     """
-    ints = []
-    for i, value in enumerate(spectrum.eigenvalues):
-        rounded = round(float(value))
-        if abs(value - rounded) > int_tol:
-            raise SpectrumError(
-                f"non-integer eigenvalue {float(value):.9g} at index {i}"
-            )
-        ints.append(int(rounded))
-    zeros = [i for i, v in enumerate(ints) if v == 0]
+    values = spectrum.eigenvalues
+    rounded = np.rint(values)
+    bad = np.flatnonzero(~(np.abs(values - rounded) <= int_tol))  # NaN is bad too
+    if bad.size:
+        i = int(bad[0])
+        raise SpectrumError(f"non-integer eigenvalue {float(values[i]):.9g} at index {i}")
+    zeros = np.flatnonzero(rounded == 0)
     if len(zeros) != 1:
-        raise SpectrumError(
-            f"zero eigenvalue is not simple: multiplicity {len(zeros)}"
-        )
-    return IntegerSpectrum(spectrum, tuple(ints), zeros[0])
+        raise SpectrumError(f"zero eigenvalue is not simple: multiplicity {len(zeros)}")
+    return IntegerSpectrum(spectrum, tuple(rounded.astype(np.int64).tolist()), int(zeros[0]))
 
 
 def integer_spectrum(
@@ -216,8 +209,8 @@ def graph_integer_spectrum(g: Graph, *, int_tol: float = INTEGER_TOL) -> Integer
     if not matches:
         return integer_spectrum(laplacian(g), int_tol=int_tol)
     ints = family_spectrum(*matches[0])
-    u, v = np.array(list(g.edges)).T
-    deg = np.bincount(np.concatenate([u, v]), minlength=g.n).astype(float)
+    u, v = g.edge_array.T
+    deg = np.bincount(g.edge_array.ravel(), minlength=g.n).astype(float)
     _certify(ints, lambda w: deg * w - np.bincount(u, w[v], g.n) - np.bincount(v, w[u], g.n),
              deg.sum(), deg**2 + deg)
     return ints
@@ -325,8 +318,6 @@ def spectrum_to_json_dict(ints: IntegerSpectrum) -> dict:
 def eigenvectors_to_csv(spectrum: Spectrum) -> str:
     """CSV dump of the eigenbasis: one column per eigenvector."""
     header = "vertex," + ",".join(f"eig_{i}" for i in range(spectrum.n))
-    lines = [header]
-    for v in range(spectrum.n):
-        row = ",".join(f"{spectrum.eigenvectors[v, i]:.12g}" for i in range(spectrum.n))
-        lines.append(f"{v},{row}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{v}," + ",".join(f"{x:.12g}" for x in row)
+            for v, row in enumerate(spectrum.eigenvectors.tolist()))
+    return "\n".join([header, *rows]) + "\n"

@@ -64,6 +64,23 @@ def k4_minus_edge():
     return graph.load_edge_list("0 2\n0 3\n1 2\n1 3\n2 3\n")
 
 
+def reachable(n, edges, start=0):
+    """The number of vertices reachable from ``start`` over the (u, v)
+    tuples ``edges``: a plain depth-first search, the connectivity
+    reference."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen)
+
+
 def check_vertex_transitive_bruteforce(g):
     """Decide vertex transitivity by enumerating all vertex permutations.
 

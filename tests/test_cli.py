@@ -577,3 +577,23 @@ def test_verify_artifact_deterministic(tmp_path, capsys):
     a = json.loads(outs[0].read_text())
     b = json.loads(outs[1].read_text())
     assert a == b
+
+
+@pytest.mark.parametrize("edit", [
+    lambda g: g.update(n=9.5, edges=[[u + 0.5, v] for u, v in g["edges"]]),
+    lambda g: g.update(n=9.0),
+    lambda g: g.update(n="9"),
+    lambda g: g["edges"][0].__setitem__(1, True),
+], ids=["halves", "n_float", "n_string", "endpoint_bool"])
+def test_run_schedule_rejects_non_integer_graph(tmp_path, capsys, edit):
+    # int() once truncated these into rook(3,3) and the run exited 0
+    artifact = tmp_path / "rook33.json"
+    code, _, _ = run_cli(["schedule", "--family", "rook", "--params", "3,3", "--task", "search",
+                          "--out", str(artifact)], capsys)
+    assert code == 0
+    data = json.loads(artifact.read_text())
+    edit(data["graph"])
+    artifact.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: graph JSON: n and every edge endpoint must be integers\n"

@@ -640,3 +640,22 @@ def test_sweep_row_failure_raises_its_own_error(k4_minus_edge):
         alone = pipelines.execute_sample(ctx, schedules[m], m)
         assert report.fidelity == pytest.approx(alone.fidelity, abs=1e-12)
         assert report.stage_fidelities == pytest.approx(alone.stage_fidelities, abs=1e-12)
+
+
+def test_verify_synthesizes_each_class_representative_once(monkeypatch, k4_minus_edge):
+    # K4 - e has two mass classes; their search branches are the reversed
+    # schedules of the representatives' own rows: 4 syntheses, not 6, and
+    # the same search reports as branches synthesized apart
+    ctx = pipelines.prepare(k4_minus_edge)
+    apart = pipelines._search_sweep(ctx, ctx.branches, range(4))
+    synths = []
+    synth = schedule.synth_sampling_schedule
+    monkeypatch.setattr(schedule, "synth_sampling_schedule",
+                        lambda *args: synths.append(1) or synth(*args))
+    result = pipelines.verify_graph(k4_minus_edge)
+    assert len(synths) == 4
+    searches = [r for r in result.reports if r.task == pipelines.TASK_SEARCH]
+    assert searches == apart and len(searches[0].branches) == 2
+    assert pipelines.reports_to_csv(searches) == pipelines.reports_to_csv(apart)
+    assert list(map(pipelines.report_to_json_dict, searches)) == list(
+        map(pipelines.report_to_json_dict, apart))

@@ -149,6 +149,23 @@ def test_validate_rejects_nonsimple_zero():
         spectral.validate_integer_spectrum(spectral.eigendecompose(m))
 
 
+def test_validate_integer_spectrum_messages():
+    def validate(values):
+        return spectral.validate_integer_spectrum(spectral.Spectrum(np.array(values), None, ()))
+
+    ints = validate([-4e-7, 1.0000004, 2.0, 2.0, 2.5 - 0.5])
+    assert ints.int_eigenvalues == (0, 1, 2, 2, 2) and ints.zero_index == 0
+    assert all(type(v) is int for v in ints.int_eigenvalues)
+    # the first value off an integer is named, NaN included
+    with pytest.raises(SpectrumError, match=r"^non-integer eigenvalue 2\.4 at index 2$"):
+        validate([0.0, 1.0, 2.4, 3.5])
+    with pytest.raises(SpectrumError, match=r"^non-integer eigenvalue nan at index 1$"):
+        validate([0.0, np.nan, 2.0])
+    for values, count in (([1.0, 2.0], 0), ([0.0, 3e-7, 5.0], 2)):
+        with pytest.raises(SpectrumError, match=rf"^zero eigenvalue is not simple: multiplicity {count}$"):
+            validate(values)
+
+
 def test_amplitudes_k2():
     spec = spectral.eigendecompose(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     for v in (0, 1):
