@@ -83,7 +83,7 @@ from .spectral import (
     Spectrum,
     eigendecompose,
     eigenspace_amplitudes,
-    integer_spectrum,
+    graph_integer_spectrum,
     validate_integer_spectrum,
 )
 

@@ -117,11 +117,10 @@ def _cmd_graph(args, parser) -> int:
 
 def _cmd_spectrum(args, parser) -> int:
     g = _resolve_graph(args, parser)
-    if not args.vectors_csv:  # eigenvectors only when they are written out
-        ints = spectral.graph_integer_spectrum(g, int_tol=args.int_tol)
-    else:
-        spec = spectral.eigendecompose(lap := laplacian(g))
-        ints = spectral.integer_spectrum(lap, spec, int_tol=args.int_tol)
+    # eigenvectors only when they are written out
+    spec = spectral.eigendecompose(laplacian(g)) if args.vectors_csv else None
+    ints = spectral.graph_integer_spectrum(g, spec, int_tol=args.int_tol)
+    if args.vectors_csv:
         _emit(spectral.eigenvectors_to_csv(spec), args.vectors_csv)
     emit_json(spectral.spectrum_to_json_dict(ints), args.out)
     return 0
@@ -134,12 +133,12 @@ def _cmd_depth(args, parser) -> int:
 
 
 def _synth_artifact(args, parser) -> dict:
+    if args.task == "sample" and args.marked is None:
+        parser.error("--task sample requires --marked (the start vertex)")
     g = _resolve_graph(args, parser)
     probe = args.marked if args.marked is not None else 0
     ctx = pipelines.prepare_bipartite(g) if args.task == "bipartite" else pipelines.prepare(g)
     if args.task == "sample":
-        if args.marked is None:
-            parser.error("--task sample requires --marked (the start vertex)")
         schedules = [pipelines.sampling_schedule(ctx, probe)]
         report = pipelines.execute_sample(ctx, schedules[0], probe)
     else:

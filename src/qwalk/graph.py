@@ -267,8 +267,7 @@ def _candidates(n: int, e: int):
     for d in range(1, n.bit_length()):
         q = round(n ** (1 / d))
         if q**d == n and 2 * e == n * d * (q - 1):
-            yield "hamming", (d, q), lambda u, v, d=d, q=q: sum(
-                u // q**i % q != v // q**i % q for i in range(d)) == 1
+            yield "hamming", (d, q), lambda u, v, d=d, q=q: _one_digit_up(d, q, u, v)
     for a, b in _sum_product_pairs(n, e):
         yield "complete_bipartite", (a, b), lambda u, v, a=a: (u < a) & (v >= a)
     for a, b in _sum_product_pairs(2 * e // n + 2, n) if 2 * e % n == 0 else ():
@@ -287,6 +286,15 @@ def _candidates(n: int, e: int):
                 _meet(_subset_masks(m, k), u, v) == k - 1)
         if 2 * e == n * math.comb(m - k, k):  # under n - 1 edges when m <= 2k, k > 1
             yield "kneser", (m, k), lambda u, v, m=m, k=k: _meet(_subset_masks(m, k), u, v) == 0
+
+
+def _one_digit_up(d: int, q: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each v > u differs from u in one base-q digit of d: v - u
+    is delta * s for s = q**i, the largest place value <= v - u, and
+    adding delta to u's digit i carries nothing."""
+    places = q ** np.arange(d)
+    s = places[np.searchsorted(places, v - u, side="right") - 1]
+    return ((v - u) % s == 0) & (u // s % q + (v - u) // s < q)
 
 
 def _sum_product_pairs(total: int, product: int) -> list[tuple[int, int]]:
@@ -369,6 +377,14 @@ def adjacency(g: Graph) -> np.ndarray:
 def laplacian(g: Graph) -> np.ndarray:
     """Dense Laplacian: degree matrix minus adjacency matrix."""
     return np.diag(np.bincount(g.edge_array.ravel(), minlength=g.n)) - adjacency(g)
+
+
+def laplacian_matvec(g: Graph, w: np.ndarray) -> np.ndarray:
+    """The Laplacian of g times the vector w, from the edge array in O(E):
+    each edge (u, v) adds w_u - w_v at u and subtracts it at v."""
+    u, v = g.edge_array.T
+    diff = w[u] - w[v]
+    return np.bincount(u, diff, g.n) - np.bincount(v, diff, g.n)
 
 
 # ---------------------------------------------------------------------------

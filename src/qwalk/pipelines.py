@@ -109,10 +109,10 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class LaplacianContext:
-    """Shared read-only data reused across runs on one graph."""
+    """Shared read-only data reused across runs on one graph: the gated
+    eigendecomposition of its Laplacian and the depth chain."""
 
     graph: Graph
-    spectrum: spectral.Spectrum
     ints: spectral.IntegerSpectrum
     chain: depth_mod.DepthChain
 
@@ -122,6 +122,10 @@ class LaplacianContext:
     @property
     def label(self) -> str:
         return self.graph.family or f"custom(n={self.graph.n})"
+
+    @property
+    def spectrum(self) -> spectral.Spectrum:
+        return self.ints.base
 
     @property
     def depth(self) -> int:
@@ -176,11 +180,8 @@ class LaplacianContext:
 
 def prepare(g: Graph) -> LaplacianContext:
     """Eigendecompose the Laplacian and gate it as an integer spectrum."""
-    lap = laplacian(g)
-    spectrum = spectral.eigendecompose(lap)
-    ints = spectral.integer_spectrum(lap, spectrum)
-    chain = depth_mod.build_depth_chain(ints)
-    return LaplacianContext(g, spectrum, ints, chain)
+    ints = spectral.graph_integer_spectrum(g, spectral.eigendecompose(laplacian(g)))
+    return LaplacianContext(g, ints, depth_mod.build_depth_chain(ints))
 
 
 @dataclass(frozen=True)

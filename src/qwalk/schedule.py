@@ -146,14 +146,24 @@ class Schedule:
     ``stage_boundaries[i]`` is the op index where active stage i begins and
     ``stage_levels[i]`` the refinement level it implements.  ``total_time``
     sums magnitudes: |t| over walk segments plus |theta| over oracle and
-    ancilla phases.  ``global_phase`` is the angle by which the final state
-    leads the ideal target (never asserted; fidelity is phase-insensitive).
+    ancilla phases.
     """
 
     stages: tuple[Stage, ...] = ()
     direction: str = FORWARD
     hamiltonian: str = LAPLACIAN
-    global_phase: float = 0.0
+
+    @property
+    def global_phase(self) -> float:
+        """The angle by which the final state leads the ideal target (never
+        asserted; fidelity is phase-insensitive): the stages' landing
+        phases summed in order, negated when the schedule is reversed."""
+        phase = 0.0
+        for stage in self.stages:
+            phase += _landing_phase(stage.params, target_phased=self.hamiltonian == ADJACENCY)
+        phase %= 2.0 * math.pi
+        # 0.0 - phase, not -phase: a reversed schedule with no stages reads 0.0
+        return 0.0 - phase if self.direction == REVERSED else phase
 
     @functools.cached_property
     def ops(self) -> tuple[PrimitiveOp, ...]:
@@ -259,7 +269,7 @@ def dagger(schedule: Schedule) -> Schedule:
     """Element-wise adjoints in reverse order; total time is preserved.  The
     stages stay and the direction flips, in O(1)."""
     direction = REVERSED if schedule.direction == FORWARD else FORWARD
-    return replace(schedule, direction=direction, global_phase=-schedule.global_phase)
+    return replace(schedule, direction=direction)
 
 
 def _expand(stages: tuple[Stage, ...]) -> tuple[PrimitiveOp, ...]:
@@ -338,7 +348,6 @@ def synth_sampling_schedule(chain: DepthChain, overlaps: np.ndarray) -> Schedule
             f"expected {chain.depth} overlaps, got {len(overlaps)}"
         )
     stages: list[Stage] = []
-    phase = 0.0
     for k in range(chain.depth):
         s = float(overlaps[k])
         if s >= SKIP_OVERLAP:
@@ -347,8 +356,7 @@ def synth_sampling_schedule(chain: DepthChain, overlaps: np.ndarray) -> Schedule
             raise ScheduleError(f"overlap at level {k} below floor: {s:.3e}")
         params = stage_params(s)
         stages.append(Stage(k, reflection_time(chain.levels[k].gcd), params.alpha, params))
-        phase += _landing_phase(params, target_phased=False)
-    return Schedule(global_phase=phase % (2.0 * math.pi), stages=tuple(stages))
+    return Schedule(tuple(stages))
 
 
 def synth_bipartite_search(n1: int, n2: int) -> tuple[Schedule, Schedule]:
@@ -376,12 +384,7 @@ def _bipartite_branch(block_size: int, walk_time: float) -> Schedule:
     # itself, so phasing it by -alpha realizes the target-side rotation
     # with no extra global phase.
     kick = (2.0 * math.pi - params.alpha) % (2.0 * math.pi)
-    return Schedule(
-        direction=REVERSED,
-        hamiltonian=ADJACENCY,
-        global_phase=-(_landing_phase(params, target_phased=True) % (2.0 * math.pi)),
-        stages=(Stage(0, walk_time, kick, params),),
-    )
+    return Schedule((Stage(0, walk_time, kick, params),), REVERSED, ADJACENCY)
 
 
 def ancilla_phase_time(schedule: Schedule) -> float:
@@ -471,8 +474,8 @@ def schedule_from_json_dict(data: dict) -> Schedule:
         overlap = math.sin(math.pi / (4 * p + 6)) / math.sin(oracle.theta / 2)
         stages.append(Stage(levels[k], cwalk.t, kick.theta,
                             StageParams(overlap, p, oracle.theta)))
-    schedule = Schedule(tuple(stages), direction, hamiltonian,
-                        float(data["global_phase"]))
+    float(data["global_phase"])  # required, but derived from the stages
+    schedule = Schedule(tuple(stages), direction, hamiltonian)
     if schedule.ops != ops:
         raise ScheduleError("the ops are not the expansion of the stages they encode")
     count, time = int(data["oracle_count"]), float(data["total_time"])

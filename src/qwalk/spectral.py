@@ -5,18 +5,17 @@ All downstream formulas consume eigenspace projection masses (sums over a
 degenerate group), never individual eigenvectors, so results do not depend
 on the solver's arbitrary basis choice inside a degenerate eigenspace.
 
-``integer_spectrum`` is the gate on a matrix.  Given only the matrix it
-computes eigenvalues alone (``eigvalsh``), which is all the spectrum and
-the depth chain need; given a full decomposition it gates that.  Either
-way the float values are rounded within ``INTEGER_TOL`` and the result is
-then certified in exact integer arithmetic on the matrix: the product of
-(L - lambda I) over the distinct rounded values kills a pseudo-random
-vector modulo a prime, so every eigenvalue is one of them; the
-multiplicities reproduce N, tr L and ||L||_F^2; and L 1 = 0 with a simple
-zero makes the uniform state the kernel.  A loose tolerance therefore
-cannot admit a non-integer spectrum.  ``graph_integer_spectrum`` skips the
-dense solve when a graph's edges are a built-in family's: the values come
-in closed form and the same certificate runs on the edge list.
+``graph_integer_spectrum`` is the one gate on a graph's Laplacian.  Its
+values come from a decomposition the caller passes, else in closed form
+when the edges are a built-in family's, else from ``eigvalsh`` alone,
+which is all the spectrum and the depth chain need.  Each is rounded
+within ``INTEGER_TOL`` and certified in exact integer arithmetic on the
+edge list, O(G·E): the product of (L - lambda I) over the distinct
+rounded values kills a pseudo-random vector modulo a prime, so every
+eigenvalue is one of them, and the multiplicities reproduce N, tr L and
+||L||_F^2.  A loose tolerance therefore cannot admit a non-integer
+spectrum.  L 1 = 0 holds for every graph, so a simple zero makes the
+uniform state the kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpectrumError
-from .graph import Graph, family_matches, laplacian
+from .graph import Graph, family_matches, laplacian, laplacian_matvec
 
 #: Eigenvalues closer than this are treated as one eigenspace.
 GROUP_TOL = 1e-6
@@ -78,7 +77,7 @@ class Spectrum:
 @dataclass(frozen=True)
 class IntegerSpectrum:
     """A Spectrum validated to be integral with a simple zero eigenvalue;
-    ``integer_spectrum`` also certifies it exactly."""
+    ``graph_integer_spectrum`` also certifies it exactly."""
 
     base: Spectrum
     int_eigenvalues: tuple[int, ...]
@@ -155,7 +154,7 @@ def validate_integer_spectrum(
 
     This is the float half of the gate: every eigenvalue must lie within
     ``int_tol`` of an integer and exactly one must round to 0.
-    ``integer_spectrum`` adds the exact certificate on the matrix.
+    ``graph_integer_spectrum`` adds the exact certificate on the graph.
     """
     values = spectrum.eigenvalues
     rounded = np.rint(values)
@@ -169,50 +168,27 @@ def validate_integer_spectrum(
     return IntegerSpectrum(spectrum, tuple(rounded.astype(np.int64).tolist()), int(zeros[0]))
 
 
-def integer_spectrum(
-    matrix: np.ndarray,
-    spectrum: Spectrum | None = None,
-    *,
-    int_tol: float = INTEGER_TOL,
+def graph_integer_spectrum(
+    g: Graph, spectrum: Spectrum | None = None, *, int_tol: float = INTEGER_TOL
 ) -> IntegerSpectrum:
-    """The integer gate: round ``spectrum``, the eigendecomposition of
-    ``matrix``, to integers and certify the result exactly on ``matrix``.
+    """The integer gate: round a spectrum of g's Laplacian to integers and
+    certify it exactly on g's edges.
 
-    Without ``spectrum`` only the eigenvalues are computed (``eigvalsh``),
-    and the result's ``base.eigenvectors`` is None.  Raises SpectrumError
-    if the values do not round within ``int_tol``, the zero is not simple,
-    or the certificate fails.
+    A ``spectrum`` the caller passes is rounded as given, since its groups
+    index its eigenvectors.  Without one, a graph whose edges are a
+    built-in family's (``graph.family_matches``) takes its closed-form
+    values, which need no rounding, and any other graph the eigenvalues of
+    its dense Laplacian (``eigvalsh``); either way ``base.eigenvectors``
+    is None.  Raises SpectrumError if the values do not round within
+    ``int_tol``, the zero is not simple, or the certificate fails.
     """
-    if spectrum is None:
-        values = _solve(np.linalg.eigvalsh, _symmetric(matrix)[0])
-        values.flags.writeable = False
-        spectrum = Spectrum(values, None, _group_eigenvalues(values, GROUP_TOL))
-    ints = validate_integer_spectrum(spectrum, int_tol=int_tol)
-    m = np.asarray(matrix, dtype=float)
-    if not np.array_equal(m, np.rint(m)):
-        raise SpectrumError("matrix entries are not integers")
-    _certify(ints, lambda w: m @ w, np.trace(m), np.einsum("ij,ij->i", m, m))
-    if np.any(m.sum(axis=1)):
-        raise SpectrumError("matrix rows do not sum to 0: the kernel is not uniform")
-    return ints
-
-
-def graph_integer_spectrum(g: Graph, *, int_tol: float = INTEGER_TOL) -> IntegerSpectrum:
-    """The eigenvalue-only integer gate on g's Laplacian.
-
-    When g's edges are a built-in family's (``graph.family_matches``) the
-    values come in closed form and the certificate runs on the edges,
-    O(G·E), so ``int_tol`` has nothing to round; every other graph takes
-    the dense ``eigvalsh`` route of ``integer_spectrum``.
-    """
-    matches = family_matches(g)
-    if not matches:
-        return integer_spectrum(laplacian(g), int_tol=int_tol)
-    ints = family_spectrum(*matches[0])
-    u, v = g.edge_array.T
-    deg = np.bincount(g.edge_array.ravel(), minlength=g.n).astype(float)
-    _certify(ints, lambda w: deg * w - np.bincount(u, w[v], g.n) - np.bincount(v, w[u], g.n),
-             deg.sum(), deg**2 + deg)
+    if spectrum is None and (matches := family_matches(g)):
+        ints = family_spectrum(*matches[0])
+    else:
+        if spectrum is None:
+            spectrum = _values_only(_solve(np.linalg.eigvalsh, laplacian(g)))
+        ints = validate_integer_spectrum(spectrum, int_tol=int_tol)
+    _certify(ints, g)
     return ints
 
 
@@ -238,48 +214,49 @@ def family_spectrum(name: str, params: tuple[int, ...]) -> IntegerSpectrum:
         second = [(0, 1), (b, b - 1)] if name == "rook" else [(0, 1), (2, 2), (4, 1)]
         terms = [(x + y, mx * my) for x, mx in [(0, 1), (a, a - 1)] for y, my in second]
     value, mult = np.array(terms).T
-    values = np.sort(np.repeat(value, mult)).astype(float)
+    return validate_integer_spectrum(_values_only(np.sort(np.repeat(value, mult)).astype(float)))
+
+
+def _values_only(values: np.ndarray) -> Spectrum:
+    """An eigenvalue-only Spectrum of ascending ``values``, frozen."""
     values.flags.writeable = False
-    return validate_integer_spectrum(
-        Spectrum(values, None, _group_eigenvalues(values, GROUP_TOL)))
+    return Spectrum(values, None, _group_eigenvalues(values, GROUP_TOL))
 
 
-def _certify(ints: IntegerSpectrum, matvec, trace: float, row_sq: np.ndarray) -> None:
-    """Check the rounded spectrum against an integer symmetric matrix,
-    given by its product with a vector, its trace and its squared row
-    norms, in exact arithmetic.
+def _certify(ints: IntegerSpectrum, g: Graph) -> None:
+    """Check the rounded spectrum against g's Laplacian L in exact
+    arithmetic, forming L w from the edge array.
 
     Every float below holds an integer under 2^53, so it is exact.  The
-    product over the distinct values of (m - lambda I) applied to a
+    product over the distinct values of (L - lambda I) applied to a
     pseudo-random vector must vanish modulo p = ``CERT_PRIME``.  Were an
     eigenvalue outside the set, the product would be a nonzero integer
     matrix, which kills a uniformly random vector with probability at most
     1/p unless p divides all its entries (Schwartz-Zippel).  With every
     eigenvalue among the rounded integers, the solver's error (far below
     1/2) fixes the multiplicities, or on the closed-form route the
-    formula; the moments N, tr m and ||m||_F^2 cross-check them exactly.
+    formula; the moments N, tr L and ||L||_F^2 cross-check them exactly.
     """
-    groups = [(int(round(g.value)), g.multiplicity) for g in ints.base.groups]
-    values = [v for v, _ in groups]
-    n = len(row_sq)
-    # a row's absolute sum is at most sqrt(n * its squared norm)
-    bound = math.sqrt(n * float(row_sq.max())) + max(map(abs, values))
-    if bound * CERT_PRIME >= 2.0**53:
-        raise SpectrumError("matrix entries too large for the exact certificate")
+    groups = [(int(round(grp.value)), grp.multiplicity) for grp in ints.base.groups]
+    values = [x for x, _ in groups]
+    n, deg = g.n, np.bincount(g.edge_array.ravel(), minlength=g.n)
+    # row i of L - lambda I has absolute sum at most 2 deg_i + |lambda|
+    if (2 * int(deg.max()) + max(map(abs, values))) * CERT_PRIME >= 2**53:
+        raise SpectrumError("degrees too large for the exact certificate")
 
     p = float(CERT_PRIME)
     # random, not numpy.random, which costs a cold import of tens of ms
     raw = random.Random(CERT_SEED).randbytes(4 * n)
     w = (np.frombuffer(raw, dtype=np.uint32) % CERT_PRIME).astype(float)
     for value in values:
-        w = np.mod(matvec(w) - value * w, p)
+        w = np.mod(laplacian_matvec(g, w) - value * w, p)
     if np.any(w):
         raise SpectrumError(
             f"eigenvalues are not all among the rounded integers {values}"
         )
 
-    moments = (n, int(trace), int(row_sq.astype(np.int64).sum()))
-    claimed = tuple(sum(k * v**e for v, k in groups) for e in range(3))
+    moments = (n, int(deg.sum()), int((deg * deg + deg).sum()))
+    claimed = tuple(sum(k * x**e for x, k in groups) for e in range(3))
     if claimed != moments:
         raise SpectrumError(
             f"multiplicities give moments {claimed}, the matrix {moments}"

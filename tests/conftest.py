@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qwalk import graph
+from qwalk import graph, spectral
 from qwalk.errors import GraphError
 
 
@@ -32,6 +32,14 @@ def c4():
 def laplacian_eigenvalues(g):
     """Independent spectrum: numpy eigvalsh on the explicit Laplacian."""
     return np.linalg.eigvalsh(graph.laplacian(g))
+
+
+def dense_gate(g, **kwargs):
+    """The gate on g's dense ``eigvalsh`` values, passed in as an
+    eigenvalue-only spectrum so no closed form replaces them: the
+    reference the other routes must match."""
+    return spectral.graph_integer_spectrum(
+        g, spectral._values_only(laplacian_eigenvalues(g)), **kwargs)
 
 
 @pytest.fixture(scope="session")

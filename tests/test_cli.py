@@ -5,6 +5,8 @@ import pytest
 
 from qwalk import cli, depth, graph, pipelines, schedule, spectral
 
+from conftest import dense_gate
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -64,7 +66,7 @@ def test_spectrum_and_depth_skip_eigenvectors(tmp_path, capsys, monkeypatch):
     edges.write_text(graph.dump_edge_list(graph.rook(3, 3)))
     big_edges = tmp_path / "hamming10_2.edges"
     big_edges.write_text(graph.dump_edge_list(graph.hamming(10, 2)))
-    big = spectral.integer_spectrum(graph.laplacian(graph.hamming(10, 2)))
+    big = dense_gate(graph.hamming(10, 2))
     verbs = {
         "spectrum": ["spectrum", "--family", "hamming", "--params", "4,2"],
         "depth": ["depth", "--edges", str(edges)],
@@ -133,6 +135,21 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["nosuchverb"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("source", [["--family", "cycle5"],
+                                    ["--family", "hamming", "--params", "4,2"]])
+def test_schedule_sample_without_marked_is_a_usage_error(source, capsys, monkeypatch):
+    # the check comes before any solve, as for run sample, so C5 exits 2 too
+    def no_solve(*args):
+        raise AssertionError("solved before the usage check")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["schedule", *source, "--task", "sample"])
+    assert exc.value.code == 2
+    assert "--task sample requires --marked" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

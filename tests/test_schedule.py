@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -183,6 +184,21 @@ def test_global_phase_metadata_is_exact(c4):
     overlap = np.vdot(simulate.uniform_state(4).amps, final.amps)
     phase = math.atan2(overlap.imag, overlap.real) % (2 * math.pi)
     assert phase == pytest.approx(sched.global_phase, abs=1e-9)
+
+
+def test_global_phase_of_the_adjoint(c4):
+    # read from the stages: the reversed schedule lands at the vertex with
+    # the opposite phase, and the empty K(1,n) branch reads +0.0
+    spec, chain = build_context(c4)
+    back = schedule.dagger(
+        schedule.synth_sampling_schedule(chain, depth.transitive_overlaps(chain)))
+    final = simulate.run_schedule(simulate.uniform_state(4), back, spec, 1)
+    phase = cmath.phase(final.amps[1])
+    assert back.global_phase == -schedule.dagger(back).global_phase != 0.0
+    assert math.remainder(phase - back.global_phase, 2 * math.pi) == pytest.approx(0.0, abs=1e-9)
+    empty = schedule.synth_bipartite_search(1, 5)[0]
+    assert math.copysign(1.0, empty.global_phase) == 1.0
+    assert '"global_phase": 0.0' in json.dumps(schedule.schedule_to_json_dict(empty))
 
 
 def test_bipartite_branch_star_is_empty():

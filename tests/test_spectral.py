@@ -1,10 +1,14 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from qwalk import depth, graph, simulate, spectral
 from qwalk.errors import SpectrumError
+
+from conftest import dense_gate, reachable
 
 
 def test_k2_laplacian_decomposition():
@@ -279,9 +283,8 @@ def test_eigenvalue_only_gate_matches_eigendecompose(
     sampling_suite, chang_graphs, k4_minus_edge
 ):
     for g in gate_cases(sampling_suite, chang_graphs, k4_minus_edge):
-        lap = graph.laplacian(g)
-        full = spectral.validate_integer_spectrum(spectral.eigendecompose(lap))
-        ints = spectral.integer_spectrum(lap)
+        full = spectral.graph_integer_spectrum(g, spectral.eigendecompose(graph.laplacian(g)))
+        ints = dense_gate(g)
         assert ints.base.eigenvectors is None
         assert spectral.spectrum_to_json_dict(ints) == spectral.spectrum_to_json_dict(full)
         assert depth.chain_to_json_dict(depth.build_depth_chain(ints)) == (
@@ -294,34 +297,41 @@ def test_eigenvalue_only_gate_matches_eigendecompose(
 def test_certificate_rejects_loose_tolerance():
     # 2 - 2cos(2pi/5) = 1.38 and 2 - 2cos(4pi/5) = 3.62 round to 1 and 4
     with pytest.raises(SpectrumError, match="not all among the rounded integers"):
-        spectral.integer_spectrum(graph.laplacian(graph.cycle(5)), int_tol=0.5)
+        spectral.graph_integer_spectrum(graph.cycle(5), int_tol=0.5)
+
+
+def test_certificate_bound_is_the_row_sum(monkeypatch):
+    # rows of L - lambda I on K(1,30000) sum to at most 2 * 30000 + 30001 in
+    # absolute value, far below 2^53 / p; a bound from the row norms,
+    # sqrt(N * (d^2 + d)), would pass 2^53 / p and refuse the star
+    star = graph.complete_bipartite(1, 30000)
+    assert spectral.graph_integer_spectrum(star).int_eigenvalues[-1] == 30001
+    monkeypatch.setattr(spectral, "CERT_PRIME", 2**53 // (2 * 30000 + 30001) + 1)
+    with pytest.raises(SpectrumError, match="too large"):
+        spectral.graph_integer_spectrum(star)
 
 
 @pytest.mark.parametrize("values, match", [
     ([0, 2, 4, 4], "moments"),  # a multiplicity moved from 2 to 4
     ([0, 2, 2, 5], "not all among"),  # a value off by one
 ], ids=["multiplicity_moved", "value_off_by_one"])
-def test_certificate_rejects_wrong_multiset(c4, monkeypatch, values, match):
-    # the true C4 spectrum is {0, 2, 2, 4}; the solver is made to lie
+def test_certificate_rejects_wrong_multiset(monkeypatch, values, match):
+    # the true C4 spectrum is {0, 2, 2, 4}; the solver is made to lie, on
+    # labels no family has, so the gate asks it
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array(values, dtype=float))
+    assert graph.family_matches(graph.cycle(4)) == []
     with pytest.raises(SpectrumError, match=match):
-        spectral.integer_spectrum(graph.laplacian(c4))
+        spectral.graph_integer_spectrum(graph.cycle(4))
 
 
 def test_certificate_runs_on_full_decompositions(c4):
-    lap = graph.laplacian(c4)
-    spec = spectral.eigendecompose(lap)
-    assert spectral.integer_spectrum(lap, spec).int_eigenvalues == (0, 2, 2, 4)
-    # the star K(1,3) has the integer spectrum {0, 1, 1, 4}, not C4's
+    spec = spectral.eigendecompose(graph.laplacian(c4))
+    assert spectral.graph_integer_spectrum(c4, spec).int_eigenvalues == (0, 2, 2, 4)
+    # the star K(1,3) has the integer spectrum {0, 1, 1, 4}, not C4's; a
+    # given spectrum is never replaced by C4's closed form
     star = spectral.eigendecompose(graph.laplacian(graph.load_edge_list("0 1\n0 2\n0 3\n")))
     with pytest.raises(SpectrumError, match="not all among"):
-        spectral.integer_spectrum(lap, star)
-
-
-def test_certificate_rejects_non_uniform_kernel():
-    # spectrum {0, 2} with kernel (1, -1): integral, but no Laplacian
-    with pytest.raises(SpectrumError, match="kernel is not uniform"):
-        spectral.integer_spectrum(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        spectral.graph_integer_spectrum(c4, star)
 
 
 # every family, with the corners where labels or spectra collide: k > n/2,
@@ -352,12 +362,36 @@ def test_closed_form_matches_dense_gate(name, params):
     g = graph.build_family(name, params)
     matches = graph.family_matches(g)
     assert (name, params) in matches
-    dense = spectral.integer_spectrum(graph.laplacian(g))
+    dense = dense_gate(g)
     fast = spectral.graph_integer_spectrum(g)
     assert fast.base.eigenvectors is None
     assert gate_json(fast) == gate_json(dense)
     for match in matches:  # every family the edges fit gives the same values
         assert spectral.family_spectrum(*match).int_eigenvalues == dense.int_eigenvalues
+
+
+HAMMING_GRID = [p for name, p in CLOSED_FORM_GRID if name == "hamming"]
+
+
+def hamming_rule(d, q):
+    return next(rule for name, params, rule in graph._candidates(q**d, d * (q - 1) * q**d // 2)
+                if (name, params) == ("hamming", (d, q)))
+
+
+@pytest.mark.parametrize("d, q", HAMMING_GRID, ids=[f"hamming({d},{q})" for d, q in HAMMING_GRID])
+def test_hamming_rule_matches_the_generator(d, q):
+    # the rule holds on exactly the generator's edges among all pairs u < v
+    u, v = np.triu_indices(q**d, 1)
+    edges = np.column_stack([u, v])[hamming_rule(d, q)(u, v)]
+    assert np.array_equal(edges, graph.hamming(d, q).edge_array)
+
+
+def test_hamming_rule_refuses_carries():
+    # base 3: 2 = (0,2) and 3 = (1,0) differ by 1 but in two digits, as do
+    # 1 = (0,1) and 3; 0-3, 2-8 = (2,2) and 1-7 = (2,1) change one digit
+    rule = hamming_rule(2, 3)
+    assert rule(np.array([2, 1, 5, 0, 2, 1]), np.array([3, 3, 6, 3, 8, 7])).tolist() == [
+        False, False, False, True, True, True]
 
 
 @pytest.mark.parametrize("g, matches", [
@@ -398,7 +432,7 @@ def test_unrecognised_graphs_take_the_dense_gate(chang_graphs, k4_minus_edge, mo
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(1) or eigvalsh(m))
     for g in cases:
         assert graph.family_matches(g) == []
-        dense = gate_outcome(lambda: spectral.integer_spectrum(graph.laplacian(g)))
+        dense = gate_outcome(lambda: dense_gate(g))
         assert gate_outcome(lambda: spectral.graph_integer_spectrum(g)) == dense
     assert len(solves) == 2 * len(cases)
     # the Chang graphs share johnson(8,2)'s counts and spectrum, not its edges
@@ -416,3 +450,51 @@ def test_closed_form_is_certified(monkeypatch, values, match):
     monkeypatch.setattr(spectral, "family_spectrum", lambda name, params: fake)
     with pytest.raises(SpectrumError, match=match):
         spectral.graph_integer_spectrum(graph.hamming(4, 2))
+
+
+def route_corpus():
+    """Seeded gate corpus: cycles 3-11, random connected graphs on at most
+    8 vertices, built-in families and randomly relabelled copies of them."""
+    rng = random.Random(20240617)
+    families = [graph.build_family(name, params) for name, params in (
+        ("hamming", (3, 2)), ("hamming", (2, 3)), ("hamming", (4, 2)), ("johnson", (5, 2)),
+        ("johnson", (6, 3)), ("kneser", (7, 2)), ("rook", (3, 4)), ("complete_square", (3,)),
+        ("complete_bipartite", (2, 5)), ("complete_bipartite", (1, 4)), ("johnson", (5, 1)))]
+    corpus = [graph.cycle(k) for k in range(3, 12)] + families
+    for g in families:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        corpus.append(graph.graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+    while len(corpus) < 100:
+        n = rng.randint(2, 8)
+        pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        if reachable(n, pairs) == n:
+            corpus.append(graph.graph_from_edges(n, pairs))
+    return corpus
+
+
+def test_every_route_gives_the_same_verdict():
+    # the family (or eigvalsh) route, eigvalsh values passed in, and the
+    # full decomposition passed in all certify on the edges and agree
+    accepted = refused = 0
+    for g in route_corpus():
+        for tol in (spectral.INTEGER_TOL, 0.5):
+            outcomes = [gate_outcome(lambda: spectral.graph_integer_spectrum(g, int_tol=tol)),
+                        gate_outcome(lambda: dense_gate(g, int_tol=tol)),
+                        gate_outcome(lambda: spectral.graph_integer_spectrum(
+                            g, spectral.eigendecompose(graph.laplacian(g)), int_tol=tol))]
+            if all(isinstance(o, str) for o in outcomes):
+                refused += 1  # messages may print a value's last digit differently
+            else:
+                assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+                accepted += 1
+    assert accepted >= 50 and refused >= 50
+
+
+def test_edge_matvec_matches_the_dense_laplacian():
+    p = spectral.CERT_PRIME
+    rng = np.random.default_rng(7)
+    for g in route_corpus():
+        w = rng.integers(0, p, g.n).astype(float)
+        assert np.array_equal(np.mod(graph.laplacian_matvec(g, w), p),
+                              np.mod(graph.laplacian(g) @ w, p))
