@@ -7,8 +7,10 @@ task end to end (or re-simulates a schedule artifact), and ``verify``
 sweeps every task over one graph.
 
 Exit codes: 0 success, 1 domain error (one-line diagnostic on stderr),
-2 usage error.  Floats are emitted with 12 significant digits and repeated
-invocations with identical arguments produce byte-identical artifacts.
+2 usage error.  JSON artifacts are written in one walk that rounds every
+float to 12 significant digits as it writes it; the bytes are exactly
+``json.dumps(data, indent=2, sort_keys=True)`` of the rounded data, so
+repeated invocations with identical arguments give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as encode_ascii
 from pathlib import Path
 
 from . import depth as depth_mod
@@ -35,15 +38,41 @@ from .graph import (
 )
 
 
-def _round_floats(obj):
-    """Clamp every float to 12 significant digits for stable artifacts."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+def _float(x: float) -> str:
+    """x at 12 significant digits, spelled as the json module spells it."""
+    text = float.__repr__(float(format(x, ".12g")))
+    return _SPECIAL.get(text, text)
+
+
+_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: writers of the exact scalar types; their subclasses take the isinstance loop
+_SCALARS = {str: encode_ascii, int: int.__repr__, float: _float, type(None): lambda _: "null",
+            bool: {True: "true", False: "false"}.__getitem__}
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it
+    once every float is rounded to 12 significant digits, in one walk."""
+    if write := _SCALARS.get(type(obj)):
+        return write(obj)
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        # json.dumps spells (or refuses) a key that is not a str
+        items, brackets = [f"{encode_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4]}: "
+                           f"{_dumps(v, inner)}" for k, v in sorted(obj.items())], "{}"
+    elif isinstance(obj, (list, tuple)):
+        # a list of one scalar type, such as a depth chain's ints, is one join
+        kinds = set(map(type, obj))
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items, brackets = list(map(write, obj)) if write else [_dumps(v, inner) for v in obj], "[]"
+    else:
+        for kind in (str, int, float):
+            if isinstance(obj, kind):
+                return _SCALARS[kind](obj)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -54,24 +83,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def emit_json(data: dict, out: str | None) -> None:
-    _emit(json.dumps(_round_floats(data), indent=2, sort_keys=True) + "\n", out)
+    _emit(_dumps(data) + "\n", out)
 
 
-def emit_report(
-    report: pipelines.RunReport | list[pipelines.RunReport],
-    fmt: str,
-    out: str | None,
-) -> None:
-    """Write one report (json) or a report table (csv)."""
+def emit_report(report: pipelines.RunReport, fmt: str, out: str | None) -> None:
+    """Write one report as JSON or as a one-row CSV table."""
     if fmt == "csv":
-        rows = report if isinstance(report, list) else [report]
-        _emit(pipelines.reports_to_csv(rows), out)
+        _emit(pipelines.reports_to_csv([report]), out)
     else:
-        if isinstance(report, list):
-            data = {"reports": [pipelines.report_to_json_dict(r) for r in report]}
-        else:
-            data = pipelines.report_to_json_dict(report)
-        emit_json(data, out)
+        emit_json(pipelines.report_to_json_dict(report), out)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +266,11 @@ def _cmd_verify(args, parser) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _bounded(high: float):
-    """argparse type: a finite float in (0, high]."""
+def _bounded(high: float, kind: type = float):
+    """argparse type: a finite float (or int) in (0, high]."""
     def number(text: str) -> float:
-        if not (math.isfinite(value := float(text)) and 0 < value <= high):
+        # no isfinite(): it overflows on an int past the float range
+        if not (0 < (value := kind(text)) <= high and value < math.inf):
             raise argparse.ArgumentTypeError(f"need a finite number in (0, {high}], got {text!r}")
         return value
     return number
@@ -308,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="full task sweep over one graph")
     _add_graph_source(p_verify)
-    p_verify.add_argument("--cap", type=int, default=500)
+    p_verify.add_argument("--cap", type=_bounded(math.inf, int), default=500,
+                          help="largest vertex count to sweep")
     p_verify.add_argument("--csv", help="also write the aggregate CSV table here")
     p_verify.add_argument("--out")
 

@@ -30,7 +30,7 @@ import io
 import math
 import time
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -608,8 +608,9 @@ CSV_HEADER = "graph,task,m,fidelity,p,T,d,bound_ratio"
 
 def report_to_json_dict(report: RunReport) -> dict:
     """The report's fields, without ``search_mode`` and ``branches`` when
-    they are unset."""
-    data = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(report).items()}
+    they are unset; read off the frozen records, never deep-copied."""
+    data = {**vars(report), "stage_fidelities": list(report.stage_fidelities),
+            "branches": [dict(vars(b)) for b in report.branches]}
     if report.search_mode is None:
         del data["search_mode"]
     if not report.branches:

@@ -407,16 +407,23 @@ def _op_to_json(op: PrimitiveOp) -> dict:
     return {"op": "anc_h"}
 
 
+def _json_as(value, kind: type):
+    """value as kind, if json.loads read it as one; a bool is neither."""
+    if type(value) not in ((int, float) if kind is float else (int,)):
+        raise TypeError(f"{value!r} is not a JSON {'number' if kind is float else 'integer'}")
+    return kind(value)
+
+
 def _op_from_json(data: dict) -> PrimitiveOp:
     kind = data["op"]
     if kind == "oracle":
-        return OraclePhase(float(data["theta"]), int(data["sign"]))
+        return OraclePhase(_json_as(data["theta"], float), _json_as(data["sign"], int))
     if kind == "anc_h":
         return AncillaHadamard()
     if kind == "anc_z":
-        return AncillaPhase(float(data["theta"]))
+        return AncillaPhase(_json_as(data["theta"], float))
     if kind == "cwalk":
-        return ControlledWalkPhase(float(data["t"]))
+        return ControlledWalkPhase(_json_as(data["t"], float))
     raise ScheduleError(f"unknown op kind {kind!r}")
 
 
@@ -449,8 +456,8 @@ def schedule_from_json_dict(data: dict) -> Schedule:
     if hamiltonian not in (LAPLACIAN, ADJACENCY):
         raise ScheduleError(f"unknown schedule hamiltonian {hamiltonian!r}")
     ops = tuple(_op_from_json(d) for d in data["ops"])
-    bounds = tuple(int(i) for i in data["stage_boundaries"])
-    levels = tuple(int(i) for i in data["stage_levels"])
+    bounds = tuple(_json_as(i, int) for i in data["stage_boundaries"])
+    levels = tuple(_json_as(i, int) for i in data["stage_levels"])
     if list(bounds) != sorted(bounds) or not all(0 <= b <= len(ops) for b in bounds):
         raise ScheduleError(f"stage boundaries {list(bounds)} are not sorted op indices")
     if bounds and bounds[0] != 0:
@@ -474,11 +481,11 @@ def schedule_from_json_dict(data: dict) -> Schedule:
         overlap = math.sin(math.pi / (4 * p + 6)) / math.sin(oracle.theta / 2)
         stages.append(Stage(levels[k], cwalk.t, kick.theta,
                             StageParams(overlap, p, oracle.theta)))
-    float(data["global_phase"])  # required, but derived from the stages
+    _json_as(data["global_phase"], float)  # required, but derived from the stages
     schedule = Schedule(tuple(stages), direction, hamiltonian)
     if schedule.ops != ops:
         raise ScheduleError("the ops are not the expansion of the stages they encode")
-    count, time = int(data["oracle_count"]), float(data["total_time"])
+    count, time = _json_as(data["oracle_count"], int), _json_as(data["total_time"], float)
     if count != schedule.oracle_count:
         raise ScheduleError(f"oracle count {count} is not the ops' {schedule.oracle_count}")
     if not math.isclose(time, schedule.total_time, rel_tol=1e-9):

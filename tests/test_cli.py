@@ -1,7 +1,12 @@
+import collections
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwalk import cli, depth, graph, pipelines, schedule, spectral
 
@@ -163,9 +168,20 @@ def test_schedule_sample_without_marked_is_a_usage_error(source, capsys, monkeyp
     ["spectrum", "--family", "hamming", "--params", "4,2", "--int-tol", "-1"],
     ["spectrum", "--family", "hamming", "--params", "4,2", "--int-tol", "inf"],
     ["spectrum", "--family", "hamming", "--params", "4,2", "--int-tol", "abc"],
+    ["verify", "--family", "rook", "--params", "3,3", "--cap", "0"],
+    ["verify", "--family", "rook", "--params", "3,3", "--cap", "-1"],
+    ["verify", "--family", "rook", "--params", "3,3", "--cap", "2.5"],
 ], ids=["threshold_nan", "threshold_above_one", "threshold_zero", "int_tol_nan",
-        "int_tol_negative", "int_tol_inf", "int_tol_not_a_number"])
-def test_bad_tolerance_is_a_usage_error(argv, capsys):
+        "int_tol_negative", "int_tol_inf", "int_tol_not_a_number", "cap_zero",
+        "cap_negative", "cap_not_an_integer"])
+def test_bad_tolerance_is_a_usage_error(argv, capsys, monkeypatch):
+    # checked while parsing, before any graph is built or solved
+    def no_solve(*args):
+        raise AssertionError("solved before the usage check")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    monkeypatch.setattr(cli, "build_family", no_solve)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -400,7 +416,13 @@ ARTIFACT_ARGS = {
                "--marked", "3"],
     "bipartite": ["--family", "complete_bipartite", "--params", "4,7", "--task",
                   "bipartite", "--marked", "2"],
+    # rook(3,3) search: one schedule, for the JSON-type cases
+    "rook": ["--family", "rook", "--params", "3,3", "--task", "search"],
 }
+
+
+def oracles(data):
+    return [op for op in data["schedule"]["ops"] if op["op"] == "oracle"]
 
 
 @pytest.mark.parametrize("kind, edit", [
@@ -422,11 +444,25 @@ ARTIFACT_ARGS = {
     ("search", edit_json(lambda d: d.update(probe_marked=2.9))),
     ("search", edit_json(lambda d: d.update(probe_marked=True))),
     ("sample", edit_json(lambda d: d.update(branches=[d["schedule"]] * 2))),
+    # int() and float() once coerced these and the run exited 0
+    ("rook", edit_json(lambda d: d["schedule"].update(
+        stage_levels=[v + 0.5 for v in d["schedule"]["stage_levels"]]))),
+    ("rook", edit_json(lambda d: d["schedule"].update(
+        stage_boundaries=[v + 0.25 for v in d["schedule"]["stage_boundaries"]]))),
+    ("rook", edit_json(lambda d: d["schedule"].update(
+        oracle_count=d["schedule"]["oracle_count"] + 0.5))),
+    ("rook", edit_json(lambda d: oracles(d)[0].update(sign=True))),
+    ("rook", edit_json(lambda d: oracles(d)[0].update(sign=float(oracles(d)[0]["sign"])))),
+    ("rook", edit_json(lambda d: oracles(d)[0].update(theta=str(oracles(d)[0]["theta"])))),
+    ("rook", edit_json(lambda d: d["schedule"].update(
+        stage_levels=[str(v) for v in d["schedule"]["stage_levels"]]))),
 ], ids=["not_json", "no_task", "cwalk_without_t", "t_not_a_number", "ops_null",
         "edges_not_pairs", "oracle_count", "total_time", "cwalk_time",
         "hamiltonian_unknown", "search_on_adjacency", "search_levels_reversed",
         "sample_on_adjacency", "sample_levels_reversed", "branch_on_laplacian",
-        "probe_float", "probe_bool", "sample_two_schedules"])
+        "probe_float", "probe_bool", "sample_two_schedules", "levels_float",
+        "boundaries_float", "oracle_count_float", "sign_bool", "sign_float",
+        "theta_string", "levels_string"])
 def test_malformed_artifact_exits_one(tmp_path, capsys, kind, edit):
     artifact = tmp_path / "sched.json"
     code, _, _ = run_cli(["schedule", *ARTIFACT_ARGS[kind], "--out", str(artifact)], capsys)
@@ -438,6 +474,8 @@ def test_malformed_artifact_exits_one(tmp_path, capsys, kind, edit):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""
+    if kind == "rook":  # a JSON value of the wrong type
+        assert err.startswith(f"error: malformed artifact {artifact}: TypeError: ")
 
 
 def test_search_schedule_from_edge_list(tmp_path, capsys):
@@ -614,3 +652,100 @@ def test_run_schedule_rejects_non_integer_graph(tmp_path, capsys, edit):
     code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
     assert code == 1 and out == ""
     assert err == "error: graph JSON: n and every edge endpoint must be integers\n"
+
+
+def reference_round_floats(obj):
+    """The rounding pass emit_json once made before json.dumps."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: reference_round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_round_floats(v) for v in obj]
+    return obj
+
+
+def reference_emit(data):
+    return json.dumps(reference_round_floats(data), indent=2, sort_keys=True) + "\n"
+
+
+def emitted(data):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.emit_json(data, None)
+    return buf.getvalue()
+
+
+class Row(list):
+    pass
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.sampled_from([10**30, -10**30, -1, 2**63]),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, 1e16, 1e-7, math.nan, math.inf, -math.inf, 0.1 + 0.2, 1 / 3]),
+    st.text(), st.sampled_from(["é", "日本", "😀", "\n\t\"\\/", "\x00\x1f", " "]),
+)
+json_values = st.recursive(json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.lists(inner, max_size=4).map(Row),
+    st.lists(st.integers(), max_size=6), st.lists(st.floats(), max_size=6),
+    st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    st.dictionaries(st.integers(), inner, max_size=3).map(collections.OrderedDict),
+), max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(json_values)
+def test_emit_json_matches_round_then_dumps(data):
+    assert emitted(data) == reference_emit(data)
+
+
+@pytest.mark.parametrize("data", [
+    np.int64(3), {1, 2}, {"a": [1, np.int64(2)]}, {"a": {"b": {3}}},
+    [np.float32(1.0)], {(1, 2): 0}, {"a": object()},
+], ids=["int64", "set", "int64_in_list", "nested_set", "float32", "tuple_key", "object"])
+def test_emit_json_refuses_what_json_refuses(data):
+    with pytest.raises(TypeError) as want:
+        reference_emit(data)
+    with pytest.raises(TypeError) as got:
+        emitted(data)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("source", [
+    ["--family", "rook", "--params", "3,3"],
+    ["--family", "hamming", "--params", "4,2"],
+    ["--family", "complete_bipartite", "--params", "5,7"],
+    ["--edges", "k4e.edges"],
+], ids=["rook33", "hamming42", "complete_bipartite57", "k4e"])
+def test_every_json_artifact_is_stdlib_json(source, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k4e.edges").write_text("0 1\n0 2\n0 3\n1 2\n1 3\n")
+    bipartite = source[1] == "complete_bipartite"
+    written = {
+        "graph": ["graph", *source],
+        "spectrum": ["spectrum", *source],
+        "depth": ["depth", *source],
+        "search": ["schedule", *source, "--task", "search"],
+        "sample": ["schedule", *source, "--task", "sample", "--marked", "1"],
+        "bipartite": ["schedule", *source, "--task", "bipartite"],
+        "run_sample": ["run", "sample", *source, "--marked", "1"],
+        "run_transfer": ["run", "transfer", *source, "--source", "0", "--target", "2"],
+        "run_search": ["run", "search", *source, "--marked", "2"],
+        "run_bipartite": ["run", "bipartite", *source, "--marked", "2"],
+        "run_schedule_search": ["run", "schedule", "--schedule", "search.json"],
+        "run_schedule_sample": ["run", "schedule", "--schedule", "sample.json"],
+        "run_schedule_bipartite": ["run", "schedule", "--schedule", "bipartite.json"],
+        "verify": ["verify", *source],
+    }
+    for name, argv in written.items():
+        code, out, _ = run_cli([*argv, "--out", f"{name}.json"], capsys)
+        assert code == (1 if "bipartite" in name and not bipartite else 0), name
+        assert out == ""
+    files = sorted(tmp_path.glob("*.json"))
+    assert len(files) == len(written) - (0 if bipartite else 3)
+    for path in files:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
