@@ -9,14 +9,16 @@ Laplacian walk, or one per block of a complete bipartite graph under the
 adjacency walk.  Each branch is a reversed schedule from the uniform
 state on a vertex set.
 
-Every task runs through one sweep per task (``_sample_sweep``,
-``_transfer_sweep``, ``_search_sweep``) over rows: a start vertex, a
-vertex pair or a hidden vertex, each with its own schedules.  Rows whose
-schedules share their stage structure and whose vertex sets keep the
-same frame coordinates form a group, and each group is one pass of the
-batched executor (for search, one pass per branch).  ``verify_graph`` is one call of each sweep over
-every row of a graph, with one synthesis per vertex; the single-run
-functions are the one-row case.
+Sampling and search each run through one sweep (``_sample_sweep``,
+``_search_sweep``) over rows, a start or hidden vertex with its own
+schedules, in that vertex's frame.  Rows whose schedules share their
+stage structure and whose vertices keep the same eigenspaces form a
+group, one pass of the batched executor (for search, one per branch).
+Transfer makes no pass: ``_transfer_sweep`` reads it off the final
+states of two sampling rows, weighted by the Gram entries (E_g)_uv.
+``verify_graph`` is one call of each sweep over every row of a graph,
+with one synthesis per vertex; the single-run functions are the one-row
+case.
 
 Success is declared by fidelity threshold on the exact final state, not by
 sampled measurement; ``measure_distribution`` exists for demonstration.
@@ -29,7 +31,7 @@ import functools
 import io
 import math
 import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,19 +296,6 @@ def _report(
     )
 
 
-def _groups(spectrum: spectral.Spectrum, sets: Sequence[Sequence[int]], keys: Sequence):
-    """Split rows i, each a vertex set ``sets[i]`` and the stage structure
-    of its schedules, ``keys[i]``, into groups that share their key and
-    their frame's kept coordinates; yield each group's row indices and
-    frame."""
-    by_key: dict = {}
-    for i, key in enumerate(keys):
-        by_key.setdefault(key, []).append(i)
-    for items in by_key.values():
-        for idx, frame in sim.vertex_frames(spectrum, [sets[i] for i in items]):
-            yield [items[i] for i in idx], frame
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -340,24 +329,28 @@ def execute_sample(
     ctx: LaplacianContext, schedule: sched_mod.Schedule, m: int
 ) -> RunReport:
     """Run a forward schedule from vertex m: the one-row sampling sweep."""
-    return _sample_sweep(ctx, [schedule], [m])[0]
+    return _sample_sweep(ctx, [schedule], [m])[0][0]
 
 
 def _sample_sweep(
     ctx: LaplacianContext, schedules: Sequence[sched_mod.Schedule], vertices: Sequence[int]
-) -> list[RunReport]:
+) -> tuple[list[RunReport], np.ndarray]:
     """Run forward ``schedules[i]`` from vertex ``vertices[i]`` in its
     frame, checking each stage against its level's kept state, one
     executor pass per group.  Stage ends are safe projection points for
-    the ancilla; coordinate 0 is the uniform state."""
+    the ancilla; coordinate 0 is the uniform state.  Return the reports
+    and each row's final state F|m> = sum over g of s[i, g] E_g|m>, as the
+    (R, G) array s, zero on the eigenspaces m has no mass on."""
     for schedule in schedules:
         _check_stages(ctx, schedule)
     reports: list[RunReport] = [None] * len(vertices)
+    finals = np.zeros((len(vertices), len(ctx.spectrum.groups)), dtype=complex)
     keys = [s.structure for s in schedules]
-    for items, frame in _groups(ctx.spectrum, [[m] for m in vertices], keys):
-        batch, row = [schedules[i] for i in items], frame.coords[:, 0]
+    for items, frame in sim.vertex_frames(ctx.spectrum, vertices, keys):
+        batch, row = [schedules[i] for i in items], frame.coords
         ends: list[np.ndarray] = []  # block 0 of every row after each stage
         x = frame.run(row[:, None], batch, on_stage=lambda _, blocks: ends.append(blocks[:, 0]))
+        finals[np.array(items)[:, None], frame.group] = x[:, 0] / row
         # stage k's fidelity: that block against the kept part of m's row
         # at the next level, both normalized
         levels = np.array(batch[0].stage_levels)[:, None, None]
@@ -374,7 +367,7 @@ def _sample_sweep(
                 fidelity=float(abs(x[i, 0, 0]) ** 2),
                 stage_fidelities=tuple(stage_fids[:, i].tolist()),
             )
-    return reports
+    return reports, finals
 
 
 def uniform_sample(g: Graph, m: int, *, ctx: LaplacianContext | None = None) -> RunReport:
@@ -391,36 +384,39 @@ def transfer(
     g: Graph, u: int, v: int, *, ctx: LaplacianContext | None = None
 ) -> RunReport:
     """Perfect state transfer: forward schedule for u, adjoint schedule
-    for v, the one-row transfer sweep."""
+    for v, read off the two rows of a sampling sweep from u and v."""
     ctx = ctx or prepare(g)
-    schedules = {u: sampling_schedule(ctx, u), v: sampling_schedule(ctx, v)}
-    return _transfer_sweep(ctx, schedules, [(u, v)])[0]
+    vertices = [u, v]
+    schedules = [sampling_schedule(ctx, w) for w in vertices]
+    _, finals = _sample_sweep(ctx, schedules, vertices)
+    return _transfer_sweep(ctx, vertices, schedules, finals, [(0, 1)])[0]
 
 
 def _transfer_sweep(
-    ctx: LaplacianContext, schedules: Mapping[int, sched_mod.Schedule],
+    ctx: LaplacianContext, vertices: Sequence[int],
+    schedules: Sequence[sched_mod.Schedule], finals: np.ndarray,
     pairs: Sequence[tuple[int, int]],
 ) -> list[RunReport]:
-    """Transfer for each pair (u, v) in the frame of {u, v}: forward
-    ``schedules[u]``, then the adjoint of ``schedules[v]``, whose oracles
-    bind their own vertex; one executor pass per group and half."""
-    back = {v: sched_mod.dagger(schedules[v]) for v in {v for _, v in pairs}}
-    reports: list[RunReport] = [None] * len(pairs)
-    keys = [(schedules[u].structure, back[v].structure) for u, v in pairs]
-    for items, frame in _groups(ctx.spectrum, pairs, keys):
-        x = frame.run(frame.coords[:, :1], [schedules[pairs[i][0]] for i in items])
-        x = frame.run(x, [back[pairs[i][1]] for i in items], 1)
-        fids = np.abs(np.einsum("ij,ij->i", frame.coords[:, 1], x[:, 0])) ** 2
-        for i, item in enumerate(items):
-            u, v = pairs[item]
-            reports[item] = _report(
-                TASK_TRANSFER, ctx.label, ctx.graph.n, ctx.chain.depth,
-                [schedules[u], schedules[v]],
-                marked=u,
-                target=v,
-                fidelity=float(fids[i]),
-            )
-    return reports
+    """Transfer for each pair (i, j) of rows of one ``_sample_sweep``,
+    from u = ``vertices[i]`` to v = ``vertices[j]``: forward
+    ``schedules[i]``, then the adjoint of ``schedules[j]``.  Its amplitude
+    <v|F_v^dagger F_u|u> = <F_v v|F_u u> is the sum over eigenspaces g of
+    conj(s_v[g]) s_u[g] (E_g)_uv, with s the rows' ``finals``: O(N) per
+    pair and no executor pass."""
+    rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+    vertex, vectors = np.asarray(vertices), ctx.spectrum.eigenvectors
+    gram = sim.group_sums(ctx.spectrum, vectors[vertex[rows]] * vectors[vertex[cols]])
+    fids = np.abs((finals[cols].conj() * finals[rows] * gram).sum(axis=1)) ** 2
+    return [
+        _report(
+            TASK_TRANSFER, ctx.label, ctx.graph.n, ctx.chain.depth,
+            [schedules[i], schedules[j]],
+            marked=vertices[i],
+            target=vertices[j],
+            fidelity=float(fid),
+        )
+        for (i, j), fid in zip(pairs, fids)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +491,7 @@ def _search_sweep(
         _check_stages(ctx, schedule)
     results: list[list[BranchResult]] = [[None] * len(schedules) for _ in marked]
     found = {}  # (row, side): the amplitudes of a successful branch
-    frames = sim.vertex_frames(ctx.spectrum, [[m] for m in marked])
+    frames = sim.vertex_frames(ctx.spectrum, marked)
     for side, (start, schedule) in enumerate(zip(ctx.starts, schedules)):
         for rows, frame in frames:
             amps = _run_branch(ctx.spectrum, frame, start, schedule)
@@ -529,15 +525,14 @@ def _search_sweep(
 
 def _run_branch(spectrum: spectral.Spectrum, frame: sim.Frame, start: np.ndarray,
                 schedule: sched_mod.Schedule) -> np.ndarray:
-    """Run a reversed schedule in the frames of single vertices m_i, the
-    rows of ``frame``, from the state with eigen-coefficients ``start``, a
-    uniform state on a vertex set whose projection on each eigenspace g is
+    """Run a reversed schedule in the frames of vertices m_i, the rows of
+    ``frame``, from the state with eigen-coefficients ``start``, a uniform
+    state on a vertex set whose projection on each eigenspace g is
     parallel to E_g|m_i>; return the vertex-basis amplitudes, shape
     (R, 2, N), with the ancilla carried.  Coordinate j of the start in row
-    i is <m_i|E_g|start> / coords[i, 0, j], O(N) per row."""
-    group_starts = [g.indices[0] for g in spectrum.groups]
-    x = np.add.reduceat(spectrum.eigenvectors[frame.vertices[:, 0]] * start, group_starts, axis=1)
-    x = x[:, frame.group] / frame.coords[:, 0]
+    i is <m_i|E_g|start> / coords[i, j], O(N) per row."""
+    x = sim.group_sums(spectrum, spectrum.eigenvectors[frame.vertices] * start)
+    x = x[:, frame.group] / frame.coords
     blocks = frame.run(np.stack([x, 0 * x], axis=1), [schedule] * len(x))
     return sim.lift(spectrum, frame, blocks)
 
@@ -570,7 +565,8 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
     via the route ``search_route`` picks.  Each vertex's sampling schedule
     is synthesized once and serves its sample, every transfer it is in
     and, reversed, the search branch of a mass class it represents when
-    there are several; each sweep runs all its rows in one pass per group.
+    there are several.  Sampling and search run all their rows in one pass
+    per group; transfers read the sampling rows' final states.
     """
     if g.n > cap:
         raise GraphError(f"graph has {g.n} vertices, exceeding the cap {cap}")
@@ -582,8 +578,8 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
     branches = sctx.branches if sctx is not ctx or len(ctx.mass_classes) == 1 else tuple(
         sched_mod.dagger(forward[m]) for m in ctx.mass_classes)  # the representatives' rows
 
-    reports = _sample_sweep(ctx, forward, vertices)
-    reports += _transfer_sweep(ctx, forward, _transfer_pairs(g.n))
+    reports, finals = _sample_sweep(ctx, forward, vertices)
+    reports += _transfer_sweep(ctx, vertices, forward, finals, _transfer_pairs(g.n))
     reports += _search_sweep(sctx, branches, vertices)
     reports.sort(key=lambda r: (r.task, r.marked if r.marked is not None else -1,
                                 r.target if r.target is not None else -1))

@@ -5,17 +5,17 @@ on both ancilla values: conjugated by the prefix U of earlier stages it is
 U O U^dagger = I + (e^{-i alpha} - 1) sum_a |w_a><w_a| with w_a = U|a, m>,
 exactly and for any state.  So a schedule costs O(r) per stage iteration
 in any r-dimensional frame where the walk is diagonal (``_run_stages``).
-A run from vertices S with oracles on S stays in span{E_g|s>}, which
-``vertex_frames`` spans with at most |S| coordinates per eigenvalue and no
-N x N product; every pipeline runs there, on the Laplacian or the
-adjacency spectrum.  The executor runs R rows at once, each with its own
-marked vertex, kicks and oracle angles: rows whose vertex sets keep the
-same coordinates share a frame, and rows whose schedules share their
-stage structure share every iteration, so one pass of numpy calls serves
-a whole sweep.  ``run_schedule`` takes any vertex-basis state and rotates
-it into the eigenbasis and back, O(N^2); it, ``apply_op`` and the per-op
-primitives are the references the frame runs are tested against, and
-every one is exactly unitary.
+A run from vertex m with its oracle on m stays in span{E_g|m>}, which
+``vertex_frames`` spans with one coordinate per eigenspace m has mass on,
+from the eigenvectors' rows and with no N x N product; every pipeline
+runs there, on the Laplacian or the adjacency spectrum.  The executor
+runs R rows at once, each with its own marked vertex, kicks and oracle
+angles: vertices that keep the same eigenspaces share a frame, and rows
+whose schedules share their stage structure share every iteration, so
+one pass of numpy calls serves a whole sweep.  ``run_schedule`` takes any
+vertex-basis state and rotates it into the eigenbasis and back, O(N^2);
+it, ``apply_op`` and the per-op primitives are the references the frame
+runs are tested against, and every one is exactly unitary.
 
 The ancilla qubit is the leading tensor factor (amplitude layout
 [block0, block1]), attached at the first op that needs it; only at stage
@@ -297,11 +297,11 @@ def run_schedule(
 
 @dataclass(frozen=True)
 class Frame:
-    """Orthonormal coordinates on span{E_g|s>} over eigenspaces g and s in
-    a vertex set S, for R sets of one size that keep the same coordinates:
-    coordinate j lies in ``spectrum.groups[group[j]]``, of eigenvalue
-    ``values[j]``, and ``coords[i, k]`` is |vertices[i, k]> in the frame
-    of set i."""
+    """Orthonormal coordinates on span{E_g|m>} over the eigenspaces g of
+    vertex m, for R vertices that keep the same eigenspaces: coordinate j
+    is E_g|m> / ||E_g|m>|| for g = ``spectrum.groups[group[j]]``, of
+    eigenvalue ``values[j]``, and ``coords[i]`` is |vertices[i]> in its
+    frame, so ``coords[i, j]`` is ||E_g|vertices[i]>||."""
 
     vertices: np.ndarray
     values: np.ndarray
@@ -309,66 +309,59 @@ class Frame:
     coords: np.ndarray
 
     def run(
-        self, blocks: np.ndarray, schedules: Sequence[Schedule], k: int = 0,
+        self, blocks: np.ndarray, schedules: Sequence[Schedule],
         on_stage: Callable[[int, np.ndarray], None] | None = None,
     ) -> np.ndarray:
         """``run_schedule`` on (R, 1 or 2, r) ancilla blocks of coordinates,
-        row i running ``schedules[i]`` with m = vertices[i, k]; ``on_stage``
+        row i running ``schedules[i]`` with m = vertices[i]; ``on_stage``
         gets the (R, 2, r) blocks."""
-        return _run_stages(blocks, schedules, self.values, self.coords[:, k], on_stage)
+        return _run_stages(blocks, schedules, self.values, self.coords, on_stage)
+
+
+def group_sums(spectrum: Spectrum, x: np.ndarray) -> np.ndarray:
+    """x summed over the indices of each eigenspace group (an index run),
+    along its last axis: with x = V[u] * V[v], the entries (E_g)_uv."""
+    return np.add.reduceat(x, [g.indices[0] for g in spectrum.groups], axis=-1)
 
 
 def vertex_frames(
-    spectrum: Spectrum, sets: Sequence[Sequence[int]]
+    spectrum: Spectrum, vertices: Sequence[int], keys: Sequence | None = None
 ) -> list[tuple[list[int], Frame]]:
-    """The frames of vertex sets of one size, one ``Frame`` per pattern of
-    kept coordinates, each with the indices of its sets in ``sets``.  Per
-    eigenspace g, a set keeps the eigenvectors of its Gram matrix
-    (E_g)_st = sum over i in g of V[s, i] V[t, i] with eigenvalue above
-    ``SKIP_MASS_TOL``: a vertex may have no mass on g, and its set then
-    lands in a frame of its own.  One stacked product and one stacked
-    ``eigh`` for all sets, O(R N |S|^2)."""
-    sets = np.asarray(sets, dtype=int).reshape(len(sets), -1)
-    for v in sets.ravel().tolist():
+    """The frames of vertices, one ``Frame`` per set of kept eigenspaces
+    and per key, each with the indices of its vertices in ``vertices``;
+    with ``keys[i]`` the stage structure of row i's schedule, each frame's
+    rows can share one executor pass.  A vertex keeps the eigenspaces g on
+    which its mass (E_g)_mm is above ``SKIP_MASS_TOL``, O(N) per vertex."""
+    vertices = np.asarray(vertices, dtype=int)
+    for v in vertices.tolist():
         _marked_vertex(v, spectrum.n)
-    rows = spectrum.eigenvectors[sets]
-    starts = [g.indices[0] for g in spectrum.groups]  # groups are index runs
-    gram = np.add.reduceat(rows[:, :, None] * rows[:, None], starts, axis=3)
-    size = sets.shape[1]
-    if size == 1:  # a 1 x 1 Gram matrix is its eigenvalue, with eigenvector 1
-        lam, vecs = gram[:, 0, 0, :, None], np.ones((*gram.shape[:1], len(starts), 1, 1))
-    else:
-        lam, vecs = np.linalg.eigh(gram.transpose(0, 3, 2, 1))
-    # column g |S| + t of set i: Gram eigenvector t of group g, times the
-    # root of its eigenvalue; the columns above SKIP_MASS_TOL are kept
-    columns = (np.sqrt(np.abs(lam))[:, :, None] * vecs).transpose(0, 2, 1, 3)
-    columns = columns.reshape(len(sets), size, -1)
-    kept = (lam > SKIP_MASS_TOL).reshape(len(sets), -1)
-    patterns: dict[bytes, list[int]] = {}
+    rows = spectrum.eigenvectors[vertices]
+    mass = group_sums(spectrum, rows * rows)
+    kept = mass > SKIP_MASS_TOL
+    patterns: dict[tuple, list[int]] = {}
     for i, pattern in enumerate(kept):
-        patterns.setdefault(pattern.tobytes(), []).append(i)
+        patterns.setdefault((pattern.tobytes(), keys[i] if keys else None), []).append(i)
     values = np.array([g.value for g in spectrum.groups])
     frames = []
     for idx in patterns.values():
-        keep = np.flatnonzero(kept[idx[0]])
-        group = keep // size
-        frames.append((idx, Frame(sets[idx], values[group], group, columns[idx][:, :, keep])))
+        group = np.flatnonzero(kept[idx[0]])
+        frames.append((idx, Frame(vertices[idx], values[group], group,
+                                  np.sqrt(mass[idx][:, group]))))
     return frames
 
 
-def vertex_frame(spectrum: Spectrum, vertices: Sequence[int]) -> Frame:
-    """The one-row frame of one vertex set."""
-    return vertex_frames(spectrum, [vertices])[0][1]
+def vertex_frame(spectrum: Spectrum, vertex: int) -> Frame:
+    """The one-row frame of one vertex."""
+    return vertex_frames(spectrum, [vertex])[0][1]
 
 
 def lift(spectrum: Spectrum, frame: Frame, x: np.ndarray) -> np.ndarray:
     """The vertex-basis amplitudes, norm-checked, of coordinates x, shape
-    (R, blocks, r), in the frames of single vertices s_i = vertices[i, 0],
-    where coordinate j is E_g|s_i> / coords[i, 0, j]: one N x N product for
-    every row and block."""
+    (R, blocks, r), in the frame's rows: one N x N product for every row
+    and block."""
     per_group = np.zeros((*x.shape[:2], len(spectrum.groups)), dtype=complex)
-    per_group[..., frame.group] = x / frame.coords[:, :1]
-    y = spectrum.eigenvectors[frame.vertices[:, :1]] * np.repeat(
+    per_group[..., frame.group] = x / frame.coords[:, None]
+    y = spectrum.eigenvectors[frame.vertices][:, None] * np.repeat(
         per_group, [g.multiplicity for g in spectrum.groups], axis=2)
     amps = _rotate(spectrum.eigenvectors, y.reshape(-1, spectrum.n)).reshape(y.shape)
     _check_norms(amps)

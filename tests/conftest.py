@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qwalk import graph, spectral
 from qwalk.errors import GraphError
@@ -108,3 +109,27 @@ def check_vertex_transitive_bruteforce(g):
             if len(reachable) == g.n:
                 return True
     return len(reachable) == g.n
+
+
+@st.composite
+def connected_cographs(draw, max_n=12):
+    """A connected cograph on 2 to ``max_n`` vertices, randomly relabelled:
+    the join of two cographs, each in turn the join or the disjoint union
+    of two smaller ones.  Every cograph has an integer Laplacian spectrum
+    (Merris 1994)."""
+    n = draw(st.integers(2, max_n))
+    label = draw(st.permutations(range(n)))
+    edges = _cograph_edges(draw, n, join=True)
+    return graph.graph_from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def _cograph_edges(draw, n, join):
+    """The edges of a cograph on vertices 0..n-1: two smaller cographs on
+    0..k-1 and k..n-1, joined by every cross edge when ``join``."""
+    if n == 1:
+        return []
+    k = draw(st.integers(1, n - 1))
+    left = _cograph_edges(draw, k, draw(st.booleans()))
+    right = _cograph_edges(draw, n - k, draw(st.booleans()))
+    cross = [(u, v) for u in range(k) for v in range(k, n)] if join else []
+    return left + [(u + k, v + k) for u, v in right] + cross

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qwalk import depth, graph, pipelines, schedule, simulate
 from qwalk.errors import GraphError, ScheduleError, SimulationError, SpectrumError
 
-from conftest import check_vertex_transitive_bruteforce
+from conftest import check_vertex_transitive_bruteforce, connected_cographs
 
 THRESHOLD = 1 - 1e-8
 
@@ -595,10 +596,39 @@ def test_verify_sweep_matches_dense_reference(name):
         assert alone.stage_fidelities == pytest.approx(report.stage_fidelities, abs=1e-12)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(connected_cographs())
+def test_verify_passes_on_cographs(g):
+    # the gate passes (verify_graph raises otherwise), every run clears
+    # the threshold, every schedule and every branch of a multi-branch
+    # search stays within pi 2^d sqrt(N) oracle calls, and each transfer
+    # matches the dense run of F_u, then dagger(F_v)
+    result = pipelines.verify_graph(g)
+    ctx, n = pipelines.prepare(g), g.n
+    forward = [pipelines.sampling_schedule(ctx, m) for m in range(n)]
+    states = [simulate.run_schedule(simulate.vertex_state(n, m), forward[m], ctx.spectrum, m)
+              for m in range(n)]
+    back = [schedule.dagger(s) for s in forward]
+    for report in result.reports:
+        assert report.fidelity >= THRESHOLD
+        bound = math.pi * 2**report.depth * math.sqrt(n)
+        u, v = report.marked, report.target
+        if report.task == "transfer":
+            assert report.oracle_count == forward[u].oracle_count + forward[v].oracle_count
+            state = simulate.run_schedule(states[u], back[v], ctx.spectrum, v)
+            assert report.fidelity == pytest.approx(simulate.fidelity(state, v), abs=1e-12)
+        elif report.task == "sample":
+            assert report.oracle_count <= bound
+        else:
+            assert v == u
+            for count in [b.oracle_count for b in report.branches] or [report.oracle_count]:
+                assert count <= bound
+
+
 def test_verify_is_one_pass(monkeypatch):
     # rook(3,3): one synthesis per vertex and one for the search branch, and
-    # one executor pass per group and stage tree (sampling, the two halves
-    # of transfer, search) where the per-run sweep made 154 and 162
+    # one executor pass per group and stage tree (sampling, search) where
+    # the per-run sweep made 154 and 162; transfers read the sampling rows
     synths, passes = [], []
     synth, run = schedule.synth_sampling_schedule, simulate._run_stages
     monkeypatch.setattr(schedule, "synth_sampling_schedule",
@@ -608,7 +638,7 @@ def test_verify_is_one_pass(monkeypatch):
     result = pipelines.verify_graph(graph.rook(3, 3))
     assert len(result.reports) == 90 and result.min_fidelity >= THRESHOLD
     assert len(synths) == 9 + 1
-    assert passes == [9, 72, 72, 9]
+    assert passes == [9, 9]
 
 
 def test_sweep_row_failure_raises_its_own_error(k4_minus_edge):
@@ -634,7 +664,7 @@ def test_sweep_row_failure_raises_its_own_error(k4_minus_edge):
     ctx = pipelines.prepare(k4_minus_edge)
     schedules = [pipelines.sampling_schedule(ctx, m) for m in range(4)]
     schedules[2] = schedules[0]
-    swept = pipelines._sample_sweep(ctx, schedules, range(4))
+    swept, _ = pipelines._sample_sweep(ctx, schedules, range(4))
     assert swept[2].fidelity < 0.9
     for m, report in enumerate(swept):
         alone = pipelines.execute_sample(ctx, schedules[m], m)

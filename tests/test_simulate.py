@@ -459,13 +459,15 @@ def test_stage_executor_marked_vertex_errors(c4_spec, c4):
 # ---------------------------------------------------------------------------
 
 #: (sample and search vertices, transfer pairs); K(2,3) pairs lie within
-#: block {0, 1}, within block {2, 3, 4} and across
+#: block {0, 1}, within block {2, 3, 4} and across; the centre 0 of K(1,3)
+#: keeps fewer eigenspaces than a leaf; every case has a pair u = v
 FRAME_CASES = {
-    "rook33": ((0, 4, 8), ((0, 8), (4, 1))),
-    "k4_minus_edge": ((0, 2, 3), ((0, 1), (2, 3), (0, 2))),
-    "k23": ((0, 1, 2, 4), ((0, 1), (2, 4), (0, 4), (3, 1))),
-    "chang": ((0, 13, 27), ((0, 27), (5, 6))),
-    "hamming102": ((0, 1000), ((0, 1023), (7, 300))),
+    "rook33": ((0, 4, 8), ((0, 8), (4, 1), (4, 4))),
+    "k4_minus_edge": ((0, 2, 3), ((0, 1), (2, 3), (0, 2), (2, 2))),
+    "k23": ((0, 1, 2, 4), ((0, 1), (2, 4), (0, 4), (3, 1), (0, 0))),
+    "k13": ((0, 1, 3), ((0, 2), (3, 0), (0, 0), (1, 1))),
+    "chang": ((0, 13, 27), ((0, 27), (5, 6), (13, 13))),
+    "hamming102": ((0, 1000), ((0, 1023), (7, 300), (7, 7))),
 }
 
 
@@ -475,6 +477,7 @@ def frame_case(request, k4_minus_edge, chang_graphs):
         "rook33": lambda: graph.rook(3, 3),
         "k4_minus_edge": lambda: k4_minus_edge,
         "k23": lambda: graph.complete_bipartite(2, 3),
+        "k13": lambda: graph.complete_bipartite(1, 3),
         "chang": lambda: chang_graphs["C8"],
         "hamming102": lambda: graph.hamming(10, 2),
     }[request.param]()
@@ -484,15 +487,20 @@ def frame_case(request, k4_minus_edge, chang_graphs):
 
 def frame_basis(spec, frame):
     """A one-row frame's vectors as vertex-basis columns: coordinate j of
-    group g is sum over s of coords[0, s, j] E_g|s>, over its Gram
-    eigenvalue."""
-    v, rows = spec.eigenvectors, list(frame.vertices[0])
+    group g is E_g|m> over its norm coords[0, j]."""
+    v, m = spec.eigenvectors, frame.vertices[0]
     columns = []
     for j, g in enumerate(frame.group):
         idx = list(spec.groups[g].indices)
-        c = frame.coords[0, :, j]
-        columns.append(v[:, idx] @ v[rows][:, idx].T @ c / (c @ c))
+        columns.append(v[:, idx] @ v[m, idx] / frame.coords[0, j])
     return np.array(columns).T
+
+
+def dense_gram(spec, u, v):
+    """(E_g)_uv for every eigenspace g, from the dense projectors."""
+    vectors = spec.eigenvectors
+    return np.array([(vectors[:, list(g.indices)] @ vectors[v, list(g.indices)])[u]
+                     for g in spec.groups])
 
 
 def assert_close(a, b):
@@ -500,27 +508,43 @@ def assert_close(a, b):
 
 
 def test_vertex_frame_is_orthonormal_and_holds_its_vertices(frame_case):
+    # every vertex the case samples, searches or transfers from or to; a
+    # pair's Gram entries are the inner products of its frames' vectors
     ctx, vertices, pairs, _ = frame_case
-    groups = len(ctx.spectrum.groups)
-    for s in [(m,) for m in vertices] + list(pairs):
-        frame = simulate.vertex_frame(ctx.spectrum, s)
-        basis = frame_basis(ctx.spectrum, frame)
-        assert len(frame.values) <= len(s) * groups
+    spec, groups = ctx.spectrum, len(ctx.spectrum.groups)
+    for m in {*vertices, *np.ravel(pairs).tolist()}:
+        frame = simulate.vertex_frame(spec, m)
+        basis = frame_basis(spec, frame)
+        assert len(frame.values) <= groups
         assert_close(basis.T @ basis, np.eye(len(frame.values)))
-        for k, vertex in enumerate(s):
-            assert_close(basis @ frame.coords[0, k], np.eye(ctx.graph.n)[vertex])
+        assert_close(basis @ frame.coords[0], np.eye(ctx.graph.n)[m])
+    for u, v in pairs:
+        gram = simulate.group_sums(spec, spec.eigenvectors[u] * spec.eigenvectors[v])
+        assert_close(gram, dense_gram(spec, u, v))
+        fu, fv = simulate.vertex_frame(spec, u), simulate.vertex_frame(spec, v)
+        bu, bv = frame_basis(spec, fu), frame_basis(spec, fv)
+        expected = np.zeros(groups)
+        for j, g in enumerate(fu.group):
+            for k in np.flatnonzero(fv.group == g):
+                expected[g] = fu.coords[0, j] * fv.coords[0, k] * (bu[:, j] @ bv[:, k])
+        assert_close(gram, expected)
 
 
 def test_vertex_frame_drops_empty_eigenspaces():
     # K(2,3) has Laplacian eigenspaces 0, 2 (on block {2,3,4}, dimension
-    # 2), 3 (on block {0,1}, dimension 1) and 5 (dimension 1)
+    # 2), 3 (on block {0,1}, dimension 1) and 5 (dimension 1); a pair's
+    # Gram entry vanishes on every eigenspace either vertex drops
     spec = pipelines.prepare(graph.complete_bipartite(2, 3)).spectrum
-    for s, values in [((0,), [0, 3, 5]), ((4,), [0, 2, 5]),
-                      ((0, 1), [0, 3, 5]), ((2, 4), [0, 2, 2, 5]), ((0, 4), [0, 2, 3, 5])]:
-        frame = simulate.vertex_frame(spec, s)
+    for m, values in [(0, [0, 3, 5]), (1, [0, 3, 5]), (2, [0, 2, 5]), (4, [0, 2, 5])]:
+        frame = simulate.vertex_frame(spec, m)
         assert np.allclose(frame.values, values, atol=1e-9)
-    with pytest.raises(SimulationError, match="out of range"):
-        simulate.vertex_frame(spec, [5])
+    for (u, v), nonzero in [((0, 1), [0, 3, 5]), ((2, 4), [0, 2, 5]), ((0, 4), [0, 5])]:
+        gram = simulate.group_sums(spec, spec.eigenvectors[u] * spec.eigenvectors[v])
+        held = [g.value for g, entry in zip(spec.groups, gram) if abs(entry) > 1e-9]
+        assert np.allclose(held, nonzero, atol=1e-9)
+    for vertices in ([5], [0, 5]):
+        with pytest.raises(SimulationError, match="out of range"):
+            simulate.vertex_frames(spec, vertices)
 
 
 def test_vertex_frames_group_sets_by_kept_coordinates():
@@ -528,20 +552,25 @@ def test_vertex_frames_group_sets_by_kept_coordinates():
     # set gets a frame of its own; each batched frame holds what the one-row
     # frames hold, and a batched run gives each row its own run
     ctx = pipelines.prepare(graph.complete_bipartite(1, 3))
-    frames = simulate.vertex_frames(ctx.spectrum, [[1], [0], [3], [2]])
+    frames = simulate.vertex_frames(ctx.spectrum, [1, 0, 3, 2])
     assert [idx for idx, _ in frames] == [[0, 2, 3], [1]]
+    assert [frame.vertices.tolist() for _, frame in frames] == [[1, 3, 2], [0]]
     assert [len(frame.values) for _, frame in frames] == [3, 2]
+    # keys, the rows' stage structures, split a frame's rows further
+    keyed = simulate.vertex_frames(ctx.spectrum, [1, 0, 3, 2], ["a", "a", "b", "a"])
+    assert [idx for idx, _ in keyed] == [[0, 3], [1], [2]]
+    assert [frame.vertices.tolist() for _, frame in keyed] == [[1, 2], [0], [3]]
     schedules = [pipelines.sampling_schedule(ctx, m) for m in range(4)]
     for idx, frame in frames:
-        rows = frame.run(frame.coords[:, :1], [schedules[v] for v in frame.vertices[:, 0]])
-        for i, v in enumerate(frame.vertices[:, 0]):
-            alone = simulate.vertex_frame(ctx.spectrum, [v])
+        rows = frame.run(frame.coords[:, None], [schedules[v] for v in frame.vertices])
+        for i, v in enumerate(frame.vertices):
+            alone = simulate.vertex_frame(ctx.spectrum, v)
             assert_close(frame.coords[i], alone.coords[0])
-            assert_close(rows[i], alone.run(alone.coords[:, :1], [schedules[v]])[0])
+            assert_close(rows[i], alone.run(alone.coords[:, None], [schedules[v]])[0])
     # rows of one run share their stage structure
     _, frame = frames[0]
     with pytest.raises(SimulationError, match="share their stage structure"):
-        frame.run(frame.coords[:, :1], [schedules[1], schedules[1], schedules[0]])
+        frame.run(frame.coords[:, None], [schedules[1], schedules[1], schedules[0]])
 
 
 def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
@@ -549,8 +578,8 @@ def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
     spec, n = ctx.spectrum, ctx.graph.n
     for m in vertices:
         sched = pipelines.sampling_schedule(ctx, m)
-        frame = simulate.vertex_frame(spec, [m])
-        got = frame.run(frame.coords[:, :1], [sched])
+        frame = simulate.vertex_frame(spec, m)
+        got = frame.run(frame.coords[:, None], [sched])
         lifted = simulate.lift(spec, frame, got)[0, 0]
         assert_close(lifted, frame_basis(spec, frame) @ got[0, 0])
 
@@ -571,24 +600,39 @@ def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
 
 
 def test_frame_transfer_matches_run_schedule_and_op_by_op(frame_case):
+    # the pipeline reads transfer off two forward frame runs; the dense
+    # reference runs F_u, then dagger(F_v), and so does the op-by-op one
     ctx, _, pairs, op_by_op_too = frame_case
     spec, n = ctx.spectrum, ctx.graph.n
     for u, v in pairs:
         fwd, back = pipelines.sampling_schedule(ctx, u), pipelines.sampling_schedule(ctx, v)
         back = schedule.dagger(back)
-        frame = simulate.vertex_frame(spec, [u, v])
-        x = frame.run(frame.coords[:, :1], [fwd])
-        x = frame.run(x, [back], 1)
-        got = frame_basis(spec, frame) @ x[0, 0]
-
         ref = simulate.run_schedule(simulate.vertex_state(n, u), fwd, spec, u)
         ref = simulate.run_schedule(ref, back, spec, v)
-        assert_close(got, ref.amps)
-        assert_close(pipelines.transfer(ctx.graph, u, v, ctx=ctx).fidelity,
-                     simulate.fidelity(ref, v))
+        report = pipelines.transfer(ctx.graph, u, v, ctx=ctx)
+        assert (report.marked, report.target) == (u, v)
+        assert_close(report.fidelity, simulate.fidelity(ref, v))
         if op_by_op_too:
             mid = op_by_op(simulate.vertex_state(n, u), fwd, spec, u)[0]
-            assert_close(got, op_by_op(mid, back, spec, v)[0].amps)
+            assert_close(ref.amps, op_by_op(mid, back, spec, v)[0].amps)
+
+
+def test_transfer_of_missed_samples_matches_run_schedule(k4_minus_edge):
+    # K4 - e: each vertex runs the schedule of a vertex in the other mass
+    # class and misses the uniform state, so both runs of every transfer
+    # keep mass beyond eigenvalue 0, its fidelity reads below 1 and every
+    # factor of the Gram-weighted inner product shows
+    ctx = pipelines.prepare(k4_minus_edge)
+    spec, n = ctx.spectrum, ctx.graph.n
+    schedules = [pipelines.sampling_schedule(ctx, m) for m in (2, 3, 0, 1)]
+    _, finals = pipelines._sample_sweep(ctx, schedules, range(n))
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    reports = pipelines._transfer_sweep(ctx, range(n), schedules, finals, pairs)
+    for (u, v), report in zip(pairs, reports):
+        ref = simulate.run_schedule(simulate.vertex_state(n, u), schedules[u], spec, u)
+        ref = simulate.run_schedule(ref, schedule.dagger(schedules[v]), spec, v)
+        assert_close(report.fidelity, simulate.fidelity(ref, v))
+    assert min(r.fidelity for r in reports) < 0.9
 
 
 def test_frame_search_matches_run_schedule_and_op_by_op(frame_case):
@@ -597,7 +641,7 @@ def test_frame_search_matches_run_schedule_and_op_by_op(frame_case):
     spec, n = ctx.spectrum, ctx.graph.n
     start = simulate.attach_ancilla(simulate.uniform_state(n))
     for m in vertices:
-        frame = simulate.vertex_frame(spec, [m])
+        frame = simulate.vertex_frame(spec, m)
         expected = []
         for coeffs, sched in zip(ctx.starts, ctx.branches):
             got = pipelines._run_branch(spec, frame, coeffs, sched)[0].ravel()
@@ -653,7 +697,7 @@ def test_frame_branches_match_run_schedule(name):
     for start, branch, state in zip(ctx.starts, ctx.branches, states):
         state = simulate.attach_ancilla(state)
         for m in range(g.n):
-            frame = simulate.vertex_frame(ctx.spectrum, [m])
+            frame = simulate.vertex_frame(ctx.spectrum, m)
             got = pipelines._run_branch(ctx.spectrum, frame, start, branch)[0]
             ref = simulate.run_schedule(state, branch, ref_ctx.spectrum, position[m])
             assert_close(got.ravel(), ref.amps.reshape(2, g.n)[:, position].ravel())
@@ -663,15 +707,14 @@ def test_frame_branches_match_run_schedule(name):
 
 
 def test_frame_runs_keep_the_norm_check_and_detach_gate():
-    ctx = pipelines.prepare(graph.rook(3, 3))
-    frame = simulate.vertex_frame(ctx.spectrum, [0, 1])
-    sched = pipelines.sampling_schedule(ctx, 0)
+    ctx = pipelines.prepare(CLASS_GRAPHS["leaking"]())
+    frame = simulate.vertex_frame(ctx.spectrum, 5)
     with pytest.raises(SimulationError, match="norm defect"):
-        frame.run(2 * frame.coords[:, :1], [sched])
-    # the oracle on vertex 1 under vertex 0's schedule leaves the ancilla
+        frame.run(2 * frame.coords[:, None], [pipelines.sampling_schedule(ctx, 5)])
+    # the oracle on vertex 5 under vertex 1's schedule leaves the ancilla
     # entangled at the end
-    with pytest.raises(SimulationError, match="ancilla entangled"):
-        frame.run(frame.coords[:, :1], [sched], 1)
+    with pytest.raises(SimulationError, match=r"ancilla entangled .* 1\.008e-01"):
+        frame.run(frame.coords[:, None], [pipelines.sampling_schedule(ctx, 1)])
 
 
 def test_frame_pipelines_make_no_dense_products(monkeypatch):

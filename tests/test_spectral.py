@@ -193,14 +193,14 @@ def test_amplitudes_out_of_range(c4):
 
 def frame_masses(spec, v):
     """Vertex v's mass on each eigenspace, from its executor frame."""
-    frame = simulate.vertex_frame(spec, [v])
-    return dict(zip(frame.values, frame.coords[0, 0] ** 2))
+    frame = simulate.vertex_frame(spec, v)
+    return dict(zip(frame.values, frame.coords[0] ** 2))
 
 
 def pair_gram(spec, u, v):
-    """(E_g)_uv for every eigenspace g, from the frame of {u, v}."""
-    frame = simulate.vertex_frame(spec, [u, v])
-    return np.bincount(frame.group, frame.coords[0, 0] * frame.coords[0, 1], len(spec.groups))
+    """(E_g)_uv for every eigenspace g, the weights of transfer's inner
+    product."""
+    return simulate.group_sums(spec, spec.eigenvectors[u] * spec.eigenvectors[v])
 
 
 def test_c4_vertex_masses(c4):
