@@ -11,11 +11,12 @@ state on a vertex set.
 
 Sampling and search each run through one sweep (``_sample_sweep``,
 ``_search_sweep``) over rows, a start or hidden vertex with its own
-schedules, in that vertex's frame.  Rows whose schedules share their
-stage structure and whose vertices keep the same eigenspaces form a
-group, one pass of the batched executor (for search, one per branch).
-Transfer makes no pass: ``_transfer_sweep`` reads it off the final
-states of two sampling rows, weighted by the Gram entries (E_g)_uv.
+schedules, in that vertex's frame, one zero-padded coordinate per
+eigenspace group.  Sampling makes one pass of the batched executor per
+stage structure, and search one per branch.  Transfer makes no pass of
+its own: ``_transfer_sweep`` reads it off the final states of two rows
+of a sampling pass (``_sample_pass``, which builds no reports), weighted
+by the Gram entries (E_g)_uv.
 ``verify_graph`` is one call of each sweep over every row of a graph,
 with one synthesis per vertex; the single-run functions are the one-row
 case.
@@ -332,39 +333,55 @@ def execute_sample(
     return _sample_sweep(ctx, [schedule], [m])[0][0]
 
 
+def _sample_pass(
+    ctx: LaplacianContext, schedules: Sequence[sched_mod.Schedule], vertices: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, list[tuple[list[int], np.ndarray, np.ndarray]]]:
+    """Run forward ``schedules[i]`` from vertex ``vertices[i]`` in its
+    frame, one executor pass per stage structure.  Stage ends are safe
+    projection points for the ancilla; coordinate 0 is the uniform state.
+    Return the rows' ``frame_coords``; each row's final state F|m> = sum
+    over g of s[i, g] E_g|m>, as the (R, G) array s, zero on the
+    eigenspaces m has no mass on; and per pass its rows, their final
+    coordinates and their block 0 after each stage."""
+    for schedule in schedules:
+        _check_stages(ctx, schedule)
+    coords = sim.frame_coords(ctx.spectrum, vertices)
+    values = np.array([g.value for g in ctx.spectrum.groups])
+    finals, passes = np.zeros(coords.shape, dtype=complex), []
+    structures: dict[tuple, list[int]] = {}
+    for i, schedule in enumerate(schedules):
+        structures.setdefault(schedule.structure, []).append(i)
+    for rows in structures.values():
+        ends: list[np.ndarray] = []
+        x = sim.run_stages(coords[rows, None], [schedules[i] for i in rows], values,
+                           coords[rows], lambda _, blocks: ends.append(blocks[:, 0]))[:, 0]
+        finals[rows] = sim.divide_coords(x, coords[rows])
+        passes.append((rows, x, np.array(ends).reshape(-1, *x.shape)))
+    return coords, finals, passes
+
+
 def _sample_sweep(
     ctx: LaplacianContext, schedules: Sequence[sched_mod.Schedule], vertices: Sequence[int]
 ) -> tuple[list[RunReport], np.ndarray]:
-    """Run forward ``schedules[i]`` from vertex ``vertices[i]`` in its
-    frame, checking each stage against its level's kept state, one
-    executor pass per group.  Stage ends are safe projection points for
-    the ancilla; coordinate 0 is the uniform state.  Return the reports
-    and each row's final state F|m> = sum over g of s[i, g] E_g|m>, as the
-    (R, G) array s, zero on the eigenspaces m has no mass on."""
-    for schedule in schedules:
-        _check_stages(ctx, schedule)
+    """The ``_sample_pass`` of the rows with a report each, checking each
+    stage against its level's kept state; return the reports and the
+    rows' final states."""
+    coords, finals, passes = _sample_pass(ctx, schedules, vertices)
     reports: list[RunReport] = [None] * len(vertices)
-    finals = np.zeros((len(vertices), len(ctx.spectrum.groups)), dtype=complex)
-    keys = [s.structure for s in schedules]
-    for items, frame in sim.vertex_frames(ctx.spectrum, vertices, keys):
-        batch, row = [schedules[i] for i in items], frame.coords
-        ends: list[np.ndarray] = []  # block 0 of every row after each stage
-        x = frame.run(row[:, None], batch, on_stage=lambda _, blocks: ends.append(blocks[:, 0]))
-        finals[np.array(items)[:, None], frame.group] = x[:, 0] / row
+    for rows, x, ends in passes:
         # stage k's fidelity: that block against the kept part of m's row
         # at the next level, both normalized
-        levels = np.array(batch[0].stage_levels)[:, None, None]
-        kept = np.where(ctx.group_depths[frame.group] > levels, row, 0.0)
-        ends = np.array(ends).reshape(kept.shape)
+        levels = np.array(schedules[rows[0]].stage_levels)[:, None, None]
+        kept = np.where(ctx.group_depths > levels, coords[rows], 0.0)
         stage_fids = (np.abs(np.einsum("sij,sij->si", kept, ends)) ** 2
                       / np.einsum("sij,sij->si", kept, kept)
                       / np.einsum("sij,sij->si", ends.conj(), ends).real)
-        for i, item in enumerate(items):
-            reports[item] = _report(
-                TASK_SAMPLE, ctx.label, ctx.graph.n, ctx.chain.depth, [batch[i]],
-                marked=vertices[item],
+        for i, row in enumerate(rows):
+            reports[row] = _report(
+                TASK_SAMPLE, ctx.label, ctx.graph.n, ctx.chain.depth, [schedules[row]],
+                marked=vertices[row],
                 target=None,
-                fidelity=float(abs(x[i, 0, 0]) ** 2),
+                fidelity=float(abs(x[i, 0]) ** 2),
                 stage_fidelities=tuple(stage_fids[:, i].tolist()),
             )
     return reports, finals
@@ -384,11 +401,11 @@ def transfer(
     g: Graph, u: int, v: int, *, ctx: LaplacianContext | None = None
 ) -> RunReport:
     """Perfect state transfer: forward schedule for u, adjoint schedule
-    for v, read off the two rows of a sampling sweep from u and v."""
+    for v, read off the final states of a sampling pass from u and v."""
     ctx = ctx or prepare(g)
     vertices = [u, v]
     schedules = [sampling_schedule(ctx, w) for w in vertices]
-    _, finals = _sample_sweep(ctx, schedules, vertices)
+    _, finals, _ = _sample_pass(ctx, schedules, vertices)
     return _transfer_sweep(ctx, vertices, schedules, finals, [(0, 1)])[0]
 
 
@@ -397,7 +414,7 @@ def _transfer_sweep(
     schedules: Sequence[sched_mod.Schedule], finals: np.ndarray,
     pairs: Sequence[tuple[int, int]],
 ) -> list[RunReport]:
-    """Transfer for each pair (i, j) of rows of one ``_sample_sweep``,
+    """Transfer for each pair (i, j) of rows of one ``_sample_pass``,
     from u = ``vertices[i]`` to v = ``vertices[j]``: forward
     ``schedules[i]``, then the adjoint of ``schedules[j]``.  Its amplitude
     <v|F_v^dagger F_u|u> = <F_v v|F_u u> is the sum over eigenspaces g of
@@ -483,7 +500,7 @@ def _search_sweep(
     of its vertex marginal, is checked against the oracle (one query); it
     succeeds when it is m with probability at least ``threshold``.  The
     first success is the result and must pass the detach gate.  Each
-    branch runs for every hidden vertex in one executor pass per frame."""
+    branch runs for every hidden vertex in one executor pass."""
     if len(schedules) != len(ctx.starts):
         raise ScheduleError(
             f"search on this graph takes {len(ctx.starts)} branches, got {len(schedules)}")
@@ -491,20 +508,20 @@ def _search_sweep(
         _check_stages(ctx, schedule)
     results: list[list[BranchResult]] = [[None] * len(schedules) for _ in marked]
     found = {}  # (row, side): the amplitudes of a successful branch
-    frames = sim.vertex_frames(ctx.spectrum, marked)
+    vertices = np.asarray(marked, dtype=int)
+    coords = sim.frame_coords(ctx.spectrum, vertices)
     for side, (start, schedule) in enumerate(zip(ctx.starts, schedules)):
-        for rows, frame in frames:
-            amps = _run_branch(ctx.spectrum, frame, start, schedule)
-            probs = (np.abs(amps) ** 2).sum(axis=1)
-            for i, row in enumerate(rows):
-                candidate = _most_probable(probs[i])
-                fid = float(probs[i, candidate])
-                results[row][side] = BranchResult(
-                    side=side + 1, candidate=candidate, fidelity=fid,
-                    succeeded=fid >= threshold and candidate == marked[row],
-                    oracle_count=schedule.oracle_count, total_time=schedule.total_time)
-                if results[row][side].succeeded:
-                    found[row, side] = amps[i]
+        amps = _run_branch(ctx.spectrum, vertices, coords, start, schedule)
+        probs = (np.abs(amps) ** 2).sum(axis=1)
+        for row, m in enumerate(marked):
+            candidate = _most_probable(probs[row])
+            fid = float(probs[row, candidate])
+            results[row][side] = BranchResult(
+                side=side + 1, candidate=candidate, fidelity=fid,
+                succeeded=fid >= threshold and candidate == m,
+                oracle_count=schedule.oracle_count, total_time=schedule.total_time)
+            if results[row][side].succeeded:
+                found[row, side] = amps[row]
     reports, winners = [], []
     for row, (m, branches) in enumerate(zip(marked, results)):
         winner = next((b for b in branches if b.succeeded), None)
@@ -523,18 +540,20 @@ def _search_sweep(
     return reports
 
 
-def _run_branch(spectrum: spectral.Spectrum, frame: sim.Frame, start: np.ndarray,
-                schedule: sched_mod.Schedule) -> np.ndarray:
-    """Run a reversed schedule in the frames of vertices m_i, the rows of
-    ``frame``, from the state with eigen-coefficients ``start``, a uniform
-    state on a vertex set whose projection on each eigenspace g is
-    parallel to E_g|m_i>; return the vertex-basis amplitudes, shape
-    (R, 2, N), with the ancilla carried.  Coordinate j of the start in row
-    i is <m_i|E_g|start> / coords[i, j], O(N) per row."""
-    x = sim.group_sums(spectrum, spectrum.eigenvectors[frame.vertices] * start)
-    x = x[:, frame.group] / frame.coords
-    blocks = frame.run(np.stack([x, 0 * x], axis=1), [schedule] * len(x))
-    return sim.lift(spectrum, frame, blocks)
+def _run_branch(spectrum: spectral.Spectrum, vertices: np.ndarray, coords: np.ndarray,
+                start: np.ndarray, schedule: sched_mod.Schedule) -> np.ndarray:
+    """Run a reversed schedule in the frames of vertices m_i, whose
+    ``frame_coords`` are coords, from the state with eigen-coefficients
+    ``start``, a uniform state on a vertex set whose projection on each
+    eigenspace g is parallel to E_g|m_i>; return the vertex-basis
+    amplitudes, shape (R, 2, N), with the ancilla carried.  Coordinate g
+    of the start in row i is <m_i|E_g|start> / coords[i, g], O(N) per
+    row."""
+    values = np.array([g.value for g in spectrum.groups])
+    x = sim.group_sums(spectrum, spectrum.eigenvectors[vertices] * start)
+    x = sim.divide_coords(x, coords)
+    blocks = sim.run_stages(np.stack([x, 0 * x], axis=1), [schedule] * len(x), values, coords)
+    return sim.lift(spectrum, vertices, coords, blocks)
 
 
 def _most_probable(probs: np.ndarray) -> int:
@@ -565,8 +584,9 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
     via the route ``search_route`` picks.  Each vertex's sampling schedule
     is synthesized once and serves its sample, every transfer it is in
     and, reversed, the search branch of a mass class it represents when
-    there are several.  Sampling and search run all their rows in one pass
-    per group; transfers read the sampling rows' final states.
+    there are several.  Sampling runs all its rows in one pass per stage
+    structure and search in one per branch; transfers read the sampling
+    rows' final states.
     """
     if g.n > cap:
         raise GraphError(f"graph has {g.n} vertices, exceeding the cap {cap}")

@@ -4,18 +4,20 @@ Every op but the oracle is diagonal in the eigenbasis, and the oracle acts
 on both ancilla values: conjugated by the prefix U of earlier stages it is
 U O U^dagger = I + (e^{-i alpha} - 1) sum_a |w_a><w_a| with w_a = U|a, m>,
 exactly and for any state.  So a schedule costs O(r) per stage iteration
-in any r-dimensional frame where the walk is diagonal (``_run_stages``).
+in any r-dimensional frame where the walk is diagonal (``run_stages``).
 A run from vertex m with its oracle on m stays in span{E_g|m>}, which
-``vertex_frames`` spans with one coordinate per eigenspace m has mass on,
-from the eigenvectors' rows and with no N x N product; every pipeline
-runs there, on the Laplacian or the adjacency spectrum.  The executor
-runs R rows at once, each with its own marked vertex, kicks and oracle
-angles: vertices that keep the same eigenspaces share a frame, and rows
-whose schedules share their stage structure share every iteration, so
-one pass of numpy calls serves a whole sweep.  ``run_schedule`` takes any
-vertex-basis state and rotates it into the eigenbasis and back, O(N^2);
-it, ``apply_op`` and the per-op primitives are the references the frame
-runs are tested against, and every one is exactly unitary.
+``frame_coords`` spans with one coordinate per eigenspace group, from the
+eigenvectors' rows and with no N x N product; every pipeline runs there,
+on the Laplacian or the adjacency spectrum.  A coordinate on an
+eigenspace m has no mass on is exactly 0 and stays so: the start and the
+oracle pair w_a are 0 there, and the kick acts on each coordinate alone.
+So the executor runs R rows at once, each with its own marked vertex,
+kicks and oracle angles, and rows whose schedules share their stage
+structure share every iteration: one pass of numpy calls serves a whole
+sweep.  ``run_schedule`` takes any vertex-basis state and rotates it into
+the eigenbasis and back, O(N^2); it, ``apply_op`` and the per-op
+primitives are the references the frame runs are tested against, and
+every one is exactly unitary.
 
 The ancilla qubit is the leading tensor factor (amplitude layout
 [block0, block1]), attached at the first op that needs it; only at stage
@@ -291,31 +293,8 @@ def run_schedule(
     rows = vectors[[_marked_vertex(marked, n)]] if schedule.stages else None
     blocks = _rotate(vectors.T, state.amps.reshape(-1, n))
     report = on_stage and (lambda i, b: on_stage(i, _state(_rotate(vectors, b[0]).ravel(), n)))
-    blocks = _run_stages(blocks[None], [schedule], spectrum.eigenvalues, rows, report)[0]
+    blocks = run_stages(blocks[None], [schedule], spectrum.eigenvalues, rows, report)[0]
     return _state(_rotate(vectors, blocks).ravel(), n)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Orthonormal coordinates on span{E_g|m>} over the eigenspaces g of
-    vertex m, for R vertices that keep the same eigenspaces: coordinate j
-    is E_g|m> / ||E_g|m>|| for g = ``spectrum.groups[group[j]]``, of
-    eigenvalue ``values[j]``, and ``coords[i]`` is |vertices[i]> in its
-    frame, so ``coords[i, j]`` is ||E_g|vertices[i]>||."""
-
-    vertices: np.ndarray
-    values: np.ndarray
-    group: np.ndarray
-    coords: np.ndarray
-
-    def run(
-        self, blocks: np.ndarray, schedules: Sequence[Schedule],
-        on_stage: Callable[[int, np.ndarray], None] | None = None,
-    ) -> np.ndarray:
-        """``run_schedule`` on (R, 1 or 2, r) ancilla blocks of coordinates,
-        row i running ``schedules[i]`` with m = vertices[i]; ``on_stage``
-        gets the (R, 2, r) blocks."""
-        return _run_stages(blocks, schedules, self.values, self.coords, on_stage)
 
 
 def group_sums(spectrum: Spectrum, x: np.ndarray) -> np.ndarray:
@@ -324,51 +303,45 @@ def group_sums(spectrum: Spectrum, x: np.ndarray) -> np.ndarray:
     return np.add.reduceat(x, [g.indices[0] for g in spectrum.groups], axis=-1)
 
 
-def vertex_frames(
-    spectrum: Spectrum, vertices: Sequence[int], keys: Sequence | None = None
-) -> list[tuple[list[int], Frame]]:
-    """The frames of vertices, one ``Frame`` per set of kept eigenspaces
-    and per key, each with the indices of its vertices in ``vertices``;
-    with ``keys[i]`` the stage structure of row i's schedule, each frame's
-    rows can share one executor pass.  A vertex keeps the eigenspaces g on
-    which its mass (E_g)_mm is above ``SKIP_MASS_TOL``, O(N) per vertex."""
+def frame_coords(spectrum: Spectrum, vertices: Sequence[int]) -> np.ndarray:
+    """Row i: |vertices[i]> in its frame, whose coordinate g is the unit
+    vector E_g|m> / ||E_g|m>|| for every eigenspace group g, shape (R, G):
+    ||E_g|m>|| where the mass (E_g)_mm is above ``SKIP_MASS_TOL``, and
+    exactly 0 on the eigenspaces m has no mass on.  Such a coordinate
+    stays 0 through every run from |m> with its oracle on m, so rows of
+    different vertices share one executor pass.  O(N) per vertex."""
     vertices = np.asarray(vertices, dtype=int)
-    for v in vertices.tolist():
-        _marked_vertex(v, spectrum.n)
+    for v in vertices[(vertices < 0) | (vertices >= spectrum.n)][:1].tolist():
+        raise SimulationError(f"marked vertex {v} out of range for n={spectrum.n}")
     rows = spectrum.eigenvectors[vertices]
     mass = group_sums(spectrum, rows * rows)
-    kept = mass > SKIP_MASS_TOL
-    patterns: dict[tuple, list[int]] = {}
-    for i, pattern in enumerate(kept):
-        patterns.setdefault((pattern.tobytes(), keys[i] if keys else None), []).append(i)
-    values = np.array([g.value for g in spectrum.groups])
-    frames = []
-    for idx in patterns.values():
-        group = np.flatnonzero(kept[idx[0]])
-        frames.append((idx, Frame(vertices[idx], values[group], group,
-                                  np.sqrt(mass[idx][:, group]))))
-    return frames
+    return np.sqrt(np.where(mass > SKIP_MASS_TOL, mass, 0.0))
 
 
-def vertex_frame(spectrum: Spectrum, vertex: int) -> Frame:
-    """The one-row frame of one vertex."""
-    return vertex_frames(spectrum, [vertex])[0][1]
+def divide_coords(x: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """x / coords where a frame coordinate is nonzero, and 0 where it is 0."""
+    out = np.zeros(np.broadcast_shapes(x.shape, coords.shape), dtype=np.result_type(x, coords))
+    return np.divide(x, coords, out=out, where=coords > 0)
 
 
-def lift(spectrum: Spectrum, frame: Frame, x: np.ndarray) -> np.ndarray:
-    """The vertex-basis amplitudes, norm-checked, of coordinates x, shape
-    (R, blocks, r), in the frame's rows: one N x N product for every row
-    and block."""
-    per_group = np.zeros((*x.shape[:2], len(spectrum.groups)), dtype=complex)
-    per_group[..., frame.group] = x / frame.coords[:, None]
-    y = spectrum.eigenvectors[frame.vertices][:, None] * np.repeat(
+def lift(
+    spectrum: Spectrum, vertices: Sequence[int], coords: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """The vertex-basis amplitudes, norm-checked, of x, shape (R, blocks,
+    G), in the frames of vertices, whose ``frame_coords`` are coords: one
+    N x N product for every row and block."""
+    per_group = divide_coords(x, coords[:, None])
+    y = spectrum.eigenvectors[vertices][:, None] * np.repeat(
         per_group, [g.multiplicity for g in spectrum.groups], axis=2)
     amps = _rotate(spectrum.eigenvectors, y.reshape(-1, spectrum.n)).reshape(y.shape)
     _check_norms(amps)
     return amps
 
 
-def _run_stages(blocks, schedules, values, rows, on_stage=None):
+def run_stages(
+    blocks: np.ndarray, schedules: Sequence[Schedule], values: np.ndarray,
+    rows: np.ndarray | None, on_stage: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray:
     """Stage trees on R rows of (1 or 2, r) ancilla blocks, row i running
     ``schedules[i]`` with its marked vertex at coordinates ``rows[i]``, in
     a frame where the walk is diagonal with ``values``.  The rows share
@@ -377,7 +350,8 @@ def _run_stages(blocks, schedules, values, rows, on_stage=None):
     each stage; then the stages run in order, each iteration a fused kick
     and a rank-2 oracle update, or their adjoints in reverse.  The norm
     check and the detach gate close every run and raise on the first row
-    that fails them; a schedule without stages needs no m."""
+    that fails them; a schedule without stages needs no m.  ``on_stage(i,
+    blocks)`` gets the (R, 2, r) blocks after stage i."""
     structure = schedules[0].structure
     if any(s.structure != structure for s in schedules):
         raise SimulationError("the rows of one run must share their stage structure")

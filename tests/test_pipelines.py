@@ -68,6 +68,19 @@ def test_transfer_round_trip_composition():
     assert simulate.fidelity(state, u) >= 1 - 1e-8
 
 
+def test_transfer_builds_one_report(monkeypatch, k4_minus_edge):
+    # transfer reads two rows of a sampling pass and builds no sample
+    # reports: across the blocks of K(1,3), whose rows keep different
+    # eigenspaces, and across the mass classes of K4 - e, two stage structures
+    built, report = [], pipelines._report
+    monkeypatch.setattr(pipelines, "_report",
+                        lambda *args, **kw: built.append(args[0]) or report(*args, **kw))
+    for g, u, v in ((graph.complete_bipartite(1, 3), 0, 2), (k4_minus_edge, 0, 3)):
+        built.clear()
+        assert pipelines.transfer(g, u, v).fidelity >= THRESHOLD
+        assert built == [pipelines.TASK_TRANSFER]
+
+
 def test_transfer_on_path_graph_vertex_dependent_route():
     # not vertex-transitive: overlaps differ per vertex but transfer still lands
     path3 = graph.load_edge_list("0 1\n1 2\n")
@@ -625,20 +638,26 @@ def test_verify_passes_on_cographs(g):
                 assert count <= bound
 
 
-def test_verify_is_one_pass(monkeypatch):
+def test_verify_is_one_pass(monkeypatch, k4_minus_edge):
     # rook(3,3): one synthesis per vertex and one for the search branch, and
-    # one executor pass per group and stage tree (sampling, search) where
-    # the per-run sweep made 154 and 162; transfers read the sampling rows
+    # one executor pass per stage structure (sampling) and per branch
+    # (search) where the per-run sweep made 154 and 162; transfers read the
+    # sampling rows.  K4 - e: two stage structures and two branches, each
+    # branch one pass over every hidden vertex, whatever eigenspaces it keeps
     synths, passes = [], []
-    synth, run = schedule.synth_sampling_schedule, simulate._run_stages
+    synth, run = schedule.synth_sampling_schedule, simulate.run_stages
     monkeypatch.setattr(schedule, "synth_sampling_schedule",
                         lambda *args: synths.append(1) or synth(*args))
-    monkeypatch.setattr(simulate, "_run_stages",
+    monkeypatch.setattr(simulate, "run_stages",
                         lambda *args: passes.append(len(args[0])) or run(*args))
     result = pipelines.verify_graph(graph.rook(3, 3))
     assert len(result.reports) == 90 and result.min_fidelity >= THRESHOLD
     assert len(synths) == 9 + 1
     assert passes == [9, 9]
+    passes.clear()
+    result = pipelines.verify_graph(k4_minus_edge)
+    assert result.min_fidelity >= THRESHOLD
+    assert passes == [2, 2, 4, 4]
 
 
 def test_sweep_row_failure_raises_its_own_error(k4_minus_edge):

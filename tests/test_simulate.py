@@ -485,15 +485,32 @@ def frame_case(request, k4_minus_edge, chang_graphs):
     return pipelines.prepare(g), *FRAME_CASES[request.param], g.n <= 64
 
 
-def frame_basis(spec, frame):
-    """A one-row frame's vectors as vertex-basis columns: coordinate j of
-    group g is E_g|m> over its norm coords[0, j]."""
-    v, m = spec.eigenvectors, frame.vertices[0]
-    columns = []
-    for j, g in enumerate(frame.group):
-        idx = list(spec.groups[g].indices)
-        columns.append(v[:, idx] @ v[m, idx] / frame.coords[0, j])
-    return np.array(columns).T
+def frame_basis(spec, m):
+    """Vertex m's frame vectors as vertex-basis columns, with its frame
+    coordinates: column g is E_g|m> over its norm coords[g], or 0 where
+    coords[g] is 0."""
+    v, coords = spec.eigenvectors, simulate.frame_coords(spec, [m])[0]
+    columns = [v[:, list(g.indices)] @ v[m, list(g.indices)] / c if c else np.zeros(len(v))
+               for g, c in zip(spec.groups, coords)]
+    return np.array(columns).T, coords
+
+
+def group_values(spec):
+    return np.array([g.value for g in spec.groups])
+
+
+def branch_start(spec, vertices, coords, start):
+    """A branch's start, eigen-coefficients ``start``, in the frames of
+    vertices with the ancilla |0> block and the |1> block."""
+    x = simulate.group_sums(spec, spec.eigenvectors[list(vertices)] * start)
+    x = simulate.divide_coords(x, coords)
+    return np.stack([x, 0 * x], axis=1)
+
+
+def run_branch(spec, m, start, sched):
+    """``pipelines._run_branch`` in the frame of the one vertex m."""
+    return pipelines._run_branch(spec, np.array([m]), simulate.frame_coords(spec, [m]),
+                                 start, sched)
 
 
 def dense_gram(spec, u, v):
@@ -509,68 +526,86 @@ def assert_close(a, b):
 
 def test_vertex_frame_is_orthonormal_and_holds_its_vertices(frame_case):
     # every vertex the case samples, searches or transfers from or to; a
-    # pair's Gram entries are the inner products of its frames' vectors
+    # frame has one coordinate per eigenspace, orthonormal where the vertex
+    # has mass, and a pair's Gram entries are the inner products of its
+    # frames' vectors
     ctx, vertices, pairs, _ = frame_case
     spec, groups = ctx.spectrum, len(ctx.spectrum.groups)
     for m in {*vertices, *np.ravel(pairs).tolist()}:
-        frame = simulate.vertex_frame(spec, m)
-        basis = frame_basis(spec, frame)
-        assert len(frame.values) <= groups
-        assert_close(basis.T @ basis, np.eye(len(frame.values)))
-        assert_close(basis @ frame.coords[0], np.eye(ctx.graph.n)[m])
+        basis, coords = frame_basis(spec, m)
+        assert coords.shape == (groups,)
+        assert_close(basis.T @ basis, np.diag(coords > 0))
+        assert_close(basis @ coords, np.eye(ctx.graph.n)[m])
     for u, v in pairs:
         gram = simulate.group_sums(spec, spec.eigenvectors[u] * spec.eigenvectors[v])
         assert_close(gram, dense_gram(spec, u, v))
-        fu, fv = simulate.vertex_frame(spec, u), simulate.vertex_frame(spec, v)
-        bu, bv = frame_basis(spec, fu), frame_basis(spec, fv)
-        expected = np.zeros(groups)
-        for j, g in enumerate(fu.group):
-            for k in np.flatnonzero(fv.group == g):
-                expected[g] = fu.coords[0, j] * fv.coords[0, k] * (bu[:, j] @ bv[:, k])
-        assert_close(gram, expected)
+        (bu, cu), (bv, cv) = frame_basis(spec, u), frame_basis(spec, v)
+        assert_close(gram, cu * cv * (bu * bv).sum(axis=0))
 
 
-def test_vertex_frame_drops_empty_eigenspaces():
-    # K(2,3) has Laplacian eigenspaces 0, 2 (on block {2,3,4}, dimension
-    # 2), 3 (on block {0,1}, dimension 1) and 5 (dimension 1); a pair's
-    # Gram entry vanishes on every eigenspace either vertex drops
+def test_frame_coords_are_exactly_zero_off_a_vertexs_eigenspaces():
+    # the centre 0 of K(1,3) has no Laplacian mass on eigenvalue 1; K(2,3)
+    # has eigenspaces 0, 2 (on block {2,3,4}, dimension 2), 3 (on block
+    # {0,1}, dimension 1) and 5 (dimension 1).  A coordinate off a vertex's
+    # eigenspaces is exactly 0.0 and stays so at every stage of a forward
+    # sampling run and of a reversed branch, beside rows that keep it
+    for g, kept in [(graph.complete_bipartite(1, 3), [[0, 4]] + [[0, 1, 4]] * 3),
+                    (graph.complete_bipartite(2, 3), [[0, 3, 5]] * 2 + [[0, 2, 5]] * 3)]:
+        ctx = pipelines.prepare(g)
+        spec, vertices, values = ctx.spectrum, range(g.n), group_values(ctx.spectrum)
+        coords = simulate.frame_coords(spec, vertices)
+        zero = coords == 0.0
+        for row, held in zip(coords, kept):
+            assert np.allclose(values[row > 0], held, atol=1e-9)
+        schedules = [pipelines.sampling_schedule(ctx, m) for m in vertices]
+        _, finals, passes = pipelines._sample_pass(ctx, schedules, vertices)
+        assert np.all(finals[zero] == 0.0)
+        for rows, x, ends in passes:
+            assert np.all(x[zero[rows]] == 0.0) and np.all(ends[:, zero[rows]] == 0.0)
+        for start, sched in zip(ctx.starts, ctx.branches):
+            stages = []
+            end = simulate.run_stages(branch_start(spec, vertices, coords, start),
+                                      [sched] * g.n, values, coords,
+                                      lambda _, blocks: stages.append(blocks))
+            for blocks in [*stages, end]:
+                assert np.all(blocks.transpose(1, 0, 2)[:, zero] == 0.0)
+
+
+def test_gram_entries_vanish_off_shared_eigenspaces():
+    # K(2,3): a pair's Gram entry vanishes on every eigenspace either vertex
+    # has no mass on; a vertex out of range is refused by name
     spec = pipelines.prepare(graph.complete_bipartite(2, 3)).spectrum
-    for m, values in [(0, [0, 3, 5]), (1, [0, 3, 5]), (2, [0, 2, 5]), (4, [0, 2, 5])]:
-        frame = simulate.vertex_frame(spec, m)
-        assert np.allclose(frame.values, values, atol=1e-9)
     for (u, v), nonzero in [((0, 1), [0, 3, 5]), ((2, 4), [0, 2, 5]), ((0, 4), [0, 5])]:
         gram = simulate.group_sums(spec, spec.eigenvectors[u] * spec.eigenvectors[v])
         held = [g.value for g, entry in zip(spec.groups, gram) if abs(entry) > 1e-9]
         assert np.allclose(held, nonzero, atol=1e-9)
-    for vertices in ([5], [0, 5]):
-        with pytest.raises(SimulationError, match="out of range"):
-            simulate.vertex_frames(spec, vertices)
+    for vertices in ([5], [0, 5], [0, -1]):
+        bad = [v for v in vertices if not 0 <= v < 5][0]
+        with pytest.raises(SimulationError, match=f"marked vertex {bad} out of range for n=5"):
+            simulate.frame_coords(spec, vertices)
 
 
-def test_vertex_frames_group_sets_by_kept_coordinates():
-    # the centre of K(1,3) has no mass on the Laplacian eigenspace 1, so its
-    # set gets a frame of its own; each batched frame holds what the one-row
-    # frames hold, and a batched run gives each row its own run
+def test_run_stages_mixes_frames_that_keep_different_eigenspaces():
+    # one batch runs the centre of K(1,3), whose coordinate on eigenvalue 1
+    # is 0, beside its leaves under each search branch; every row reads
+    # what it reads run alone, and a batch's coordinates are the one-row ones
     ctx = pipelines.prepare(graph.complete_bipartite(1, 3))
-    frames = simulate.vertex_frames(ctx.spectrum, [1, 0, 3, 2])
-    assert [idx for idx, _ in frames] == [[0, 2, 3], [1]]
-    assert [frame.vertices.tolist() for _, frame in frames] == [[1, 3, 2], [0]]
-    assert [len(frame.values) for _, frame in frames] == [3, 2]
-    # keys, the rows' stage structures, split a frame's rows further
-    keyed = simulate.vertex_frames(ctx.spectrum, [1, 0, 3, 2], ["a", "a", "b", "a"])
-    assert [idx for idx, _ in keyed] == [[0, 3], [1], [2]]
-    assert [frame.vertices.tolist() for _, frame in keyed] == [[1, 2], [0], [3]]
-    schedules = [pipelines.sampling_schedule(ctx, m) for m in range(4)]
-    for idx, frame in frames:
-        rows = frame.run(frame.coords[:, None], [schedules[v] for v in frame.vertices])
-        for i, v in enumerate(frame.vertices):
-            alone = simulate.vertex_frame(ctx.spectrum, v)
-            assert_close(frame.coords[i], alone.coords[0])
-            assert_close(rows[i], alone.run(alone.coords[:, None], [schedules[v]])[0])
+    spec, values = ctx.spectrum, group_values(ctx.spectrum)
+    coords = simulate.frame_coords(spec, [1, 0, 3, 2])
+    assert (coords[1] == 0.0).sum() == 1 and np.all(coords[[0, 2, 3]] > 0)
+    for i, v in enumerate([1, 0, 3, 2]):
+        assert np.array_equal(coords[i], simulate.frame_coords(spec, [v])[0])
+    for start, sched in zip(ctx.starts, ctx.branches):
+        blocks = branch_start(spec, [1, 0, 3, 2], coords, start)
+        batch = simulate.run_stages(blocks, [sched] * 4, values, coords)
+        for i in range(4):
+            alone = simulate.run_stages(blocks[i:i + 1], [sched], values, coords[i:i + 1])
+            assert_close(batch[i], alone[0])
     # rows of one run share their stage structure
-    _, frame = frames[0]
+    schedules = [pipelines.sampling_schedule(ctx, m) for m in range(2)]
     with pytest.raises(SimulationError, match="share their stage structure"):
-        frame.run(frame.coords[:, None], [schedules[1], schedules[1], schedules[0]])
+        simulate.run_stages(coords[:3, None], [schedules[1], schedules[1], schedules[0]],
+                            values, coords[:3])
 
 
 def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
@@ -578,10 +613,10 @@ def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
     spec, n = ctx.spectrum, ctx.graph.n
     for m in vertices:
         sched = pipelines.sampling_schedule(ctx, m)
-        frame = simulate.vertex_frame(spec, m)
-        got = frame.run(frame.coords[:, None], [sched])
-        lifted = simulate.lift(spec, frame, got)[0, 0]
-        assert_close(lifted, frame_basis(spec, frame) @ got[0, 0])
+        basis, coords = frame_basis(spec, m)
+        got = simulate.run_stages(coords[None, None], [sched], group_values(spec), coords[None])
+        lifted = simulate.lift(spec, [m], coords[None], got)[0, 0]
+        assert_close(lifted, basis @ got[0, 0])
 
         pairs = depth.level_states(ctx.chain, spectral.eigenspace_amplitudes(spec, m))
         stage_fids = []
@@ -641,10 +676,9 @@ def test_frame_search_matches_run_schedule_and_op_by_op(frame_case):
     spec, n = ctx.spectrum, ctx.graph.n
     start = simulate.attach_ancilla(simulate.uniform_state(n))
     for m in vertices:
-        frame = simulate.vertex_frame(spec, m)
         expected = []
         for coeffs, sched in zip(ctx.starts, ctx.branches):
-            got = pipelines._run_branch(spec, frame, coeffs, sched)[0].ravel()
+            got = run_branch(spec, m, coeffs, sched)[0].ravel()
             ref = simulate.run_schedule(start, sched, spec, m)
             assert_close(got, ref.amps)
             if op_by_op_too:
@@ -697,8 +731,7 @@ def test_frame_branches_match_run_schedule(name):
     for start, branch, state in zip(ctx.starts, ctx.branches, states):
         state = simulate.attach_ancilla(state)
         for m in range(g.n):
-            frame = simulate.vertex_frame(ctx.spectrum, m)
-            got = pipelines._run_branch(ctx.spectrum, frame, start, branch)[0]
+            got = run_branch(ctx.spectrum, m, start, branch)[0]
             ref = simulate.run_schedule(state, branch, ref_ctx.spectrum, position[m])
             assert_close(got.ravel(), ref.amps.reshape(2, g.n)[:, position].ravel())
             leaks.append(np.linalg.norm(ref.amps[g.n:]) ** 2)
@@ -708,13 +741,15 @@ def test_frame_branches_match_run_schedule(name):
 
 def test_frame_runs_keep_the_norm_check_and_detach_gate():
     ctx = pipelines.prepare(CLASS_GRAPHS["leaking"]())
-    frame = simulate.vertex_frame(ctx.spectrum, 5)
+    coords, values = simulate.frame_coords(ctx.spectrum, [5]), group_values(ctx.spectrum)
     with pytest.raises(SimulationError, match="norm defect"):
-        frame.run(2 * frame.coords[:, None], [pipelines.sampling_schedule(ctx, 5)])
+        simulate.run_stages(2 * coords[:, None], [pipelines.sampling_schedule(ctx, 5)],
+                            values, coords)
     # the oracle on vertex 5 under vertex 1's schedule leaves the ancilla
     # entangled at the end
     with pytest.raises(SimulationError, match=r"ancilla entangled .* 1\.008e-01"):
-        frame.run(frame.coords[:, None], [pipelines.sampling_schedule(ctx, 1)])
+        simulate.run_stages(coords[:, None], [pipelines.sampling_schedule(ctx, 1)],
+                            values, coords)
 
 
 def test_frame_pipelines_make_no_dense_products(monkeypatch):

@@ -193,8 +193,8 @@ def test_amplitudes_out_of_range(c4):
 
 def frame_masses(spec, v):
     """Vertex v's mass on each eigenspace, from its executor frame."""
-    frame = simulate.vertex_frame(spec, v)
-    return dict(zip(frame.values, frame.coords[0] ** 2))
+    coords = simulate.frame_coords(spec, [v])[0]
+    return dict(zip([g.value for g in spec.groups], coords**2))
 
 
 def pair_gram(spec, u, v):
