@@ -82,7 +82,6 @@ from .spectral import (
     IntegerSpectrum,
     Spectrum,
     eigendecompose,
-    eigenspace_amplitudes,
     graph_integer_spectrum,
     validate_integer_spectrum,
 )

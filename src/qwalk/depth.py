@@ -8,8 +8,9 @@ reduced values is always 1, each step splits off at least one value, so
 the chain terminates in at most as many steps as there are distinct
 eigenvalues.
 
-Levels are stored as eigenvalue-index sets (not values) so degenerate
-eigenvalues keep their identity and projections stay exact.
+Everything is keyed by eigenvalue group, never by eigen-index: a level is
+a set of group positions, and a vertex enters through its G basis-free
+masses <m|E_g|m>, so a closed-form chain costs O(G), not O(N).
 """
 
 from __future__ import annotations
@@ -33,23 +34,22 @@ OVERLAP_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class DepthLevel:
-    """One refinement level: kept index set, split-off complement, gcd."""
+    """One refinement level: kept group positions, split-off complement, gcd."""
 
-    indices: tuple[int, ...]
+    groups: tuple[int, ...]
     complement: tuple[int, ...]
     gcd: int
 
 
 @dataclass(frozen=True)
 class DepthChain:
-    """The nested chain of kept eigenvalue-index sets.
-
-    ``levels[k].indices`` is level k; level 0 holds every index and level
-    ``depth`` holds only the zero eigenvalue.  ``values[i]`` is the integer
-    eigenvalue at spectrum index i.
-    """
+    """The nested chain of kept eigenvalue groups: group g is the integer
+    eigenvalue ``values[g]``, ascending, with ``multiplicities[g]``.
+    ``levels[k].groups`` is level k; level 0 holds every group and level
+    ``depth`` only the zero eigenvalue."""
 
     values: tuple[int, ...]
+    multiplicities: tuple[int, ...]
     levels: tuple[DepthLevel, ...]
 
     @property
@@ -57,18 +57,22 @@ class DepthChain:
         return len(self.levels) - 1
 
     def level_values(self, k: int) -> list[int]:
-        return sorted(self.values[i] for i in self.levels[k].indices)
+        """Level k's eigenvalues, ascending, each repeated by its multiplicity."""
+        return self._expand(self.levels[k].groups)
 
     def complement_values(self, k: int) -> list[int]:
-        return sorted(self.values[i] for i in self.levels[k].complement)
+        return self._expand(self.levels[k].complement)
+
+    def _expand(self, groups: tuple[int, ...]) -> list[int]:
+        return [self.values[g] for g in groups for _ in range(self.multiplicities[g])]
 
     @functools.cached_property
-    def index_depths(self) -> np.ndarray:
-        """The deepest level holding each eigen-index; the levels are
-        nested, so index i lies in level k iff ``index_depths[i] >= k``."""
+    def group_depths(self) -> np.ndarray:
+        """The deepest level holding each group; the levels are nested, so
+        group g lies in level k iff ``group_depths[g] >= k``."""
         depths = np.zeros(len(self.values), dtype=int)
         for k, level in enumerate(self.levels[1:], 1):
-            depths[list(level.indices)] = k
+            depths[list(level.groups)] = k
         return depths
 
 
@@ -77,8 +81,8 @@ class LevelStatePair:
     """Normalized projections of a vertex state onto one level.
 
     ``kept`` are real coefficients over eigenvector indices (support on
-    the level's kept set, unit norm); ``split`` covers the complement and
-    is None at level 0 or when its mass vanishes.
+    the level's kept groups, unit norm); ``split`` covers the complement
+    and is None at level 0 or when its mass vanishes.
     """
 
     level: int
@@ -94,74 +98,77 @@ def gcd_nonzero(values: Iterable[int]) -> int:
 def build_depth_chain(spectrum: IntegerSpectrum | Sequence[int]) -> DepthChain:
     """Compute the refinement chain of an integer eigenvalue multiset.
 
-    Accepts an IntegerSpectrum or a raw integer sequence containing 0.
-    The result is deterministic and independent of input order (levels are
-    sets of indices into the given sequence).
+    Accepts an IntegerSpectrum, whose groups the chain keeps, or a raw
+    integer sequence containing 0, grouped by value.  The result is
+    deterministic and independent of input order.  O(G) per level.
     """
     if isinstance(spectrum, IntegerSpectrum):
-        values = spectrum.int_eigenvalues
+        values, mults = spectrum.values, spectrum.multiplicities
     else:
-        values = tuple(int(v) for v in spectrum)
+        values, mults = (tuple(x.tolist()) for x in np.unique(
+            np.asarray(spectrum, dtype=np.int64), return_counts=True))
     if 0 not in values:
         raise DepthError("eigenvalue multiset must contain 0")
 
     current = tuple(range(len(values)))
     levels = [DepthLevel(current, (), gcd_nonzero(values))]
-    while any(values[i] != 0 for i in current):
-        g = levels[-1].gcd
-        kept = tuple(i for i in current if (values[i] // g) % 2 == 0)
-        split = tuple(i for i in current if (values[i] // g) % 2 == 1)
+    while any(values[g] != 0 for g in current):
+        d = levels[-1].gcd
+        kept = tuple(g for g in current if (values[g] // d) % 2 == 0)
+        split = tuple(g for g in current if (values[g] // d) % 2 == 1)
         if not split:
             raise DepthError("refinement step split off nothing; non-integer input?")
         current = kept
-        levels.append(DepthLevel(kept, split, gcd_nonzero(values[i] for i in kept)))
-    return DepthChain(values, tuple(levels))
+        levels.append(DepthLevel(kept, split, gcd_nonzero(values[g] for g in kept)))
+    return DepthChain(values, mults, tuple(levels))
 
 
-def _level_masses(chain: DepthChain, alphas: np.ndarray) -> np.ndarray:
-    a = np.asarray(alphas, dtype=float)
-    if len(a) != len(chain.values):
-        raise DepthError(
-            f"amplitude vector length {len(a)} does not match chain size "
-            f"{len(chain.values)}"
-        )
-    # summed in index order, level by level: a stage whose overlap puts
+def _level_masses(chain: DepthChain, masses: np.ndarray) -> np.ndarray:
+    m = np.asarray(masses, dtype=float)
+    if len(m) != len(chain.values):
+        raise DepthError(f"mass vector length {len(m)} does not match {len(chain.values)} groups")
+    # summed in group order, level by level: a stage whose overlap puts
     # the matched phase near pi magnifies any other rounding in its angle
-    squares, depths = a**2, chain.index_depths
-    return np.array([squares[depths >= k].sum() for k in range(len(chain.levels))])
+    depths = chain.group_depths
+    return np.array([m[depths >= k].sum() for k in range(len(chain.levels))])
 
 
 def level_states(chain: DepthChain, alphas: np.ndarray) -> list[LevelStatePair]:
-    """Normalized kept/split projections of a vertex state at every level.
+    """Normalized kept/split projections of a vertex state at every level,
+    from its eigenvector row, whose indices run through the groups in order.
 
     The kept state at the final level is the uniform state whenever the
     amplitudes come from a vertex of a connected graph (the simple zero
     eigenvalue carries mass exactly 1/N).
     """
     a = np.asarray(alphas, dtype=float)
-    masses = _level_masses(chain, a)
-    depths = chain.index_depths
+    depths = np.repeat(chain.group_depths, chain.multiplicities)
+    if len(a) != len(depths):
+        raise DepthError(
+            f"amplitude vector length {len(a)} does not match chain size {len(depths)}")
     pairs: list[LevelStatePair] = []
     for k in range(len(chain.levels)):
-        if masses[k] <= SKIP_MASS_TOL:
+        kept = np.where(depths >= k, a, 0.0)
+        mass = float(kept @ kept)
+        if mass <= SKIP_MASS_TOL:
             raise DepthError(f"level {k} kept mass vanished; inconsistent amplitudes")
-        kept = np.where(depths >= k, a, 0.0) / np.sqrt(masses[k])
-        # level k splits off the indices of depth k - 1
+        # level k splits off the groups of depth k - 1
         split = np.where(depths == k - 1, a, 0.0)
         cmass = float(split @ split)
         pairs.append(LevelStatePair(
-            k, kept, split / np.sqrt(cmass) if cmass > SKIP_MASS_TOL else None))
+            k, kept / np.sqrt(mass), split / np.sqrt(cmass) if cmass > SKIP_MASS_TOL else None))
     return pairs
 
 
-def overlaps(chain: DepthChain, alphas: np.ndarray) -> np.ndarray:
-    """Per-level overlaps between consecutive kept states for one vertex.
+def overlaps(chain: DepthChain, masses: np.ndarray) -> np.ndarray:
+    """Per-level overlaps between consecutive kept states for one vertex,
+    from its masses <m|E_g|m> on the chain's groups.
 
     Entry k is the square root of the mass ratio of level k+1 to level k,
     always in (0, 1].  A level whose split-off mass vanishes yields exactly
     1.0, which downstream synthesis treats as a skip.
     """
-    masses = _level_masses(chain, alphas)
+    masses = _level_masses(chain, masses)
     out = np.empty(chain.depth)
     for k in range(chain.depth):
         if masses[k] <= SKIP_MASS_TOL:
@@ -186,7 +193,8 @@ def transitive_overlaps(chain: DepthChain) -> np.ndarray:
     over N and the overlap reduces to the square root of the cardinality
     ratio.
     """
-    sizes = np.array([len(level.indices) for level in chain.levels], dtype=float)
+    sizes = np.array([sum(chain.multiplicities[g] for g in level.groups)
+                      for level in chain.levels], dtype=float)
     return np.sqrt(sizes[1:] / sizes[:-1])
 
 

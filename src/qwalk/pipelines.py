@@ -41,7 +41,7 @@ from . import depth as depth_mod
 from . import schedule as sched_mod
 from . import simulate as sim
 from . import spectral
-from .errors import GraphError, ScheduleError
+from .errors import GraphError, ScheduleError, SpectrumError
 from .graph import Graph, adjacency, complete_bipartite, laplacian
 
 #: A run counts as exact when the final fidelity clears this.
@@ -142,13 +142,13 @@ class LaplacianContext:
     @functools.cached_property
     def mass_classes(self) -> tuple[int, ...]:
         """The lowest vertex of each class of vertices whose masses on every
-        depth level (eigenvector squares summed over it, so basis-free)
+        depth level (the masses <m|E_g|m> summed over it, so basis-free)
         agree to ``LEVEL_MASS_TOL``.  A sampling schedule depends on its
         vertex only through these masses, so one reversed schedule per
         class finds every vertex of the class.  Vertex-transitive and
         walk-regular graphs have one class (Godsil & McKay 1980)."""
-        member = self.chain.index_depths[:, None] >= np.arange(len(self.chain.levels))
-        masses = self.spectrum.eigenvectors**2 @ member
+        member = self.chain.group_depths[:, None] >= np.arange(len(self.chain.levels))
+        masses = sim.group_sums(self.spectrum, self.spectrum.eigenvectors**2) @ member
         free, reps = np.arange(self.graph.n), []
         while free.size:
             reps.append(int(free[0]))
@@ -174,11 +174,6 @@ class LaplacianContext:
         i starts."""
         uniform = self.spectrum.eigenvectors.sum(axis=0) / math.sqrt(self.graph.n)
         return np.broadcast_to(uniform, (len(self.mass_classes), self.graph.n))
-
-    @functools.cached_property
-    def group_depths(self) -> np.ndarray:
-        """The deepest chain level holding each eigenspace group."""
-        return self.chain.index_depths[[g.indices[0] for g in self.spectrum.groups]]
 
 
 def prepare(g: Graph) -> LaplacianContext:
@@ -303,8 +298,10 @@ def _report(
 
 def sampling_schedule(ctx: LaplacianContext, m: int) -> sched_mod.Schedule:
     """The forward schedule carrying vertex m to the uniform state."""
-    alphas = spectral.eigenspace_amplitudes(ctx.spectrum, m)
-    overlaps = depth_mod.overlaps(ctx.chain, alphas)
+    if not 0 <= m < ctx.graph.n:
+        raise SpectrumError(f"vertex index {m} out of range for n={ctx.graph.n}")
+    row = ctx.spectrum.eigenvectors[m]
+    overlaps = depth_mod.overlaps(ctx.chain, sim.group_sums(ctx.spectrum, row * row))
     return sched_mod.synth_sampling_schedule(ctx.chain, overlaps)
 
 
@@ -372,7 +369,7 @@ def _sample_sweep(
         # stage k's fidelity: that block against the kept part of m's row
         # at the next level, both normalized
         levels = np.array(schedules[rows[0]].stage_levels)[:, None, None]
-        kept = np.where(ctx.group_depths > levels, coords[rows], 0.0)
+        kept = np.where(ctx.chain.group_depths > levels, coords[rows], 0.0)
         stage_fids = (np.abs(np.einsum("sij,sij->si", kept, ends)) ** 2
                       / np.einsum("sij,sij->si", kept, kept)
                       / np.einsum("sij,sij->si", ends.conj(), ends).real)

@@ -6,10 +6,10 @@ degenerate group), never individual eigenvectors, so results do not depend
 on the solver's arbitrary basis choice inside a degenerate eigenspace.
 
 ``graph_integer_spectrum`` is the one gate on a graph's Laplacian.  Its
-values come from a decomposition the caller passes, else in closed form
-when the edges are a built-in family's, else from ``eigvalsh`` alone,
-which is all the spectrum and the depth chain need.  Each is rounded
-within ``INTEGER_TOL`` and certified in exact integer arithmetic on the
+G eigenvalue groups come from a decomposition the caller passes, else in
+closed form when the edges are a built-in family's, else from
+``eigvalsh`` alone.  Solved values are rounded within ``INTEGER_TOL``, and
+every route's groups are certified in exact integer arithmetic on the
 edge list, O(G·E): the product of (L - lambda I) over the distinct
 rounded values kills a pseudo-random vector modulo a prime, so every
 eigenvalue is one of them, and the multiplicities reproduce N, tr L and
@@ -76,16 +76,28 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class IntegerSpectrum:
-    """A Spectrum validated to be integral with a simple zero eigenvalue;
-    ``graph_integer_spectrum`` also certifies it exactly."""
+    """Ascending integer eigenvalue groups, ``values[g]`` with multiplicity
+    ``multiplicities[g]``, one a simple 0; ``graph_integer_spectrum`` also
+    certifies them exactly.  ``base`` is the Spectrum they were rounded
+    from, group for group, or None for a closed form (no N entries)."""
 
-    base: Spectrum
-    int_eigenvalues: tuple[int, ...]
-    zero_index: int
+    values: tuple[int, ...]
+    multiplicities: tuple[int, ...]
+    base: Spectrum | None = None
+
+    def __post_init__(self) -> None:
+        zeros = sum(k for x, k in zip(self.values, self.multiplicities) if x == 0)
+        if zeros != 1:
+            raise SpectrumError(f"zero eigenvalue is not simple: multiplicity {zeros}")
 
     @property
-    def n(self) -> int:
-        return self.base.n
+    def int_eigenvalues(self) -> tuple[int, ...]:
+        """Every eigenvalue, ascending, each repeated by its multiplicity."""
+        return tuple(x for x, k in zip(self.values, self.multiplicities) for _ in range(k))
+
+    @property
+    def zero_index(self) -> int:
+        return sum(k for x, k in zip(self.values, self.multiplicities) if x < 0)
 
 
 def eigendecompose(matrix: np.ndarray, *, group_tol: float = GROUP_TOL) -> Spectrum:
@@ -162,10 +174,9 @@ def validate_integer_spectrum(
     if bad.size:
         i = int(bad[0])
         raise SpectrumError(f"non-integer eigenvalue {float(values[i]):.9g} at index {i}")
-    zeros = np.flatnonzero(rounded == 0)
-    if len(zeros) != 1:
-        raise SpectrumError(f"zero eigenvalue is not simple: multiplicity {len(zeros)}")
-    return IntegerSpectrum(spectrum, tuple(rounded.astype(np.int64).tolist()), int(zeros[0]))
+    # a group spreads less than GROUP_TOL, so its members round as one
+    return IntegerSpectrum(tuple(int(round(grp.value)) for grp in spectrum.groups),
+                           tuple(grp.multiplicity for grp in spectrum.groups), spectrum)
 
 
 def graph_integer_spectrum(
@@ -177,10 +188,11 @@ def graph_integer_spectrum(
     A ``spectrum`` the caller passes is rounded as given, since its groups
     index its eigenvectors.  Without one, a graph whose edges are a
     built-in family's (``graph.family_matches``) takes its closed-form
-    values, which need no rounding, and any other graph the eigenvalues of
-    its dense Laplacian (``eigvalsh``); either way ``base.eigenvectors``
-    is None.  Raises SpectrumError if the values do not round within
-    ``int_tol``, the zero is not simple, or the certificate fails.
+    groups, which need no rounding and have no ``base``, and any other
+    graph the eigenvalues of its dense Laplacian (``eigvalsh``), whose
+    ``base.eigenvectors`` is None.  Raises SpectrumError if the values do
+    not round within ``int_tol``, the zero is not simple, or the
+    certificate fails.
     """
     if spectrum is None and (matches := family_matches(g)):
         ints = family_spectrum(*matches[0])
@@ -193,8 +205,10 @@ def graph_integer_spectrum(
 
 
 def family_spectrum(name: str, params: tuple[int, ...]) -> IntegerSpectrum:
-    """A built-in family's Laplacian eigenvalues in closed form, ascending,
-    through the float half of the gate; ``base.eigenvectors`` is None."""
+    """A built-in family's Laplacian eigenvalue groups in closed form,
+    ascending, in O(G): terms of equal value merge (rook(a, a),
+    complete_bipartite(a, a)) and empty ones drop (complete_bipartite(1, b));
+    ``base`` is None."""
     if name == "hamming":
         d, q = params
         terms = [(q * i, math.comb(d, i) * (q - 1) ** i) for i in range(d + 1)]
@@ -213,8 +227,8 @@ def family_spectrum(name: str, params: tuple[int, ...]) -> IntegerSpectrum:
         a, b = params if name == "rook" else (params[0], 4)
         second = [(0, 1), (b, b - 1)] if name == "rook" else [(0, 1), (2, 2), (4, 1)]
         terms = [(x + y, mx * my) for x, mx in [(0, 1), (a, a - 1)] for y, my in second]
-    value, mult = np.array(terms).T
-    return validate_integer_spectrum(_values_only(np.sort(np.repeat(value, mult)).astype(float)))
+    values = sorted({x for x, k in terms if k})
+    return IntegerSpectrum(tuple(values), tuple(sum(k for x, k in terms if x == v) for v in values))
 
 
 def _values_only(values: np.ndarray) -> Spectrum:
@@ -237,8 +251,7 @@ def _certify(ints: IntegerSpectrum, g: Graph) -> None:
     1/2) fixes the multiplicities, or on the closed-form route the
     formula; the moments N, tr L and ||L||_F^2 cross-check them exactly.
     """
-    groups = [(int(round(grp.value)), grp.multiplicity) for grp in ints.base.groups]
-    values = [x for x, _ in groups]
+    values = list(ints.values)
     n, deg = g.n, np.bincount(g.edge_array.ravel(), minlength=g.n)
     # row i of L - lambda I has absolute sum at most 2 deg_i + |lambda|
     if (2 * int(deg.max()) + max(map(abs, values))) * CERT_PRIME >= 2**53:
@@ -256,37 +269,18 @@ def _certify(ints: IntegerSpectrum, g: Graph) -> None:
         )
 
     moments = (n, int(deg.sum()), int((deg * deg + deg).sum()))
-    claimed = tuple(sum(k * x**e for x, k in groups) for e in range(3))
+    claimed = tuple(sum(k * x**e for x, k in zip(values, ints.multiplicities)) for e in range(3))
     if claimed != moments:
         raise SpectrumError(
             f"multiplicities give moments {claimed}, the matrix {moments}"
         )
 
 
-def eigenspace_amplitudes(spectrum: Spectrum, vertex: int) -> np.ndarray:
-    """Real amplitudes of the basis state of ``vertex`` in the eigenbasis.
-
-    Component i is the inner product of eigenvector i with the vertex
-    state; the squared amplitudes sum to 1.
-    """
-    if not 0 <= vertex < spectrum.n:
-        raise SpectrumError(f"vertex index {vertex} out of range for n={spectrum.n}")
-    if spectrum.eigenvectors is None:
-        raise SpectrumError("the spectrum holds eigenvalues only")
-    amps = spectrum.eigenvectors[vertex, :].copy()
-    total = float(np.sum(amps**2))
-    if abs(total - 1.0) > 1e-10:
-        raise SpectrumError(f"amplitude norm defect: {abs(total - 1.0):.3e}")
-    amps.flags.writeable = False
-    return amps
-
-
 def spectrum_to_json_dict(ints: IntegerSpectrum) -> dict:
     return {
         "eigenvalues": list(ints.int_eigenvalues),
         "groups": [
-            {"value": int(round(g.value)), "multiplicity": g.multiplicity}
-            for g in ints.base.groups
+            {"value": x, "multiplicity": k} for x, k in zip(ints.values, ints.multiplicities)
         ],
         "zero_index": ints.zero_index,
     }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qwalk import graph, spectral
+from qwalk import depth, graph, spectral
 from qwalk.errors import GraphError
 
 
@@ -41,6 +41,39 @@ def dense_gate(g, **kwargs):
     reference the other routes must match."""
     return spectral.graph_integer_spectrum(
         g, spectral._values_only(laplacian_eigenvalues(g)), **kwargs)
+
+
+def index_chain(values):
+    """The depth chain over eigen-indices, the reference the group-keyed
+    ``depth.build_depth_chain`` is checked against: per level, its kept
+    indices into ``values``, the ones it splits off and its gcd."""
+    current = tuple(range(len(values)))
+    levels = [(current, (), depth.gcd_nonzero(values))]
+    while any(values[i] != 0 for i in current):
+        g = levels[-1][2]
+        kept = tuple(i for i in current if (values[i] // g) % 2 == 0)
+        split = tuple(i for i in current if (values[i] // g) % 2 == 1)
+        levels.append((kept, split, depth.gcd_nonzero(values[i] for i in kept)))
+        current = kept
+    return levels
+
+
+def index_level_masses(levels, alphas):
+    """A vertex's mass on each level of an ``index_chain``: its squared
+    eigenvector amplitudes summed in index order over the level's indices."""
+    depths = np.zeros(len(alphas), dtype=int)
+    for k, (kept, _, _) in enumerate(levels[1:], 1):
+        depths[list(kept)] = k
+    squares = np.asarray(alphas) ** 2
+    return np.array([squares[depths >= k].sum() for k in range(len(levels))])
+
+
+def index_overlaps(levels, alphas):
+    """``depth.overlaps`` from ``index_level_masses``, with its skip rule."""
+    masses = index_level_masses(levels, alphas)
+    return np.array([1.0 if masses[k] - masses[k + 1] <= depth.SKIP_MASS_TOL
+                     else min(float(np.sqrt(masses[k + 1] / masses[k])), 1.0)
+                     for k in range(len(levels) - 1)])
 
 
 @pytest.fixture(scope="session")
@@ -121,6 +154,16 @@ def connected_cographs(draw, max_n=12):
     label = draw(st.permutations(range(n)))
     edges = _cograph_edges(draw, n, join=True)
     return graph.graph_from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def cartesian_product(g, h):
+    """g □ h on the pairs (u, v), labelled u * h.n + v: (u, v) ~ (u', v)
+    for every edge u ~ u' of g and (u, v) ~ (u, v') for every edge v ~ v'
+    of h.  Its Laplacian is L_g ⊗ I + I ⊗ L_h, so its eigenvalues are the
+    pairwise sums of the factors'."""
+    edges = [(a * h.n + v, b * h.n + v) for a, b in g.edges for v in range(h.n)]
+    edges += [(u * h.n + a, u * h.n + b) for u in range(g.n) for a, b in h.edges]
+    return graph.graph_from_edges(g.n * h.n, edges)
 
 
 def _cograph_edges(draw, n, join):

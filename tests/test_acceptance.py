@@ -126,8 +126,8 @@ def test_criterion_6_overlap_independence():
             ctx = pipelines.prepare(g)
             reference = depth.transitive_overlaps(ctx.chain)
             for m in range(g.n):
-                alphas = spectral.eigenspace_amplitudes(ctx.spectrum, m)
-                observed = depth.overlaps(ctx.chain, alphas)
+                row = ctx.spectrum.eigenvectors[m]
+                observed = depth.overlaps(ctx.chain, simulate.group_sums(ctx.spectrum, row * row))
                 assert np.max(np.abs(observed - reference)) < 1e-9, (name, m)
 
 
@@ -175,8 +175,7 @@ def test_criterion_8_ancilla_circuit_equivalence():
         for name, make in SEARCH_GRAPHS:
             g = make()
             ctx = pipelines.prepare(g)
-            alphas = spectral.eigenspace_amplitudes(ctx.spectrum, 0)
-            pairs = depth.level_states(ctx.chain, alphas)
+            pairs = depth.level_states(ctx.chain, ctx.spectrum.eigenvectors[0])
             for level in range(ctx.chain.depth):
                 split = pairs[level + 1].split
                 if split is None:

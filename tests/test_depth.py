@@ -1,17 +1,33 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from qwalk import depth, graph, spectral
+from qwalk import depth, graph, pipelines, simulate, spectral
 from qwalk.errors import DepthError
+
+from conftest import (
+    cartesian_product,
+    connected_cographs,
+    dense_gate,
+    index_chain,
+    index_level_masses,
+    index_overlaps,
+)
 
 
 def prepare_ints(g):
     return spectral.validate_integer_spectrum(
         spectral.eigendecompose(graph.laplacian(g))
     )
+
+
+def vertex_masses(spec, m):
+    """m's masses <m|E_g|m> on the eigenspace groups, as the pipelines
+    read them."""
+    return simulate.group_sums(spec, spec.eigenvectors[m] ** 2)
 
 
 @pytest.mark.parametrize(
@@ -59,9 +75,9 @@ def test_chain_partition_invariant(sampling_suite):
     for g in sampling_suite:
         chain = depth.build_depth_chain(prepare_ints(g))
         for k in range(chain.depth):
-            kept = set(chain.levels[k + 1].indices)
+            kept = set(chain.levels[k + 1].groups)
             split = set(chain.levels[k + 1].complement)
-            assert kept | split == set(chain.levels[k].indices)
+            assert kept | split == set(chain.levels[k].groups)
             assert not kept & split
             g_k = chain.levels[k].gcd
             assert all((chain.values[i] // g_k) % 2 == 0 for i in kept)
@@ -77,14 +93,23 @@ def test_chain_invariants_random_multisets(nonzero):
     chain = depth.build_depth_chain(values)
     assert chain.level_values(chain.depth) == [0]
     assert chain.depth <= len(set(values))
+    assert list(chain.values) == sorted(set(values))
+    assert list(chain.multiplicities) == [values.count(x) for x in chain.values]
     for k in range(chain.depth):
-        kept = set(chain.levels[k + 1].indices)
+        kept = set(chain.levels[k + 1].groups)
         split = set(chain.levels[k + 1].complement)
-        assert kept | split == set(chain.levels[k].indices)
+        assert kept | split == set(chain.levels[k].groups)
         assert not kept & split
         assert split  # every refinement step splits something off
     for k, level in enumerate(chain.levels):
-        assert tuple(np.flatnonzero(chain.index_depths >= k)) == level.indices
+        assert tuple(np.flatnonzero(chain.group_depths >= k)) == level.groups
+    # the per-index chain lists the same values level by level
+    reference = index_chain(values)
+    assert len(reference) == len(chain.levels)
+    for k, (kept, split, gcd) in enumerate(reference):
+        assert chain.level_values(k) == sorted(values[i] for i in kept)
+        assert chain.complement_values(k) == sorted(values[i] for i in split)
+        assert chain.levels[k].gcd == gcd
 
 
 @given(st.permutations(list(range(6))))
@@ -105,8 +130,7 @@ def test_level_states_reach_uniform(sampling_suite):
         chain = depth.build_depth_chain(ints)
         uniform = np.full(g.n, 1 / math.sqrt(g.n))
         for m in range(g.n):
-            alphas = spectral.eigenspace_amplitudes(ints.base, m)
-            pairs = depth.level_states(chain, alphas)
+            pairs = depth.level_states(chain, ints.base.eigenvectors[m])
             top = ints.base.eigenvectors @ pairs[-1].kept
             assert abs(abs(np.dot(uniform, top)) ** 2 - 1.0) < 1e-10
 
@@ -116,17 +140,22 @@ def test_level_states_match_per_level_sums(sampling_suite):
     for g in sampling_suite:
         ints = prepare_ints(g)
         chain = depth.build_depth_chain(ints)
+        groups = ints.base.groups
+
+        def indices(positions):
+            return [i for p in positions for i in groups[p].indices]
+
         for m in range(g.n):
-            a = spectral.eigenspace_amplitudes(ints.base, m)
-            masses = [float(np.sum(a[list(level.indices)] ** 2)) for level in chain.levels]
-            # summed in the same order, so the masses and overlaps are bit-exact
-            assert depth._level_masses(chain, a).tolist() == masses
+            a = ints.base.eigenvectors[m]
+            masses = [float(np.sum(a[indices(level.groups)] ** 2)) for level in chain.levels]
+            group_masses = depth._level_masses(chain, vertex_masses(ints.base, m))
+            assert np.max(np.abs(group_masses - masses)) < 1e-15
             for pair, level, mass in zip(depth.level_states(chain, a), chain.levels, masses):
                 kept = np.zeros(g.n)
-                kept[list(level.indices)] = a[list(level.indices)] / math.sqrt(mass)
+                kept[indices(level.groups)] = a[indices(level.groups)] / math.sqrt(mass)
                 assert np.max(np.abs(pair.kept - kept)) < 1e-15
                 split = np.zeros(g.n)
-                split[list(level.complement)] = a[list(level.complement)]
+                split[indices(level.complement)] = a[indices(level.complement)]
                 if np.sum(split**2) > depth.SKIP_MASS_TOL:
                     assert np.max(np.abs(pair.split - split / np.linalg.norm(split))) < 1e-12
                 else:
@@ -144,8 +173,7 @@ def test_level_states_single_vertex():
 def test_c4_first_overlap(c4):
     ints = prepare_ints(c4)
     chain = depth.build_depth_chain(ints)
-    alphas = spectral.eigenspace_amplitudes(ints.base, 0)
-    pairs = depth.level_states(chain, alphas)
+    pairs = depth.level_states(chain, ints.base.eigenvectors[0])
     overlap = float(np.dot(pairs[0].kept, pairs[1].kept))
     assert overlap == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
@@ -153,8 +181,7 @@ def test_c4_first_overlap(c4):
 def test_c4_overlaps_and_cost_product(c4):
     ints = prepare_ints(c4)
     chain = depth.build_depth_chain(ints)
-    alphas = spectral.eigenspace_amplitudes(ints.base, 0)
-    ovl = depth.overlaps(chain, alphas)
+    ovl = depth.overlaps(chain, vertex_masses(ints.base, 0))
     assert np.allclose(ovl, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-12)
     product = np.prod(2.0 / ovl)
     assert product == pytest.approx(2**chain.depth * math.sqrt(c4.n), abs=1e-9)
@@ -190,8 +217,8 @@ def test_overlaps_match_transitive_for_all_vertices(sampling_suite):
         chain = depth.build_depth_chain(ints)
         reference = depth.transitive_overlaps(chain)
         for m in range(g.n):
-            alphas = spectral.eigenspace_amplitudes(ints.base, m)
-            assert np.allclose(depth.overlaps(chain, alphas), reference, atol=1e-9)
+            masses = vertex_masses(ints.base, m)
+            assert np.allclose(depth.overlaps(chain, masses), reference, atol=1e-9)
 
 
 def test_split_state_lies_in_consecutive_kept_span(sampling_suite):
@@ -199,8 +226,7 @@ def test_split_state_lies_in_consecutive_kept_span(sampling_suite):
         ints = prepare_ints(g)
         chain = depth.build_depth_chain(ints)
         for m in range(g.n):
-            alphas = spectral.eigenspace_amplitudes(ints.base, m)
-            pairs = depth.level_states(chain, alphas)
+            pairs = depth.level_states(chain, ints.base.eigenvectors[m])
             for k in range(chain.depth):
                 split = pairs[k + 1].split
                 if split is None:
@@ -218,11 +244,10 @@ def test_skip_level_for_star_center():
     ints = prepare_ints(star)
     chain = depth.build_depth_chain(ints)
     assert chain.depth == 2
-    alphas = spectral.eigenspace_amplitudes(ints.base, 0)
-    ovl = depth.overlaps(chain, alphas)
+    ovl = depth.overlaps(chain, vertex_masses(ints.base, 0))
     assert ovl[0] == 1.0
     assert ovl[1] == pytest.approx(0.5, abs=1e-9)
-    leaf = spectral.eigenspace_amplitudes(ints.base, 1)
+    leaf = vertex_masses(ints.base, 1)
     assert all(o < 1.0 for o in depth.overlaps(chain, leaf))
 
 
@@ -237,3 +262,47 @@ def test_chain_json_export(c4):
     data = depth.chain_to_json_dict(chain)
     assert data["d"] == 2
     assert data["levels"][1] == {"lambda": [0, 4], "complement": [2, 2], "gcd": 4}
+
+
+def test_closed_form_chain_never_builds_n_entries():
+    # hamming(40, 2): N = 2^40 vertices in 41 groups, eigenvalue 2i with
+    # multiplicity C(40, i); level k keeps the i divisible by 2^k, with
+    # gcd 2^(k+1), until only i = 0 is left at level 6
+    tracemalloc.start()
+    try:
+        chain = depth.build_depth_chain(spectral.family_spectrum("hamming", (40, 2)))
+        overlaps = depth.transitive_overlaps(chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert chain.depth == 6 == math.floor(math.log2(40)) + 1
+    assert [level.gcd for level in chain.levels] == [2 ** (k + 1) for k in range(6)] + [1]
+    sizes = [sum(math.comb(40, i) for i in range(0, 41, 2**k)) for k in range(7)]
+    assert sizes[0] == 2**40 and sizes[-1] == 1
+    assert overlaps.tolist() == [math.sqrt(b / a) for a, b in zip(sizes, sizes[1:])]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(connected_cographs(max_n=6), connected_cographs(max_n=6))
+def test_chain_of_cartesian_products_matches_per_index_reference(left, right):
+    g = cartesian_product(left, right)
+    sums = sorted(x + y for x in dense_gate(left).int_eigenvalues
+                  for y in dense_gate(right).int_eigenvalues)
+    # the gate accepts the product on the eigenvalue-only and the full route
+    assert dense_gate(g).int_eigenvalues == tuple(sums)
+    ctx = pipelines.prepare(g)
+    assert ctx.ints.int_eigenvalues == tuple(sums)
+    reference = index_chain(sums)
+    assert ctx.chain.depth == len(reference) - 1
+    for k, (kept, split, gcd) in enumerate(reference):
+        assert ctx.chain.level_values(k) == [sums[i] for i in kept]
+        assert ctx.chain.complement_values(k) == [sums[i] for i in split]
+        assert ctx.chain.levels[k].gcd == gcd
+    for m in range(g.n):
+        row = ctx.spectrum.eigenvectors[m]
+        masses = vertex_masses(ctx.spectrum, m)
+        assert np.max(np.abs(depth._level_masses(ctx.chain, masses)
+                             - index_level_masses(reference, row))) <= 1e-15
+        assert np.max(np.abs(depth.overlaps(ctx.chain, masses)
+                             - index_overlaps(reference, row))) <= 1e-15

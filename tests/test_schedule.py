@@ -120,8 +120,8 @@ def test_c4_oracle_count_bound(c4):
 def test_skip_stage_emits_nothing():
     star = graph.complete_bipartite(1, 3)
     spec, chain = build_context(star)
-    alphas = spectral.eigenspace_amplitudes(spec, 0)
-    sched = schedule.synth_sampling_schedule(chain, depth.overlaps(chain, alphas))
+    masses = simulate.group_sums(spec, spec.eigenvectors[0] ** 2)
+    sched = schedule.synth_sampling_schedule(chain, depth.overlaps(chain, masses))
     assert len(sched.stage_boundaries) == 1
     assert sched.stage_levels == (1,)
     # with the first stage skipped, the remaining stage conjugates nothing

@@ -15,8 +15,7 @@ def c4_spec(c4):
 def c4_level_pairs(c4_spec, vertex=0):
     ints = spectral.validate_integer_spectrum(c4_spec)
     chain = depth.build_depth_chain(ints)
-    alphas = spectral.eigenspace_amplitudes(c4_spec, vertex)
-    return chain, depth.level_states(chain, alphas)
+    return chain, depth.level_states(chain, c4_spec.eigenvectors[vertex])
 
 
 def to_vertex_space(spec, coeffs):
@@ -618,7 +617,7 @@ def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
         lifted = simulate.lift(spec, [m], coords[None], got)[0, 0]
         assert_close(lifted, basis @ got[0, 0])
 
-        pairs = depth.level_states(ctx.chain, spectral.eigenspace_amplitudes(spec, m))
+        pairs = depth.level_states(ctx.chain, spec.eigenvectors[m])
         stage_fids = []
 
         def check(i, state):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from qwalk import depth, graph, simulate, spectral
+from qwalk import depth, graph, pipelines, simulate, spectral
 from qwalk.errors import SpectrumError
 
 from conftest import dense_gate, reachable
@@ -155,7 +155,10 @@ def test_validate_rejects_nonsimple_zero():
 
 def test_validate_integer_spectrum_messages():
     def validate(values):
-        return spectral.validate_integer_spectrum(spectral.Spectrum(np.array(values), None, ()))
+        # one group per value, so two values near 0 stay two groups
+        groups = tuple(spectral.EigenGroup(x, (i,)) for i, x in enumerate(values))
+        return spectral.validate_integer_spectrum(
+            spectral.Spectrum(np.array(values), None, groups))
 
     ints = validate([-4e-7, 1.0000004, 2.0, 2.0, 2.5 - 0.5])
     assert ints.int_eigenvalues == (0, 1, 2, 2, 2) and ints.zero_index == 0
@@ -171,24 +174,29 @@ def test_validate_integer_spectrum_messages():
 
 
 def test_amplitudes_k2():
+    # a vertex's amplitudes are its eigenvector row; its masses sum them
+    # over each group
     spec = spectral.eigendecompose(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     for v in (0, 1):
-        amps = spectral.eigenspace_amplitudes(spec, v)
-        assert abs(abs(amps[0]) - 1 / math.sqrt(2)) < 1e-12
+        assert abs(abs(spec.eigenvectors[v, 0]) - 1 / math.sqrt(2)) < 1e-12
+        masses = simulate.group_sums(spec, spec.eigenvectors[v] ** 2)
+        assert np.allclose(masses, [0.5, 0.5], atol=1e-12)
 
 
 def test_amplitudes_unit_norm(sampling_suite):
     for g in sampling_suite:
         spec = spectral.eigendecompose(graph.laplacian(g))
-        for v in range(g.n):
-            amps = spectral.eigenspace_amplitudes(spec, v)
-            assert abs(np.sum(amps**2) - 1.0) < 1e-10
+        masses = simulate.group_sums(spec, spec.eigenvectors**2)
+        assert masses.shape == (g.n, len(spec.groups))
+        assert np.max(np.abs(masses.sum(axis=1) - 1.0)) < 1e-10
 
 
 def test_amplitudes_out_of_range(c4):
-    spec = spectral.eigendecompose(graph.laplacian(c4))
-    with pytest.raises(SpectrumError, match="out of range"):
-        spectral.eigenspace_amplitudes(spec, 4)
+    # sampling_schedule reads the vertex's row, so it checks the range
+    ctx = pipelines.prepare(c4)
+    for bad in (4, -1):
+        with pytest.raises(SpectrumError, match=rf"^vertex index {bad} out of range for n=4$"):
+            pipelines.sampling_schedule(ctx, bad)
 
 
 def frame_masses(spec, v):
@@ -243,9 +251,9 @@ def test_transitive_masses_match_multiplicity_over_n(sampling_suite):
     for g in sampling_suite:
         spec = spectral.eigendecompose(graph.laplacian(g))
         for v in range(g.n):
-            amps = spectral.eigenspace_amplitudes(spec, v)
+            row = spec.eigenvectors[v]
             for grp in spec.groups:
-                mass = float(np.sum(amps[list(grp.indices)] ** 2))
+                mass = float(np.sum(row[list(grp.indices)] ** 2))
                 assert abs(mass - grp.multiplicity / g.n) < 1e-9
 
 
@@ -290,8 +298,6 @@ def test_eigenvalue_only_gate_matches_eigendecompose(
         assert depth.chain_to_json_dict(depth.build_depth_chain(ints)) == (
             depth.chain_to_json_dict(depth.build_depth_chain(full))
         )
-    with pytest.raises(SpectrumError, match="eigenvalues only"):
-        spectral.eigenspace_amplitudes(ints.base, 0)
 
 
 def test_certificate_rejects_loose_tolerance():
@@ -364,7 +370,7 @@ def test_closed_form_matches_dense_gate(name, params):
     assert (name, params) in matches
     dense = dense_gate(g)
     fast = spectral.graph_integer_spectrum(g)
-    assert fast.base.eigenvectors is None
+    assert fast.base is None
     assert gate_json(fast) == gate_json(dense)
     for match in matches:  # every family the edges fit gives the same values
         assert spectral.family_spectrum(*match).int_eigenvalues == dense.int_eigenvalues
