@@ -12,7 +12,9 @@ state on a vertex set.
 Sampling and search each run through one sweep (``_sample_sweep``,
 ``_search_sweep``) over rows, a start or hidden vertex with its own
 schedules, in that vertex's frame, one zero-padded coordinate per
-eigenspace group.  Sampling makes one pass of the batched executor per
+eigenspace group.  A vertex enters synthesis, the mass classes and its
+frame only through its row of the spectrum's mass table, so sampling
+reads no eigenvector.  Sampling makes one pass of the batched executor per
 stage structure, and search one per branch.  Transfer makes no pass of
 its own: ``_transfer_sweep`` reads it off the final states of two rows
 of a sampling pass (``_sample_pass``, which builds no reports), weighted
@@ -148,7 +150,7 @@ class LaplacianContext:
         class finds every vertex of the class.  Vertex-transitive and
         walk-regular graphs have one class (Godsil & McKay 1980)."""
         member = self.chain.group_depths[:, None] >= np.arange(len(self.chain.levels))
-        masses = sim.group_sums(self.spectrum, self.spectrum.eigenvectors**2) @ member
+        masses = self.spectrum.masses @ member
         free, reps = np.arange(self.graph.n), []
         while free.size:
             reps.append(int(free[0]))
@@ -300,8 +302,7 @@ def sampling_schedule(ctx: LaplacianContext, m: int) -> sched_mod.Schedule:
     """The forward schedule carrying vertex m to the uniform state."""
     if not 0 <= m < ctx.graph.n:
         raise SpectrumError(f"vertex index {m} out of range for n={ctx.graph.n}")
-    row = ctx.spectrum.eigenvectors[m]
-    overlaps = depth_mod.overlaps(ctx.chain, sim.group_sums(ctx.spectrum, row * row))
+    overlaps = depth_mod.overlaps(ctx.chain, ctx.spectrum.masses[m])
     return sched_mod.synth_sampling_schedule(ctx.chain, overlaps)
 
 
@@ -343,7 +344,7 @@ def _sample_pass(
     for schedule in schedules:
         _check_stages(ctx, schedule)
     coords = sim.frame_coords(ctx.spectrum, vertices)
-    values = np.array([g.value for g in ctx.spectrum.groups])
+    values = np.array(ctx.spectrum.values)
     finals, passes = np.zeros(coords.shape, dtype=complex), []
     structures: dict[tuple, list[int]] = {}
     for i, schedule in enumerate(schedules):
@@ -419,7 +420,7 @@ def _transfer_sweep(
     pair and no executor pass."""
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
     vertex, vectors = np.asarray(vertices), ctx.spectrum.eigenvectors
-    gram = sim.group_sums(ctx.spectrum, vectors[vertex[rows]] * vectors[vertex[cols]])
+    gram = spectral.group_sums(ctx.spectrum, vectors[vertex[rows]] * vectors[vertex[cols]])
     fids = np.abs((finals[cols].conj() * finals[rows] * gram).sum(axis=1)) ** 2
     return [
         _report(
@@ -469,8 +470,7 @@ def search_bipartite(
     """Two-branch deterministic search on the complete bipartite graph:
     branch i rotates the uniform state on block i onto the marked vertex
     under the adjacency walk, so exactly one branch finds it."""
-    g = complete_bipartite(n1, n2)
-    bctx = BipartiteContext(g, (tuple(range(n1)), tuple(range(n1, g.n))))
+    bctx = prepare_bipartite(complete_bipartite(n1, n2))
     return execute_search(bctx, bctx.branches, marked, threshold)
 
 
@@ -546,8 +546,8 @@ def _run_branch(spectrum: spectral.Spectrum, vertices: np.ndarray, coords: np.nd
     amplitudes, shape (R, 2, N), with the ancilla carried.  Coordinate g
     of the start in row i is <m_i|E_g|start> / coords[i, g], O(N) per
     row."""
-    values = np.array([g.value for g in spectrum.groups])
-    x = sim.group_sums(spectrum, spectrum.eigenvectors[vertices] * start)
+    values = np.array(spectrum.values)
+    x = spectral.group_sums(spectrum, spectrum.eigenvectors[vertices] * start)
     x = sim.divide_coords(x, coords)
     blocks = sim.run_stages(np.stack([x, 0 * x], axis=1), [schedule] * len(x), values, coords)
     return sim.lift(spectrum, vertices, coords, blocks)

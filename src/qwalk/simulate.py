@@ -6,9 +6,10 @@ U O U^dagger = I + (e^{-i alpha} - 1) sum_a |w_a><w_a| with w_a = U|a, m>,
 exactly and for any state.  So a schedule costs O(r) per stage iteration
 in any r-dimensional frame where the walk is diagonal (``run_stages``).
 A run from vertex m with its oracle on m stays in span{E_g|m>}, which
-``frame_coords`` spans with one coordinate per eigenspace group, from the
-eigenvectors' rows and with no N x N product; every pipeline runs there,
-on the Laplacian or the adjacency spectrum.  A coordinate on an
+``frame_coords`` spans with one coordinate per eigenspace group, read
+off the spectrum's mass table (built once, with the decomposition) and
+with no N x N product; every pipeline runs there, on the Laplacian or
+the adjacency spectrum.  A coordinate on an
 eigenspace m has no mass on is exactly 0 and stays so: the start and the
 oracle pair w_a are 0 there, and the kick acts on each coordinate alone.
 So the executor runs R rows at once, each with its own marked vertex,
@@ -297,24 +298,18 @@ def run_schedule(
     return _state(_rotate(vectors, blocks).ravel(), n)
 
 
-def group_sums(spectrum: Spectrum, x: np.ndarray) -> np.ndarray:
-    """x summed over the indices of each eigenspace group (an index run),
-    along its last axis: with x = V[u] * V[v], the entries (E_g)_uv."""
-    return np.add.reduceat(x, [g.indices[0] for g in spectrum.groups], axis=-1)
-
-
 def frame_coords(spectrum: Spectrum, vertices: Sequence[int]) -> np.ndarray:
     """Row i: |vertices[i]> in its frame, whose coordinate g is the unit
     vector E_g|m> / ||E_g|m>|| for every eigenspace group g, shape (R, G):
-    ||E_g|m>|| where the mass (E_g)_mm is above ``SKIP_MASS_TOL``, and
-    exactly 0 on the eigenspaces m has no mass on.  Such a coordinate
-    stays 0 through every run from |m> with its oracle on m, so rows of
-    different vertices share one executor pass.  O(N) per vertex."""
+    ||E_g|m>||, read off the spectrum's mass table where the mass
+    (E_g)_mm is above ``SKIP_MASS_TOL``, and exactly 0 on the eigenspaces
+    m has no mass on.  Such a coordinate stays 0 through every run from
+    |m> with its oracle on m, so rows of different vertices share one
+    executor pass.  O(G) per vertex, and no eigenvector is read."""
     vertices = np.asarray(vertices, dtype=int)
     for v in vertices[(vertices < 0) | (vertices >= spectrum.n)][:1].tolist():
         raise SimulationError(f"marked vertex {v} out of range for n={spectrum.n}")
-    rows = spectrum.eigenvectors[vertices]
-    mass = group_sums(spectrum, rows * rows)
+    mass = spectrum.masses[vertices]
     return np.sqrt(np.where(mass > SKIP_MASS_TOL, mass, 0.0))
 
 
@@ -332,7 +327,7 @@ def lift(
     N x N product for every row and block."""
     per_group = divide_coords(x, coords[:, None])
     y = spectrum.eigenvectors[vertices][:, None] * np.repeat(
-        per_group, [g.multiplicity for g in spectrum.groups], axis=2)
+        per_group, spectrum.multiplicities, axis=2)
     amps = _rotate(spectrum.eigenvectors, y.reshape(-1, spectrum.n)).reshape(y.shape)
     _check_norms(amps)
     return amps

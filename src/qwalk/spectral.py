@@ -1,9 +1,12 @@
-"""Dense symmetric eigendecomposition, eigenspace grouping, and the
-integer-spectrum gate.
+"""Dense symmetric eigendecomposition, eigenspace grouping, the vertex
+mass table, and the integer-spectrum gate.
 
-All downstream formulas consume eigenspace projection masses (sums over a
-degenerate group), never individual eigenvectors, so results do not depend
-on the solver's arbitrary basis choice inside a degenerate eigenspace.
+A decomposition's G eigenspace groups are runs of indices, held as mean
+values and multiplicities; ``eigendecompose`` also builds once the (N, G)
+table of vertex masses <m|E_g|m> (``group_sums`` of the squared
+eigenvectors) that synthesis, mass classes and frames read.  Downstream
+formulas consume only such group sums, never individual eigenvectors, so
+results do not depend on the solver's basis inside a degenerate eigenspace.
 
 ``graph_integer_spectrum`` is the one gate on a graph's Laplacian.  Its
 G eigenvalue groups come from a decomposition the caller passes, else in
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,29 +48,21 @@ CERT_SEED = 20240601
 
 
 @dataclass(frozen=True)
-class EigenGroup:
-    """One distinct eigenvalue with the indices of its eigenspace."""
-
-    value: float
-    indices: tuple[int, ...]
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Orthonormal real eigendecomposition of a symmetric matrix.
 
     ``eigenvalues`` are ascending; column i of ``eigenvectors`` pairs with
-    eigenvalue i.  ``eigenvectors`` is None when only the eigenvalues were
-    computed.  Arrays are frozen read-only.
+    eigenvalue i.  Eigenspace group g, a run of ``multiplicities[g]``
+    indices, has mean eigenvalue ``values[g]``, and ``masses[m, g]`` is
+    vertex m's mass <m|E_g|m> on it.  ``eigenvectors`` and ``masses`` are
+    None when only the eigenvalues were computed.  Arrays are read-only.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    groups: tuple[EigenGroup, ...]
+    values: tuple[float, ...]
+    multiplicities: tuple[int, ...]
+    masses: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -100,8 +95,9 @@ class IntegerSpectrum:
         return sum(k for x, k in zip(self.values, self.multiplicities) if x < 0)
 
 
-def eigendecompose(matrix: np.ndarray, *, group_tol: float = GROUP_TOL) -> Spectrum:
-    """Eigendecompose a real symmetric matrix and group its eigenspaces.
+def eigendecompose(matrix: np.ndarray) -> Spectrum:
+    """Eigendecompose a real symmetric matrix, group its eigenspaces and
+    tabulate every vertex's mass on each group, once.
 
     Raises SpectrumError if the input is not symmetric, the solver fails to
     converge, or the decomposition misses the orthonormality/reconstruction
@@ -119,10 +115,18 @@ def eigendecompose(matrix: np.ndarray, *, group_tol: float = GROUP_TOL) -> Spect
     if residual > RECONSTRUCTION_TOL * (1.0 + scale):
         raise SpectrumError(f"reconstruction residual too large: {residual:.3e}")
 
-    groups = _group_eigenvalues(eigenvalues, group_tol)
-    eigenvalues.flags.writeable = False
-    eigenvectors.flags.writeable = False
-    return Spectrum(eigenvalues, eigenvectors, groups)
+    spectrum = Spectrum(eigenvalues, eigenvectors, *_group_eigenvalues(eigenvalues))
+    masses = group_sums(spectrum, eigenvectors * eigenvectors)
+    for array in (eigenvalues, eigenvectors, masses):
+        array.flags.writeable = False
+    return replace(spectrum, masses=masses)
+
+
+def group_sums(spectrum: Spectrum, x: np.ndarray) -> np.ndarray:
+    """x summed over the indices of each eigenspace group (an index run),
+    along its last axis: with x = V[u] * V[v], the entries (E_g)_uv."""
+    starts = np.cumsum((0, *spectrum.multiplicities[:-1]))
+    return np.add.reduceat(x, starts, axis=-1)
 
 
 def _symmetric(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -143,20 +147,19 @@ def _solve(solver, m: np.ndarray):
         raise SpectrumError(f"symmetric eigensolver failed to converge: {exc}") from exc
 
 
-def _group_eigenvalues(eigenvalues: np.ndarray, tol: float) -> tuple[EigenGroup, ...]:
-    # Cluster ascending eigenvalues at gaps >= tol; the spread inside one
-    # cluster must stay below tol or the grouping is ambiguous.
-    cuts = [0, *(np.flatnonzero(np.diff(eigenvalues) >= tol) + 1).tolist(), len(eigenvalues)]
-    groups: list[EigenGroup] = []
-    for start, stop in zip(cuts, cuts[1:]):
-        block = eigenvalues[start:stop]
-        if float(block[-1] - block[0]) >= tol:
+def _group_eigenvalues(eigenvalues: np.ndarray) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    # Cluster ascending eigenvalues at gaps >= GROUP_TOL into their means
+    # and sizes; the spread inside one cluster must stay below GROUP_TOL
+    # or the grouping is ambiguous.
+    cuts = [0, *(np.flatnonzero(np.diff(eigenvalues) >= GROUP_TOL) + 1).tolist(), len(eigenvalues)]
+    blocks = [eigenvalues[start:stop] for start, stop in zip(cuts, cuts[1:])]
+    for block in blocks:
+        if float(block[-1] - block[0]) >= GROUP_TOL:
             raise SpectrumError(
                 "ambiguous eigenvalue clustering near "
                 f"{float(block[0]):.9g}..{float(block[-1]):.9g}"
             )
-        groups.append(EigenGroup(float(np.mean(block)), tuple(range(start, stop))))
-    return tuple(groups)
+    return tuple(float(np.mean(block)) for block in blocks), tuple(map(len, blocks))
 
 
 def validate_integer_spectrum(
@@ -175,8 +178,7 @@ def validate_integer_spectrum(
         i = int(bad[0])
         raise SpectrumError(f"non-integer eigenvalue {float(values[i]):.9g} at index {i}")
     # a group spreads less than GROUP_TOL, so its members round as one
-    return IntegerSpectrum(tuple(int(round(grp.value)) for grp in spectrum.groups),
-                           tuple(grp.multiplicity for grp in spectrum.groups), spectrum)
+    return IntegerSpectrum(tuple(map(round, spectrum.values)), spectrum.multiplicities, spectrum)
 
 
 def graph_integer_spectrum(
@@ -234,7 +236,7 @@ def family_spectrum(name: str, params: tuple[int, ...]) -> IntegerSpectrum:
 def _values_only(values: np.ndarray) -> Spectrum:
     """An eigenvalue-only Spectrum of ascending ``values``, frozen."""
     values.flags.writeable = False
-    return Spectrum(values, None, _group_eigenvalues(values, GROUP_TOL))
+    return Spectrum(values, None, *_group_eigenvalues(values))
 
 
 def _certify(ints: IntegerSpectrum, g: Graph) -> None:

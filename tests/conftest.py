@@ -43,6 +43,14 @@ def dense_gate(g, **kwargs):
         g, spectral._values_only(laplacian_eigenvalues(g)), **kwargs)
 
 
+def group_runs(spec):
+    """Each eigenspace group's run of eigen-indices into ``spec``, as a
+    ``range``: group g covers ``multiplicities[g]`` indices after the
+    groups before it."""
+    stops = np.cumsum(spec.multiplicities).tolist()
+    return [range(stop - k, stop) for k, stop in zip(spec.multiplicities, stops)]
+
+
 def index_chain(values):
     """The depth chain over eigen-indices, the reference the group-keyed
     ``depth.build_depth_chain`` is checked against: per level, its kept

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwalk import depth, graph, pipelines, simulate, spectral
+from qwalk import depth, graph, pipelines, spectral
 from qwalk.errors import DepthError
 
 from conftest import (
     cartesian_product,
     connected_cographs,
     dense_gate,
+    group_runs,
     index_chain,
     index_level_masses,
     index_overlaps,
@@ -27,7 +28,7 @@ def prepare_ints(g):
 def vertex_masses(spec, m):
     """m's masses <m|E_g|m> on the eigenspace groups, as the pipelines
     read them."""
-    return simulate.group_sums(spec, spec.eigenvectors[m] ** 2)
+    return spec.masses[m]
 
 
 @pytest.mark.parametrize(
@@ -140,10 +141,10 @@ def test_level_states_match_per_level_sums(sampling_suite):
     for g in sampling_suite:
         ints = prepare_ints(g)
         chain = depth.build_depth_chain(ints)
-        groups = ints.base.groups
+        runs = group_runs(ints.base)
 
         def indices(positions):
-            return [i for p in positions for i in groups[p].indices]
+            return [i for p in positions for i in runs[p]]
 
         for m in range(g.n):
             a = ints.base.eigenvectors[m]

@@ -37,6 +37,24 @@ def test_uniform_sample_c4_cost(c4):
     assert report.oracle_count <= 2**report.depth * math.sqrt(c4.n) * math.pi
 
 
+def test_sampling_needs_no_eigenvectors(k4_minus_edge):
+    # sampling reads only the group values and the mass table: a context
+    # whose spectrum has no eigenvectors reports what the full one does
+    for g in [graph.rook(3, 3), k4_minus_edge]:
+        ctx = pipelines.prepare(g)
+        bare = dataclasses.replace(ctx.spectrum, eigenvectors=None)
+        lean = pipelines.LaplacianContext(g, dataclasses.replace(ctx.ints, base=bare), ctx.chain)
+        vertices = list(range(g.n))
+        schedules = [pipelines.sampling_schedule(ctx, m) for m in vertices]
+        assert [pipelines.sampling_schedule(lean, m) for m in vertices] == schedules
+        for m in vertices:
+            want = pipelines.uniform_sample(g, m, ctx=ctx)
+            assert pipelines.uniform_sample(g, m, ctx=lean) == want
+        (got, got_finals), (want, want_finals) = (
+            pipelines._sample_sweep(c, schedules, vertices) for c in (lean, ctx))
+        assert got == want and np.array_equal(got_finals, want_finals)
+
+
 def test_sample_rejects_non_integer_spectrum():
     with pytest.raises(SpectrumError, match="non-integer"):
         pipelines.uniform_sample(graph.cycle(5), 0)
@@ -475,9 +493,7 @@ def test_verify_c4(c4):
 def test_verify_petersen_spectrum_crosscheck():
     g = graph.kneser(5, 2)
     ctx = pipelines.prepare(g)
-    observed = {
-        int(round(grp.value)): grp.multiplicity for grp in ctx.spectrum.groups
-    }
+    observed = dict(zip(map(round, ctx.spectrum.values), ctx.spectrum.multiplicities))
     assert observed == {0: 1, 2: 5, 5: 4}
     result = pipelines.verify_graph(g)
     assert result.min_fidelity >= THRESHOLD

@@ -120,7 +120,7 @@ def test_c4_oracle_count_bound(c4):
 def test_skip_stage_emits_nothing():
     star = graph.complete_bipartite(1, 3)
     spec, chain = build_context(star)
-    masses = simulate.group_sums(spec, spec.eigenvectors[0] ** 2)
+    masses = spec.masses[0]
     sched = schedule.synth_sampling_schedule(chain, depth.overlaps(chain, masses))
     assert len(sched.stage_boundaries) == 1
     assert sched.stage_levels == (1,)

@@ -6,6 +6,8 @@ import pytest
 from qwalk import depth, graph, pipelines, schedule, simulate, spectral
 from qwalk.errors import SimulationError
 
+from conftest import group_runs
+
 
 @pytest.fixture
 def c4_spec(c4):
@@ -489,19 +491,15 @@ def frame_basis(spec, m):
     coordinates: column g is E_g|m> over its norm coords[g], or 0 where
     coords[g] is 0."""
     v, coords = spec.eigenvectors, simulate.frame_coords(spec, [m])[0]
-    columns = [v[:, list(g.indices)] @ v[m, list(g.indices)] / c if c else np.zeros(len(v))
-               for g, c in zip(spec.groups, coords)]
+    columns = [v[:, run] @ v[m, run] / c if c else np.zeros(len(v))
+               for run, c in zip(group_runs(spec), coords)]
     return np.array(columns).T, coords
-
-
-def group_values(spec):
-    return np.array([g.value for g in spec.groups])
 
 
 def branch_start(spec, vertices, coords, start):
     """A branch's start, eigen-coefficients ``start``, in the frames of
     vertices with the ancilla |0> block and the |1> block."""
-    x = simulate.group_sums(spec, spec.eigenvectors[list(vertices)] * start)
+    x = spectral.group_sums(spec, spec.eigenvectors[list(vertices)] * start)
     x = simulate.divide_coords(x, coords)
     return np.stack([x, 0 * x], axis=1)
 
@@ -515,8 +513,7 @@ def run_branch(spec, m, start, sched):
 def dense_gram(spec, u, v):
     """(E_g)_uv for every eigenspace g, from the dense projectors."""
     vectors = spec.eigenvectors
-    return np.array([(vectors[:, list(g.indices)] @ vectors[v, list(g.indices)])[u]
-                     for g in spec.groups])
+    return np.array([(vectors[:, run] @ vectors[v, run])[u] for run in group_runs(spec)])
 
 
 def assert_close(a, b):
@@ -529,14 +526,14 @@ def test_vertex_frame_is_orthonormal_and_holds_its_vertices(frame_case):
     # has mass, and a pair's Gram entries are the inner products of its
     # frames' vectors
     ctx, vertices, pairs, _ = frame_case
-    spec, groups = ctx.spectrum, len(ctx.spectrum.groups)
+    spec, groups = ctx.spectrum, len(ctx.spectrum.values)
     for m in {*vertices, *np.ravel(pairs).tolist()}:
         basis, coords = frame_basis(spec, m)
         assert coords.shape == (groups,)
         assert_close(basis.T @ basis, np.diag(coords > 0))
         assert_close(basis @ coords, np.eye(ctx.graph.n)[m])
     for u, v in pairs:
-        gram = simulate.group_sums(spec, spec.eigenvectors[u] * spec.eigenvectors[v])
+        gram = spectral.group_sums(spec, spec.eigenvectors[u] * spec.eigenvectors[v])
         assert_close(gram, dense_gram(spec, u, v))
         (bu, cu), (bv, cv) = frame_basis(spec, u), frame_basis(spec, v)
         assert_close(gram, cu * cv * (bu * bv).sum(axis=0))
@@ -551,7 +548,7 @@ def test_frame_coords_are_exactly_zero_off_a_vertexs_eigenspaces():
     for g, kept in [(graph.complete_bipartite(1, 3), [[0, 4]] + [[0, 1, 4]] * 3),
                     (graph.complete_bipartite(2, 3), [[0, 3, 5]] * 2 + [[0, 2, 5]] * 3)]:
         ctx = pipelines.prepare(g)
-        spec, vertices, values = ctx.spectrum, range(g.n), group_values(ctx.spectrum)
+        spec, vertices, values = ctx.spectrum, range(g.n), np.array(ctx.spectrum.values)
         coords = simulate.frame_coords(spec, vertices)
         zero = coords == 0.0
         for row, held in zip(coords, kept):
@@ -575,8 +572,8 @@ def test_gram_entries_vanish_off_shared_eigenspaces():
     # has no mass on; a vertex out of range is refused by name
     spec = pipelines.prepare(graph.complete_bipartite(2, 3)).spectrum
     for (u, v), nonzero in [((0, 1), [0, 3, 5]), ((2, 4), [0, 2, 5]), ((0, 4), [0, 5])]:
-        gram = simulate.group_sums(spec, spec.eigenvectors[u] * spec.eigenvectors[v])
-        held = [g.value for g, entry in zip(spec.groups, gram) if abs(entry) > 1e-9]
+        gram = spectral.group_sums(spec, spec.eigenvectors[u] * spec.eigenvectors[v])
+        held = [x for x, entry in zip(spec.values, gram) if abs(entry) > 1e-9]
         assert np.allclose(held, nonzero, atol=1e-9)
     for vertices in ([5], [0, 5], [0, -1]):
         bad = [v for v in vertices if not 0 <= v < 5][0]
@@ -589,7 +586,7 @@ def test_run_stages_mixes_frames_that_keep_different_eigenspaces():
     # is 0, beside its leaves under each search branch; every row reads
     # what it reads run alone, and a batch's coordinates are the one-row ones
     ctx = pipelines.prepare(graph.complete_bipartite(1, 3))
-    spec, values = ctx.spectrum, group_values(ctx.spectrum)
+    spec, values = ctx.spectrum, np.array(ctx.spectrum.values)
     coords = simulate.frame_coords(spec, [1, 0, 3, 2])
     assert (coords[1] == 0.0).sum() == 1 and np.all(coords[[0, 2, 3]] > 0)
     for i, v in enumerate([1, 0, 3, 2]):
@@ -613,7 +610,7 @@ def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
     for m in vertices:
         sched = pipelines.sampling_schedule(ctx, m)
         basis, coords = frame_basis(spec, m)
-        got = simulate.run_stages(coords[None, None], [sched], group_values(spec), coords[None])
+        got = simulate.run_stages(coords[None, None], [sched], np.array(spec.values), coords[None])
         lifted = simulate.lift(spec, [m], coords[None], got)[0, 0]
         assert_close(lifted, basis @ got[0, 0])
 
@@ -708,6 +705,40 @@ CLASS_GRAPHS = {
 }
 
 
+MASS_TABLE_CASES = {
+    "hamming(4,2)": lambda: graph.laplacian(graph.hamming(4, 2)),
+    "complete_square(4)": lambda: graph.laplacian(graph.complete_square(4)),
+    **{name: lambda make=make: graph.laplacian(make()) for name, make in CLASS_GRAPHS.items()},
+    "adjacency K(1,3)": lambda: graph.adjacency(graph.complete_bipartite(1, 3)),
+    "adjacency K(40,60)": lambda: graph.adjacency(graph.complete_bipartite(40, 60)),
+}
+
+
+@pytest.mark.parametrize("name", MASS_TABLE_CASES)
+def test_mass_table_is_the_read_only_row_sums(name):
+    # eigendecompose tabulates every vertex's masses once; row m is the
+    # group sums of m's squared eigenvector row, bit for bit, and frames
+    # read it
+    spec = spectral.eigendecompose(MASS_TABLE_CASES[name]())
+    assert spec.masses.shape == (spec.n, len(spec.values))
+    with pytest.raises(ValueError, match="read-only"):
+        spec.masses[0, 0] = 0.0
+    for m, row in enumerate(spec.eigenvectors):
+        assert np.array_equal(spec.masses[m], spectral.group_sums(spec, row * row))
+    coords = simulate.frame_coords(spec, range(spec.n))
+    assert np.array_equal(coords == 0.0, spec.masses <= depth.SKIP_MASS_TOL)
+    if name == "adjacency K(1,3)":
+        # the centre has no mass on the eigenvalue-0 eigenspace
+        assert np.allclose(spec.values, [-math.sqrt(3), 0.0, math.sqrt(3)])
+        assert coords[0, 1] == 0.0 and np.all(coords[1:] > 0)
+
+
+def test_eigenvalue_only_spectrum_has_no_mass_table():
+    spec = spectral.graph_integer_spectrum(CLASS_GRAPHS["k4_minus_edge"]()).base
+    assert spec.eigenvectors is None and spec.masses is None
+    assert spec.values == pytest.approx((0.0, 2.0, 4.0)) and spec.multiplicities == (1, 1, 2)
+
+
 @pytest.mark.parametrize("name", [*BIPARTITE_GRAPHS, *CLASS_GRAPHS])
 def test_frame_branches_match_run_schedule(name):
     # each branch runs on g's own labels with the ancilla carried; the
@@ -740,7 +771,7 @@ def test_frame_branches_match_run_schedule(name):
 
 def test_frame_runs_keep_the_norm_check_and_detach_gate():
     ctx = pipelines.prepare(CLASS_GRAPHS["leaking"]())
-    coords, values = simulate.frame_coords(ctx.spectrum, [5]), group_values(ctx.spectrum)
+    coords, values = simulate.frame_coords(ctx.spectrum, [5]), np.array(ctx.spectrum.values)
     with pytest.raises(SimulationError, match="norm defect"):
         simulate.run_stages(2 * coords[:, None], [pipelines.sampling_schedule(ctx, 5)],
                             values, coords)
