@@ -170,12 +170,16 @@ class LaplacianContext:
             forward = [sampling_schedule(self, m) for m in self.mass_classes]
         return tuple(map(sched_mod.dagger, forward))
 
-    @functools.cached_property
-    def starts(self) -> np.ndarray:
-        """Row i: the eigen-coefficients of the uniform state, where branch
-        i starts."""
-        uniform = self.spectrum.eigenvectors.sum(axis=0) / math.sqrt(self.graph.n)
-        return np.broadcast_to(uniform, (len(self.mass_classes), self.graph.n))
+    def frame_starts(self, vertices: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Branch i's start, the uniform state, in the frames of vertices,
+        whose ``frame_coords`` are coords, shape (branches, R, G): 1 on
+        group 0, the simple eigenvalue 0, and 0 on every other group, in
+        every frame, since E_0 = |u><u| makes <m|E_0|u> = 1 / sqrt(N) the
+        coordinate itself and E_g|u> = 0 for g > 0.  No eigenvector is
+        read."""
+        start = np.zeros_like(coords)
+        start[:, 0] = 1.0
+        return np.broadcast_to(start, (len(self.mass_classes), *coords.shape))
 
 
 def prepare(g: Graph) -> LaplacianContext:
@@ -214,13 +218,18 @@ class BipartiteContext:
         """The one level's walk time, pi / sqrt(n1 * n2)."""
         return (math.pi / math.sqrt(len(self.blocks[0]) * len(self.blocks[1])),)
 
-    @functools.cached_property
-    def starts(self) -> np.ndarray:
-        """Row i: the eigen-coefficients of the uniform state on block i,
-        where branch i starts."""
-        vectors = self.spectrum.eigenvectors
-        return np.array([vectors[list(block)].sum(axis=0) / math.sqrt(len(block))
-                         for block in self.blocks])
+    def frame_starts(self, vertices: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Branch i's start, the uniform state |B_i> on block i, in the
+        frames of vertices m_j, whose ``frame_coords`` are coords, shape
+        (2, R, G).  |B_i> lies in each frame, as its projection on each
+        eigenspace g is parallel to E_g|m_j>, and its coordinate g in row
+        j is <m_j|E_g|B_i> / coords[j, g], from the eigenvectors, O(N) per
+        row and block."""
+        spectrum = self.spectrum
+        vectors = spectrum.eigenvectors
+        return np.array([sim.divide_coords(spectral.group_sums(
+            spectrum, vectors[vertices] * (vectors[list(block)].sum(axis=0) / math.sqrt(len(block)))
+        ), coords) for block in self.blocks])
 
 
 def prepare_bipartite(g: Graph) -> BipartiteContext:
@@ -491,23 +500,25 @@ def _search_sweep(
     threshold: float = FIDELITY_THRESHOLD,
 ) -> list[RunReport]:
     """For each hidden vertex m, run branch i, the reversed schedule
-    ``schedules[i]``, from ``ctx.starts[i]`` with the oracle bound to m, in
-    m's frame and with the ancilla carried: a branch for another mass class
-    can leave it entangled.  A branch's candidate, the most probable vertex
-    of its vertex marginal, is checked against the oracle (one query); it
-    succeeds when it is m with probability at least ``threshold``.  The
-    first success is the result and must pass the detach gate.  Each
-    branch runs for every hidden vertex in one executor pass."""
-    if len(schedules) != len(ctx.starts):
+    ``schedules[i]``, from its start in m's frame (``ctx.frame_starts``)
+    with the oracle bound to m and with the ancilla carried: a branch for
+    another mass class can leave it entangled.  A branch's candidate, the
+    most probable vertex of its vertex marginal, is checked against the
+    oracle (one query); it succeeds when it is m with probability at least
+    ``threshold``.  The first success is the result and must pass the
+    detach gate.  Each branch runs for every hidden vertex in one executor
+    pass."""
+    vertices = np.asarray(marked, dtype=int)
+    coords = sim.frame_coords(ctx.spectrum, vertices)
+    starts = ctx.frame_starts(vertices, coords)
+    if len(schedules) != len(starts):
         raise ScheduleError(
-            f"search on this graph takes {len(ctx.starts)} branches, got {len(schedules)}")
+            f"search on this graph takes {len(starts)} branches, got {len(schedules)}")
     for schedule in schedules:
         _check_stages(ctx, schedule)
     results: list[list[BranchResult]] = [[None] * len(schedules) for _ in marked]
     found = {}  # (row, side): the amplitudes of a successful branch
-    vertices = np.asarray(marked, dtype=int)
-    coords = sim.frame_coords(ctx.spectrum, vertices)
-    for side, (start, schedule) in enumerate(zip(ctx.starts, schedules)):
+    for side, (start, schedule) in enumerate(zip(starts, schedules)):
         amps = _run_branch(ctx.spectrum, vertices, coords, start, schedule)
         probs = (np.abs(amps) ** 2).sum(axis=1)
         for row, m in enumerate(marked):
@@ -539,17 +550,12 @@ def _search_sweep(
 
 def _run_branch(spectrum: spectral.Spectrum, vertices: np.ndarray, coords: np.ndarray,
                 start: np.ndarray, schedule: sched_mod.Schedule) -> np.ndarray:
-    """Run a reversed schedule in the frames of vertices m_i, whose
-    ``frame_coords`` are coords, from the state with eigen-coefficients
-    ``start``, a uniform state on a vertex set whose projection on each
-    eigenspace g is parallel to E_g|m_i>; return the vertex-basis
-    amplitudes, shape (R, 2, N), with the ancilla carried.  Coordinate g
-    of the start in row i is <m_i|E_g|start> / coords[i, g], O(N) per
-    row."""
-    values = np.array(spectrum.values)
-    x = spectral.group_sums(spectrum, spectrum.eigenvectors[vertices] * start)
-    x = sim.divide_coords(x, coords)
-    blocks = sim.run_stages(np.stack([x, 0 * x], axis=1), [schedule] * len(x), values, coords)
+    """Run a reversed schedule in the frames of vertices, whose
+    ``frame_coords`` are coords, from ``start``, the branch's start in
+    those frames, shape (R, G); return the vertex-basis amplitudes, shape
+    (R, 2, N), with the ancilla carried."""
+    blocks = np.stack([start, np.zeros_like(start)], axis=1)
+    blocks = sim.run_stages(blocks, [schedule] * len(start), np.array(spectrum.values), coords)
     return sim.lift(spectrum, vertices, coords, blocks)
 
 

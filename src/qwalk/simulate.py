@@ -4,14 +4,19 @@ Every op but the oracle is diagonal in the eigenbasis, and the oracle acts
 on both ancilla values: conjugated by the prefix U of earlier stages it is
 U O U^dagger = I + (e^{-i alpha} - 1) sum_a |w_a><w_a| with w_a = U|a, m>,
 exactly and for any state.  So a schedule costs O(r) per stage iteration
-in any r-dimensional frame where the walk is diagonal (``run_stages``).
+in any r-dimensional frame where the walk is diagonal (``run_stages``),
+and a stage's iteration is one fixed (2r x 2r) unitary per row, the kick
+and that rank-2 update.  A narrow batch builds the matrix once per stage
+and applies each iteration as one product with it; a wide one keeps the
+per-coordinate form, which needs no (2r)^2 array.
 A run from vertex m with its oracle on m stays in span{E_g|m>}, which
 ``frame_coords`` spans with one coordinate per eigenspace group, read
 off the spectrum's mass table (built once, with the decomposition) and
 with no N x N product; every pipeline runs there, on the Laplacian or
 the adjacency spectrum.  A coordinate on an
 eigenspace m has no mass on is exactly 0 and stays so: the start and the
-oracle pair w_a are 0 there, and the kick acts on each coordinate alone.
+oracle pair w_a are 0 there, and the kick acts on each coordinate alone,
+so the stage matrix has only the kick there too.
 So the executor runs R rows at once, each with its own marked vertex,
 kicks and oracle angles, and rows whose schedules share their stage
 structure share every iteration: one pass of numpy calls serves a whole
@@ -51,6 +56,9 @@ from .spectral import Spectrum
 
 NORM_TOL = 1e-10
 DETACH_TOL = 1e-9
+#: The most entries, rows x (2r)^2, of a batch whose stages run as
+#: dense matrices (measured in ``run_stages``)
+_DENSE_ENTRIES = 2048
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -264,7 +272,10 @@ def _kick_kernels(walk_times: np.ndarray, kicks: np.ndarray, values: np.ndarray)
     that block r after it is sum over c of m[i, k, r, c] * block c before
     it, in a frame where the walk is diagonal with ``values``.  H c(W) H is
     [[a, b], [b, a]] with a, b = (1 +- e^{-i lambda t}) / 2, and the
-    circuit is that matrix on both sides of diag(1, e^{i theta})."""
+    circuit is that matrix on both sides of diag(1, e^{i theta}).  Each
+    matrix is symmetric and unitary, so the kick D, the block-diagonal
+    (2r x 2r) matrix they make (``_kick_matrices``), is too, and its
+    adjoint is its conjugate."""
     phi = np.exp(-1j * walk_times[..., None] * values)
     z = np.exp(1j * kicks)[..., None]
     a, b = (1 + phi) / 2, (1 - phi) / 2
@@ -272,6 +283,29 @@ def _kick_kernels(walk_times: np.ndarray, kicks: np.ndarray, values: np.ndarray)
     m[:, :, 0, 0], m[:, :, 1, 1] = a * a + b * b * z, b * b + a * a * z
     m[:, :, 0, 1] = m[:, :, 1, 0] = a * b * (1 + z)
     return m
+
+
+def _kick_matrices(kernels: np.ndarray) -> np.ndarray:
+    """The kick kernels of ``_kick_kernels``, (R, S, 2, 2, r), each laid
+    out as the block-diagonal (2r x 2r) matrix D that acts on row vectors
+    x, the flattened (2, r) blocks: block r of x D is the sum over c of
+    the kernel's entry (r, c) times block c of x."""
+    count, stages, _, _, r = kernels.shape
+    d = np.zeros((count, stages, 2, r, 2, r), dtype=complex)
+    j = np.arange(r)
+    d[:, :, :, j, :, j] = kernels.transpose(4, 0, 1, 3, 2)
+    return d.reshape(count, stages, 2 * r, 2 * r)
+
+
+def _stage_matrix(kick: np.ndarray, pair: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """One stage's iteration, the kick and then the oracle, as one (2r x
+    2r) matrix per row that acts on row vectors: T = D + (D w^dagger)(c
+    w), with D the row's ``kick`` matrix, w its oracle ``pair`` (R, 2, 2,
+    r) flattened to (R, 2, 2r) and c its ``gain`` e^{-i alpha} - 1.  A
+    coordinate that is 0 in w has only its kick in T, so it stays exactly
+    0 in x."""
+    w = pair.reshape(len(pair), 2, -1)
+    return kick + (kick @ w.conj().transpose(0, 2, 1)) @ (gain[:, None, None] * w)
 
 
 def run_schedule(
@@ -342,10 +376,25 @@ def run_stages(
     a frame where the walk is diagonal with ``values``.  The rows share
     their stage structure and keep their own kicks and oracle angles.  A
     pass over the pair w_a = U|a, m> alone stores the pair at the start of
-    each stage; then the stages run in order, each iteration a fused kick
-    and a rank-2 oracle update, or their adjoints in reverse.  The norm
-    check and the detach gate close every run and raise on the first row
-    that fails them; a schedule without stages needs no m.  ``on_stage(i,
+    each stage; then the stages run in order, or their adjoints in
+    reverse.  A stage's iteration is T = D + (D w^dagger)(c w) on row
+    vectors, D the kick and c = e^{-i alpha} - 1.  A batch whose stage
+    matrices hold at most ``_DENSE_ENTRIES`` = 2048 entries, R (2r)^2,
+    builds each T once (``_stage_matrix``), and every iteration of the
+    pair pass and of the run is one batched product with T, or with
+    T^dagger in reverse; a wider batch runs each iteration as the
+    per-coordinate kick and the rank-2 oracle update, O(r) per row, with
+    no (2r)^2 array.  The two agree to rounding.  The threshold was
+    measured on sampling rows of hamming(d,2) (d = 6 to 12), rook(20,20),
+    johnson(10,4), johnson(8,3) and kneser(9,3), 1 to 64 rows, both
+    directions (one BLAS thread, one core of a 2-core Xeon box): the dense
+    form took 0.54 to 0.96 of the per-coordinate time on every batch up to
+    2048 entries but one (hamming(6,2) forward, 8 rows: 1.02), lost on
+    some from 3136 entries (1.07 to 1.10) and on most from 6272, up to
+    2.2 times at 12 544 (hamming(6,2), 64 rows).  ``run_schedule``'s
+    frame has r = N, so it runs dense only below N = 23.  The norm check
+    and the detach gate close every run and raise on the first row that
+    fails them; a schedule without stages needs no m.  ``on_stage(i,
     blocks)`` gets the (R, 2, r) blocks after stage i."""
     structure = schedules[0].structure
     if any(s.structure != structure for s in schedules):
@@ -355,17 +404,28 @@ def run_stages(
     walk, kick, alpha = np.array(
         [[(st.walk_time, st.kick, st.params.alpha) for st in s.stages] for s in schedules]
     ).reshape(count, len(stages), 3).transpose(2, 0, 1)
-    kicks = _kick_kernels(walk, kick, values)
-    starts = [np.eye(2)[:, :, None] * rows[:, None, None]] if stages else []
+    kernels, gains = _kick_kernels(walk, kick, values), np.exp(-1j * alpha) - 1
+    kicks = _kick_matrices(kernels) if count * width**2 <= _DENSE_ENTRIES else None
+    pairs = [np.eye(2)[:, :, None] * rows[:, None, None]] if stages else []
+    matrices = []
 
     def power(x: np.ndarray, k: int, adjoint: bool = False) -> np.ndarray:
-        # every iteration of stage k on x, shape (R, A, 2, r); the kick
-        # kernel is symmetric, so its adjoint is its conjugate
-        w = starts[k].reshape(count, 2, width)
-        w_adj = w.conj().transpose(0, 2, 1)
-        w = (np.exp((1j if adjoint else -1j) * alpha[:, k]) - 1)[:, None, None] * w
-        kernel = (kicks[:, k].conj() if adjoint else kicks[:, k])[:, None]
-        for _ in range(stages[k].params.iterations):
+        # every iteration of stage k, or of its adjoint, on x, shape (R, A, 2, r)
+        times = stages[k].params.iterations
+        if kicks is not None:
+            t = matrices[k].conj().transpose(0, 2, 1) if adjoint else matrices[k]
+            y = x.reshape(count, -1, width)
+            for _ in range(times):
+                y = y @ t
+            return y.reshape(x.shape)
+        # T^dagger = (I + w^dagger conj(c) w) conj(D): the kick is symmetric,
+        # so its adjoint is its conjugate
+        kernel, gain = kernels[:, k, None], gains[:, k]
+        if adjoint:
+            kernel, gain = kernel.conj(), gain.conj()
+        w = pairs[k].reshape(count, 2, width)
+        w_adj, w = w.conj().transpose(0, 2, 1), gain[:, None, None] * w
+        for _ in range(times):
             if not adjoint:
                 x = (kernel * x[:, :, None]).sum(axis=3)
             x = x + ((x.reshape(count, -1, width) @ w_adj) @ w).reshape(x.shape)
@@ -373,8 +433,11 @@ def run_stages(
                 x = (kernel * x[:, :, None]).sum(axis=3)
         return x
 
-    for k in range(len(stages) - 1):
-        starts.append(power(starts[k], k))
+    for k in range(len(stages)):
+        if kicks is not None:
+            matrices.append(_stage_matrix(kicks[:, k], pairs[k], gains[:, k]))
+        if k + 1 < len(stages):
+            pairs.append(power(pairs[k], k))
     forward = schedules[0].direction == FORWARD
     if stages and not carried:  # the ancilla attaches at the first kick
         blocks = np.concatenate([blocks, np.zeros_like(blocks)], axis=1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qwalk import depth, graph, pipelines, schedule, simulate
+from qwalk import depth, graph, pipelines, schedule, simulate, spectral
 from qwalk.errors import GraphError, ScheduleError, SimulationError, SpectrumError
 
 from conftest import check_vertex_transitive_bruteforce, connected_cographs
@@ -347,6 +347,7 @@ def test_promise_search_star_center_skips_first_stage():
 
 #: K = 3; under the oracle on vertex 5 the branch of vertex 1's class ends
 #: with 0.709 of its mass on ancilla |1>
+K4_MINUS_EDGE = "0 2\n0 3\n1 2\n1 3\n2 3\n"
 LEAKING = "0 1\n0 2\n0 3\n0 4\n0 5\n1 2\n1 3\n2 3\n"
 
 
@@ -572,6 +573,26 @@ SWEEP_GRAPHS = {
 }
 
 
+def branch_states(sctx, m):
+    """Each search branch's start as a vertex-basis state, the uniform
+    state on all of V or on one block of a complete bipartite graph, once
+    its start in m's frame (``frame_starts``) is checked to lift to it."""
+    n = sctx.graph.n
+    blocks = getattr(sctx, "blocks", None) or [range(n)] * len(sctx.branches)
+    vertices = np.array([m])
+    coords = simulate.frame_coords(sctx.spectrum, vertices)
+    starts = sctx.frame_starts(vertices, coords)
+    assert len(starts) == len(blocks)
+    states = []
+    for block, start in zip(blocks, starts):
+        amps = np.zeros(n)
+        amps[list(block)] = 1 / math.sqrt(len(block))
+        lifted = simulate.lift(sctx.spectrum, vertices, coords, start[:, None])[0, 0]
+        np.testing.assert_allclose(lifted, amps, rtol=0, atol=1e-12)
+        states.append(simulate.from_amplitudes(amps))
+    return states
+
+
 def dense_fidelities(g, ctx, sctx, report):
     """A verify report's fidelities from ``run_schedule``, run by run: the
     final fidelity and, for a search, each branch's (candidate, fidelity)."""
@@ -587,8 +608,7 @@ def dense_fidelities(g, ctx, sctx, report):
         back = schedule.dagger(pipelines.sampling_schedule(ctx, v))
         return simulate.fidelity(simulate.run_schedule(state, back, spec, v), v), []
     branches = []
-    for start, branch in zip(sctx.starts, sctx.branches):
-        state = simulate.from_amplitudes(sctx.spectrum.eigenvectors @ start)
+    for state, branch in zip(branch_states(sctx, m), sctx.branches):
         state = simulate.run_schedule(simulate.attach_ancilla(state), branch, sctx.spectrum, m)
         probs = (np.abs(state.amps.reshape(2, n)) ** 2).sum(axis=0)
         candidate = pipelines._most_probable(probs)
@@ -623,6 +643,37 @@ def test_verify_sweep_matches_dense_reference(name):
         assert (alone.task, alone.marked, alone.target, alone.oracle_count) == (
             report.task, report.marked, report.target, report.oracle_count)
         assert alone.stage_fidelities == pytest.approx(report.stage_fidelities, abs=1e-12)
+
+
+def assert_frame_start_is_the_eigenvector_one(g):
+    """Every vertex's Laplacian search starts, read off the frame, equal
+    the uniform state's eigen-coefficients summed into its frame, to
+    1e-15, and are exactly 1.0 on group 0 and 0.0 elsewhere."""
+    ctx = pipelines.prepare(g)
+    spec, vertices = ctx.spectrum, np.arange(g.n)
+    coords = simulate.frame_coords(spec, vertices)
+    starts = ctx.frame_starts(vertices, coords)
+    assert starts.shape == (len(ctx.mass_classes), g.n, len(spec.values))
+    uniform = spec.eigenvectors.sum(axis=0) / math.sqrt(g.n)
+    dense = simulate.divide_coords(
+        spectral.group_sums(spec, spec.eigenvectors * uniform), coords)
+    for start in starts:
+        assert np.max(np.abs(start - dense)) <= 1e-15
+        assert np.all(start[:, 0] == 1.0) and np.all(start[:, 1:] == 0.0)
+
+
+@pytest.mark.parametrize("make", [lambda: graph.hamming(6, 2),
+                                  lambda: graph.load_edge_list(K4_MINUS_EDGE)],
+                         ids=["hamming62", "k4_minus_edge"])
+def test_laplacian_frame_start_matches_eigenvectors(make):
+    assert_frame_start_is_the_eigenvector_one(make())
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(connected_cographs())
+def test_laplacian_frame_start_matches_eigenvectors_on_cographs(g):
+    # the first is K2, the others have 6 to 12 vertices
+    assert_frame_start_is_the_eigenvector_one(g)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -496,18 +497,20 @@ def frame_basis(spec, m):
     return np.array(columns).T, coords
 
 
-def branch_start(spec, vertices, coords, start):
-    """A branch's start, eigen-coefficients ``start``, in the frames of
-    vertices with the ancilla |0> block and the |1> block."""
-    x = spectral.group_sums(spec, spec.eigenvectors[list(vertices)] * start)
-    x = simulate.divide_coords(x, coords)
-    return np.stack([x, 0 * x], axis=1)
+def branch_starts(ctx, vertices, coords):
+    """Each branch's start in the frames of vertices (``frame_starts``),
+    with the ancilla |0> block and the |1> block."""
+    return [np.stack([x, 0 * x], axis=1)
+            for x in ctx.frame_starts(np.asarray(vertices), coords)]
 
 
-def run_branch(spec, m, start, sched):
-    """``pipelines._run_branch`` in the frame of the one vertex m."""
-    return pipelines._run_branch(spec, np.array([m]), simulate.frame_coords(spec, [m]),
-                                 start, sched)
+def run_branches(ctx, m):
+    """``pipelines._run_branch`` of every branch in the frame of the one
+    vertex m, from its start there: each branch's (2, N) amplitudes."""
+    vertices = np.array([m])
+    coords = simulate.frame_coords(ctx.spectrum, vertices)
+    return [pipelines._run_branch(ctx.spectrum, vertices, coords, start, sched)[0]
+            for start, sched in zip(ctx.frame_starts(vertices, coords), ctx.branches)]
 
 
 def dense_gram(spec, u, v):
@@ -554,17 +557,24 @@ def test_frame_coords_are_exactly_zero_off_a_vertexs_eigenspaces():
         for row, held in zip(coords, kept):
             assert np.allclose(values[row > 0], held, atol=1e-9)
         schedules = [pipelines.sampling_schedule(ctx, m) for m in vertices]
-        _, finals, passes = pipelines._sample_pass(ctx, schedules, vertices)
-        assert np.all(finals[zero] == 0.0)
-        for rows, x, ends in passes:
-            assert np.all(x[zero[rows]] == 0.0) and np.all(ends[:, zero[rows]] == 0.0)
-        for start, sched in zip(ctx.starts, ctx.branches):
-            stages = []
-            end = simulate.run_stages(branch_start(spec, vertices, coords, start),
-                                      [sched] * g.n, values, coords,
-                                      lambda _, blocks: stages.append(blocks))
-            for blocks in [*stages, end]:
-                assert np.all(blocks.transpose(1, 0, 2)[:, zero] == 0.0)
+        # the same rows on both kernels: as they are, in batches narrow
+        # enough for dense stage matrices, and 64 copies, too wide for them
+        entries = (2 * coords.shape[1]) ** 2
+        for copies, dense in ((1, True), (64, False)):
+            rows = np.tile(np.arange(g.n), copies)
+            _, finals, passes = pipelines._sample_pass(ctx, [schedules[m] for m in rows], rows)
+            assert np.all(finals[zero[rows]] == 0.0)
+            for ids, x, ends in passes:
+                assert (len(ids) * entries <= simulate._DENSE_ENTRIES) == dense
+                held = zero[rows[ids]]
+                assert np.all(x[held] == 0.0) and np.all(ends[:, held] == 0.0)
+            assert (len(rows) * entries <= simulate._DENSE_ENTRIES) == dense
+            for blocks, sched in zip(branch_starts(ctx, rows, coords[rows]), ctx.branches):
+                stages = []
+                end = simulate.run_stages(blocks, [sched] * len(rows), values, coords[rows],
+                                          lambda _, blocks: stages.append(blocks))
+                for blocks in [*stages, end]:
+                    assert np.all(blocks.transpose(1, 0, 2)[:, zero[rows]] == 0.0)
 
 
 def test_gram_entries_vanish_off_shared_eigenspaces():
@@ -591,8 +601,7 @@ def test_run_stages_mixes_frames_that_keep_different_eigenspaces():
     assert (coords[1] == 0.0).sum() == 1 and np.all(coords[[0, 2, 3]] > 0)
     for i, v in enumerate([1, 0, 3, 2]):
         assert np.array_equal(coords[i], simulate.frame_coords(spec, [v])[0])
-    for start, sched in zip(ctx.starts, ctx.branches):
-        blocks = branch_start(spec, [1, 0, 3, 2], coords, start)
+    for blocks, sched in zip(branch_starts(ctx, [1, 0, 3, 2], coords), ctx.branches):
         batch = simulate.run_stages(blocks, [sched] * 4, values, coords)
         for i in range(4):
             alone = simulate.run_stages(blocks[i:i + 1], [sched], values, coords[i:i + 1])
@@ -602,6 +611,124 @@ def test_run_stages_mixes_frames_that_keep_different_eigenspaces():
     with pytest.raises(SimulationError, match="share their stage structure"):
         simulate.run_stages(coords[:3, None], [schedules[1], schedules[1], schedules[0]],
                             values, coords[:3])
+
+
+#: graphs whose rows run in one batch too wide for the dense stage
+#: matrices, with the copies of every vertex that make it so: hamming(8,2)
+#: as a whole, K4 - e with its two stage structures and K(1,3), whose
+#: centre has a zero coordinate
+KERNEL_CASES = {
+    "hamming82": (lambda: graph.hamming(8, 2), 1),
+    "k4_minus_edge": (lambda: graph.load_edge_list("0 2\n0 3\n1 2\n1 3\n2 3\n"), 64),
+    "k13": (lambda: graph.complete_bipartite(1, 3), 64),
+}
+
+
+def kernel_runs(name):
+    """(values, schedules, blocks, rows) of each executor pass of a
+    ``KERNEL_CASES`` graph: forward sampling from every row, one pass per
+    stage structure, and every reversed search branch, on the route
+    ``search_route`` picks, towards every row."""
+    make, copies = KERNEL_CASES[name]
+    g = make()
+    ctx = pipelines.prepare(g)
+    _, sctx = pipelines._search_context(g, ctx)
+    vertices = np.tile(np.arange(g.n), copies)
+    forward = [pipelines.sampling_schedule(ctx, m) for m in range(g.n)]
+    coords, runs = simulate.frame_coords(ctx.spectrum, vertices), []
+    for structure in {s.structure for s in forward}:
+        ids = [i for i, m in enumerate(vertices) if forward[m].structure == structure]
+        runs.append((np.array(ctx.spectrum.values), [forward[vertices[i]] for i in ids],
+                     coords[ids, None], coords[ids]))
+    coords = simulate.frame_coords(sctx.spectrum, vertices)
+    for blocks, branch in zip(branch_starts(sctx, vertices, coords), sctx.branches):
+        runs.append((np.array(sctx.spectrum.values), [branch] * len(vertices), blocks, coords))
+    return runs
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_per_coordinate_batch_matches_its_rows_run_alone(name):
+    # the batch is too wide for dense stage matrices and each row alone
+    # narrow enough: every row's final state and every on_stage block agree
+    directions = set()
+    for values, schedules, blocks, rows in kernel_runs(name):
+        entries = (2 * blocks.shape[2]) ** 2
+        assert entries <= simulate._DENSE_ENTRIES < len(blocks) * entries
+        directions.add(schedules[0].direction)
+        stages = []
+        batch = simulate.run_stages(blocks, schedules, values, rows,
+                                    lambda _, b: stages.append(b))
+        assert len(stages) == len(schedules[0].stages)
+        for i in range(len(blocks)):
+            alone = []
+            end = simulate.run_stages(blocks[i:i + 1], schedules[i:i + 1], values,
+                                      rows[i:i + 1], lambda _, b: alone.append(b[0]))
+            assert_close(batch[i], end[0])
+            for got, want in zip(stages, alone, strict=True):
+                assert_close(got[i], want)
+    assert directions == {"forward", "reversed"}
+
+
+def stage_matrices(schedules, values, rows):
+    """T_k, ``simulate._stage_matrix``, of every stage k of the rows'
+    trees, each from the pair w_a = U|a, m> at its start: the blocks |a>
+    (x) |m> after the earlier stages of the forward tree."""
+    forward = [schedule.dagger(s) if s.direction == "reversed" else s for s in schedules]
+    pairs = [[], []]
+    for a in (0, 1):
+        blocks = np.zeros((len(rows), 2, rows.shape[1]), dtype=complex)
+        blocks[:, a] = rows
+        pairs[a] = [blocks]
+        simulate.run_stages(blocks, forward, values, rows,
+                            lambda _, b, a=a: pairs[a].append(b))
+    walk, kick, alpha = np.array(
+        [[(st.walk_time, st.kick, st.params.alpha) for st in s.stages] for s in forward]
+    ).reshape(len(forward), -1, 3).transpose(2, 0, 1)
+    kicks = simulate._kick_matrices(simulate._kick_kernels(walk, kick, values))
+    return [simulate._stage_matrix(kicks[:, k], np.stack([pairs[0][k], pairs[1][k]], axis=1),
+                                   np.exp(-1j * alpha[:, k]) - 1)
+            for k in range(walk.shape[1])]
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_stage_matrices_are_unitary_and_runs_apply_them(name):
+    # T_k is unitary, and on both kernels (the wide batch and its first
+    # row alone) forward stage k is T_k^p and reversed stage k is
+    # (T_k^dagger)^p, on the pairs of the forward tree
+    for values, schedules, blocks, rows in kernel_runs(name):
+        for batch in (slice(None), slice(0, 1)):
+            scheds, x, coords = schedules[batch], blocks[batch], rows[batch]
+            matrices = stage_matrices(scheds, values, coords)
+            reverse = scheds[0].direction == "reversed"
+            order = range(len(matrices))[::-1] if reverse else range(len(matrices))
+            x = np.concatenate([x, np.zeros_like(x)], axis=1) if x.shape[1] == 1 else x
+            stages = []
+            simulate.run_stages(x, scheds, values, coords, lambda _, b: stages.append(b))
+            for k, after in zip(order, stages):
+                t = matrices[k]
+                assert np.max(np.abs(t @ t.conj().transpose(0, 2, 1) - np.eye(t.shape[1]))) < 1e-13
+                step = t.conj().transpose(0, 2, 1) if reverse else t
+                y = x.reshape(len(x), 1, -1)
+                for _ in range(scheds[0].stages[k].params.iterations):
+                    y = y @ step
+                assert_close(after, y.reshape(x.shape))
+                x = after
+
+
+def test_run_schedule_keeps_its_n_x_n_frame_off_the_dense_form():
+    # run_schedule's frame is the full eigenbasis, r = N: its stage
+    # matrices would take (2N)^2 entries each, 32 MiB at N = 256
+    ctx = pipelines.prepare(graph.hamming(8, 2))
+    tree = pipelines.sampling_schedule(ctx, 3)
+    start = simulate.vertex_state(256, 3)
+    tracemalloc.start()
+    try:
+        out = simulate.run_schedule(start, tree, ctx.spectrum, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert simulate.fidelity(out, simulate.uniform_state(256)) > 1 - 1e-10
 
 
 def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
@@ -673,8 +800,8 @@ def test_frame_search_matches_run_schedule_and_op_by_op(frame_case):
     start = simulate.attach_ancilla(simulate.uniform_state(n))
     for m in vertices:
         expected = []
-        for coeffs, sched in zip(ctx.starts, ctx.branches):
-            got = run_branch(spec, m, coeffs, sched)[0].ravel()
+        for got, sched in zip(run_branches(ctx, m), ctx.branches):
+            got = got.ravel()
             ref = simulate.run_schedule(start, sched, spec, m)
             assert_close(got, ref.amps)
             if op_by_op_too:
@@ -758,10 +885,12 @@ def test_frame_branches_match_run_schedule(name):
         states = [simulate.block_uniform_state(g.n, 0, n1),
                   simulate.block_uniform_state(g.n, n1, g.n)]
     leaks = []
-    for start, branch, state in zip(ctx.starts, ctx.branches, states):
+    runs = [run_branches(ctx, m) for m in range(g.n)]
+    assert all(len(run) == len(states) for run in runs)
+    for side, (branch, state) in enumerate(zip(ctx.branches, states)):
         state = simulate.attach_ancilla(state)
         for m in range(g.n):
-            got = run_branch(ctx.spectrum, m, start, branch)[0]
+            got = runs[m][side]
             ref = simulate.run_schedule(state, branch, ref_ctx.spectrum, position[m])
             assert_close(got.ravel(), ref.amps.reshape(2, g.n)[:, position].ravel())
             leaks.append(np.linalg.norm(ref.amps[g.n:]) ** 2)
