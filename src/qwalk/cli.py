@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from json.encoder import encode_basestring_ascii as encode_ascii
 from pathlib import Path
@@ -139,7 +138,7 @@ def _cmd_spectrum(args, parser) -> int:
     g = _resolve_graph(args, parser)
     # eigenvectors only when they are written out
     spec = spectral.eigendecompose(laplacian(g)) if args.vectors_csv else None
-    ints = spectral.graph_integer_spectrum(g, spec, int_tol=args.int_tol)
+    ints = spectral.graph_integer_spectrum(g, spec)
     if args.vectors_csv:
         _emit(spectral.eigenvectors_to_csv(spec), args.vectors_csv)
     emit_json(spectral.spectrum_to_json_dict(ints), args.out)
@@ -179,9 +178,7 @@ def _cmd_schedule(args, parser) -> int:
     return 0
 
 
-def _resimulate_artifact(
-    path: str, marked: int | None, threshold: float
-) -> pipelines.RunReport:
+def _resimulate_artifact(path: str, marked: int | None) -> pipelines.RunReport:
     """Execute an artifact's schedules exactly as ``run <task>`` executes
     freshly synthesized ones: the JSON decodes into stage trees, so the
     reported costs come from the artifact's ops."""
@@ -201,14 +198,14 @@ def _resimulate_artifact(
         return pipelines.execute_sample(pipelines.prepare(g), schedules[0], m)
     bipartite = task == pipelines.TASK_BIPARTITE
     ctx = pipelines.prepare_bipartite(g) if bipartite else pipelines.prepare(g)
-    return pipelines.execute_search(ctx, schedules, m, threshold)
+    return pipelines.execute_search(ctx, schedules, m)
 
 
 def _cmd_run(args, parser) -> int:
     if args.task == "schedule":
         if not args.schedule:
             parser.error("run schedule requires --schedule <file>")
-        report = _resimulate_artifact(args.schedule, args.marked, args.fidelity_threshold)
+        report = _resimulate_artifact(args.schedule, args.marked)
     elif args.task == "sample":
         if args.marked is None:
             parser.error("run sample requires --marked")
@@ -220,16 +217,13 @@ def _cmd_run(args, parser) -> int:
     elif args.task == "search":
         if args.marked is None:
             parser.error("run search requires --marked (the hidden vertex)")
-        _, search = pipelines.search_route(
-            _resolve_graph(args, parser), threshold=args.fidelity_threshold
-        )
+        _, search = pipelines.search_route(_resolve_graph(args, parser))
         report = search(args.marked)
     else:  # bipartite
         if args.marked is None:
             parser.error("run bipartite requires --marked")
         bctx = pipelines.prepare_bipartite(_resolve_graph(args, parser))
-        report = pipelines.execute_search(bctx, bctx.branches, args.marked,
-                                          args.fidelity_threshold)
+        report = pipelines.execute_search(bctx, bctx.branches, args.marked)
     if report.target is None and report.task != pipelines.TASK_SAMPLE:
         raise QwalkError(f"no search branch found vertex {report.marked}: "
                          f"best fidelity {report.fidelity:.12g}")
@@ -266,16 +260,6 @@ def _cmd_verify(args, parser) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _bounded(high: float, kind: type = float):
-    """argparse type: a finite float (or int) in (0, high]."""
-    def number(text: str) -> float:
-        # no isfinite(): it overflows on an int past the float range
-        if not (0 < (value := kind(text)) <= high and value < math.inf):
-            raise argparse.ArgumentTypeError(f"need a finite number in (0, {high}], got {text!r}")
-        return value
-    return number
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwalk",
@@ -291,9 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="integer Laplacian spectrum gate")
     _add_graph_source(p_spec)
-    p_spec.add_argument("--int-tol", type=_bounded(math.inf), default=spectral.INTEGER_TOL,
-                        help="rounding tolerance of the dense route; graphs whose edges are "
-                        "a built-in family's take exact closed-form values")
     p_spec.add_argument("--vectors-csv", help="also dump the eigenbasis as CSV here")
     p_spec.add_argument("--out")
 
@@ -317,19 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--source", type=int)
     p_run.add_argument("--target", type=int)
     p_run.add_argument("--schedule", help="schedule artifact to re-simulate")
-    p_run.add_argument(
-        "--fidelity-threshold",
-        type=_bounded(1.0),
-        default=pipelines.FIDELITY_THRESHOLD,
-        help="probability a search branch's candidate needs to be confirmed; "
-        "it decides which branch succeeds when a search runs more than one",
-    )
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
     p_run.add_argument("--out")
 
+    def number(text: str) -> int:
+        """``--cap``'s type, an int above 0 (argparse names it when the
+        text is no int: "invalid number value")."""
+        if (value := int(text)) <= 0:
+            raise argparse.ArgumentTypeError(f"need a finite number in (0, inf], got {text!r}")
+        return value
+
     p_verify = sub.add_parser("verify", help="full task sweep over one graph")
     _add_graph_source(p_verify)
-    p_verify.add_argument("--cap", type=_bounded(math.inf, int), default=500,
+    p_verify.add_argument("--cap", type=number, default=500,
                           help="largest vertex count to sweep")
     p_verify.add_argument("--csv", help="also write the aggregate CSV table here")
     p_verify.add_argument("--out")

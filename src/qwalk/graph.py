@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -320,7 +320,7 @@ def _meet(masks: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # Edge-list text format
 # ---------------------------------------------------------------------------
 
-def load_edge_list(source: str | IO[str]) -> Graph:
+def load_edge_list(text: str) -> Graph:
     """Parse the two-column edge-list format.
 
     Each non-comment line holds two distinct 0-based vertex indices
@@ -329,7 +329,6 @@ def load_edge_list(source: str | IO[str]) -> Graph:
     A valid list takes one int64 conversion of all its tokens; only an
     invalid one is read line by line, for the first bad line.
     """
-    text = source if isinstance(source, str) else source.read()
     raw = text.splitlines()
     tokens = list(map(str.split, [r.split("#", 1)[0] for r in raw] if "#" in text else raw))
     try:

@@ -20,8 +20,8 @@ its own: ``_transfer_sweep`` reads it off the final states of two rows
 of a sampling pass (``_sample_pass``, which builds no reports), weighted
 by the Gram entries (E_g)_uv.
 ``verify_graph`` is one call of each sweep over every row of a graph,
-with one synthesis per vertex; the single-run functions are the one-row
-case.
+with one synthesis per vertex and per search branch; the single-run
+functions are the one-row case.
 
 Success is declared by fidelity threshold on the exact final state, not by
 sampled measurement; ``measure_distribution`` exists for demonstration.
@@ -258,10 +258,7 @@ def bipartite_blocks(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None
 
 
 def search_route(
-    g: Graph,
-    *,
-    ctx: LaplacianContext | None = None,
-    threshold: float = FIDELITY_THRESHOLD,
+    g: Graph, *, ctx: LaplacianContext | None = None
 ) -> tuple[str, Callable[[int], RunReport]]:
     """Pick the search route from g's edges and return it with a function
     that searches for one hidden vertex on it, sharing one context.
@@ -271,7 +268,7 @@ def search_route(
     branch per mass class.
     """
     route, sctx = _search_context(g, ctx)
-    return route, lambda m: execute_search(sctx, sctx.branches, m, threshold)
+    return route, lambda m: execute_search(sctx, sctx.branches, m)
 
 
 def _search_context(
@@ -473,31 +470,27 @@ def search_promise(
     return search_vertex_transitive(g, marked, ctx=ctx)
 
 
-def search_bipartite(
-    n1: int, n2: int, marked: int, *, threshold: float = FIDELITY_THRESHOLD
-) -> RunReport:
+def search_bipartite(n1: int, n2: int, marked: int) -> RunReport:
     """Two-branch deterministic search on the complete bipartite graph:
     branch i rotates the uniform state on block i onto the marked vertex
     under the adjacency walk, so exactly one branch finds it."""
     bctx = prepare_bipartite(complete_bipartite(n1, n2))
-    return execute_search(bctx, bctx.branches, marked, threshold)
+    return execute_search(bctx, bctx.branches, marked)
 
 
 def execute_search(
     ctx: LaplacianContext | BipartiteContext,
     schedules: Sequence[sched_mod.Schedule],
     marked: int,
-    threshold: float = FIDELITY_THRESHOLD,
 ) -> RunReport:
     """Search for one hidden vertex: the one-vertex search sweep."""
-    return _search_sweep(ctx, schedules, [marked], threshold)[0]
+    return _search_sweep(ctx, schedules, [marked])[0]
 
 
 def _search_sweep(
     ctx: LaplacianContext | BipartiteContext,
     schedules: Sequence[sched_mod.Schedule],
     marked: Sequence[int],
-    threshold: float = FIDELITY_THRESHOLD,
 ) -> list[RunReport]:
     """For each hidden vertex m, run branch i, the reversed schedule
     ``schedules[i]``, from its start in m's frame (``ctx.frame_starts``)
@@ -505,9 +498,10 @@ def _search_sweep(
     another mass class can leave it entangled.  A branch's candidate, the
     most probable vertex of its vertex marginal, is checked against the
     oracle (one query); it succeeds when it is m with probability at least
-    ``threshold``.  The first success is the result and must pass the
-    detach gate.  Each branch runs for every hidden vertex in one executor
-    pass."""
+    ``FIDELITY_THRESHOLD``, above 1/2 + ``TIE_TOL``, so a confirmed
+    candidate is the unique most probable vertex.  The first success is
+    the result and must pass the detach gate.  Each branch runs for every
+    hidden vertex in one executor pass."""
     vertices = np.asarray(marked, dtype=int)
     coords = sim.frame_coords(ctx.spectrum, vertices)
     starts = ctx.frame_starts(vertices, coords)
@@ -526,7 +520,7 @@ def _search_sweep(
             fid = float(probs[row, candidate])
             results[row][side] = BranchResult(
                 side=side + 1, candidate=candidate, fidelity=fid,
-                succeeded=fid >= threshold and candidate == m,
+                succeeded=fid >= FIDELITY_THRESHOLD and candidate == m,
                 oracle_count=schedule.oracle_count, total_time=schedule.total_time)
             if results[row][side].succeeded:
                 found[row, side] = amps[row]
@@ -584,12 +578,11 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
 
     Sampling runs from every vertex; transfer on all ordered pairs (or a
     deterministic subset above 10 vertices); search on every hidden vertex
-    via the route ``search_route`` picks.  Each vertex's sampling schedule
-    is synthesized once and serves its sample, every transfer it is in
-    and, reversed, the search branch of a mass class it represents when
-    there are several.  Sampling runs all its rows in one pass per stage
-    structure and search in one per branch; transfers read the sampling
-    rows' final states.
+    via the route ``search_route`` picks, with that route's branches.
+    Each vertex's sampling schedule is synthesized once and serves its
+    sample and every transfer it is in.  Sampling runs all its rows in one
+    pass per stage structure and search in one per branch; transfers read
+    the sampling rows' final states.
     """
     if g.n > cap:
         raise GraphError(f"graph has {g.n} vertices, exceeding the cap {cap}")
@@ -598,12 +591,10 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
     route, sctx = _search_context(g, ctx)
     vertices = list(range(g.n))
     forward = [sampling_schedule(ctx, m) for m in vertices]
-    branches = sctx.branches if sctx is not ctx or len(ctx.mass_classes) == 1 else tuple(
-        sched_mod.dagger(forward[m]) for m in ctx.mass_classes)  # the representatives' rows
 
     reports, finals = _sample_sweep(ctx, forward, vertices)
     reports += _transfer_sweep(ctx, vertices, forward, finals, _transfer_pairs(g.n))
-    reports += _search_sweep(sctx, branches, vertices)
+    reports += _search_sweep(sctx, sctx.branches, vertices)
     reports.sort(key=lambda r: (r.task, r.marked if r.marked is not None else -1,
                                 r.target if r.target is not None else -1))
 

@@ -210,22 +210,22 @@ def attach_ancilla(state: StateVector) -> StateVector:
     return _state(np.concatenate([state.amps, np.zeros(state.n, dtype=complex)]), state.n)
 
 
-def detach_ancilla(state: StateVector, *, tol: float = DETACH_TOL) -> StateVector:
+def detach_ancilla(state: StateVector) -> StateVector:
     """Project onto ancilla |0> and renormalize.
 
-    The mass on ancilla |1> must be below ``tol``; anything larger means
-    a disentanglement guarantee was broken upstream.
+    The mass on ancilla |1> must be at most ``DETACH_TOL``; anything
+    larger means a disentanglement guarantee was broken upstream.
     """
-    return _state(detach_blocks(np.stack(_blocks(state))[None], tol).ravel(), state.n)
+    return _state(detach_blocks(np.stack(_blocks(state))[None]).ravel(), state.n)
 
 
-def detach_blocks(blocks: np.ndarray, tol: float = DETACH_TOL) -> np.ndarray:
+def detach_blocks(blocks: np.ndarray) -> np.ndarray:
     """Block 0 of each row of (R, 2, n) ancilla blocks renormalized, shape
     (R, 1, n), once block 1 of every row is checked to carry at most
-    ``tol``; the first row that does not raises."""
+    ``DETACH_TOL``; the first row that does not raises."""
     norms = np.linalg.norm(blocks, axis=2)
     leak = norms[:, 1] ** 2
-    for mass in leak[leak > tol][:1]:
+    for mass in leak[leak > DETACH_TOL][:1]:
         raise SimulationError(f"ancilla entangled at detach point: |1> mass {mass:.3e}")
     return blocks[:, :1] / norms[:, :1, None]
 

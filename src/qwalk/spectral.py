@@ -11,14 +11,14 @@ results do not depend on the solver's basis inside a degenerate eigenspace.
 ``graph_integer_spectrum`` is the one gate on a graph's Laplacian.  Its
 G eigenvalue groups come from a decomposition the caller passes, else in
 closed form when the edges are a built-in family's, else from
-``eigvalsh`` alone.  Solved values are rounded within ``INTEGER_TOL``, and
-every route's groups are certified in exact integer arithmetic on the
-edge list, O(G·E): the product of (L - lambda I) over the distinct
-rounded values kills a pseudo-random vector modulo a prime, so every
-eigenvalue is one of them, and the multiplicities reproduce N, tr L and
-||L||_F^2.  A loose tolerance therefore cannot admit a non-integer
-spectrum.  L 1 = 0 holds for every graph, so a simple zero makes the
-uniform state the kernel.
+``eigvalsh`` alone.  Solved values are rounded within the fixed
+``INTEGER_TOL``, and every route's groups are certified in exact integer
+arithmetic on the edge list, O(G·E): the product of (L - lambda I) over
+the distinct rounded values kills a pseudo-random vector modulo a prime,
+so every eigenvalue is one of them, and the multiplicities reproduce N,
+tr L and ||L||_F^2.  Even a loose tolerance could therefore not admit a
+non-integer spectrum.  L 1 = 0 holds for every graph, so a simple zero
+makes the uniform state the kernel.
 """
 
 from __future__ import annotations
@@ -162,18 +162,16 @@ def _group_eigenvalues(eigenvalues: np.ndarray) -> tuple[tuple[float, ...], tupl
     return tuple(float(np.mean(block)) for block in blocks), tuple(map(len, blocks))
 
 
-def validate_integer_spectrum(
-    spectrum: Spectrum, *, int_tol: float = INTEGER_TOL
-) -> IntegerSpectrum:
+def validate_integer_spectrum(spectrum: Spectrum) -> IntegerSpectrum:
     """Round a spectrum to integers with a simple zero eigenvalue.
 
     This is the float half of the gate: every eigenvalue must lie within
-    ``int_tol`` of an integer and exactly one must round to 0.
+    ``INTEGER_TOL`` of an integer and exactly one must round to 0.
     ``graph_integer_spectrum`` adds the exact certificate on the graph.
     """
     values = spectrum.eigenvalues
     rounded = np.rint(values)
-    bad = np.flatnonzero(~(np.abs(values - rounded) <= int_tol))  # NaN is bad too
+    bad = np.flatnonzero(~(np.abs(values - rounded) <= INTEGER_TOL))  # NaN is bad too
     if bad.size:
         i = int(bad[0])
         raise SpectrumError(f"non-integer eigenvalue {float(values[i]):.9g} at index {i}")
@@ -181,9 +179,7 @@ def validate_integer_spectrum(
     return IntegerSpectrum(tuple(map(round, spectrum.values)), spectrum.multiplicities, spectrum)
 
 
-def graph_integer_spectrum(
-    g: Graph, spectrum: Spectrum | None = None, *, int_tol: float = INTEGER_TOL
-) -> IntegerSpectrum:
+def graph_integer_spectrum(g: Graph, spectrum: Spectrum | None = None) -> IntegerSpectrum:
     """The integer gate: round a spectrum of g's Laplacian to integers and
     certify it exactly on g's edges.
 
@@ -193,7 +189,7 @@ def graph_integer_spectrum(
     groups, which need no rounding and have no ``base``, and any other
     graph the eigenvalues of its dense Laplacian (``eigvalsh``), whose
     ``base.eigenvectors`` is None.  Raises SpectrumError if the values do
-    not round within ``int_tol``, the zero is not simple, or the
+    not round within ``INTEGER_TOL``, the zero is not simple, or the
     certificate fails.
     """
     if spectrum is None and (matches := family_matches(g)):
@@ -201,7 +197,7 @@ def graph_integer_spectrum(
     else:
         if spectrum is None:
             spectrum = _values_only(_solve(np.linalg.eigvalsh, laplacian(g)))
-        ints = validate_integer_spectrum(spectrum, int_tol=int_tol)
+        ints = validate_integer_spectrum(spectrum)
     _certify(ints, g)
     return ints
 

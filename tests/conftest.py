@@ -35,12 +35,11 @@ def laplacian_eigenvalues(g):
     return np.linalg.eigvalsh(graph.laplacian(g))
 
 
-def dense_gate(g, **kwargs):
+def dense_gate(g):
     """The gate on g's dense ``eigvalsh`` values, passed in as an
     eigenvalue-only spectrum so no closed form replaces them: the
     reference the other routes must match."""
-    return spectral.graph_integer_spectrum(
-        g, spectral._values_only(laplacian_eigenvalues(g)), **kwargs)
+    return spectral.graph_integer_spectrum(g, spectral._values_only(laplacian_eigenvalues(g)))
 
 
 def group_runs(spec):

@@ -56,11 +56,10 @@ def test_spectrum_cycle5_exits_one(capsys):
     assert out == ""
 
 
-def test_spectrum_cycle5_loose_tolerance_exits_one(capsys):
+def test_spectrum_cycle5_loose_tolerance_exits_one(capsys, monkeypatch):
     # 1.38 and 3.62 lie within 0.5 of 1 and 4; the certificate refuses them
-    code, out, err = run_cli(
-        ["spectrum", "--family", "cycle5", "--int-tol", "0.5"], capsys
-    )
+    monkeypatch.setattr(spectral, "INTEGER_TOL", 0.5)
+    code, out, err = run_cli(["spectrum", "--family", "cycle5"], capsys)
     assert code == 1
     assert err.startswith("error:") and "rounded integers" in err
     assert out == ""
@@ -175,7 +174,8 @@ def test_schedule_sample_without_marked_is_a_usage_error(source, capsys, monkeyp
         "int_tol_negative", "int_tol_inf", "int_tol_not_a_number", "cap_zero",
         "cap_negative", "cap_not_an_integer"])
 def test_bad_tolerance_is_a_usage_error(argv, capsys, monkeypatch):
-    # checked while parsing, before any graph is built or solved
+    # checked while parsing, before any graph is built or solved; the
+    # tolerance flags are gone, so argparse rejects the flag itself
     def no_solve(*args):
         raise AssertionError("solved before the usage check")
 
@@ -185,14 +185,23 @@ def test_bad_tolerance_is_a_usage_error(argv, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert f"argument {argv[-2]}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if argv[-2] in ("--fidelity-threshold", "--int-tol"):
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+    else:
+        assert f"argument {argv[-2]}: " in err
 
 
-def test_family_spectrum_ignores_int_tol(capsys):
+def test_family_spectrum_ignores_int_tol(capsys, monkeypatch):
     # closed-form values need no rounding; the dense route would refuse
     # the solver's 1e-15 at this tolerance
     argv = ["spectrum", "--family", "hamming", "--params", "4,2"]
-    assert run_cli(argv + ["--int-tol", "1e-300"], capsys) == run_cli(argv, capsys)
+    expected = run_cli(argv, capsys)
+    monkeypatch.setattr(spectral, "INTEGER_TOL", 1e-300)
+    assert run_cli(argv, capsys) == expected
+    # the patch is live: the dense route refuses the solver's values
+    with pytest.raises(spectral.SpectrumError, match="non-integer"):
+        dense_gate(graph.hamming(4, 2))
 
 
 def test_byte_identical_artifacts(tmp_path, capsys):

@@ -434,6 +434,15 @@ def test_bipartite_failing_branch_breaks_ties_low():
         assert failed.fidelity == pytest.approx(1 / (4 if failed.side == 1 else 7))
 
 
+def test_a_confirmed_candidate_is_the_unique_most_probable_vertex():
+    # a branch succeeds at probability >= FIDELITY_THRESHOLD > 1/2 + TIE_TOL,
+    # which leaves every other vertex more than TIE_TOL below it, so the
+    # lowest-vertex tie break can never pick another vertex over it
+    p = pipelines.FIDELITY_THRESHOLD
+    assert p > 0.5 + pipelines.TIE_TOL
+    assert pipelines._most_probable(np.array([1 - p, 0.0, 0.0, p])) == 3
+
+
 def test_bipartite_star_center_found_by_first_branch():
     report = pipelines.search_bipartite(1, 4, 0)
     assert report.branches[0].succeeded
@@ -758,10 +767,10 @@ def test_sweep_row_failure_raises_its_own_error(k4_minus_edge):
         assert report.stage_fidelities == pytest.approx(alone.stage_fidelities, abs=1e-12)
 
 
-def test_verify_synthesizes_each_class_representative_once(monkeypatch, k4_minus_edge):
-    # K4 - e has two mass classes; their search branches are the reversed
-    # schedules of the representatives' own rows: 4 syntheses, not 6, and
-    # the same search reports as branches synthesized apart
+def test_verify_search_runs_the_context_branches(monkeypatch, k4_minus_edge):
+    # K4 - e has two mass classes; verify searches with the context's own
+    # branches, one synthesis per class on top of the 4 sampling rows, and
+    # gives the same search reports as a sweep over those branches apart
     ctx = pipelines.prepare(k4_minus_edge)
     apart = pipelines._search_sweep(ctx, ctx.branches, range(4))
     synths = []
@@ -769,7 +778,7 @@ def test_verify_synthesizes_each_class_representative_once(monkeypatch, k4_minus
     monkeypatch.setattr(schedule, "synth_sampling_schedule",
                         lambda *args: synths.append(1) or synth(*args))
     result = pipelines.verify_graph(k4_minus_edge)
-    assert len(synths) == 4
+    assert len(synths) == 4 + len(ctx.mass_classes) == 6
     searches = [r for r in result.reports if r.task == pipelines.TASK_SEARCH]
     assert searches == apart and len(searches[0].branches) == 2
     assert pipelines.reports_to_csv(searches) == pipelines.reports_to_csv(apart)

@@ -299,10 +299,11 @@ def test_eigenvalue_only_gate_matches_eigendecompose(
         )
 
 
-def test_certificate_rejects_loose_tolerance():
+def test_certificate_rejects_loose_tolerance(monkeypatch):
     # 2 - 2cos(2pi/5) = 1.38 and 2 - 2cos(4pi/5) = 3.62 round to 1 and 4
+    monkeypatch.setattr(spectral, "INTEGER_TOL", 0.5)
     with pytest.raises(SpectrumError, match="not all among the rounded integers"):
-        spectral.graph_integer_spectrum(graph.cycle(5), int_tol=0.5)
+        spectral.graph_integer_spectrum(graph.cycle(5))
 
 
 def test_certificate_bound_is_the_row_sum(monkeypatch):
@@ -478,16 +479,19 @@ def route_corpus():
     return corpus
 
 
-def test_every_route_gives_the_same_verdict():
+def test_every_route_gives_the_same_verdict(monkeypatch):
     # the family (or eigvalsh) route, eigvalsh values passed in, and the
-    # full decomposition passed in all certify on the edges and agree
+    # full decomposition passed in all certify on the edges and agree, at
+    # the gate's tolerance and at a loose one
     accepted = refused = 0
+    tolerances = (spectral.INTEGER_TOL, 0.5)
     for g in route_corpus():
-        for tol in (spectral.INTEGER_TOL, 0.5):
-            outcomes = [gate_outcome(lambda: spectral.graph_integer_spectrum(g, int_tol=tol)),
-                        gate_outcome(lambda: dense_gate(g, int_tol=tol)),
+        for tol in tolerances:
+            monkeypatch.setattr(spectral, "INTEGER_TOL", tol)
+            outcomes = [gate_outcome(lambda: spectral.graph_integer_spectrum(g)),
+                        gate_outcome(lambda: dense_gate(g)),
                         gate_outcome(lambda: spectral.graph_integer_spectrum(
-                            g, spectral.eigendecompose(graph.laplacian(g)), int_tol=tol))]
+                            g, spectral.eigendecompose(graph.laplacian(g))))]
             if all(isinstance(o, str) for o in outcomes):
                 refused += 1  # messages may print a value's last digit differently
             else:
