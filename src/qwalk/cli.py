@@ -302,11 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out")
 
     def number(text: str) -> int:
-        """``--cap``'s type, an int above 0 (argparse names it when the
-        text is no int: "invalid number value")."""
-        if (value := int(text)) <= 0:
-            raise argparse.ArgumentTypeError(f"need a finite number in (0, inf], got {text!r}")
-        return value
+        """``--cap``'s type, an int above 0, optionally signed '+'."""
+        if not text.strip().removeprefix("+").isdecimal() or int(text) <= 0:
+            raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        return int(text)
 
     p_verify = sub.add_parser("verify", help="full task sweep over one graph")
     _add_graph_source(p_verify)

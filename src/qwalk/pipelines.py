@@ -12,16 +12,17 @@ state on a vertex set.
 Sampling and search each run through one sweep (``_sample_sweep``,
 ``_search_sweep``) over rows, a start or hidden vertex with its own
 schedules, in that vertex's frame, one zero-padded coordinate per
-eigenspace group.  A vertex enters synthesis, the mass classes and its
-frame only through its row of the spectrum's mass table, so sampling
-reads no eigenvector.  Sampling makes one pass of the batched executor per
-stage structure, and search one per branch.  Transfer makes no pass of
-its own: ``_transfer_sweep`` reads it off the final states of two rows
-of a sampling pass (``_sample_pass``, which builds no reports), weighted
-by the Gram entries (E_g)_uv.
-``verify_graph`` is one call of each sweep over every row of a graph,
-with one synthesis per vertex and per search branch; the single-run
-functions are the one-row case.
+eigenspace group.  A vertex enters its mass class and its frame only
+through its row of the spectrum's mass table, so sampling reads no
+eigenvector.  The context synthesizes one sampling schedule per mass
+class, and the class's search branch is its dagger.  Sampling makes one
+pass of the batched executor per stage structure, and search one per
+branch, decided in the frame.  Transfer makes no pass of its own:
+``_transfer_sweep`` reads it off the final states of two rows of a
+sampling pass (``_sample_pass``, which builds no reports), weighted by
+the Gram entries (E_g)_uv.  ``verify_graph`` is one call of each sweep
+over every row of a graph, with one synthesis per mass class; the
+single-run functions are the one-row case.
 
 Success is declared by fidelity threshold on the exact final state, not by
 sampled measurement; ``measure_distribution`` exists for demonstration.
@@ -142,41 +143,51 @@ class LaplacianContext:
         return tuple(sched_mod.reflection_time(level.gcd) for level in self.chain.levels[:-1])
 
     @functools.cached_property
-    def mass_classes(self) -> tuple[int, ...]:
-        """The lowest vertex of each class of vertices whose masses on every
-        depth level (the masses <m|E_g|m> summed over it, so basis-free)
-        agree to ``LEVEL_MASS_TOL``.  A sampling schedule depends on its
-        vertex only through these masses, so one reversed schedule per
-        class finds every vertex of the class.  Vertex-transitive and
-        walk-regular graphs have one class (Godsil & McKay 1980)."""
+    def vertex_classes(self) -> np.ndarray:
+        """Each vertex's mass class, numbered by lowest vertex: the vertices
+        whose masses on every depth level (the masses <m|E_g|m> summed over
+        it, so basis-free) agree to ``LEVEL_MASS_TOL`` with the class's
+        lowest vertex's.  Vertex-transitive and walk-regular graphs have
+        one class (Godsil & McKay 1980)."""
         member = self.chain.group_depths[:, None] >= np.arange(len(self.chain.levels))
         masses = self.spectrum.masses @ member
-        free, reps = np.arange(self.graph.n), []
+        classes, free, count = np.empty(self.graph.n, dtype=int), np.arange(self.graph.n), 0
         while free.size:
-            reps.append(int(free[0]))
-            far = np.abs(masses[free] - masses[free[0]]) > LEVEL_MASS_TOL
-            free = free[far.any(axis=1)]
-        return tuple(reps)
+            far = (np.abs(masses[free] - masses[free[0]]) > LEVEL_MASS_TOL).any(axis=1)
+            classes[free[~far]] = count
+            free, count = free[far], count + 1
+        return classes
+
+    @functools.cached_property
+    def mass_classes(self) -> tuple[int, ...]:
+        """The lowest vertex of each mass class."""
+        return tuple(np.unique(self.vertex_classes, return_index=True)[1].tolist())
+
+    @functools.cached_property
+    def class_schedules(self) -> tuple[sched_mod.Schedule, ...]:
+        """One forward sampling schedule per mass class, synthesized on
+        first use: a schedule depends on its vertex only through the level
+        masses.  With one class every vertex puts mass |level| / N on each
+        level, and the schedule comes from those cardinality ratios;
+        otherwise from the masses of the class's lowest vertex."""
+        if len(self.mass_classes) == 1:
+            overlaps = [depth_mod.transitive_overlaps(self.chain)]
+        else:
+            overlaps = [depth_mod.overlaps(self.chain, self.spectrum.masses[m])
+                        for m in self.mass_classes]
+        return tuple(sched_mod.synth_sampling_schedule(self.chain, o) for o in overlaps)
 
     @functools.cached_property
     def branches(self) -> tuple[sched_mod.Schedule, ...]:
-        """One reversed sampling schedule per mass class, synthesized on
-        first use.  With one class every vertex puts mass |level| / N on
-        each level, and the branch comes from those cardinality ratios."""
-        if len(self.mass_classes) == 1:
-            forward = [sched_mod.synth_sampling_schedule(
-                self.chain, depth_mod.transitive_overlaps(self.chain))]
-        else:
-            forward = [sampling_schedule(self, m) for m in self.mass_classes]
-        return tuple(map(sched_mod.dagger, forward))
+        """One search branch per mass class, its sampling schedule's dagger."""
+        return tuple(map(sched_mod.dagger, self.class_schedules))
 
     def frame_starts(self, vertices: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Branch i's start, the uniform state, in the frames of vertices,
         whose ``frame_coords`` are coords, shape (branches, R, G): 1 on
         group 0, the simple eigenvalue 0, and 0 on every other group, in
         every frame, since E_0 = |u><u| makes <m|E_0|u> = 1 / sqrt(N) the
-        coordinate itself and E_g|u> = 0 for g > 0.  No eigenvector is
-        read."""
+        coordinate itself and E_g|u> = 0 for g > 0.  No eigenvector is read."""
         start = np.zeros_like(coords)
         start[:, 0] = 1.0
         return np.broadcast_to(start, (len(self.mass_classes), *coords.shape))
@@ -305,11 +316,11 @@ def _report(
 # ---------------------------------------------------------------------------
 
 def sampling_schedule(ctx: LaplacianContext, m: int) -> sched_mod.Schedule:
-    """The forward schedule carrying vertex m to the uniform state."""
+    """The forward schedule carrying vertex m to the uniform state: its
+    mass class's, one of ``ctx.class_schedules``."""
     if not 0 <= m < ctx.graph.n:
         raise SpectrumError(f"vertex index {m} out of range for n={ctx.graph.n}")
-    overlaps = depth_mod.overlaps(ctx.chain, ctx.spectrum.masses[m])
-    return sched_mod.synth_sampling_schedule(ctx.chain, overlaps)
+    return ctx.class_schedules[ctx.vertex_classes[m]]
 
 
 def _check_stages(ctx: LaplacianContext | BipartiteContext,
@@ -407,8 +418,7 @@ def transfer(
     """Perfect state transfer: forward schedule for u, adjoint schedule
     for v, read off the final states of a sampling pass from u and v."""
     ctx = ctx or prepare(g)
-    vertices = [u, v]
-    schedules = [sampling_schedule(ctx, w) for w in vertices]
+    vertices, schedules = [u, v], [sampling_schedule(ctx, u), sampling_schedule(ctx, v)]
     _, finals, _ = _sample_pass(ctx, schedules, vertices)
     return _transfer_sweep(ctx, vertices, schedules, finals, [(0, 1)])[0]
 
@@ -461,13 +471,9 @@ def search_vertex_transitive(
     return execute_search(ctx, ctx.branches, marked)
 
 
-def search_promise(
-    g: Graph, marked: int, *, ctx: LaplacianContext | None = None
-) -> RunReport:
-    """The same as ``search_vertex_transitive``: its mass-class branches
-    reach every graph with an integer Laplacian spectrum without being
-    told the marked vertex, so no promise is needed."""
-    return search_vertex_transitive(g, marked, ctx=ctx)
+#: The mass-class branches reach every graph with an integer Laplacian
+#: spectrum without being told the marked vertex, so no promise is needed.
+search_promise = search_vertex_transitive
 
 
 def search_bipartite(n1: int, n2: int, marked: int) -> RunReport:
@@ -495,13 +501,14 @@ def _search_sweep(
     """For each hidden vertex m, run branch i, the reversed schedule
     ``schedules[i]``, from its start in m's frame (``ctx.frame_starts``)
     with the oracle bound to m and with the ancilla carried: a branch for
-    another mass class can leave it entangled.  A branch's candidate, the
-    most probable vertex of its vertex marginal, is checked against the
-    oracle (one query); it succeeds when it is m with probability at least
-    ``FIDELITY_THRESHOLD``, above 1/2 + ``TIE_TOL``, so a confirmed
-    candidate is the unique most probable vertex.  The first success is
-    the result and must pass the detach gate.  Each branch runs for every
-    hidden vertex in one executor pass."""
+    another mass class can leave it entangled.  It succeeds, m confirmed
+    by the oracle (one query), when p(m) = sum over ancilla blocks a of
+    |sum_g x[a, g] coords[g]|^2, read in m's frame, is at least
+    ``FIDELITY_THRESHOLD`` > 1/2 + ``TIE_TOL``: m is then the unique most
+    probable vertex.  Only a failing branch's rows are lifted (one N x N
+    product per row and block) to report its candidate, the lowest most
+    probable vertex.  The first success is the result and must pass the
+    detach gate.  Each branch runs for every hidden vertex in one pass."""
     vertices = np.asarray(marked, dtype=int)
     coords = sim.frame_coords(ctx.spectrum, vertices)
     starts = ctx.frame_starts(vertices, coords)
@@ -510,25 +517,25 @@ def _search_sweep(
             f"search on this graph takes {len(starts)} branches, got {len(schedules)}")
     for schedule in schedules:
         _check_stages(ctx, schedule)
-    results: list[list[BranchResult]] = [[None] * len(schedules) for _ in marked]
-    found = {}  # (row, side): the amplitudes of a successful branch
-    for side, (start, schedule) in enumerate(zip(starts, schedules)):
-        amps = _run_branch(ctx.spectrum, vertices, coords, start, schedule)
-        probs = (np.abs(amps) ** 2).sum(axis=1)
-        for row, m in enumerate(marked):
-            candidate = _most_probable(probs[row])
-            fid = float(probs[row, candidate])
-            results[row][side] = BranchResult(
-                side=side + 1, candidate=candidate, fidelity=fid,
-                succeeded=fid >= FIDELITY_THRESHOLD and candidate == m,
-                oracle_count=schedule.oracle_count, total_time=schedule.total_time)
-            if results[row][side].succeeded:
-                found[row, side] = amps[row]
+    values, runs = np.array(ctx.spectrum.values), []
+    for side, (start, schedule) in enumerate(zip(starts, schedules), 1):
+        x = sim.run_stages(np.stack([start, np.zeros_like(start)], axis=1),
+                           [schedule] * len(start), values, coords)
+        fids = (np.abs(np.einsum("rag,rg->ra", x, coords)) ** 2).sum(axis=1)
+        found, candidates = fids >= FIDELITY_THRESHOLD, vertices.copy()
+        if (failed := np.flatnonzero(~found)).size:
+            amps = sim.lift(ctx.spectrum, vertices[failed], coords[failed], x[failed])
+            probs = (np.abs(amps) ** 2).sum(axis=1)
+            candidates[failed] = [_most_probable(p) for p in probs]
+            fids[failed] = probs[np.arange(len(failed)), candidates[failed]]
+        runs.append((x, [BranchResult(side, c, f, s, schedule.oracle_count, schedule.total_time)
+                         for c, f, s in zip(candidates.tolist(), fids.tolist(), found.tolist())]))
     reports, winners = [], []
-    for row, (m, branches) in enumerate(zip(marked, results)):
+    for row, m in enumerate(marked):
+        branches = [results[row] for _, results in runs]
         winner = next((b for b in branches if b.succeeded), None)
         if winner:
-            winners.append(found[row, winner.side - 1])
+            winners.append(runs[winner.side - 1][0][row])
         reports.append(_report(
             ctx.search_task, ctx.label, ctx.graph.n, ctx.depth, schedules,
             marked=m,
@@ -540,17 +547,6 @@ def _search_sweep(
     if winners:
         sim.detach_blocks(np.array(winners))
     return reports
-
-
-def _run_branch(spectrum: spectral.Spectrum, vertices: np.ndarray, coords: np.ndarray,
-                start: np.ndarray, schedule: sched_mod.Schedule) -> np.ndarray:
-    """Run a reversed schedule in the frames of vertices, whose
-    ``frame_coords`` are coords, from ``start``, the branch's start in
-    those frames, shape (R, G); return the vertex-basis amplitudes, shape
-    (R, 2, N), with the ancilla carried."""
-    blocks = np.stack([start, np.zeros_like(start)], axis=1)
-    blocks = sim.run_stages(blocks, [schedule] * len(start), np.array(spectrum.values), coords)
-    return sim.lift(spectrum, vertices, coords, blocks)
 
 
 def _most_probable(probs: np.ndarray) -> int:
@@ -579,10 +575,11 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
     Sampling runs from every vertex; transfer on all ordered pairs (or a
     deterministic subset above 10 vertices); search on every hidden vertex
     via the route ``search_route`` picks, with that route's branches.
-    Each vertex's sampling schedule is synthesized once and serves its
-    sample and every transfer it is in.  Sampling runs all its rows in one
-    pass per stage structure and search in one per branch; transfers read
-    the sampling rows' final states.
+    K mass classes cost K syntheses: each vertex samples and transfers
+    with its class's schedule, and Laplacian search branches are their
+    daggers.  Sampling runs all its rows in one pass per stage structure
+    and search in one per branch; transfers read the sampling rows' final
+    states.
     """
     if g.n > cap:
         raise GraphError(f"graph has {g.n} vertices, exceeding the cap {cap}")

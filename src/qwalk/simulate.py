@@ -384,28 +384,32 @@ def run_stages(
     pair pass and of the run is one batched product with T, or with
     T^dagger in reverse; a wider batch runs each iteration as the
     per-coordinate kick and the rank-2 oracle update, O(r) per row, with
-    no (2r)^2 array.  The two agree to rounding.  The threshold was
-    measured on sampling rows of hamming(d,2) (d = 6 to 12), rook(20,20),
-    johnson(10,4), johnson(8,3) and kneser(9,3), 1 to 64 rows, both
-    directions (one BLAS thread, one core of a 2-core Xeon box): the dense
-    form took 0.54 to 0.96 of the per-coordinate time on every batch up to
-    2048 entries but one (hamming(6,2) forward, 8 rows: 1.02), lost on
-    some from 3136 entries (1.07 to 1.10) and on most from 6272, up to
-    2.2 times at 12 544 (hamming(6,2), 64 rows).  ``run_schedule``'s
-    frame has r = N, so it runs dense only below N = 23.  The norm check
-    and the detach gate close every run and raise on the first row that
-    fails them; a schedule without stages needs no m.  ``on_stage(i,
-    blocks)`` gets the (R, 2, r) blocks after stage i."""
+    no (2r)^2 array.  The two agree to rounding.  On sampling rows of
+    seven families, 1 to 64 rows and one BLAS thread, the dense form took
+    0.54 to 0.96 of the per-coordinate time up to 2048 entries and lost
+    on most batches from 6272.  ``run_schedule``'s frame has r = N, so it
+    runs dense only below N = 23.  The kick kernels, gains and kick
+    matrices depend only on a schedule and ``values``: they are built once
+    per distinct schedule object and broadcast, or indexed, across the
+    rows.  The norm check and the detach gate close every run and raise
+    on the first row that fails them; a schedule without stages needs no
+    m.  ``on_stage(i, blocks)`` gets the (R, 2, r) blocks after stage i."""
     structure = schedules[0].structure
     if any(s.structure != structure for s in schedules):
         raise SimulationError("the rows of one run must share their stage structure")
     count, width, carried = len(blocks), 2 * blocks.shape[2], blocks.shape[1] == 2
     stages = schedules[0].stages
+    position: dict[int, int] = {}
+    which = [position.setdefault(id(s), len(position)) for s in schedules]
+    distinct = {id(s): s for s in schedules}.values()  # in the order of position
     walk, kick, alpha = np.array(
-        [[(st.walk_time, st.kick, st.params.alpha) for st in s.stages] for s in schedules]
-    ).reshape(count, len(stages), 3).transpose(2, 0, 1)
+        [[(st.walk_time, st.kick, st.params.alpha) for st in s.stages] for s in distinct]
+    ).reshape(len(distinct), len(stages), 3).transpose(2, 0, 1)
     kernels, gains = _kick_kernels(walk, kick, values), np.exp(-1j * alpha) - 1
     kicks = _kick_matrices(kernels) if count * width**2 <= _DENSE_ENTRIES else None
+    if len(distinct) > 1:
+        kernels, gains = kernels[which], gains[which]
+        kicks = None if kicks is None else kicks[which]
     pairs = [np.eye(2)[:, :, None] * rows[:, None, None]] if stages else []
     matrices = []
 

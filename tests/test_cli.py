@@ -189,7 +189,7 @@ def test_bad_tolerance_is_a_usage_error(argv, capsys, monkeypatch):
     if argv[-2] in ("--fidelity-threshold", "--int-tol"):
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
     else:
-        assert f"argument {argv[-2]}: " in err
+        assert f"argument --cap: must be a positive integer, got '{argv[-1]}'" in err
 
 
 def test_family_spectrum_ignores_int_tol(capsys, monkeypatch):

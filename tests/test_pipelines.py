@@ -715,11 +715,12 @@ def test_verify_passes_on_cographs(g):
 
 
 def test_verify_is_one_pass(monkeypatch, k4_minus_edge):
-    # rook(3,3): one synthesis per vertex and one for the search branch, and
-    # one executor pass per stage structure (sampling) and per branch
-    # (search) where the per-run sweep made 154 and 162; transfers read the
-    # sampling rows.  K4 - e: two stage structures and two branches, each
-    # branch one pass over every hidden vertex, whatever eigenspaces it keeps
+    # rook(3,3): one synthesis, for its one mass class, whose dagger is the
+    # search branch, and one executor pass per stage structure (sampling)
+    # and per branch (search) where the per-run sweep made 154 and 162;
+    # transfers read the sampling rows.  K4 - e: two stage structures and
+    # two branches, each branch one pass over every hidden vertex, whatever
+    # eigenspaces it keeps
     synths, passes = [], []
     synth, run = schedule.synth_sampling_schedule, simulate.run_stages
     monkeypatch.setattr(schedule, "synth_sampling_schedule",
@@ -728,7 +729,7 @@ def test_verify_is_one_pass(monkeypatch, k4_minus_edge):
                         lambda *args: passes.append(len(args[0])) or run(*args))
     result = pipelines.verify_graph(graph.rook(3, 3))
     assert len(result.reports) == 90 and result.min_fidelity >= THRESHOLD
-    assert len(synths) == 9 + 1
+    assert len(synths) == 1
     assert passes == [9, 9]
     passes.clear()
     result = pipelines.verify_graph(k4_minus_edge)
@@ -768,9 +769,10 @@ def test_sweep_row_failure_raises_its_own_error(k4_minus_edge):
 
 
 def test_verify_search_runs_the_context_branches(monkeypatch, k4_minus_edge):
-    # K4 - e has two mass classes; verify searches with the context's own
-    # branches, one synthesis per class on top of the 4 sampling rows, and
-    # gives the same search reports as a sweep over those branches apart
+    # K4 - e has two mass classes; verify samples with one schedule per
+    # class and searches with their daggers, the context's own branches, so
+    # it synthesizes twice, and gives the same search reports as a sweep
+    # over those branches apart
     ctx = pipelines.prepare(k4_minus_edge)
     apart = pipelines._search_sweep(ctx, ctx.branches, range(4))
     synths = []
@@ -778,9 +780,145 @@ def test_verify_search_runs_the_context_branches(monkeypatch, k4_minus_edge):
     monkeypatch.setattr(schedule, "synth_sampling_schedule",
                         lambda *args: synths.append(1) or synth(*args))
     result = pipelines.verify_graph(k4_minus_edge)
-    assert len(synths) == 4 + len(ctx.mass_classes) == 6
+    assert len(synths) == len(ctx.mass_classes) == 2
     searches = [r for r in result.reports if r.task == pipelines.TASK_SEARCH]
     assert searches == apart and len(searches[0].branches) == 2
     assert pipelines.reports_to_csv(searches) == pipelines.reports_to_csv(apart)
     assert list(map(pipelines.report_to_json_dict, searches)) == list(
         map(pipelines.report_to_json_dict, apart))
+
+
+def assert_class_schedules_match_own(g):
+    """Every vertex samples with its mass class's schedule, one object per
+    class; it must do what the vertex's own schedule, synthesized from its
+    own masses, does: fidelity to 1e-12 and the same oracle count."""
+    ctx = pipelines.prepare(g)
+    for m in range(g.n):
+        shared = pipelines.sampling_schedule(ctx, m)
+        assert shared is ctx.class_schedules[ctx.vertex_classes[m]]
+        own = schedule.synth_sampling_schedule(
+            ctx.chain, depth.overlaps(ctx.chain, ctx.spectrum.masses[m]))
+        got = pipelines.uniform_sample(g, m, ctx=ctx)
+        want = pipelines.execute_sample(ctx, own, m)
+        assert got.fidelity == pytest.approx(want.fidelity, rel=0, abs=1e-12)
+        assert got.oracle_count == want.oracle_count == own.oracle_count
+    assert ctx.mass_classes == tuple(
+        int(np.flatnonzero(ctx.vertex_classes == k)[0]) for k in range(len(ctx.mass_classes)))
+    for m in (-1, g.n):
+        with pytest.raises(SpectrumError, match=f"vertex index {m} out of range"):
+            pipelines.sampling_schedule(ctx, m)
+    return ctx
+
+
+@pytest.mark.parametrize("make", [
+    lambda: graph.load_edge_list(K4_MINUS_EDGE),
+    lambda: graph.complete_bipartite(1, 3),
+    lambda: graph.complete_bipartite(2, 5),
+], ids=["k4_minus_edge", "k13", "k25"])
+def test_class_schedules_match_each_vertexs_own(make):
+    assert_class_schedules_match_own(make())
+
+
+def test_class_schedules_match_each_vertexs_own_on_the_sampling_suite(sampling_suite):
+    for g in sampling_suite:
+        assert len(assert_class_schedules_match_own(g).class_schedules) == 1
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(connected_cographs())
+def test_class_schedules_match_each_vertexs_own_on_cographs(g):
+    assert_class_schedules_match_own(g)
+
+
+def test_sampling_synthesizes_once_per_class(monkeypatch):
+    # K(2,5): two classes, so two syntheses however many samples and
+    # transfers run on one context
+    g = graph.complete_bipartite(2, 5)
+    ctx = pipelines.prepare(g)
+    synths = []
+    synth = schedule.synth_sampling_schedule
+    monkeypatch.setattr(schedule, "synth_sampling_schedule",
+                        lambda *args: synths.append(1) or synth(*args))
+    for m in range(g.n):
+        pipelines.uniform_sample(g, m, ctx=ctx)
+        pipelines.transfer(g, m, (m + 3) % g.n, ctx=ctx)
+    assert len(synths) == len(ctx.mass_classes) == 2
+
+
+def frame_reads_and_lift(sctx, vertices):
+    """Per branch of a search context, run for every hidden vertex: p(m)
+    and the ancilla leak read in the frame, and the same two read off the
+    lifted vertex-basis amplitudes, with those amplitudes' probabilities."""
+    vertices = np.asarray(vertices)
+    coords = simulate.frame_coords(sctx.spectrum, vertices)
+    values, rows = np.array(sctx.spectrum.values), np.arange(len(vertices))
+    for start, branch in zip(sctx.frame_starts(vertices, coords), sctx.branches):
+        x = simulate.run_stages(np.stack([start, 0 * start], axis=1),
+                                [branch] * len(vertices), values, coords)
+        amps = simulate.lift(sctx.spectrum, vertices, coords, x)
+        probs = (np.abs(amps) ** 2).sum(axis=1)
+        frame = ((np.abs(np.einsum("rag,rg->ra", x, coords)) ** 2).sum(axis=1),
+                 (np.abs(x[:, 1]) ** 2).sum(axis=1))
+        lifted = probs[rows, vertices], (np.abs(amps[:, 1]) ** 2).sum(axis=1)
+        yield frame, lifted, probs
+
+
+def test_frame_decided_search_agrees_with_the_lift(search_suite):
+    # p(m) and the leak read in m's frame are the lifted ones, and the
+    # reports carry them: p(m) on a success, the lowest most probable
+    # vertex of the lifted distribution and its probability on a failure
+    for g in [*search_suite, graph.complete_bipartite(40, 60)]:
+        _, sctx = pipelines._search_context(g, None)
+        vertices = np.arange(g.n)
+        reports = pipelines._search_sweep(sctx, sctx.branches, vertices)
+        reads = list(frame_reads_and_lift(sctx, vertices))
+        assert len(reads) == len(sctx.branches)
+        for side, ((p_frame, leak_frame), (p_lift, leak_lift), probs) in enumerate(reads):
+            np.testing.assert_allclose(p_frame, p_lift, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(leak_frame, leak_lift, rtol=0, atol=1e-12)
+            for m, report in enumerate(reports):
+                branch = report.branches[side] if report.branches else None
+                if branch is None:  # one branch: the report is the branch
+                    assert report.target == m
+                    assert report.fidelity == pytest.approx(p_lift[m], rel=0, abs=1e-12)
+                elif branch.succeeded:
+                    assert branch.candidate == m
+                    assert branch.fidelity == pytest.approx(p_lift[m], rel=0, abs=1e-12)
+                else:
+                    assert p_frame[m] < THRESHOLD
+                    assert branch.candidate == pipelines._most_probable(probs[m])
+                    assert branch.fidelity == pytest.approx(
+                        probs[m, branch.candidate], rel=0, abs=1e-12)
+
+
+def test_search_lifts_only_failing_branches(monkeypatch, k4_minus_edge):
+    lifted = []
+    lift = simulate.lift
+    monkeypatch.setattr(simulate, "lift",
+                        lambda spec, vertices, *args: lifted.append(list(vertices))
+                        or lift(spec, vertices, *args))
+    # one mass class: every branch succeeds, and nothing is lifted
+    g = graph.hamming(4, 2)
+    ctx = pipelines.prepare(g)
+    assert all(r.target == r.marked for r in pipelines._search_sweep(ctx, ctx.branches, range(16)))
+    assert pipelines.search_vertex_transitive(g, 5, ctx=ctx).target == 5
+    assert lifted == []
+    # K4 - e and K(4,7): each hidden vertex fails one branch, and only the
+    # failing rows of each branch are lifted
+    for sctx in (pipelines.prepare(k4_minus_edge),
+                 pipelines.prepare_bipartite(graph.complete_bipartite(4, 7))):
+        lifted.clear()
+        n = sctx.graph.n
+        reports = pipelines._search_sweep(sctx, sctx.branches, range(n))
+        failing = [[m for m, r in enumerate(reports) if not r.branches[side].succeeded]
+                   for side in range(2)]
+        assert lifted == [rows for rows in failing if rows]
+        assert sum(map(len, lifted)) == n
+    # a failing bipartite branch still names the lowest vertex of its block
+    for m in range(11):
+        lifted.clear()
+        report = pipelines.search_bipartite(4, 7, m)
+        failed = next(b for b in report.branches if not b.succeeded)
+        assert lifted == [[m]]
+        assert failed.candidate == (0 if failed.side == 1 else 4)
+        assert failed.fidelity == pytest.approx(1 / (4 if failed.side == 1 else 7))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -505,12 +506,15 @@ def branch_starts(ctx, vertices, coords):
 
 
 def run_branches(ctx, m):
-    """``pipelines._run_branch`` of every branch in the frame of the one
-    vertex m, from its start there: each branch's (2, N) amplitudes."""
+    """Every branch run in the frame of the one vertex m, from its start
+    there, as ``pipelines._search_sweep`` runs it, and lifted: each
+    branch's (2, N) amplitudes."""
     vertices = np.array([m])
     coords = simulate.frame_coords(ctx.spectrum, vertices)
-    return [pipelines._run_branch(ctx.spectrum, vertices, coords, start, sched)[0]
-            for start, sched in zip(ctx.frame_starts(vertices, coords), ctx.branches)]
+    values = np.array(ctx.spectrum.values)
+    return [simulate.lift(ctx.spectrum, vertices, coords,
+                          simulate.run_stages(blocks, [sched], values, coords))[0]
+            for blocks, sched in zip(branch_starts(ctx, vertices, coords), ctx.branches)]
 
 
 def dense_gram(spec, u, v):
@@ -930,3 +934,35 @@ def test_frame_pipelines_make_no_dense_products(monkeypatch):
             calls.clear()
             assert search(m).target == m
             assert len(calls) <= 2
+
+
+def test_rows_of_distinct_schedules_keep_their_own_kernels():
+    # run_stages builds kernels, gains and kick matrices once per distinct
+    # schedule object and indexes them across the rows: rows whose
+    # schedules share a stage structure but not their kicks and angles, or
+    # are equal but distinct objects, each run their own schedule, on the
+    # dense kernel (8 rows: 8 x 14^2 = 1568 entries) and the per-coordinate
+    # one (64 rows), forward and reversed, with the ancilla carried
+    ctx = pipelines.prepare(graph.hamming(6, 2))
+    base = ctx.class_schedules[0]
+
+    def bent(scale):
+        return dataclasses.replace(base, stages=tuple(dataclasses.replace(
+            st, kick=scale * st.kick, params=dataclasses.replace(
+                st.params, alpha=scale * st.params.alpha)) for st in base.stages))
+
+    variants = [base, bent(0.9), dataclasses.replace(base), bent(1.1)]
+    values = np.array(ctx.spectrum.values)
+    for schedules in (variants, [schedule.dagger(s) for s in variants]):
+        for count in (8, 64):
+            assert (count * 14**2 <= simulate._DENSE_ENTRIES) == (count == 8)
+            coords = simulate.frame_coords(ctx.spectrum, np.arange(count) % 64)
+            rows = [schedules[i % 4] for i in range(count)]
+            blocks = np.stack([coords, np.zeros_like(coords)], axis=1)
+            got = simulate.run_stages(blocks, rows, values, coords)
+            for i in range(count):
+                alone = simulate.run_stages(blocks[i:i + 1], [rows[i]], values, coords[i:i + 1])
+                np.testing.assert_allclose(got[i], alone[0], rtol=0, atol=1e-12)
+            # the bent rows really run other kernels
+            unbent = simulate.run_stages(blocks[1:2], schedules[:1], values, coords[1:2])
+            assert np.abs(got[1] - unbent[0]).max() > 1e-3
