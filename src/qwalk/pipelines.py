@@ -12,10 +12,16 @@ state on a vertex set.
 Sampling and search each run through one sweep (``_sample_sweep``,
 ``_search_sweep``) over rows, a start or hidden vertex with its own
 schedules, in that vertex's frame, one zero-padded coordinate per
-eigenspace group.  A vertex enters its mass class and its frame only
-through its row of the spectrum's mass table, so sampling reads no
-eigenvector.  The context synthesizes one sampling schedule per mass
-class, and the class's search branch is its dagger.  Sampling makes one
+eigenspace group.  A context answers four reads of vertex data: the
+vertex count, the masses of given vertices, the Gram entries of given
+pairs and the mass classes.  A vertex enters its mass class and its
+frame only through its masses, so sampling and a search that succeeds
+read no eigenvector: on a family graph ``prepare`` takes masses and
+classes in closed form and decomposes only when a transfer's Gram
+entries or a failing branch's lift need eigenvectors, once per context;
+any other graph is decomposed up front.  The context synthesizes one
+sampling schedule per mass class, and the class's search branch is its
+dagger.  Sampling makes one
 pass of the batched executor per stage structure, and search one per
 branch, decided in the frame.  Transfer makes no pass of its own:
 ``_transfer_sweep`` reads it off the final states of two rows of a
@@ -44,8 +50,8 @@ from . import depth as depth_mod
 from . import schedule as sched_mod
 from . import simulate as sim
 from . import spectral
-from .errors import GraphError, ScheduleError, SpectrumError
-from .graph import Graph, adjacency, complete_bipartite, laplacian
+from .errors import GraphError, ScheduleError, SimulationError, SpectrumError
+from .graph import Graph, adjacency, complete_bipartite
 
 #: A run counts as exact when the final fidelity clears this.
 FIDELITY_THRESHOLD = 1.0 - 1e-8
@@ -113,10 +119,44 @@ class VerifyReport:
     wall_time_s: float
 
 
+class _VertexReads:
+    """The vertex count ``n``, the walk's eigenvalue on each group and the
+    ``masses`` of given vertices, read off a context's dense ``spectrum``
+    unless a subclass answers them in closed form."""
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return np.array(self.spectrum.values)
+
+    @functools.cached_property
+    def _mass_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first vertex of each run of vertices that share their
+        masses, ascending, and the runs' (K, G) masses; here each vertex is
+        a run, its row of the decomposition's table."""
+        return np.arange(self.n), self.spectrum.masses
+
+    def masses(self, vertices: Sequence[int]) -> np.ndarray:
+        """The masses <m|E_g|m> of the vertices, (R, G), each checked to
+        be one."""
+        vertices = np.asarray(vertices, dtype=int)
+        for v in vertices[(vertices < 0) | (vertices >= self.n)][:1].tolist():
+            raise SimulationError(f"marked vertex {v} out of range for n={self.n}")
+        starts, table = self._mass_runs
+        return table[starts.searchsorted(vertices, "right") - 1]
+
+
 @dataclass(frozen=True)
-class LaplacianContext:
-    """Shared read-only data reused across runs on one graph: the gated
-    eigendecomposition of its Laplacian and the depth chain."""
+class LaplacianContext(_VertexReads):
+    """Shared read-only data reused across runs on one graph: its gated
+    integer spectrum, the depth chain, and four reads of its vertex data,
+    ``n``, ``masses``, ``gram`` and ``vertex_classes``.  A closed form
+    (``ints.family``) answers masses and classes by formula and walks on
+    the integer values, and decomposes only when ``gram`` or a lift reads
+    eigenvectors; otherwise the gate's dense decomposition answers all."""
 
     graph: Graph
     ints: spectral.IntegerSpectrum
@@ -129,13 +169,29 @@ class LaplacianContext:
     def label(self) -> str:
         return self.graph.family or f"custom(n={self.graph.n})"
 
-    @property
+    @functools.cached_property
     def spectrum(self) -> spectral.Spectrum:
-        return self.ints.base
+        """The dense decomposition: the gate's, or for a closed form one
+        solved on first read and held to its groups."""
+        return self.ints.base or spectral.decompose_as(self.graph, self.ints)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return np.array(self.ints.values if self.ints.family else self.spectrum.values, float)
 
     @property
     def depth(self) -> int:
         return self.chain.depth
+
+    @functools.cached_property
+    def _mass_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        return spectral.family_masses(self.ints) if self.ints.family else super()._mass_runs
+
+    def gram(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """The Gram entries (E_g)_uv of the pairs, (P, G), from their
+        eigenvector rows."""
+        spectrum = self.spectrum
+        return spectral.group_sums(spectrum, spectrum.eigenvectors[us] * spectrum.eigenvectors[vs])
 
     @functools.cached_property
     def walk_times(self) -> tuple[float, ...]:
@@ -147,16 +203,18 @@ class LaplacianContext:
         """Each vertex's mass class, numbered by lowest vertex: the vertices
         whose masses on every depth level (the masses <m|E_g|m> summed over
         it, so basis-free) agree to ``LEVEL_MASS_TOL`` with the class's
-        lowest vertex's.  Vertex-transitive and walk-regular graphs have
-        one class (Godsil & McKay 1980)."""
+        lowest vertex's, compared once per run of ``_mass_runs``.
+        Vertex-transitive and walk-regular graphs have one class (Godsil &
+        McKay 1980)."""
+        starts, table = self._mass_runs
         member = self.chain.group_depths[:, None] >= np.arange(len(self.chain.levels))
-        masses = self.spectrum.masses @ member
-        classes, free, count = np.empty(self.graph.n, dtype=int), np.arange(self.graph.n), 0
+        masses = table @ member
+        classes, free, count = np.empty(len(starts), dtype=int), np.arange(len(starts)), 0
         while free.size:
             far = (np.abs(masses[free] - masses[free[0]]) > LEVEL_MASS_TOL).any(axis=1)
             classes[free[~far]] = count
             free, count = free[far], count + 1
-        return classes
+        return classes[starts.searchsorted(np.arange(self.n), "right") - 1]
 
     @functools.cached_property
     def mass_classes(self) -> tuple[int, ...]:
@@ -173,8 +231,8 @@ class LaplacianContext:
         if len(self.mass_classes) == 1:
             overlaps = [depth_mod.transitive_overlaps(self.chain)]
         else:
-            overlaps = [depth_mod.overlaps(self.chain, self.spectrum.masses[m])
-                        for m in self.mass_classes]
+            overlaps = [depth_mod.overlaps(self.chain, row)
+                        for row in self.masses(self.mass_classes)]
         return tuple(sched_mod.synth_sampling_schedule(self.chain, o) for o in overlaps)
 
     @functools.cached_property
@@ -194,13 +252,15 @@ class LaplacianContext:
 
 
 def prepare(g: Graph) -> LaplacianContext:
-    """Eigendecompose the Laplacian and gate it as an integer spectrum."""
-    ints = spectral.graph_integer_spectrum(g, spectral.eigendecompose(laplacian(g)))
+    """Gate g's Laplacian as an integer spectrum and build its depth chain:
+    in closed form when the edges are a built-in family's, with no dense
+    solve, else from its dense decomposition."""
+    ints = spectral.graph_integer_spectrum(g, decompose=True)
     return LaplacianContext(g, ints, depth_mod.build_depth_chain(ints))
 
 
 @dataclass(frozen=True)
-class BipartiteContext:
+class BipartiteContext(_VertexReads):
     """Shared read-only data reused across searches on one complete
     bipartite graph with the two blocks ``bipartite_blocks`` gives."""
 
@@ -318,8 +378,8 @@ def _report(
 def sampling_schedule(ctx: LaplacianContext, m: int) -> sched_mod.Schedule:
     """The forward schedule carrying vertex m to the uniform state: its
     mass class's, one of ``ctx.class_schedules``."""
-    if not 0 <= m < ctx.graph.n:
-        raise SpectrumError(f"vertex index {m} out of range for n={ctx.graph.n}")
+    if not 0 <= m < ctx.n:
+        raise SpectrumError(f"vertex index {m} out of range for n={ctx.n}")
     return ctx.class_schedules[ctx.vertex_classes[m]]
 
 
@@ -360,8 +420,8 @@ def _sample_pass(
     coordinates and their block 0 after each stage."""
     for schedule in schedules:
         _check_stages(ctx, schedule)
-    coords = sim.frame_coords(ctx.spectrum, vertices)
-    values = np.array(ctx.spectrum.values)
+    coords = sim.frame_coords(ctx.masses(vertices))
+    values = ctx.values
     finals, passes = np.zeros(coords.shape, dtype=complex), []
     structures: dict[tuple, list[int]] = {}
     for i, schedule in enumerate(schedules):
@@ -393,7 +453,7 @@ def _sample_sweep(
                       / np.einsum("sij,sij->si", ends.conj(), ends).real)
         for i, row in enumerate(rows):
             reports[row] = _report(
-                TASK_SAMPLE, ctx.label, ctx.graph.n, ctx.chain.depth, [schedules[row]],
+                TASK_SAMPLE, ctx.label, ctx.n, ctx.chain.depth, [schedules[row]],
                 marked=vertices[row],
                 target=None,
                 fidelity=float(abs(x[i, 0]) ** 2),
@@ -435,12 +495,12 @@ def _transfer_sweep(
     conj(s_v[g]) s_u[g] (E_g)_uv, with s the rows' ``finals``: O(N) per
     pair and no executor pass."""
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
-    vertex, vectors = np.asarray(vertices), ctx.spectrum.eigenvectors
-    gram = spectral.group_sums(ctx.spectrum, vectors[vertex[rows]] * vectors[vertex[cols]])
+    vertex = np.asarray(vertices)
+    gram = ctx.gram(vertex[rows], vertex[cols])
     fids = np.abs((finals[cols].conj() * finals[rows] * gram).sum(axis=1)) ** 2
     return [
         _report(
-            TASK_TRANSFER, ctx.label, ctx.graph.n, ctx.chain.depth,
+            TASK_TRANSFER, ctx.label, ctx.n, ctx.chain.depth,
             [schedules[i], schedules[j]],
             marked=vertices[i],
             target=vertices[j],
@@ -510,21 +570,23 @@ def _search_sweep(
     probable vertex.  The first success is the result and must pass the
     detach gate.  Each branch runs for every hidden vertex in one pass."""
     vertices = np.asarray(marked, dtype=int)
-    coords = sim.frame_coords(ctx.spectrum, vertices)
+    coords = sim.frame_coords(ctx.masses(vertices))
     starts = ctx.frame_starts(vertices, coords)
     if len(schedules) != len(starts):
         raise ScheduleError(
             f"search on this graph takes {len(starts)} branches, got {len(schedules)}")
     for schedule in schedules:
         _check_stages(ctx, schedule)
-    values, runs = np.array(ctx.spectrum.values), []
+    runs = []
     for side, (start, schedule) in enumerate(zip(starts, schedules), 1):
         x = sim.run_stages(np.stack([start, np.zeros_like(start)], axis=1),
-                           [schedule] * len(start), values, coords)
+                           [schedule] * len(start), ctx.values, coords)
         fids = (np.abs(np.einsum("rag,rg->ra", x, coords)) ** 2).sum(axis=1)
         found, candidates = fids >= FIDELITY_THRESHOLD, vertices.copy()
         if (failed := np.flatnonzero(~found)).size:
-            amps = sim.lift(ctx.spectrum, vertices[failed], coords[failed], x[failed])
+            spectrum = ctx.spectrum
+            amps = sim.lift(spectrum.eigenvectors, spectrum.multiplicities,
+                            vertices[failed], coords[failed], x[failed])
             probs = (np.abs(amps) ** 2).sum(axis=1)
             candidates[failed] = [_most_probable(p) for p in probs]
             fids[failed] = probs[np.arange(len(failed)), candidates[failed]]
@@ -537,7 +599,7 @@ def _search_sweep(
         if winner:
             winners.append(runs[winner.side - 1][0][row])
         reports.append(_report(
-            ctx.search_task, ctx.label, ctx.graph.n, ctx.depth, schedules,
+            ctx.search_task, ctx.label, ctx.n, ctx.depth, schedules,
             marked=m,
             target=winner.candidate if winner else None,
             fidelity=winner.fidelity if winner else max(b.fidelity for b in branches),

@@ -210,8 +210,12 @@ def stage_params(overlap: float) -> StageParams:
     half_angle = math.asin(overlap)
     bound = (math.pi - 6.0 * half_angle) / (4.0 * half_angle)
     p = max(0, math.ceil(bound - 1e-12))
-    # the tolerance on p may leave the ratio a rounding error above 1
-    alpha = 2.0 * math.asin(min(1.0, math.sin(math.pi / (4 * p + 6)) / overlap))
+    # the tolerance on p may leave the ratio a rounding error above 1; it
+    # is 1 exactly when the overlap is sin(pi / (4p + 6)), as 0.5 is at
+    # p = 0, and asin's slope there turns one ulp below 1 into 3e-8 of
+    # alpha, so a ratio within a few ulp of 1 gives alpha = pi exactly
+    ratio = min(1.0, math.sin(math.pi / (4 * p + 6)) / overlap)
+    alpha = math.pi if ratio >= 1.0 - 4 * math.ulp(1.0) else 2.0 * math.asin(ratio)
     return StageParams(overlap, p, alpha)
 
 

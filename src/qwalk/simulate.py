@@ -11,9 +11,10 @@ and applies each iteration as one product with it; a wide one keeps the
 per-coordinate form, which needs no (2r)^2 array.
 A run from vertex m with its oracle on m stays in span{E_g|m>}, which
 ``frame_coords`` spans with one coordinate per eigenspace group, read
-off the spectrum's mass table (built once, with the decomposition) and
-with no N x N product; every pipeline runs there, on the Laplacian or
-the adjacency spectrum.  A coordinate on an
+off m's masses (a closed form's, or a row of a decomposition's table)
+with no N x N product and no eigenvector; every pipeline runs there, on
+the Laplacian or the adjacency spectrum, and only ``lift`` reads
+eigenvectors.  A coordinate on an
 eigenspace m has no mass on is exactly 0 and stays so: the start and the
 oracle pair w_a are 0 there, and the kick acts on each coordinate alone,
 so the stage matrix has only the kick there too.
@@ -332,19 +333,15 @@ def run_schedule(
     return _state(_rotate(vectors, blocks).ravel(), n)
 
 
-def frame_coords(spectrum: Spectrum, vertices: Sequence[int]) -> np.ndarray:
-    """Row i: |vertices[i]> in its frame, whose coordinate g is the unit
-    vector E_g|m> / ||E_g|m>|| for every eigenspace group g, shape (R, G):
-    ||E_g|m>||, read off the spectrum's mass table where the mass
-    (E_g)_mm is above ``SKIP_MASS_TOL``, and exactly 0 on the eigenspaces
-    m has no mass on.  Such a coordinate stays 0 through every run from
-    |m> with its oracle on m, so rows of different vertices share one
-    executor pass.  O(G) per vertex, and no eigenvector is read."""
-    vertices = np.asarray(vertices, dtype=int)
-    for v in vertices[(vertices < 0) | (vertices >= spectrum.n)][:1].tolist():
-        raise SimulationError(f"marked vertex {v} out of range for n={spectrum.n}")
-    mass = spectrum.masses[vertices]
-    return np.sqrt(np.where(mass > SKIP_MASS_TOL, mass, 0.0))
+def frame_coords(masses: np.ndarray) -> np.ndarray:
+    """Row i: vertex m_i in its frame, whose coordinate g is the unit
+    vector E_g|m> / ||E_g|m>|| for every eigenspace group g, shape (R, G),
+    from the vertices' masses (E_g)_mm, (R, G): ||E_g|m>|| where the mass
+    is above ``SKIP_MASS_TOL``, and exactly 0 on the eigenspaces m has no
+    mass on.  Such a coordinate stays 0 through every run from |m> with
+    its oracle on m, so rows of different vertices share one executor
+    pass.  O(G) per vertex, and no eigenvector is read."""
+    return np.sqrt(np.where(masses > SKIP_MASS_TOL, masses, 0.0))
 
 
 def divide_coords(x: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -354,15 +351,16 @@ def divide_coords(x: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 
 def lift(
-    spectrum: Spectrum, vertices: Sequence[int], coords: np.ndarray, x: np.ndarray
+    vectors: np.ndarray, multiplicities: Sequence[int], vertices: Sequence[int],
+    coords: np.ndarray, x: np.ndarray,
 ) -> np.ndarray:
     """The vertex-basis amplitudes, norm-checked, of x, shape (R, blocks,
-    G), in the frames of vertices, whose ``frame_coords`` are coords: one
-    N x N product for every row and block."""
+    G), in the frames of vertices, whose ``frame_coords`` are coords, with
+    the eigenvectors as columns of ``vectors`` in groups of
+    ``multiplicities``: one N x N product for every row and block."""
     per_group = divide_coords(x, coords[:, None])
-    y = spectrum.eigenvectors[vertices][:, None] * np.repeat(
-        per_group, spectrum.multiplicities, axis=2)
-    amps = _rotate(spectrum.eigenvectors, y.reshape(-1, spectrum.n)).reshape(y.shape)
+    y = vectors[vertices][:, None] * np.repeat(per_group, multiplicities, axis=2)
+    amps = _rotate(vectors, y.reshape(-1, len(vectors))).reshape(y.shape)
     _check_norms(amps)
     return amps
 

@@ -1,5 +1,5 @@
-"""Dense symmetric eigendecomposition, eigenspace grouping, the vertex
-mass table, and the integer-spectrum gate.
+"""Dense symmetric eigendecomposition, eigenspace grouping, vertex masses
+in closed form or from a table, and the integer-spectrum gate.
 
 A decomposition's G eigenspace groups are runs of indices, held as mean
 values and multiplicities; ``eigendecompose`` also builds once the (N, G)
@@ -7,18 +7,23 @@ table of vertex masses <m|E_g|m> (``group_sums`` of the squared
 eigenvectors) that synthesis, mass classes and frames read.  Downstream
 formulas consume only such group sums, never individual eigenvectors, so
 results do not depend on the solver's basis inside a degenerate eigenspace.
+A built-in family's masses also have closed forms (``family_masses``),
+O(G) per run of vertices that share them, so a graph the edges identify
+needs a dense decomposition (``decompose_as``, held to the closed form's
+groups) only where eigenvectors themselves are read.
 
 ``graph_integer_spectrum`` is the one gate on a graph's Laplacian.  Its
 G eigenvalue groups come from a decomposition the caller passes, else in
-closed form when the edges are a built-in family's, else from
-``eigvalsh`` alone.  Solved values are rounded within the fixed
-``INTEGER_TOL``, and every route's groups are certified in exact integer
-arithmetic on the edge list, O(G·E): the product of (L - lambda I) over
-the distinct rounded values kills a pseudo-random vector modulo a prime,
-so every eigenvalue is one of them, and the multiplicities reproduce N,
-tr L and ||L||_F^2.  Even a loose tolerance could therefore not admit a
-non-integer spectrum.  L 1 = 0 holds for every graph, so a simple zero
-makes the uniform state the kernel.
+closed form when the edges are a built-in family's, else from a dense
+solve, ``eigendecompose`` for the tasks or ``eigvalsh`` alone.  Solved
+values are rounded within the fixed ``INTEGER_TOL``, and every route's
+groups are certified in exact integer arithmetic on the edge list,
+O(G·E): the product of (L - lambda I) over the distinct rounded values
+kills a pseudo-random vector modulo a prime, so every eigenvalue is one
+of them, and the multiplicities reproduce N, tr L and ||L||_F^2.  Even a
+loose tolerance could therefore not admit a non-integer spectrum.
+L 1 = 0 holds for every graph, so a simple zero makes the uniform state
+the kernel.
 """
 
 from __future__ import annotations
@@ -74,11 +79,13 @@ class IntegerSpectrum:
     """Ascending integer eigenvalue groups, ``values[g]`` with multiplicity
     ``multiplicities[g]``, one a simple 0; ``graph_integer_spectrum`` also
     certifies them exactly.  ``base`` is the Spectrum they were rounded
-    from, group for group, or None for a closed form (no N entries)."""
+    from, group for group, or None for a closed form (no N entries), whose
+    ``family`` is the (name, params) it was computed for."""
 
     values: tuple[int, ...]
     multiplicities: tuple[int, ...]
     base: Spectrum | None = None
+    family: tuple[str, tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
         zeros = sum(k for x, k in zip(self.values, self.multiplicities) if x == 0)
@@ -179,7 +186,9 @@ def validate_integer_spectrum(spectrum: Spectrum) -> IntegerSpectrum:
     return IntegerSpectrum(tuple(map(round, spectrum.values)), spectrum.multiplicities, spectrum)
 
 
-def graph_integer_spectrum(g: Graph, spectrum: Spectrum | None = None) -> IntegerSpectrum:
+def graph_integer_spectrum(
+    g: Graph, spectrum: Spectrum | None = None, *, decompose: bool = False
+) -> IntegerSpectrum:
     """The integer gate: round a spectrum of g's Laplacian to integers and
     certify it exactly on g's edges.
 
@@ -187,7 +196,8 @@ def graph_integer_spectrum(g: Graph, spectrum: Spectrum | None = None) -> Intege
     index its eigenvectors.  Without one, a graph whose edges are a
     built-in family's (``graph.family_matches``) takes its closed-form
     groups, which need no rounding and have no ``base``, and any other
-    graph the eigenvalues of its dense Laplacian (``eigvalsh``), whose
+    graph the dense solve of its Laplacian: in full (``eigendecompose``)
+    with ``decompose``, else its eigenvalues alone (``eigvalsh``), whose
     ``base.eigenvectors`` is None.  Raises SpectrumError if the values do
     not round within ``INTEGER_TOL``, the zero is not simple, or the
     certificate fails.
@@ -196,7 +206,8 @@ def graph_integer_spectrum(g: Graph, spectrum: Spectrum | None = None) -> Intege
         ints = family_spectrum(*matches[0])
     else:
         if spectrum is None:
-            spectrum = _values_only(_solve(np.linalg.eigvalsh, laplacian(g)))
+            spectrum = (eigendecompose(laplacian(g)) if decompose
+                        else _values_only(_solve(np.linalg.eigvalsh, laplacian(g))))
         ints = validate_integer_spectrum(spectrum)
     _certify(ints, g)
     return ints
@@ -206,7 +217,7 @@ def family_spectrum(name: str, params: tuple[int, ...]) -> IntegerSpectrum:
     """A built-in family's Laplacian eigenvalue groups in closed form,
     ascending, in O(G): terms of equal value merge (rook(a, a),
     complete_bipartite(a, a)) and empty ones drop (complete_bipartite(1, b));
-    ``base`` is None."""
+    ``base`` is None and ``family`` is (name, params)."""
     if name == "hamming":
         d, q = params
         terms = [(q * i, math.comb(d, i) * (q - 1) ** i) for i in range(d + 1)]
@@ -226,7 +237,41 @@ def family_spectrum(name: str, params: tuple[int, ...]) -> IntegerSpectrum:
         second = [(0, 1), (b, b - 1)] if name == "rook" else [(0, 1), (2, 2), (4, 1)]
         terms = [(x + y, mx * my) for x, mx in [(0, 1), (a, a - 1)] for y, my in second]
     values = sorted({x for x, k in terms if k})
-    return IntegerSpectrum(tuple(values), tuple(sum(k for x, k in terms if x == v) for v in values))
+    return IntegerSpectrum(tuple(values), tuple(sum(k for x, k in terms if x == v) for v in values),
+                           family=(name, params))
+
+
+def family_masses(ints: IntegerSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """A closed form's vertex masses <m|E_g|m> on its groups, in O(G) per
+    run of vertices that share them: the first vertex of each run,
+    ascending, and the runs' (K, G) masses.  On the vertex-transitive
+    families every vertex has mass m_g / N (Godsil & McKay 1980), one run.
+    On complete_bipartite(a, b) a vertex of the block of size own has mass
+    1/N on 0, (own - 1)/own on the other block's size (the vectors on its
+    own block that sum to 0) and other/(own N) on N; read by value, so the
+    group K(a, a) merges and the one K(1, b) drops come out right."""
+    name, params = ints.family
+    values, mults = np.array(ints.values), np.array(ints.multiplicities)
+    n = int(mults.sum())
+    if name != "complete_bipartite":
+        return np.zeros(1, dtype=int), (mults / n)[None]
+    own = np.array(params)[:, None]
+    other = n - own
+    return np.array([0, params[0]]), (
+        (values == 0) / n + (values == other) * (own - 1) / own + (values == n) * other / (own * n))
+
+
+def decompose_as(g: Graph, ints: IntegerSpectrum) -> Spectrum:
+    """The dense decomposition of g's Laplacian for a closed form that
+    deferred it until eigenvectors are read.  Raises SpectrumError unless
+    its rounded groups are the closed form's."""
+    spectrum = eigendecompose(laplacian(g))
+    dense = validate_integer_spectrum(spectrum)
+    if (dense.values, dense.multiplicities) != (ints.values, ints.multiplicities):
+        raise SpectrumError(
+            f"the dense groups {dict(zip(dense.values, dense.multiplicities))} are not "
+            f"the closed form's {dict(zip(ints.values, ints.multiplicities))}")
+    return spectrum
 
 
 def _values_only(values: np.ndarray) -> Spectrum:

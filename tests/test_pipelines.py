@@ -37,13 +37,24 @@ def test_uniform_sample_c4_cost(c4):
     assert report.oracle_count <= 2**report.depth * math.sqrt(c4.n) * math.pi
 
 
-def test_sampling_needs_no_eigenvectors(k4_minus_edge):
-    # sampling reads only the group values and the mass table: a context
-    # whose spectrum has no eigenvectors reports what the full one does
+def test_sampling_needs_no_eigenvectors(k4_minus_edge, monkeypatch):
+    # sampling reads only the walk values and the masses: with every
+    # eigensolve refused, a fresh closed-form context (rook(3,3)) and a
+    # dense one whose spectrum has no eigenvectors (K4 - e) report what a
+    # context holding the full decomposition does
+    cases = []
     for g in [graph.rook(3, 3), k4_minus_edge]:
         ctx = pipelines.prepare(g)
-        bare = dataclasses.replace(ctx.spectrum, eigenvectors=None)
-        lean = pipelines.LaplacianContext(g, dataclasses.replace(ctx.ints, base=bare), ctx.chain)
+        assert ctx.spectrum.eigenvectors is not None  # decomposed, on either route
+        cases.append((g, ctx))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("eigvalsh"))
+    for g, ctx in cases:
+        if ctx.ints.family:
+            lean = pipelines.prepare(g)
+        else:
+            bare = dataclasses.replace(ctx.spectrum, eigenvectors=None)
+            lean = pipelines.LaplacianContext(g, dataclasses.replace(ctx.ints, base=bare), ctx.chain)
         vertices = list(range(g.n))
         schedules = [pipelines.sampling_schedule(ctx, m) for m in vertices]
         assert [pipelines.sampling_schedule(lean, m) for m in vertices] == schedules
@@ -589,14 +600,15 @@ def branch_states(sctx, m):
     n = sctx.graph.n
     blocks = getattr(sctx, "blocks", None) or [range(n)] * len(sctx.branches)
     vertices = np.array([m])
-    coords = simulate.frame_coords(sctx.spectrum, vertices)
+    coords = simulate.frame_coords(sctx.masses(vertices))
     starts = sctx.frame_starts(vertices, coords)
     assert len(starts) == len(blocks)
     states = []
     for block, start in zip(blocks, starts):
         amps = np.zeros(n)
         amps[list(block)] = 1 / math.sqrt(len(block))
-        lifted = simulate.lift(sctx.spectrum, vertices, coords, start[:, None])[0, 0]
+        lifted = simulate.lift(sctx.spectrum.eigenvectors, sctx.spectrum.multiplicities,
+                               vertices, coords, start[:, None])[0, 0]
         np.testing.assert_allclose(lifted, amps, rtol=0, atol=1e-12)
         states.append(simulate.from_amplitudes(amps))
     return states
@@ -660,7 +672,7 @@ def assert_frame_start_is_the_eigenvector_one(g):
     1e-15, and are exactly 1.0 on group 0 and 0.0 elsewhere."""
     ctx = pipelines.prepare(g)
     spec, vertices = ctx.spectrum, np.arange(g.n)
-    coords = simulate.frame_coords(spec, vertices)
+    coords = simulate.frame_coords(spec.masses[vertices])
     starts = ctx.frame_starts(vertices, coords)
     assert starts.shape == (len(ctx.mass_classes), g.n, len(spec.values))
     uniform = spec.eigenvectors.sum(axis=0) / math.sqrt(g.n)
@@ -850,12 +862,13 @@ def frame_reads_and_lift(sctx, vertices):
     and the ancilla leak read in the frame, and the same two read off the
     lifted vertex-basis amplitudes, with those amplitudes' probabilities."""
     vertices = np.asarray(vertices)
-    coords = simulate.frame_coords(sctx.spectrum, vertices)
-    values, rows = np.array(sctx.spectrum.values), np.arange(len(vertices))
+    coords = simulate.frame_coords(sctx.masses(vertices))
+    values, rows = sctx.values, np.arange(len(vertices))
     for start, branch in zip(sctx.frame_starts(vertices, coords), sctx.branches):
         x = simulate.run_stages(np.stack([start, 0 * start], axis=1),
                                 [branch] * len(vertices), values, coords)
-        amps = simulate.lift(sctx.spectrum, vertices, coords, x)
+        amps = simulate.lift(sctx.spectrum.eigenvectors, sctx.spectrum.multiplicities,
+                             vertices, coords, x)
         probs = (np.abs(amps) ** 2).sum(axis=1)
         frame = ((np.abs(np.einsum("rag,rg->ra", x, coords)) ** 2).sum(axis=1),
                  (np.abs(x[:, 1]) ** 2).sum(axis=1))
@@ -895,8 +908,8 @@ def test_search_lifts_only_failing_branches(monkeypatch, k4_minus_edge):
     lifted = []
     lift = simulate.lift
     monkeypatch.setattr(simulate, "lift",
-                        lambda spec, vertices, *args: lifted.append(list(vertices))
-                        or lift(spec, vertices, *args))
+                        lambda vectors, mults, vertices, *args: lifted.append(list(vertices))
+                        or lift(vectors, mults, vertices, *args))
     # one mass class: every branch succeeds, and nothing is lifted
     g = graph.hamming(4, 2)
     ctx = pipelines.prepare(g)

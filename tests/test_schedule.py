@@ -24,10 +24,19 @@ def test_stage_params_half_sqrt2():
 
 def test_stage_params_one_half():
     # the bound on p evaluates to exactly 0 here and the arcsin argument to
-    # 1, where a rounding error in the ratio moves alpha by about 3e-8
+    # 1, where a one-ulp rounding of the ratio would move alpha by 3e-8:
+    # alpha is pi exactly, for 0.5 and for overlaps an ulp or two away
     params = schedule.stage_params(0.5)
     assert params.p == 0
-    assert params.alpha == pytest.approx(math.pi, abs=1e-7)
+    assert params.alpha == math.pi
+    for overlap in (math.sin(math.pi / 6), math.nextafter(0.5, 1.0),
+                    math.nextafter(math.nextafter(0.5, 0.0), 0.0)):
+        assert schedule.stage_params(overlap).alpha == math.pi
+    # sin(pi / 10) is the exact overlap at p = 1
+    assert schedule.stage_params(math.sin(math.pi / 10)).p == 1
+    assert schedule.stage_params(math.sin(math.pi / 10)).alpha == math.pi
+    # away from those overlaps alpha is below pi
+    assert schedule.stage_params(0.5 + 1e-9).alpha < math.pi - 1e-5
 
 
 def test_stage_params_small_overlap():

@@ -492,7 +492,7 @@ def frame_basis(spec, m):
     """Vertex m's frame vectors as vertex-basis columns, with its frame
     coordinates: column g is E_g|m> over its norm coords[g], or 0 where
     coords[g] is 0."""
-    v, coords = spec.eigenvectors, simulate.frame_coords(spec, [m])[0]
+    v, coords = spec.eigenvectors, simulate.frame_coords(spec.masses[[m]])[0]
     columns = [v[:, run] @ v[m, run] / c if c else np.zeros(len(v))
                for run, c in zip(group_runs(spec), coords)]
     return np.array(columns).T, coords
@@ -510,10 +510,10 @@ def run_branches(ctx, m):
     there, as ``pipelines._search_sweep`` runs it, and lifted: each
     branch's (2, N) amplitudes."""
     vertices = np.array([m])
-    coords = simulate.frame_coords(ctx.spectrum, vertices)
-    values = np.array(ctx.spectrum.values)
-    return [simulate.lift(ctx.spectrum, vertices, coords,
-                          simulate.run_stages(blocks, [sched], values, coords))[0]
+    coords = simulate.frame_coords(ctx.masses(vertices))
+    spec = ctx.spectrum
+    return [simulate.lift(spec.eigenvectors, spec.multiplicities, vertices, coords,
+                          simulate.run_stages(blocks, [sched], ctx.values, coords))[0]
             for blocks, sched in zip(branch_starts(ctx, vertices, coords), ctx.branches)]
 
 
@@ -555,8 +555,8 @@ def test_frame_coords_are_exactly_zero_off_a_vertexs_eigenspaces():
     for g, kept in [(graph.complete_bipartite(1, 3), [[0, 4]] + [[0, 1, 4]] * 3),
                     (graph.complete_bipartite(2, 3), [[0, 3, 5]] * 2 + [[0, 2, 5]] * 3)]:
         ctx = pipelines.prepare(g)
-        spec, vertices, values = ctx.spectrum, range(g.n), np.array(ctx.spectrum.values)
-        coords = simulate.frame_coords(spec, vertices)
+        vertices, values = range(g.n), ctx.values
+        coords = simulate.frame_coords(ctx.masses(vertices))
         zero = coords == 0.0
         for row, held in zip(coords, kept):
             assert np.allclose(values[row > 0], held, atol=1e-9)
@@ -584,7 +584,8 @@ def test_frame_coords_are_exactly_zero_off_a_vertexs_eigenspaces():
 def test_gram_entries_vanish_off_shared_eigenspaces():
     # K(2,3): a pair's Gram entry vanishes on every eigenspace either vertex
     # has no mass on; a vertex out of range is refused by name
-    spec = pipelines.prepare(graph.complete_bipartite(2, 3)).spectrum
+    ctx = pipelines.prepare(graph.complete_bipartite(2, 3))
+    spec = ctx.spectrum
     for (u, v), nonzero in [((0, 1), [0, 3, 5]), ((2, 4), [0, 2, 5]), ((0, 4), [0, 5])]:
         gram = spectral.group_sums(spec, spec.eigenvectors[u] * spec.eigenvectors[v])
         held = [x for x, entry in zip(spec.values, gram) if abs(entry) > 1e-9]
@@ -592,7 +593,7 @@ def test_gram_entries_vanish_off_shared_eigenspaces():
     for vertices in ([5], [0, 5], [0, -1]):
         bad = [v for v in vertices if not 0 <= v < 5][0]
         with pytest.raises(SimulationError, match=f"marked vertex {bad} out of range for n=5"):
-            simulate.frame_coords(spec, vertices)
+            ctx.masses(vertices)
 
 
 def test_run_stages_mixes_frames_that_keep_different_eigenspaces():
@@ -600,11 +601,10 @@ def test_run_stages_mixes_frames_that_keep_different_eigenspaces():
     # is 0, beside its leaves under each search branch; every row reads
     # what it reads run alone, and a batch's coordinates are the one-row ones
     ctx = pipelines.prepare(graph.complete_bipartite(1, 3))
-    spec, values = ctx.spectrum, np.array(ctx.spectrum.values)
-    coords = simulate.frame_coords(spec, [1, 0, 3, 2])
+    values, coords = ctx.values, simulate.frame_coords(ctx.masses([1, 0, 3, 2]))
     assert (coords[1] == 0.0).sum() == 1 and np.all(coords[[0, 2, 3]] > 0)
     for i, v in enumerate([1, 0, 3, 2]):
-        assert np.array_equal(coords[i], simulate.frame_coords(spec, [v])[0])
+        assert np.array_equal(coords[i], simulate.frame_coords(ctx.masses([v]))[0])
     for blocks, sched in zip(branch_starts(ctx, [1, 0, 3, 2], coords), ctx.branches):
         batch = simulate.run_stages(blocks, [sched] * 4, values, coords)
         for i in range(4):
@@ -639,14 +639,14 @@ def kernel_runs(name):
     _, sctx = pipelines._search_context(g, ctx)
     vertices = np.tile(np.arange(g.n), copies)
     forward = [pipelines.sampling_schedule(ctx, m) for m in range(g.n)]
-    coords, runs = simulate.frame_coords(ctx.spectrum, vertices), []
+    coords, runs = simulate.frame_coords(ctx.masses(vertices)), []
     for structure in {s.structure for s in forward}:
         ids = [i for i, m in enumerate(vertices) if forward[m].structure == structure]
-        runs.append((np.array(ctx.spectrum.values), [forward[vertices[i]] for i in ids],
+        runs.append((ctx.values, [forward[vertices[i]] for i in ids],
                      coords[ids, None], coords[ids]))
-    coords = simulate.frame_coords(sctx.spectrum, vertices)
+    coords = simulate.frame_coords(sctx.masses(vertices))
     for blocks, branch in zip(branch_starts(sctx, vertices, coords), sctx.branches):
-        runs.append((np.array(sctx.spectrum.values), [branch] * len(vertices), blocks, coords))
+        runs.append((sctx.values, [branch] * len(vertices), blocks, coords))
     return runs
 
 
@@ -723,11 +723,11 @@ def test_run_schedule_keeps_its_n_x_n_frame_off_the_dense_form():
     # run_schedule's frame is the full eigenbasis, r = N: its stage
     # matrices would take (2N)^2 entries each, 32 MiB at N = 256
     ctx = pipelines.prepare(graph.hamming(8, 2))
-    tree = pipelines.sampling_schedule(ctx, 3)
+    tree, spec = pipelines.sampling_schedule(ctx, 3), ctx.spectrum  # decomposed before tracing
     start = simulate.vertex_state(256, 3)
     tracemalloc.start()
     try:
-        out = simulate.run_schedule(start, tree, ctx.spectrum, 3)
+        out = simulate.run_schedule(start, tree, spec, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -742,7 +742,7 @@ def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
         sched = pipelines.sampling_schedule(ctx, m)
         basis, coords = frame_basis(spec, m)
         got = simulate.run_stages(coords[None, None], [sched], np.array(spec.values), coords[None])
-        lifted = simulate.lift(spec, [m], coords[None], got)[0, 0]
+        lifted = simulate.lift(spec.eigenvectors, spec.multiplicities, [m], coords[None], got)[0, 0]
         assert_close(lifted, basis @ got[0, 0])
 
         pairs = depth.level_states(ctx.chain, spec.eigenvectors[m])
@@ -856,7 +856,7 @@ def test_mass_table_is_the_read_only_row_sums(name):
         spec.masses[0, 0] = 0.0
     for m, row in enumerate(spec.eigenvectors):
         assert np.array_equal(spec.masses[m], spectral.group_sums(spec, row * row))
-    coords = simulate.frame_coords(spec, range(spec.n))
+    coords = simulate.frame_coords(spec.masses)
     assert np.array_equal(coords == 0.0, spec.masses <= depth.SKIP_MASS_TOL)
     if name == "adjacency K(1,3)":
         # the centre has no mass on the eigenvalue-0 eigenspace
@@ -904,7 +904,7 @@ def test_frame_branches_match_run_schedule(name):
 
 def test_frame_runs_keep_the_norm_check_and_detach_gate():
     ctx = pipelines.prepare(CLASS_GRAPHS["leaking"]())
-    coords, values = simulate.frame_coords(ctx.spectrum, [5]), np.array(ctx.spectrum.values)
+    coords, values = simulate.frame_coords(ctx.masses([5])), ctx.values
     with pytest.raises(SimulationError, match="norm defect"):
         simulate.run_stages(2 * coords[:, None], [pipelines.sampling_schedule(ctx, 5)],
                             values, coords)
@@ -952,11 +952,11 @@ def test_rows_of_distinct_schedules_keep_their_own_kernels():
                 st.params, alpha=scale * st.params.alpha)) for st in base.stages))
 
     variants = [base, bent(0.9), dataclasses.replace(base), bent(1.1)]
-    values = np.array(ctx.spectrum.values)
+    values = ctx.values
     for schedules in (variants, [schedule.dagger(s) for s in variants]):
         for count in (8, 64):
             assert (count * 14**2 <= simulate._DENSE_ENTRIES) == (count == 8)
-            coords = simulate.frame_coords(ctx.spectrum, np.arange(count) % 64)
+            coords = simulate.frame_coords(ctx.masses(np.arange(count) % 64))
             rows = [schedules[i % 4] for i in range(count)]
             blocks = np.stack([coords, np.zeros_like(coords)], axis=1)
             got = simulate.run_stages(blocks, rows, values, coords)

@@ -199,7 +199,7 @@ def test_amplitudes_out_of_range(c4):
 
 def frame_masses(spec, v):
     """Vertex v's mass on each eigenspace, from its executor frame."""
-    coords = simulate.frame_coords(spec, [v])[0]
+    coords = simulate.frame_coords(spec.masses[[v]])[0]
     return dict(zip(spec.values, coords**2))
 
 
