@@ -217,8 +217,8 @@ def _cmd_run(args, parser) -> int:
     elif args.task == "search":
         if args.marked is None:
             parser.error("run search requires --marked (the hidden vertex)")
-        _, search = pipelines.search_route(_resolve_graph(args, parser))
-        report = search(args.marked)
+        _, ctx = pipelines.search_route(_resolve_graph(args, parser))
+        report = pipelines.execute_search(ctx, ctx.branches, args.marked)
     else:  # bipartite
         if args.marked is None:
             parser.error("run bipartite requires --marked")

@@ -23,10 +23,6 @@ from .errors import GraphError
 
 Edge = tuple[int, int]
 
-#: Values of the tri-state vertex-transitivity flag.
-TRANSITIVE = ("yes", "no", "unknown")
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected connected graph with an optional family tag.
@@ -37,21 +33,17 @@ class Graph:
     (``_is_connected``), near-linear in E.  ``edges``, the same pairs as a
     frozenset of tuples, is built on first use for callers that test
     membership; no pipeline reads it.  Instances compare by value and are
-    immutable.  The family tag and the ``vertex_transitive`` flag are
-    records for artifacts; no route reads them.
+    immutable.  The family tag is a record for artifacts; no route reads
+    it.
     """
 
     n: int
     edge_array: np.ndarray
     family: str | None = None
-    vertex_transitive: str = "unknown"
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise GraphError(f"vertex count must be positive, got {self.n}")
-        if self.vertex_transitive not in TRANSITIVE:
-            raise GraphError(f"vertex_transitive must be one of {TRANSITIVE}, "
-                             f"got {self.vertex_transitive!r}")
         pairs = _pairs(self.edge_array)
         u, v = pairs.T
         if (loop := u == v).any():
@@ -67,9 +59,8 @@ class Graph:
         object.__setattr__(self, "edge_array", pairs)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and (self.n, self.family, self.vertex_transitive) == (
-            other.n, other.family, other.vertex_transitive) and np.array_equal(
-            self.edge_array, other.edge_array)
+        return isinstance(other, Graph) and (self.n, self.family) == (
+            other.n, other.family) and np.array_equal(self.edge_array, other.edge_array)
 
     @functools.cached_property
     def edges(self) -> frozenset[Edge]:
@@ -102,13 +93,12 @@ def _is_connected(n: int, pairs: np.ndarray) -> bool:
     return not root.any()
 
 
-def graph_from_edges(n: int, edges: np.ndarray | Iterable[Edge], family: str | None = None,
-                     vertex_transitive: str = "unknown") -> Graph:
+def graph_from_edges(n: int, edges: np.ndarray | Iterable[Edge],
+                     family: str | None = None) -> Graph:
     """Build a Graph from arbitrary (u, v) pairs, an (E, 2) array or an
     iterable, normalizing orientation and collapsing duplicates."""
     u, v = _pairs(edges).T
-    return Graph(n, np.column_stack([np.minimum(u, v), np.maximum(u, v)]), family,
-                 vertex_transitive)
+    return Graph(n, np.column_stack([np.minimum(u, v), np.maximum(u, v)]), family)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +110,7 @@ def johnson(n: int, k: int) -> Graph:
     has size k-1.  J(n, 1) is the complete graph K_n."""
     if not 1 <= k < n:
         raise GraphError(f"johnson requires 1 <= k < n, got n={n}, k={k}")
-    return graph_from_edges(math.comb(n, k), _subset_edges(n, k, k - 1),
-                            f"johnson({n},{k})", "yes")
+    return graph_from_edges(math.comb(n, k), _subset_edges(n, k, k - 1), f"johnson({n},{k})")
 
 
 def kneser(n: int, k: int) -> Graph:
@@ -136,7 +125,7 @@ def kneser(n: int, k: int) -> Graph:
         raise GraphError(f"kneser requires 1 <= k and n >= 2k, got n={n}, k={k}")
     if n == 2 * k and k > 1:
         raise GraphError(f"kneser({n},{k}) is disconnected; need n >= 2k+1")
-    return graph_from_edges(math.comb(n, k), _subset_edges(n, k, 0), f"kneser({n},{k})", "yes")
+    return graph_from_edges(math.comb(n, k), _subset_edges(n, k, 0), f"kneser({n},{k})")
 
 
 def _subset_edges(n: int, k: int, meet: int) -> np.ndarray:
@@ -165,7 +154,7 @@ def hamming(d: int, q: int) -> Graph:
     u = np.arange(q**d)[:, None]
     up = u // s % q + delta < q
     pairs = np.column_stack([np.broadcast_to(u, up.shape)[up], (u + s * delta)[up]])
-    return graph_from_edges(q**d, pairs, f"hamming({d},{q})", "yes")
+    return graph_from_edges(q**d, pairs, f"hamming({d},{q})")
 
 
 def rook(m: int, n: int) -> Graph:
@@ -189,8 +178,7 @@ def complete_bipartite(n1: int, n2: int) -> Graph:
     if n1 < 1 or n2 < 1:
         raise GraphError(f"complete_bipartite requires n1, n2 >= 1, got {n1}, {n2}")
     pairs = np.column_stack(np.divmod(np.arange(n1 * n2), n2)) + [0, n1]  # row-major, sorted
-    flag = "yes" if n1 == n2 else "no"
-    return graph_from_edges(n1 + n2, pairs, f"complete_bipartite({n1},{n2})", flag)
+    return graph_from_edges(n1 + n2, pairs, f"complete_bipartite({n1},{n2})")
 
 
 def cycle(n: int) -> Graph:
@@ -217,7 +205,7 @@ def _cartesian_product(
     along1 = edges1[:, None] * n2 + np.arange(n2)[:, None]
     along2 = np.arange(n1)[:, None, None] * n2 + edges2
     pairs = np.concatenate([along1.reshape(-1, 2), along2.reshape(-1, 2)])
-    return graph_from_edges(n1 * n2, pairs, tag, "yes")
+    return graph_from_edges(n1 * n2, pairs, tag)
 
 
 _FAMILY_BUILDERS = {
@@ -252,10 +240,9 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)])
 
 def family_matches(g: Graph) -> list[tuple[str, tuple[int, ...]]]:
     """Every built-in family whose generator gives exactly g's labelled
-    edges, decided from the edges alone, never the tag or the
-    vertex-transitive flag.  The vertex and edge counts fix the candidates;
-    each edge obeying a candidate's adjacency rule on the labels then
-    proves the edge sets equal.  A complete graph needs no rule."""
+    edges, decided from the edges alone, never the tag.  The vertex and
+    edge counts fix the candidates; each edge obeying a candidate's
+    adjacency rule on the labels then proves the edge sets equal.  A complete graph needs no rule."""
     n, e = g.n, len(g.edge_array)
     u, v = g.edge_array.T
     return [(name, params) for name, params, rule in _candidates(n, e)
@@ -391,15 +378,14 @@ def laplacian_matvec(g: Graph, w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def graph_to_json_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": g.edge_array.tolist(), "family": g.family,
-            "vertex_transitive": g.vertex_transitive}
+    return {"n": g.n, "edges": g.edge_array.tolist(), "family": g.family}
 
 
 def graph_from_json_dict(data: dict) -> Graph:
     """The graph of a JSON dict; ``n`` and every edge endpoint must be JSON
-    integers, never floats, strings or booleans."""
+    integers, never floats, strings or booleans.  Any other key, such as
+    the ``vertex_transitive`` of older artifacts, is ignored."""
     n, edges = data["n"], data["edges"]
     if {type(n), *map(type, itertools.chain.from_iterable(edges))} != {int}:
         raise GraphError("graph JSON: n and every edge endpoint must be integers")
-    return graph_from_edges(
-        n, edges, data.get("family"), data.get("vertex_transitive", "unknown"))
+    return graph_from_edges(n, edges, data.get("family"))

@@ -21,14 +21,14 @@ classes in closed form and decomposes only when a transfer's Gram
 entries or a failing branch's lift need eigenvectors, once per context;
 any other graph is decomposed up front.  The context synthesizes one
 sampling schedule per mass class, and the class's search branch is its
-dagger.  Sampling makes one
-pass of the batched executor per stage structure, and search one per
-branch, decided in the frame.  Transfer makes no pass of its own:
-``_transfer_sweep`` reads it off the final states of two rows of a
-sampling pass (``_sample_pass``, which builds no reports), weighted by
-the Gram entries (E_g)_uv.  ``verify_graph`` is one call of each sweep
-over every row of a graph, with one synthesis per mass class; the
-single-run functions are the one-row case.
+dagger.  Each pass of the batched executor runs one schedule: sampling
+makes one per distinct schedule, and search one per branch, decided in
+the frame.  Transfer makes no pass of its own: ``_transfer_sweep``
+reads it off the final states of two rows of a sampling pass
+(``_sample_pass``, which builds no reports), weighted by the Gram
+entries (E_g)_uv.  ``verify_graph`` is one call of each sweep over every
+row of a graph, with one synthesis per mass class; the single-run
+functions are the one-row case.
 
 Success is declared by fidelity threshold on the exact final state, not by
 sampled measurement; ``measure_distribution`` exists for demonstration.
@@ -41,7 +41,7 @@ import functools
 import io
 import math
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +69,12 @@ TASK_BIPARTITE = "bipartite_search"
 @dataclass(frozen=True)
 class BranchResult:
     """Outcome of one search branch: its candidate, the candidate's
-    probability, and whether the oracle check confirmed it."""
+    probability, and whether the oracle check confirmed it.  A failing
+    branch's candidate is its lowest most probable vertex, which can be
+    the marked vertex itself when p(m) ties the maximum below
+    ``FIDELITY_THRESHOLD``: on K4 - e with edges 01, 02, 03, 12, 13,
+    hidden vertex 2's first branch ends with vertices 2 and 3 at 1/2 each
+    and names 2."""
 
     side: int
     candidate: int
@@ -292,15 +297,17 @@ class BipartiteContext(_VertexReads):
     def frame_starts(self, vertices: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Branch i's start, the uniform state |B_i> on block i, in the
         frames of vertices m_j, whose ``frame_coords`` are coords, shape
-        (2, R, G).  |B_i> lies in each frame, as its projection on each
-        eigenspace g is parallel to E_g|m_j>, and its coordinate g in row
-        j is <m_j|E_g|B_i> / coords[j, g], from the eigenvectors, O(N) per
-        row and block."""
-        spectrum = self.spectrum
-        vectors = spectrum.eigenvectors
-        return np.array([sim.divide_coords(spectral.group_sums(
-            spectrum, vectors[vertices] * (vectors[list(block)].sum(axis=0) / math.sqrt(len(block)))
-        ), coords) for block in self.blocks])
+        (2, R, G).  The adjacency walk's eigenvectors for +-sqrt(n1 n2) are
+        v_+- = (|B_1> +- |B_2>) / sqrt(2), so E_0|B_i> = 0, E_+|B_i> =
+        v_+ / sqrt(2) and E_-|B_i> = +-v_- / sqrt(2), + for block 1; over
+        ||E_g|m_j>|| = |<m_j|v_g>|, coordinate g in row j is 1 / sqrt(2) on
+        +sqrt(n1 n2), 0 on the zero group, and +-1 / sqrt(2) on
+        -sqrt(n1 n2), + when m_j lies in block i.  The groups are told
+        apart by value against +-1/2, as the zero group's is about 0 and
+        the others' magnitude is at least 1.  No eigenvector is read."""
+        member = np.array([np.isin(vertices, block) for block in self.blocks])
+        values = self.values
+        return np.where(values < -0.5, 2.0 * member[..., None] - 1, values > 0.5) / math.sqrt(2.0)
 
 
 def prepare_bipartite(g: Graph) -> BipartiteContext:
@@ -330,22 +337,14 @@ def bipartite_blocks(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None
 
 def search_route(
     g: Graph, *, ctx: LaplacianContext | None = None
-) -> tuple[str, Callable[[int], RunReport]]:
-    """Pick the search route from g's edges and return it with a function
-    that searches for one hidden vertex on it, sharing one context.
+) -> tuple[str, LaplacianContext | BipartiteContext]:
+    """Pick the search route from g's edges and return it with the context
+    that searches on it (``execute_search(ctx, ctx.branches, m)``).
 
     Complete bipartite graphs with unequal blocks take the two-branch
     adjacency route; every other graph the black-box route, one Laplacian
-    branch per mass class.
+    branch per mass class, in ``ctx`` when given.
     """
-    route, sctx = _search_context(g, ctx)
-    return route, lambda m: execute_search(sctx, sctx.branches, m)
-
-
-def _search_context(
-    g: Graph, ctx: LaplacianContext | None
-) -> tuple[str, LaplacianContext | BipartiteContext]:
-    """The route ``search_route`` picks and the context it searches in."""
     blocks = bipartite_blocks(g)
     if blocks and len(blocks[0]) != len(blocks[1]):
         return "bipartite", BipartiteContext(g, blocks)
@@ -412,24 +411,24 @@ def _sample_pass(
     ctx: LaplacianContext, schedules: Sequence[sched_mod.Schedule], vertices: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[list[int], np.ndarray, np.ndarray]]]:
     """Run forward ``schedules[i]`` from vertex ``vertices[i]`` in its
-    frame, one executor pass per stage structure.  Stage ends are safe
-    projection points for the ancilla; coordinate 0 is the uniform state.
-    Return the rows' ``frame_coords``; each row's final state F|m> = sum
-    over g of s[i, g] E_g|m>, as the (R, G) array s, zero on the
-    eigenspaces m has no mass on; and per pass its rows, their final
-    coordinates and their block 0 after each stage."""
-    for schedule in schedules:
-        _check_stages(ctx, schedule)
+    frame, one executor pass per distinct schedule object, each checked
+    once.  Stage ends are safe projection points for the ancilla;
+    coordinate 0 is the uniform state.  Return the rows' ``frame_coords``;
+    each row's final state F|m> = sum over g of s[i, g] E_g|m>, as the (R,
+    G) array s, zero on the eigenspaces m has no mass on; and per pass its
+    rows, their final coordinates and their block 0 after each stage."""
+    groups: dict[int, list[int]] = {}
+    for i, schedule in enumerate(schedules):
+        groups.setdefault(id(schedule), []).append(i)
+    for rows in groups.values():
+        _check_stages(ctx, schedules[rows[0]])
     coords = sim.frame_coords(ctx.masses(vertices))
     values = ctx.values
     finals, passes = np.zeros(coords.shape, dtype=complex), []
-    structures: dict[tuple, list[int]] = {}
-    for i, schedule in enumerate(schedules):
-        structures.setdefault(schedule.structure, []).append(i)
-    for rows in structures.values():
+    for rows in groups.values():
         ends: list[np.ndarray] = []
-        x = sim.run_stages(coords[rows, None], [schedules[i] for i in rows], values,
-                           coords[rows], lambda _, blocks: ends.append(blocks[:, 0]))[:, 0]
+        x = sim.run_stages(coords[rows, None], schedules[rows[0]], values, coords[rows],
+                           lambda _, blocks: ends.append(blocks[:, 0]))[:, 0]
         finals[rows] = sim.divide_coords(x, coords[rows])
         passes.append((rows, x, np.array(ends).reshape(-1, *x.shape)))
     return coords, finals, passes
@@ -580,7 +579,7 @@ def _search_sweep(
     runs = []
     for side, (start, schedule) in enumerate(zip(starts, schedules), 1):
         x = sim.run_stages(np.stack([start, np.zeros_like(start)], axis=1),
-                           [schedule] * len(start), ctx.values, coords)
+                           schedule, ctx.values, coords)
         fids = (np.abs(np.einsum("rag,rg->ra", x, coords)) ** 2).sum(axis=1)
         found, candidates = fids >= FIDELITY_THRESHOLD, vertices.copy()
         if (failed := np.flatnonzero(~found)).size:
@@ -639,7 +638,7 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
     via the route ``search_route`` picks, with that route's branches.
     K mass classes cost K syntheses: each vertex samples and transfers
     with its class's schedule, and Laplacian search branches are their
-    daggers.  Sampling runs all its rows in one pass per stage structure
+    daggers.  Sampling runs all its rows in one pass per class schedule
     and search in one per branch; transfers read the sampling rows' final
     states.
     """
@@ -647,7 +646,7 @@ def verify_graph(g: Graph, *, cap: int = 500) -> VerifyReport:
         raise GraphError(f"graph has {g.n} vertices, exceeding the cap {cap}")
     started = time.perf_counter()
     ctx = prepare(g)
-    route, sctx = _search_context(g, ctx)
+    route, sctx = search_route(g, ctx=ctx)
     vertices = list(range(g.n))
     forward = [sampling_schedule(ctx, m) for m in vertices]
 

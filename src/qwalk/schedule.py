@@ -192,12 +192,6 @@ class Schedule:
     def oracle_count(self) -> int:
         return self._costs[2]
 
-    @functools.cached_property
-    def structure(self) -> tuple[str, tuple[tuple[int, int], ...]]:
-        """What schedules run side by side as rows of one executor pass
-        share: the direction and each stage's level and iteration count."""
-        return self.direction, tuple((st.level, st.params.iterations) for st in self.stages)
-
 
 # ---------------------------------------------------------------------------
 # Stage parameters

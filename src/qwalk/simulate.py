@@ -18,13 +18,13 @@ eigenvectors.  A coordinate on an
 eigenspace m has no mass on is exactly 0 and stays so: the start and the
 oracle pair w_a are 0 there, and the kick acts on each coordinate alone,
 so the stage matrix has only the kick there too.
-So the executor runs R rows at once, each with its own marked vertex,
-kicks and oracle angles, and rows whose schedules share their stage
-structure share every iteration: one pass of numpy calls serves a whole
-sweep.  ``run_schedule`` takes any vertex-basis state and rotates it into
-the eigenbasis and back, O(N^2); it, ``apply_op`` and the per-op
-primitives are the references the frame runs are tested against, and
-every one is exactly unitary.
+So the executor runs one schedule on R rows at once, each with its own
+marked vertex, and the rows share every iteration: one pass of numpy
+calls serves every row of a sweep that runs that schedule.
+``run_schedule`` takes any vertex-basis state and rotates it into the
+eigenbasis and back, O(N^2); it, ``apply_op`` and the per-op primitives
+are the references the frame runs are tested against, and every one is
+exactly unitary.
 
 The ancilla qubit is the leading tensor factor (amplitude layout
 [block0, block1]), attached at the first op that needs it; only at stage
@@ -50,7 +50,6 @@ from .schedule import (
     OraclePhase,
     PrimitiveOp,
     Schedule,
-    Stage,
     WalkPhase,
 )
 from .spectral import Spectrum
@@ -268,45 +267,44 @@ def apply_op(
 
 
 def _kick_kernels(walk_times: np.ndarray, kicks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``target_phase_ops(walk_times[i, k], kicks[i, k])``, stage k of row
-    i, as one 2x2 ancilla matrix per coordinate, ``m[i, k, r, c, j]``, so
-    that block r after it is sum over c of m[i, k, r, c] * block c before
-    it, in a frame where the walk is diagonal with ``values``.  H c(W) H is
-    [[a, b], [b, a]] with a, b = (1 +- e^{-i lambda t}) / 2, and the
-    circuit is that matrix on both sides of diag(1, e^{i theta}).  Each
-    matrix is symmetric and unitary, so the kick D, the block-diagonal
-    (2r x 2r) matrix they make (``_kick_matrices``), is too, and its
-    adjoint is its conjugate."""
-    phi = np.exp(-1j * walk_times[..., None] * values)
-    z = np.exp(1j * kicks)[..., None]
+    """``target_phase_ops(walk_times[k], kicks[k])``, stage k, as one 2x2
+    ancilla matrix per coordinate, ``m[k, r, c, j]``, so that block r after
+    it is sum over c of m[k, r, c] * block c before it, in a frame where the
+    walk is diagonal with ``values``.  H c(W) H is [[a, b], [b, a]] with a,
+    b = (1 +- e^{-i lambda t}) / 2, and the circuit is that matrix on both
+    sides of diag(1, e^{i theta}).  Each matrix is symmetric and unitary, so
+    the kick D, the block-diagonal (2r x 2r) matrix they make
+    (``_kick_matrices``), is too, and its adjoint is its conjugate."""
+    phi = np.exp(-1j * walk_times[:, None] * values)
+    z = np.exp(1j * kicks)[:, None]
     a, b = (1 + phi) / 2, (1 - phi) / 2
-    m = np.empty((*phi.shape[:2], 2, 2, phi.shape[2]), dtype=complex)
-    m[:, :, 0, 0], m[:, :, 1, 1] = a * a + b * b * z, b * b + a * a * z
-    m[:, :, 0, 1] = m[:, :, 1, 0] = a * b * (1 + z)
+    m = np.empty((len(phi), 2, 2, phi.shape[1]), dtype=complex)
+    m[:, 0, 0], m[:, 1, 1] = a * a + b * b * z, b * b + a * a * z
+    m[:, 0, 1] = m[:, 1, 0] = a * b * (1 + z)
     return m
 
 
 def _kick_matrices(kernels: np.ndarray) -> np.ndarray:
-    """The kick kernels of ``_kick_kernels``, (R, S, 2, 2, r), each laid
-    out as the block-diagonal (2r x 2r) matrix D that acts on row vectors
-    x, the flattened (2, r) blocks: block r of x D is the sum over c of
-    the kernel's entry (r, c) times block c of x."""
-    count, stages, _, _, r = kernels.shape
-    d = np.zeros((count, stages, 2, r, 2, r), dtype=complex)
+    """The kick kernels of ``_kick_kernels``, (S, 2, 2, r), each laid out
+    as the block-diagonal (2r x 2r) matrix D that acts on row vectors x,
+    the flattened (2, r) blocks: block r of x D is the sum over c of the
+    kernel's entry (r, c) times block c of x."""
+    stages, _, _, r = kernels.shape
+    d = np.zeros((stages, 2, r, 2, r), dtype=complex)
     j = np.arange(r)
-    d[:, :, :, j, :, j] = kernels.transpose(4, 0, 1, 3, 2)
-    return d.reshape(count, stages, 2 * r, 2 * r)
+    d[:, :, j, :, j] = kernels.transpose(3, 0, 2, 1)
+    return d.reshape(stages, 2 * r, 2 * r)
 
 
-def _stage_matrix(kick: np.ndarray, pair: np.ndarray, gain: np.ndarray) -> np.ndarray:
+def _stage_matrix(kick: np.ndarray, pair: np.ndarray, gain: complex) -> np.ndarray:
     """One stage's iteration, the kick and then the oracle, as one (2r x
     2r) matrix per row that acts on row vectors: T = D + (D w^dagger)(c
-    w), with D the row's ``kick`` matrix, w its oracle ``pair`` (R, 2, 2,
-    r) flattened to (R, 2, 2r) and c its ``gain`` e^{-i alpha} - 1.  A
-    coordinate that is 0 in w has only its kick in T, so it stays exactly
-    0 in x."""
+    w), with D the stage's ``kick`` matrix, w a row's oracle ``pair`` (R,
+    2, 2, r) flattened to (R, 2, 2r) and c the stage's ``gain`` e^{-i
+    alpha} - 1.  A coordinate that is 0 in w has only its kick in T, so it
+    stays exactly 0 in x."""
     w = pair.reshape(len(pair), 2, -1)
-    return kick + (kick @ w.conj().transpose(0, 2, 1)) @ (gain[:, None, None] * w)
+    return kick + (kick @ w.conj().transpose(0, 2, 1)) @ (gain * w)
 
 
 def run_schedule(
@@ -329,7 +327,7 @@ def run_schedule(
     rows = vectors[[_marked_vertex(marked, n)]] if schedule.stages else None
     blocks = _rotate(vectors.T, state.amps.reshape(-1, n))
     report = on_stage and (lambda i, b: on_stage(i, _state(_rotate(vectors, b[0]).ravel(), n)))
-    blocks = run_stages(blocks[None], [schedule], spectrum.eigenvalues, rows, report)[0]
+    blocks = run_stages(blocks[None], schedule, spectrum.eigenvalues, rows, report)[0]
     return _state(_rotate(vectors, blocks).ravel(), n)
 
 
@@ -366,48 +364,37 @@ def lift(
 
 
 def run_stages(
-    blocks: np.ndarray, schedules: Sequence[Schedule], values: np.ndarray,
+    blocks: np.ndarray, schedule: Schedule, values: np.ndarray,
     rows: np.ndarray | None, on_stage: Callable[[int, np.ndarray], None] | None = None,
 ) -> np.ndarray:
-    """Stage trees on R rows of (1 or 2, r) ancilla blocks, row i running
-    ``schedules[i]`` with its marked vertex at coordinates ``rows[i]``, in
-    a frame where the walk is diagonal with ``values``.  The rows share
-    their stage structure and keep their own kicks and oracle angles.  A
-    pass over the pair w_a = U|a, m> alone stores the pair at the start of
-    each stage; then the stages run in order, or their adjoints in
-    reverse.  A stage's iteration is T = D + (D w^dagger)(c w) on row
-    vectors, D the kick and c = e^{-i alpha} - 1.  A batch whose stage
-    matrices hold at most ``_DENSE_ENTRIES`` = 2048 entries, R (2r)^2,
-    builds each T once (``_stage_matrix``), and every iteration of the
-    pair pass and of the run is one batched product with T, or with
-    T^dagger in reverse; a wider batch runs each iteration as the
-    per-coordinate kick and the rank-2 oracle update, O(r) per row, with
-    no (2r)^2 array.  The two agree to rounding.  On sampling rows of
-    seven families, 1 to 64 rows and one BLAS thread, the dense form took
-    0.54 to 0.96 of the per-coordinate time up to 2048 entries and lost
-    on most batches from 6272.  ``run_schedule``'s frame has r = N, so it
-    runs dense only below N = 23.  The kick kernels, gains and kick
-    matrices depend only on a schedule and ``values``: they are built once
-    per distinct schedule object and broadcast, or indexed, across the
-    rows.  The norm check and the detach gate close every run and raise
-    on the first row that fails them; a schedule without stages needs no
-    m.  ``on_stage(i, blocks)`` gets the (R, 2, r) blocks after stage i."""
-    structure = schedules[0].structure
-    if any(s.structure != structure for s in schedules):
-        raise SimulationError("the rows of one run must share their stage structure")
+    """The stage tree of ``schedule`` on R rows of (1 or 2, r) ancilla
+    blocks, row i with its marked vertex at coordinates ``rows[i]``, in a
+    frame where the walk is diagonal with ``values``.  A pass over the
+    pair w_a = U|a, m> alone stores the pair at the start of each stage;
+    then the stages run in order, or their adjoints in reverse.  A stage's
+    iteration is T = D + (D w^dagger)(c w) on row vectors, D the kick and
+    c = e^{-i alpha} - 1.  A batch whose stage matrices hold at most
+    ``_DENSE_ENTRIES`` = 2048 entries, R (2r)^2, builds each T once
+    (``_stage_matrix``), and every iteration of the pair pass and of the
+    run is one batched product with T, or with T^dagger in reverse; a
+    wider batch runs each iteration as the per-coordinate kick and the
+    rank-2 oracle update, O(r) per row, with no (2r)^2 array.  The two
+    agree to rounding.  On sampling rows of seven families, 1 to 64 rows
+    and one BLAS thread, the dense form took 0.54 to 0.96 of the
+    per-coordinate time up to 2048 entries and lost on most batches from
+    6272.  ``run_schedule``'s frame has r = N, so it runs dense only below
+    N = 23.  The kick kernels, gains and kick matrices depend only on the
+    schedule and ``values``: they are built once per call and broadcast
+    across the rows.  The norm check and the detach gate close every run
+    and raise on the first row that fails them; a schedule without stages
+    needs no m.  ``on_stage(i, blocks)`` gets the (R, 2, r) blocks after
+    stage i."""
     count, width, carried = len(blocks), 2 * blocks.shape[2], blocks.shape[1] == 2
-    stages = schedules[0].stages
-    position: dict[int, int] = {}
-    which = [position.setdefault(id(s), len(position)) for s in schedules]
-    distinct = {id(s): s for s in schedules}.values()  # in the order of position
+    stages = schedule.stages
     walk, kick, alpha = np.array(
-        [[(st.walk_time, st.kick, st.params.alpha) for st in s.stages] for s in distinct]
-    ).reshape(len(distinct), len(stages), 3).transpose(2, 0, 1)
+        [(st.walk_time, st.kick, st.params.alpha) for st in stages]).reshape(-1, 3).T
     kernels, gains = _kick_kernels(walk, kick, values), np.exp(-1j * alpha) - 1
     kicks = _kick_matrices(kernels) if count * width**2 <= _DENSE_ENTRIES else None
-    if len(distinct) > 1:
-        kernels, gains = kernels[which], gains[which]
-        kicks = None if kicks is None else kicks[which]
     pairs = [np.eye(2)[:, :, None] * rows[:, None, None]] if stages else []
     matrices = []
 
@@ -422,11 +409,11 @@ def run_stages(
             return y.reshape(x.shape)
         # T^dagger = (I + w^dagger conj(c) w) conj(D): the kick is symmetric,
         # so its adjoint is its conjugate
-        kernel, gain = kernels[:, k, None], gains[:, k]
+        kernel, gain = kernels[k], gains[k]
         if adjoint:
             kernel, gain = kernel.conj(), gain.conj()
         w = pairs[k].reshape(count, 2, width)
-        w_adj, w = w.conj().transpose(0, 2, 1), gain[:, None, None] * w
+        w_adj, w = w.conj().transpose(0, 2, 1), gain * w
         for _ in range(times):
             if not adjoint:
                 x = (kernel * x[:, :, None]).sum(axis=3)
@@ -437,10 +424,10 @@ def run_stages(
 
     for k in range(len(stages)):
         if kicks is not None:
-            matrices.append(_stage_matrix(kicks[:, k], pairs[k], gains[:, k]))
+            matrices.append(_stage_matrix(kicks[k], pairs[k], gains[k]))
         if k + 1 < len(stages):
             pairs.append(power(pairs[k], k))
-    forward = schedules[0].direction == FORWARD
+    forward = schedule.direction == FORWARD
     if stages and not carried:  # the ancilla attaches at the first kick
         blocks = np.concatenate([blocks, np.zeros_like(blocks)], axis=1)
     x = blocks[:, None]

@@ -131,24 +131,26 @@ def reachable(n, edges, start=0):
 
 
 def check_vertex_transitive_bruteforce(g):
-    """Decide vertex transitivity by enumerating all vertex permutations.
+    """Decide vertex transitivity by an exhaustive search over vertex
+    permutations, built one vertex at a time and cut as soon as a degree
+    or an adjacency to an earlier vertex differs.
 
-    Only feasible for n <= 8.  The automorphisms form a group, so the graph
-    is vertex-transitive iff the images of vertex 0 under adjacency-
-    preserving permutations cover every vertex.
+    Feasible for n <= 24.  The graph is vertex-transitive iff for every
+    vertex t some automorphism maps vertex 0 to t.
     """
-    if g.n > 8:
-        raise GraphError(f"brute-force transitivity check limited to n <= 8, got {g.n}")
-    edges = g.edges
-    reachable: set[int] = set()
-    for perm in itertools.permutations(range(g.n)):
-        if perm[0] in reachable:
-            continue
-        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges):
-            reachable.add(perm[0])
-            if len(reachable) == g.n:
-                return True
-    return len(reachable) == g.n
+    if g.n > 24:
+        raise GraphError(f"brute-force transitivity check limited to n <= 24, got {g.n}")
+    adj = graph.adjacency(g).astype(bool)
+    degree = adj.sum(axis=1)
+
+    def extend(perm):
+        k = len(perm)
+        return k == g.n or any(
+            degree[k] == degree[w] and np.array_equal(adj[k, :k], adj[w, perm])
+            and extend(perm + [w])
+            for w in sorted(set(range(g.n)).difference(perm)))
+
+    return all(degree[0] == degree[t] and extend([t]) for t in range(g.n))
 
 
 @st.composite

@@ -114,8 +114,7 @@ def test_graph_verb_json_and_edgelist(tmp_path, capsys):
     )
     assert code == 0
     data = json.loads(out_json.read_text())
-    assert data["n"] == 5
-    assert data["vertex_transitive"] == "no"
+    assert data["n"] == 5 and set(data) == {"n", "edges", "family"}
     code, out, _ = run_cli(
         ["graph", "--family", "rook", "--params", "2,2", "--format", "edgelist"],
         capsys,
@@ -504,7 +503,7 @@ def test_search_schedule_from_edge_list(tmp_path, capsys):
         )
         assert code == 0
     from_edges, from_family = (json.loads(a.read_text()) for a in artifacts)
-    assert from_edges["graph"]["vertex_transitive"] == "unknown"
+    assert from_edges["graph"] == {**from_family["graph"], "family": None}
     assert json.dumps(from_edges["schedule"]) == json.dumps(from_family["schedule"])
     code, out, _ = run_cli(["run", "schedule", "--schedule", str(artifacts[0])], capsys)
     assert code == 0
@@ -513,7 +512,9 @@ def test_search_schedule_from_edge_list(tmp_path, capsys):
     assert rerun["search_mode"] == "blackbox"
 
 
-def test_vertex_transitive_field_is_not_a_route(tmp_path, capsys):
+def test_old_artifacts_with_a_vertex_transitive_key_rerun_the_same(tmp_path, capsys):
+    # graph JSON no longer carries the key; an artifact written before
+    # that reruns byte for byte whatever its value, which nothing reads
     artifact = tmp_path / "rook.json"
     code, _, _ = run_cli(
         ["schedule", "--family", "rook", "--params", "3,3", "--task", "search",
@@ -524,21 +525,20 @@ def test_vertex_transitive_field_is_not_a_route(tmp_path, capsys):
     code, reference, _ = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
     assert code == 0
     data = json.loads(artifact.read_text())
-    data["graph"]["vertex_transitive"] = "no"
-    artifact.write_text(json.dumps(data))
-    code, out, _ = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
-    assert code == 0
-    assert out == reference
-    assert json.loads(out)["search_mode"] == "blackbox"
+    assert "vertex_transitive" not in data["graph"]
+    for value in ("yes", "no", "unknown", "maybe", None, 1):
+        data["graph"]["vertex_transitive"] = value
+        artifact.write_text(json.dumps(data))
+        code, out, err = run_cli(["run", "schedule", "--schedule", str(artifact)], capsys)
+        assert (code, out, err) == (0, reference, "")
 
     # K4 - e flagged "yes" still takes one branch per mass class: vertex 0's
     # class branch alone is refused
-    k4e = graph.graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
-                                 vertex_transitive="yes")
+    k4e = graph.load_edge_list("0 2\n0 3\n1 2\n1 3\n2 3\n")
     ctx = pipelines.prepare(k4e)
     data = {
         "task": "search",
-        "graph": graph.graph_to_json_dict(k4e),
+        "graph": {**graph.graph_to_json_dict(k4e), "vertex_transitive": "yes"},
         "probe_marked": 0,
         "reported_fidelity": 1.0,
         "schedule": schedule.schedule_to_json_dict(ctx.branches[0]),
@@ -548,6 +548,25 @@ def test_vertex_transitive_field_is_not_a_route(tmp_path, capsys):
     assert code == 1
     assert "takes 2 branches" in err
     assert out == ""
+
+
+def test_a_failing_branch_can_name_the_marked_vertex(tmp_path, capsys):
+    # K4 - e, hidden vertex 2: branch 1, vertex 0's class, ends with
+    # vertices 2 and 3 tied at exactly 1/2, below the threshold, so it fails
+    # and names the lower of the two, the marked vertex itself; branch 2
+    # confirms vertex 2
+    edges = tmp_path / "k4e.edges"
+    edges.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n")
+    code, out, _ = run_cli(["run", "search", "--edges", str(edges), "--marked", "2"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["branches"] == [
+        {"candidate": 2, "fidelity": 0.5, "oracle_count": 1, "side": 1, "succeeded": False,
+         "total_time": 7.85398163397},
+        {"candidate": 2, "fidelity": 1.0, "oracle_count": 4, "side": 2, "succeeded": True,
+         "total_time": 23.5619449019},
+    ]
+    assert (report["target"], report["fidelity"], report["oracle_count"]) == (2, 1.0, 5)
 
 
 def test_run_transfer(capsys):

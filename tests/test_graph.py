@@ -77,8 +77,7 @@ def test_complete_bipartite_2_3():
     g = graph.complete_bipartite(2, 3)
     assert g.n == 5
     assert len(g.edges) == 6
-    assert g.vertex_transitive == "no"
-    assert graph.complete_bipartite(3, 3).vertex_transitive == "yes"
+    assert g.family == "complete_bipartite(2,3)"
 
 
 def test_complete_bipartite_adjacency_spectrum():
@@ -150,7 +149,6 @@ def test_load_edge_list_triangle():
     assert g.n == 3
     assert g.edges == frozenset({(0, 1), (1, 2), (0, 2)})
     assert g.family is None
-    assert g.vertex_transitive == "unknown"
 
 
 def test_load_edge_list_duplicates_and_comments():
@@ -201,8 +199,10 @@ def test_vertex_transitive_bruteforce():
     assert not check_vertex_transitive_bruteforce(
         graph.complete_bipartite(1, 3)
     )
-    with pytest.raises(GraphError, match="n <= 8"):
-        check_vertex_transitive_bruteforce(graph.johnson(5, 2))
+    assert check_vertex_transitive_bruteforce(graph.johnson(7, 2))
+    assert not check_vertex_transitive_bruteforce(graph.complete_bipartite(3, 5))
+    with pytest.raises(GraphError, match="n <= 24"):
+        check_vertex_transitive_bruteforce(graph.johnson(7, 3))
 
 
 def test_bruteforce_agrees_with_family_tags():
@@ -452,7 +452,7 @@ def test_connectivity_matches_reachability():
 
 def test_graph_equality_and_edge_view():
     g = graph.rook(3, 3)
-    back = graph.Graph(9, list(reversed(sorted(g.edges))), "rook(3,3)", "yes")
+    back = graph.Graph(9, list(reversed(sorted(g.edges))), "rook(3,3)")
     assert back == g
     assert back != graph.Graph(9, g.edge_array) and g != "rook(3,3)"
     assert (0, 1) in g.edges and (1, 0) not in g.edges and (0, 4) not in g.edges

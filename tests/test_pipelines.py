@@ -100,7 +100,7 @@ def test_transfer_round_trip_composition():
 def test_transfer_builds_one_report(monkeypatch, k4_minus_edge):
     # transfer reads two rows of a sampling pass and builds no sample
     # reports: across the blocks of K(1,3), whose rows keep different
-    # eigenspaces, and across the mass classes of K4 - e, two stage structures
+    # eigenspaces, and across the mass classes of K4 - e, two class schedules
     built, report = [], pipelines._report
     monkeypatch.setattr(pipelines, "_report",
                         lambda *args, **kw: built.append(args[0]) or report(*args, **kw))
@@ -179,21 +179,18 @@ def test_search_hamming_2_2(c4):
 
 def test_search_takes_one_branch_per_mass_class(k4_minus_edge):
     # K4 - e: the degree-2 vertices 0, 1 and the degree-3 vertices 2, 3 form
-    # two mass classes; the stored flag is a record, never a route
-    flagged = graph.graph_from_edges(4, k4_minus_edge.edges, vertex_transitive="yes")
-    for g in (k4_minus_edge, flagged):
-        ctx = pipelines.prepare(g)
-        assert ctx.mass_classes == (0, 2)
-        for m in range(4):
-            report = pipelines.search_vertex_transitive(g, m, ctx=ctx)
-            assert report.target == m and report.fidelity >= THRESHOLD
-            assert report.search_mode == "blackbox"
-            assert [b.succeeded for b in report.branches] == [m < 2, m >= 2]
-            assert report.oracle_count == sum(b.oracle_count for b in ctx.branches)
-        with pytest.raises(ScheduleError, match="takes 2 branches, got 1"):
-            pipelines.execute_search(ctx, ctx.branches[:1], 0)
-    unflagged = graph.graph_from_edges(9, graph.rook(3, 3).edges, vertex_transitive="no")
-    assert pipelines.search_vertex_transitive(unflagged, 4).fidelity >= THRESHOLD
+    # two mass classes
+    g = k4_minus_edge
+    ctx = pipelines.prepare(g)
+    assert ctx.mass_classes == (0, 2)
+    for m in range(4):
+        report = pipelines.search_vertex_transitive(g, m, ctx=ctx)
+        assert report.target == m and report.fidelity >= THRESHOLD
+        assert report.search_mode == "blackbox"
+        assert [b.succeeded for b in report.branches] == [m < 2, m >= 2]
+        assert report.oracle_count == sum(b.oracle_count for b in ctx.branches)
+    with pytest.raises(ScheduleError, match="takes 2 branches, got 1"):
+        pipelines.execute_search(ctx, ctx.branches[:1], 0)
 
 
 #: complete_bipartite(2, 3) with blocks {0, 2} and {1, 3, 4}
@@ -224,10 +221,10 @@ def test_bipartite_blocks_from_edges():
 def test_relabelled_complete_bipartite_routes_bipartite():
     # the branches run in generator order; the report speaks the graph's
     # labels, and a failing branch names the lowest vertex of its block
-    route, search = pipelines.search_route(RELABELLED_K23)
+    route, sctx = pipelines.search_route(RELABELLED_K23)
     assert route == "bipartite"
     for m in range(5):
-        report = search(m)
+        report = pipelines.execute_search(sctx, sctx.branches, m)
         reference = pipelines.search_bipartite(2, 3, [0, 2, 1, 3, 4].index(m))
         assert report.target == m
         assert report.fidelity == pytest.approx(reference.fidelity, abs=1e-12)
@@ -250,11 +247,11 @@ def test_chang_graphs_search_black_box(chang_graphs):
             through.add(round(np.trace(sub @ sub @ sub) / 6))
         assert through == cliques[name]
         ctx = pipelines.prepare(g)
-        route, search = pipelines.search_route(g, ctx=ctx)
-        assert route == "blackbox", name
+        route, sctx = pipelines.search_route(g, ctx=ctx)
+        assert route == "blackbox" and sctx is ctx, name
         assert len(ctx.mass_classes) == 1, name
         for m in range(g.n):
-            report = search(m)
+            report = pipelines.execute_search(ctx, ctx.branches, m)
             assert report.target == m, (name, m)
             assert report.fidelity >= THRESHOLD, (name, m)
             assert report.bound_ratio <= math.pi, (name, m)
@@ -643,12 +640,11 @@ def test_verify_sweep_matches_dense_reference(name):
     # against its own single run
     g = SWEEP_GRAPHS[name]()
     ctx = pipelines.prepare(g)
-    route, _ = pipelines.search_route(g, ctx=ctx)
-    sctx = pipelines.prepare_bipartite(g) if route == "bipartite" else ctx
+    route, sctx = pipelines.search_route(g, ctx=ctx)
     single = {
         "sample": lambda r: pipelines.uniform_sample(g, r.marked, ctx=ctx),
         "transfer": lambda r: pipelines.transfer(g, r.marked, r.target, ctx=ctx),
-        "search": lambda r: pipelines.search_route(g, ctx=ctx)[1](r.marked),
+        "search": lambda r: pipelines.execute_search(sctx, sctx.branches, r.marked),
     }
     single["bipartite_search"] = single["search"]
     result = pipelines.verify_graph(g)
@@ -728,11 +724,11 @@ def test_verify_passes_on_cographs(g):
 
 def test_verify_is_one_pass(monkeypatch, k4_minus_edge):
     # rook(3,3): one synthesis, for its one mass class, whose dagger is the
-    # search branch, and one executor pass per stage structure (sampling)
+    # search branch, and one executor pass per class schedule (sampling)
     # and per branch (search) where the per-run sweep made 154 and 162;
-    # transfers read the sampling rows.  K4 - e: two stage structures and
-    # two branches, each branch one pass over every hidden vertex, whatever
-    # eigenspaces it keeps
+    # transfers read the sampling rows.  K4 - e: two class schedules and
+    # two branches, each one pass over the rows that run it, whatever
+    # eigenspaces they keep
     synths, passes = [], []
     synth, run = schedule.synth_sampling_schedule, simulate.run_stages
     monkeypatch.setattr(schedule, "synth_sampling_schedule",
@@ -758,8 +754,9 @@ def test_sweep_row_failure_raises_its_own_error(k4_minus_edge):
     for schedules, vertices in (([forward[1]], [5]), (forward[:5] + [forward[1]], range(6))):
         with pytest.raises(SimulationError, match=message):
             pipelines._sample_sweep(ctx, schedules, vertices)
-    # a kick 10% off keeps the stage structure and the frame, so the row
-    # shares its executor pass with vertex 5's good one, in either order
+    # a kick 10% off keeps the stage structure and the frame but is a
+    # schedule of its own, so it runs in a pass beside vertex 5's good
+    # one, in either order
     bad = dataclasses.replace(forward[4], stages=tuple(
         dataclasses.replace(st, kick=0.9 * st.kick) for st in forward[4].stages))
     message = r"ancilla entangled at detach point: \|1> mass 1\.182e-02"
@@ -865,8 +862,7 @@ def frame_reads_and_lift(sctx, vertices):
     coords = simulate.frame_coords(sctx.masses(vertices))
     values, rows = sctx.values, np.arange(len(vertices))
     for start, branch in zip(sctx.frame_starts(vertices, coords), sctx.branches):
-        x = simulate.run_stages(np.stack([start, 0 * start], axis=1),
-                                [branch] * len(vertices), values, coords)
+        x = simulate.run_stages(np.stack([start, 0 * start], axis=1), branch, values, coords)
         amps = simulate.lift(sctx.spectrum.eigenvectors, sctx.spectrum.multiplicities,
                              vertices, coords, x)
         probs = (np.abs(amps) ** 2).sum(axis=1)
@@ -881,7 +877,7 @@ def test_frame_decided_search_agrees_with_the_lift(search_suite):
     # reports carry them: p(m) on a success, the lowest most probable
     # vertex of the lifted distribution and its probability on a failure
     for g in [*search_suite, graph.complete_bipartite(40, 60)]:
-        _, sctx = pipelines._search_context(g, None)
+        _, sctx = pipelines.search_route(g)
         vertices = np.arange(g.n)
         reports = pipelines._search_sweep(sctx, sctx.branches, vertices)
         reads = list(frame_reads_and_lift(sctx, vertices))

@@ -513,7 +513,7 @@ def run_branches(ctx, m):
     coords = simulate.frame_coords(ctx.masses(vertices))
     spec = ctx.spectrum
     return [simulate.lift(spec.eigenvectors, spec.multiplicities, vertices, coords,
-                          simulate.run_stages(blocks, [sched], ctx.values, coords))[0]
+                          simulate.run_stages(blocks, sched, ctx.values, coords))[0]
             for blocks, sched in zip(branch_starts(ctx, vertices, coords), ctx.branches)]
 
 
@@ -575,7 +575,7 @@ def test_frame_coords_are_exactly_zero_off_a_vertexs_eigenspaces():
             assert (len(rows) * entries <= simulate._DENSE_ENTRIES) == dense
             for blocks, sched in zip(branch_starts(ctx, rows, coords[rows]), ctx.branches):
                 stages = []
-                end = simulate.run_stages(blocks, [sched] * len(rows), values, coords[rows],
+                end = simulate.run_stages(blocks, sched, values, coords[rows],
                                           lambda _, blocks: stages.append(blocks))
                 for blocks in [*stages, end]:
                     assert np.all(blocks.transpose(1, 0, 2)[:, zero[rows]] == 0.0)
@@ -606,20 +606,15 @@ def test_run_stages_mixes_frames_that_keep_different_eigenspaces():
     for i, v in enumerate([1, 0, 3, 2]):
         assert np.array_equal(coords[i], simulate.frame_coords(ctx.masses([v]))[0])
     for blocks, sched in zip(branch_starts(ctx, [1, 0, 3, 2], coords), ctx.branches):
-        batch = simulate.run_stages(blocks, [sched] * 4, values, coords)
+        batch = simulate.run_stages(blocks, sched, values, coords)
         for i in range(4):
-            alone = simulate.run_stages(blocks[i:i + 1], [sched], values, coords[i:i + 1])
+            alone = simulate.run_stages(blocks[i:i + 1], sched, values, coords[i:i + 1])
             assert_close(batch[i], alone[0])
-    # rows of one run share their stage structure
-    schedules = [pipelines.sampling_schedule(ctx, m) for m in range(2)]
-    with pytest.raises(SimulationError, match="share their stage structure"):
-        simulate.run_stages(coords[:3, None], [schedules[1], schedules[1], schedules[0]],
-                            values, coords[:3])
 
 
 #: graphs whose rows run in one batch too wide for the dense stage
 #: matrices, with the copies of every vertex that make it so: hamming(8,2)
-#: as a whole, K4 - e with its two stage structures and K(1,3), whose
+#: as a whole, K4 - e with its two class schedules and K(1,3), whose
 #: centre has a zero coordinate
 KERNEL_CASES = {
     "hamming82": (lambda: graph.hamming(8, 2), 1),
@@ -629,24 +624,22 @@ KERNEL_CASES = {
 
 
 def kernel_runs(name):
-    """(values, schedules, blocks, rows) of each executor pass of a
+    """(values, schedule, blocks, rows) of each executor pass of a
     ``KERNEL_CASES`` graph: forward sampling from every row, one pass per
-    stage structure, and every reversed search branch, on the route
+    class schedule, and every reversed search branch, on the route
     ``search_route`` picks, towards every row."""
     make, copies = KERNEL_CASES[name]
     g = make()
     ctx = pipelines.prepare(g)
-    _, sctx = pipelines._search_context(g, ctx)
+    _, sctx = pipelines.search_route(g, ctx=ctx)
     vertices = np.tile(np.arange(g.n), copies)
-    forward = [pipelines.sampling_schedule(ctx, m) for m in range(g.n)]
     coords, runs = simulate.frame_coords(ctx.masses(vertices)), []
-    for structure in {s.structure for s in forward}:
-        ids = [i for i, m in enumerate(vertices) if forward[m].structure == structure]
-        runs.append((ctx.values, [forward[vertices[i]] for i in ids],
-                     coords[ids, None], coords[ids]))
+    for c, forward in enumerate(ctx.class_schedules):
+        ids = np.flatnonzero(ctx.vertex_classes[vertices] == c)
+        runs.append((ctx.values, forward, coords[ids, None], coords[ids]))
     coords = simulate.frame_coords(sctx.masses(vertices))
     for blocks, branch in zip(branch_starts(sctx, vertices, coords), sctx.branches):
-        runs.append((sctx.values, [branch] * len(vertices), blocks, coords))
+        runs.append((sctx.values, branch, blocks, coords))
     return runs
 
 
@@ -655,17 +648,17 @@ def test_per_coordinate_batch_matches_its_rows_run_alone(name):
     # the batch is too wide for dense stage matrices and each row alone
     # narrow enough: every row's final state and every on_stage block agree
     directions = set()
-    for values, schedules, blocks, rows in kernel_runs(name):
+    for values, sched, blocks, rows in kernel_runs(name):
         entries = (2 * blocks.shape[2]) ** 2
         assert entries <= simulate._DENSE_ENTRIES < len(blocks) * entries
-        directions.add(schedules[0].direction)
+        directions.add(sched.direction)
         stages = []
-        batch = simulate.run_stages(blocks, schedules, values, rows,
+        batch = simulate.run_stages(blocks, sched, values, rows,
                                     lambda _, b: stages.append(b))
-        assert len(stages) == len(schedules[0].stages)
+        assert len(stages) == len(sched.stages)
         for i in range(len(blocks)):
             alone = []
-            end = simulate.run_stages(blocks[i:i + 1], schedules[i:i + 1], values,
+            end = simulate.run_stages(blocks[i:i + 1], sched, values,
                                       rows[i:i + 1], lambda _, b: alone.append(b[0]))
             assert_close(batch[i], end[0])
             for got, want in zip(stages, alone, strict=True):
@@ -673,11 +666,11 @@ def test_per_coordinate_batch_matches_its_rows_run_alone(name):
     assert directions == {"forward", "reversed"}
 
 
-def stage_matrices(schedules, values, rows):
-    """T_k, ``simulate._stage_matrix``, of every stage k of the rows'
-    trees, each from the pair w_a = U|a, m> at its start: the blocks |a>
-    (x) |m> after the earlier stages of the forward tree."""
-    forward = [schedule.dagger(s) if s.direction == "reversed" else s for s in schedules]
+def stage_matrices(sched, values, rows):
+    """T_k, ``simulate._stage_matrix``, of every stage k of the tree on
+    each row, from the row's pair w_a = U|a, m> at the stage's start: the
+    blocks |a> (x) |m> after the earlier stages of the forward tree."""
+    forward = schedule.dagger(sched) if sched.direction == "reversed" else sched
     pairs = [[], []]
     for a in (0, 1):
         blocks = np.zeros((len(rows), 2, rows.shape[1]), dtype=complex)
@@ -686,12 +679,11 @@ def stage_matrices(schedules, values, rows):
         simulate.run_stages(blocks, forward, values, rows,
                             lambda _, b, a=a: pairs[a].append(b))
     walk, kick, alpha = np.array(
-        [[(st.walk_time, st.kick, st.params.alpha) for st in s.stages] for s in forward]
-    ).reshape(len(forward), -1, 3).transpose(2, 0, 1)
+        [(st.walk_time, st.kick, st.params.alpha) for st in forward.stages]).reshape(-1, 3).T
     kicks = simulate._kick_matrices(simulate._kick_kernels(walk, kick, values))
-    return [simulate._stage_matrix(kicks[:, k], np.stack([pairs[0][k], pairs[1][k]], axis=1),
-                                   np.exp(-1j * alpha[:, k]) - 1)
-            for k in range(walk.shape[1])]
+    return [simulate._stage_matrix(kicks[k], np.stack([pairs[0][k], pairs[1][k]], axis=1),
+                                   np.exp(-1j * alpha[k]) - 1)
+            for k in range(len(walk))]
 
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
@@ -699,21 +691,21 @@ def test_stage_matrices_are_unitary_and_runs_apply_them(name):
     # T_k is unitary, and on both kernels (the wide batch and its first
     # row alone) forward stage k is T_k^p and reversed stage k is
     # (T_k^dagger)^p, on the pairs of the forward tree
-    for values, schedules, blocks, rows in kernel_runs(name):
+    for values, sched, blocks, rows in kernel_runs(name):
         for batch in (slice(None), slice(0, 1)):
-            scheds, x, coords = schedules[batch], blocks[batch], rows[batch]
-            matrices = stage_matrices(scheds, values, coords)
-            reverse = scheds[0].direction == "reversed"
+            x, coords = blocks[batch], rows[batch]
+            matrices = stage_matrices(sched, values, coords)
+            reverse = sched.direction == "reversed"
             order = range(len(matrices))[::-1] if reverse else range(len(matrices))
             x = np.concatenate([x, np.zeros_like(x)], axis=1) if x.shape[1] == 1 else x
             stages = []
-            simulate.run_stages(x, scheds, values, coords, lambda _, b: stages.append(b))
+            simulate.run_stages(x, sched, values, coords, lambda _, b: stages.append(b))
             for k, after in zip(order, stages):
                 t = matrices[k]
                 assert np.max(np.abs(t @ t.conj().transpose(0, 2, 1) - np.eye(t.shape[1]))) < 1e-13
                 step = t.conj().transpose(0, 2, 1) if reverse else t
                 y = x.reshape(len(x), 1, -1)
-                for _ in range(scheds[0].stages[k].params.iterations):
+                for _ in range(sched.stages[k].params.iterations):
                     y = y @ step
                 assert_close(after, y.reshape(x.shape))
                 x = after
@@ -741,7 +733,7 @@ def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
     for m in vertices:
         sched = pipelines.sampling_schedule(ctx, m)
         basis, coords = frame_basis(spec, m)
-        got = simulate.run_stages(coords[None, None], [sched], np.array(spec.values), coords[None])
+        got = simulate.run_stages(coords[None, None], sched, np.array(spec.values), coords[None])
         lifted = simulate.lift(spec.eigenvectors, spec.multiplicities, [m], coords[None], got)[0, 0]
         assert_close(lifted, basis @ got[0, 0])
 
@@ -906,12 +898,12 @@ def test_frame_runs_keep_the_norm_check_and_detach_gate():
     ctx = pipelines.prepare(CLASS_GRAPHS["leaking"]())
     coords, values = simulate.frame_coords(ctx.masses([5])), ctx.values
     with pytest.raises(SimulationError, match="norm defect"):
-        simulate.run_stages(2 * coords[:, None], [pipelines.sampling_schedule(ctx, 5)],
+        simulate.run_stages(2 * coords[:, None], pipelines.sampling_schedule(ctx, 5),
                             values, coords)
     # the oracle on vertex 5 under vertex 1's schedule leaves the ancilla
     # entangled at the end
     with pytest.raises(SimulationError, match=r"ancilla entangled .* 1\.008e-01"):
-        simulate.run_stages(coords[:, None], [pipelines.sampling_schedule(ctx, 1)],
+        simulate.run_stages(coords[:, None], pipelines.sampling_schedule(ctx, 1),
                             values, coords)
 
 
@@ -928,41 +920,47 @@ def test_frame_pipelines_make_no_dense_products(monkeypatch):
     assert len(calls) <= 1
     # bipartite search: one lift per branch, and no run_schedule
     monkeypatch.setattr(simulate, "run_schedule", lambda *args, **kw: pytest.fail())
+    _, k23 = pipelines.search_route(BIPARTITE_GRAPHS["k23_relabelled"]())
     for search in (lambda m: pipelines.search_bipartite(4, 7, m),
-                   pipelines.search_route(BIPARTITE_GRAPHS["k23_relabelled"]())[1]):
+                   lambda m: pipelines.execute_search(k23, k23.branches, m)):
         for m in (0, 3, 4):
             calls.clear()
             assert search(m).target == m
             assert len(calls) <= 2
 
 
-def test_rows_of_distinct_schedules_keep_their_own_kernels():
-    # run_stages builds kernels, gains and kick matrices once per distinct
-    # schedule object and indexes them across the rows: rows whose
-    # schedules share a stage structure but not their kicks and angles, or
-    # are equal but distinct objects, each run their own schedule, on the
-    # dense kernel (8 rows: 8 x 14^2 = 1568 entries) and the per-coordinate
-    # one (64 rows), forward and reversed, with the ancilla carried
-    ctx = pipelines.prepare(graph.hamming(6, 2))
-    base = ctx.class_schedules[0]
+#: a cograph on 9 vertices with five mass classes, two of which, {1, 2}
+#: and {6}, have schedules of the same stage structure ((0, 1), (1, 2))
+COGRAPH9 = ("0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n0 7\n0 8\n1 8\n2 8\n3 7\n3 8\n"
+            "4 6\n4 7\n4 8\n5 6\n5 7\n5 8\n6 7\n6 8\n7 8\n")
 
-    def bent(scale):
-        return dataclasses.replace(base, stages=tuple(dataclasses.replace(
-            st, kick=scale * st.kick, params=dataclasses.replace(
-                st.params, alpha=scale * st.params.alpha)) for st in base.stages))
 
-    variants = [base, bent(0.9), dataclasses.replace(base), bent(1.1)]
-    values = ctx.values
-    for schedules in (variants, [schedule.dagger(s) for s in variants]):
-        for count in (8, 64):
-            assert (count * 14**2 <= simulate._DENSE_ENTRIES) == (count == 8)
-            coords = simulate.frame_coords(ctx.masses(np.arange(count) % 64))
-            rows = [schedules[i % 4] for i in range(count)]
-            blocks = np.stack([coords, np.zeros_like(coords)], axis=1)
-            got = simulate.run_stages(blocks, rows, values, coords)
-            for i in range(count):
-                alone = simulate.run_stages(blocks[i:i + 1], [rows[i]], values, coords[i:i + 1])
-                np.testing.assert_allclose(got[i], alone[0], rtol=0, atol=1e-12)
-            # the bent rows really run other kernels
-            unbent = simulate.run_stages(blocks[1:2], schedules[:1], values, coords[1:2])
-            assert np.abs(got[1] - unbent[0]).max() > 1e-3
+def test_sample_pass_runs_one_pass_per_schedule(monkeypatch):
+    # every executor pass runs one schedule: a transfer between classes
+    # {1, 2} and {6}, whose schedules share their stage structure, makes
+    # two passes, and verify's sampling one per class, five; every
+    # sampling row reads what its one-row run reads
+    g = graph.load_edge_list(COGRAPH9)
+    ctx = pipelines.prepare(g)
+    forward = [pipelines.sampling_schedule(ctx, m) for m in range(g.n)]
+    assert forward[1] is forward[2] is not forward[6]
+    assert [(st.level, st.params.iterations) for st in forward[1].stages] == [
+        (st.level, st.params.iterations) for st in forward[6].stages] == [(0, 1), (1, 2)]
+    passes, run = [], simulate.run_stages
+    monkeypatch.setattr(simulate, "run_stages", lambda blocks, sched, *args: passes.append(
+        (sched, len(blocks))) or run(blocks, sched, *args))
+    assert pipelines.transfer(g, 1, 6, ctx=ctx).fidelity >= 1 - 1e-8
+    assert [(id(s), rows) for s, rows in passes] == [(id(forward[1]), 1), (id(forward[6]), 1)]
+    passes.clear()
+    result = pipelines.verify_graph(g)
+    sampling = [(s, rows) for s, rows in passes if s.direction == "forward"]
+    assert len(sampling) == len({id(s) for s, _ in sampling}) == 5
+    assert sorted(rows for _, rows in sampling) == [1, 2, 2, 2, 2]
+    reports = [r for r in result.reports if r.task == "sample"]
+    assert [r.marked for r in reports] == list(range(g.n))
+    for m, report in enumerate(reports):
+        alone = pipelines.execute_sample(ctx, forward[m], m)
+        assert dataclasses.replace(report, fidelity=0.0, stage_fidelities=()) == (
+            dataclasses.replace(alone, fidelity=0.0, stage_fidelities=()))
+        assert_close([report.fidelity, *report.stage_fidelities],
+                     [alone.fidelity, *alone.stage_fidelities])
