@@ -53,12 +53,10 @@ from .schedule import (
     AncillaHadamard,
     AncillaPhase,
     ControlledWalkPhase,
-    GlobalPhase,
     OraclePhase,
     Schedule,
     Stage,
     StageParams,
-    WalkPhase,
     dagger,
     reflection_time,
     stage_params,

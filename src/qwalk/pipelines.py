@@ -125,17 +125,13 @@ class VerifyReport:
 
 
 class _VertexReads:
-    """The vertex count ``n``, the walk's eigenvalue on each group and the
-    ``masses`` of given vertices, read off a context's dense ``spectrum``
-    unless a subclass answers them in closed form."""
+    """The vertex count ``n`` and the ``masses`` of given vertices, read
+    off a context's dense ``spectrum`` unless a subclass answers them in
+    closed form."""
 
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        return np.array(self.spectrum.values)
 
     @functools.cached_property
     def _mass_runs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -159,9 +155,10 @@ class LaplacianContext(_VertexReads):
     """Shared read-only data reused across runs on one graph: its gated
     integer spectrum, the depth chain, and four reads of its vertex data,
     ``n``, ``masses``, ``gram`` and ``vertex_classes``.  A closed form
-    (``ints.family``) answers masses and classes by formula and walks on
-    the integer values, and decomposes only when ``gram`` or a lift reads
-    eigenvectors; otherwise the gate's dense decomposition answers all."""
+    (``ints.family``) answers masses and classes by formula, and
+    decomposes only when ``gram`` or a lift reads eigenvectors; otherwise
+    the gate's dense decomposition answers all.  Either way the walk runs
+    on the certified integer values."""
 
     graph: Graph
     ints: spectral.IntegerSpectrum
@@ -182,7 +179,7 @@ class LaplacianContext(_VertexReads):
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        return np.array(self.ints.values if self.ints.family else self.spectrum.values, float)
+        return np.array(self.ints.values, float)
 
     @property
     def depth(self) -> int:
@@ -283,6 +280,11 @@ class BipartiteContext(_VertexReads):
     @functools.cached_property
     def spectrum(self) -> spectral.Spectrum:
         return spectral.eigendecompose(adjacency(self.graph))
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The adjacency walk's eigenvalue on each group, the group means."""
+        return np.array(self.spectrum.values)
 
     @functools.cached_property
     def branches(self) -> tuple[sched_mod.Schedule, sched_mod.Schedule]:

@@ -49,13 +49,6 @@ ADJACENCY = "adjacency"
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WalkPhase:
-    """Continuous walk for time t; negative t means reverse evolution."""
-
-    t: float
-
-
-@dataclass(frozen=True)
 class OraclePhase:
     """Marked-vertex phase: multiplies the marked amplitude by
     exp(-i * sign * theta)."""
@@ -83,21 +76,19 @@ class ControlledWalkPhase:
     t: float
 
 
-@dataclass(frozen=True)
+PrimitiveOp = OraclePhase | AncillaHadamard | AncillaPhase | ControlledWalkPhase
+
+
+class WalkPhase:
+    """Not an op: no schedule holds it and ``apply_op`` refuses it.  Only
+    the op-kind map of ``perfbench/tracer.py`` names it, and it goes with
+    that map (ROADMAP item 1)."""
+
+
 class GlobalPhase:
-    """Multiplies the whole state by exp(i*gamma); bookkeeping only."""
-
-    gamma: float
-
-
-PrimitiveOp = (
-    WalkPhase
-    | OraclePhase
-    | AncillaHadamard
-    | AncillaPhase
-    | ControlledWalkPhase
-    | GlobalPhase
-)
+    """Not an op: no schedule holds it and ``apply_op`` refuses it.  Only
+    the op-kind map of ``perfbench/tracer.py`` names it, and it goes with
+    that map (ROADMAP item 1)."""
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,9 @@ from .schedule import (
     AncillaHadamard,
     AncillaPhase,
     ControlledWalkPhase,
-    GlobalPhase,
     OraclePhase,
     PrimitiveOp,
     Schedule,
-    WalkPhase,
 )
 from .spectral import Spectrum
 
@@ -199,10 +197,6 @@ def apply_ancilla_phase(state: StateVector, theta: float) -> StateVector:
     return _state(np.concatenate([b0, np.exp(1j * theta) * b1]), state.n)
 
 
-def apply_global_phase(state: StateVector, gamma: float) -> StateVector:
-    return _state(np.exp(1j * gamma) * state.amps, state.n)
-
-
 def attach_ancilla(state: StateVector) -> StateVector:
     """Tensor an ancilla |0> onto the state (ancilla leading)."""
     if state.has_ancilla:
@@ -251,8 +245,6 @@ def apply_op(
     spectrum: Spectrum,
     marked: int | None = None,
 ) -> StateVector:
-    if isinstance(op, WalkPhase):
-        return apply_walk_phase(state, spectrum, op.t)
     if isinstance(op, ControlledWalkPhase):
         return apply_walk_phase(state, spectrum, op.t, controlled=True)
     if isinstance(op, OraclePhase):
@@ -261,8 +253,6 @@ def apply_op(
         return apply_ancilla_hadamard(state)
     if isinstance(op, AncillaPhase):
         return apply_ancilla_phase(state, op.theta)
-    if isinstance(op, GlobalPhase):
-        return apply_global_phase(state, op.gamma)
     raise SimulationError(f"unknown primitive op {op!r}")
 
 
@@ -466,12 +456,3 @@ def measure_distribution(state: StateVector) -> np.ndarray:
     st = _project_ancilla(state)
     probs = np.abs(st.amps) ** 2
     return probs / probs.sum()
-
-
-def state_to_csv(state: StateVector) -> str:
-    """CSV dump: index, real part, imaginary part, probability."""
-    st = _project_ancilla(state)
-    lines = ["index,re,im,probability"]
-    for i, a in enumerate(st.amps):
-        lines.append(f"{i},{a.real:.12g},{a.imag:.12g},{abs(a) ** 2:.12g}")
-    return "\n".join(lines) + "\n"

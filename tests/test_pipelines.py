@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from qwalk import depth, graph, pipelines, schedule, simulate, spectral
 from qwalk.errors import GraphError, ScheduleError, SimulationError, SpectrumError
 
-from conftest import check_vertex_transitive_bruteforce, connected_cographs
+from conftest import cartesian_product, check_vertex_transitive_bruteforce, connected_cographs
 
 THRESHOLD = 1 - 1e-8
 
@@ -720,6 +720,24 @@ def test_verify_passes_on_cographs(g):
             assert v == u
             for count in [b.oracle_count for b in report.branches] or [report.oracle_count]:
                 assert count <= bound
+
+
+@pytest.mark.parametrize(("left", "right"), [
+    ("k4e", "k2"), ("p3", "k2"), ("k4e", "k4e"), ("p3", "p3"), ("k4e", "p3")])
+def test_verify_passes_on_small_cartesian_products(left, right, k4_minus_edge):
+    # a product of integer-spectrum graphs has an integer spectrum, the
+    # pairwise sums; these have up to three mass classes, and every run
+    # and every search branch must meet the threshold and the oracle bound
+    factors = {"k4e": k4_minus_edge, "k2": graph.graph_from_edges(2, [(0, 1)]),
+               "p3": graph.graph_from_edges(3, [(0, 1), (1, 2)])}
+    g = cartesian_product(factors[left], factors[right])
+    result = pipelines.verify_graph(g)
+    assert result.min_fidelity >= pipelines.FIDELITY_THRESHOLD
+    for report in result.reports:
+        assert report.fidelity >= pipelines.FIDELITY_THRESHOLD
+        bound = math.pi * 2**report.depth * math.sqrt(g.n)
+        for count in [b.oracle_count for b in report.branches] or [report.oracle_count]:
+            assert count <= bound
 
 
 def test_verify_is_one_pass(monkeypatch, k4_minus_edge):

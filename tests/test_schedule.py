@@ -1,12 +1,13 @@
 import cmath
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
 
 from qwalk import depth, graph, pipelines, schedule, simulate, spectral
-from qwalk.errors import ScheduleError
+from qwalk.errors import ScheduleError, SimulationError
 
 
 def build_context(g):
@@ -93,6 +94,67 @@ def test_target_phase_ops_structure():
     ]
     assert ops[1].t == ops[5].t == math.pi / 2
     assert ops[3].theta == 0.3
+
+
+#: One op of each kind a schedule holds: the paper's ancilla Hadamard,
+#: controlled walk, ancilla phase and marked-vertex oracle.
+OP_KINDS = typing.get_args(schedule.PrimitiveOp)
+ONE_OF_EACH = (
+    schedule.OraclePhase(0.7, -1),
+    schedule.AncillaHadamard(),
+    schedule.AncillaPhase(0.3),
+    schedule.ControlledWalkPhase(-1.25),
+)
+
+
+def test_op_set_is_the_four_kinds():
+    assert sorted(k.__name__ for k in OP_KINDS) == [
+        "AncillaHadamard", "AncillaPhase", "ControlledWalkPhase", "OraclePhase"]
+    assert {type(op) for op in ONE_OF_EACH} == set(OP_KINDS)
+
+
+def test_json_writes_and_reads_exactly_the_op_set():
+    # each kind is written under its own name and read back as itself;
+    # no other name reads
+    written = [schedule._op_to_json(op) for op in ONE_OF_EACH]
+    assert len({d["op"] for d in written}) == len(OP_KINDS)
+    read = [schedule._op_from_json(json.loads(json.dumps(d))) for d in written]
+    assert read == list(ONE_OF_EACH)
+    assert {type(op) for op in read} == set(OP_KINDS)
+    for name in ("walk", "gphase"):
+        with pytest.raises(ScheduleError, match="unknown op kind"):
+            schedule._op_from_json({"op": name, "t": 1.0, "gamma": 1.0})
+
+
+def test_apply_op_dispatches_exactly_the_op_set():
+    spec = spectral.eigendecompose(graph.laplacian(graph.cycle(4)))
+    state = simulate.attach_ancilla(simulate.vertex_state(4, 1))
+    for op in ONE_OF_EACH:
+        out = simulate.apply_op(state, op, spec, marked=1)
+        assert out.has_ancilla and out.n == 4
+    for op in (schedule.WalkPhase(), schedule.GlobalPhase()):
+        with pytest.raises(SimulationError, match="unknown primitive op"):
+            simulate.apply_op(state, op, spec, marked=1)
+
+
+def test_adjoint_op_is_an_involution_on_each_kind():
+    for op in ONE_OF_EACH:
+        adjoint = schedule._adjoint_op(op)
+        assert type(adjoint) is type(op)
+        assert schedule._adjoint_op(adjoint) == op
+
+
+def test_synthesized_schedules_hold_only_the_op_set(k4_minus_edge):
+    # the sample, search and bipartite schedules and their daggers on
+    # rook(3,3), K4 - e and K(4,7)
+    k47 = graph.complete_bipartite(4, 7)
+    schedules = list(pipelines.prepare_bipartite(k47).branches)
+    for g in (graph.rook(3, 3), k4_minus_edge, k47):
+        ctx = pipelines.prepare(g)
+        schedules += [*ctx.class_schedules, *ctx.branches]
+    for sched in schedules:
+        for s in (sched, schedule.dagger(sched)):
+            assert s.ops and {type(op) for op in s.ops} <= set(OP_KINDS)
 
 
 def test_sampling_schedule_empty_for_single_vertex():

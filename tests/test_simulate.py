@@ -298,12 +298,6 @@ def test_unitarity_round_trip(c4_spec):
     assert np.allclose(back.amps, st.amps, atol=1e-9)
 
 
-def test_global_phase_op(c4_spec):
-    st = simulate.vertex_state(4, 0)
-    out = simulate.apply_op(st, schedule.GlobalPhase(0.5), c4_spec)
-    assert np.allclose(out.amps, np.exp(0.5j) * st.amps)
-
-
 def test_fidelity_examples():
     st = simulate.vertex_state(6, 2)
     assert simulate.fidelity(st, 2) == pytest.approx(1.0)
@@ -318,14 +312,6 @@ def test_measure_distribution_uniform():
     probs = simulate.measure_distribution(simulate.uniform_state(9))
     assert np.allclose(probs, 1 / 9, atol=1e-12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-10)
-
-
-def test_state_csv():
-    csv = simulate.state_to_csv(simulate.vertex_state(3, 1))
-    lines = csv.strip().splitlines()
-    assert lines[0] == "index,re,im,probability"
-    assert lines[2].startswith("1,1,")
-    assert len(lines) == 4
 
 
 def test_dimension_mismatch_errors(c4_spec):
