@@ -235,7 +235,8 @@ def build_family(name: str, params: tuple[int, ...]) -> Graph:
 # Family recognition
 # ---------------------------------------------------------------------------
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)])
+#: bytes, so ``_meet``'s (pairs, mask bytes) popcounts take one byte each
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def family_matches(g: Graph) -> list[tuple[str, tuple[int, ...]]]:

@@ -16,17 +16,16 @@ eigenspace group.  A context answers four reads of vertex data: the
 vertex count, the masses of given vertices, the Gram entries of given
 pairs and the mass classes.  A vertex enters its mass class and its
 frame only through its masses, so sampling and a search that succeeds
-read no eigenvector: on a family graph ``prepare`` takes masses and
-classes in closed form and decomposes only when a transfer's Gram
-entries or a failing branch's lift need eigenvectors, once per context;
-any other graph is decomposed up front.  The context synthesizes one
-sampling schedule per mass class, and the class's search branch is its
-dagger.  Each pass of the batched executor runs one schedule: sampling
-makes one per distinct schedule, and search one per branch, decided in
-the frame.  Transfer makes no pass of its own: ``_transfer_sweep``
-reads it off the final states of two rows of a sampling pass
-(``_sample_pass``, which builds no reports), weighted by the Gram
-entries (E_g)_uv.  ``verify_graph`` is one call of each sweep over every
+read no eigenvector.  On a family graph ``prepare`` takes all four
+reads in closed form, and a failing branch's lift reads Gram columns,
+so no task decomposes; any other graph is decomposed up front.  The
+context synthesizes one sampling schedule per mass class, and the
+class's search branch is its dagger.  Each pass of the batched executor
+runs one schedule: sampling makes one per distinct schedule, and search
+one per branch, decided in the frame.  Transfer makes no pass of its
+own: ``_transfer_sweep`` reads it off the final states of two rows of a
+sampling pass (``_sample_pass``, which builds no reports), weighted by
+the Gram entries (E_g)_uv.  ``verify_graph`` is one call of each sweep over every
 row of a graph, with one synthesis per mass class; the single-run
 functions are the one-row case.
 
@@ -41,7 +40,7 @@ import functools
 import io
 import math
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,9 +124,9 @@ class VerifyReport:
 
 
 class _VertexReads:
-    """The vertex count ``n`` and the ``masses`` of given vertices, read
-    off a context's dense ``spectrum`` unless a subclass answers them in
-    closed form."""
+    """The vertex count ``n``, the ``masses`` of given vertices and the
+    ``lift`` of frame states, read off a context's dense ``spectrum``
+    unless a subclass answers them in closed form."""
 
     @property
     def n(self) -> int:
@@ -149,16 +148,23 @@ class _VertexReads:
         starts, table = self._mass_runs
         return table[starts.searchsorted(vertices, "right") - 1]
 
+    def lift(self, vertices: np.ndarray, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The vertex-basis amplitudes, (R, blocks, N), of x, (R, blocks,
+        G), in the frames of vertices, whose ``frame_coords`` are coords:
+        one N x N product per row and block (``simulate.lift``)."""
+        spectrum = self.spectrum
+        return sim.lift(spectrum.eigenvectors, spectrum.multiplicities, vertices, coords, x)
+
 
 @dataclass(frozen=True)
 class LaplacianContext(_VertexReads):
     """Shared read-only data reused across runs on one graph: its gated
     integer spectrum, the depth chain, and four reads of its vertex data,
     ``n``, ``masses``, ``gram`` and ``vertex_classes``.  A closed form
-    (``ints.family``) answers masses and classes by formula, and
-    decomposes only when ``gram`` or a lift reads eigenvectors; otherwise
-    the gate's dense decomposition answers all.  Either way the walk runs
-    on the certified integer values."""
+    (``ints.family``) answers all four by formula, and a failing branch's
+    ``lift`` from Gram columns, so it never decomposes; otherwise the
+    gate's dense decomposition answers all.  Either way the walk runs on
+    the certified integer values."""
 
     graph: Graph
     ints: spectral.IntegerSpectrum
@@ -171,11 +177,10 @@ class LaplacianContext(_VertexReads):
     def label(self) -> str:
         return self.graph.family or f"custom(n={self.graph.n})"
 
-    @functools.cached_property
-    def spectrum(self) -> spectral.Spectrum:
-        """The dense decomposition: the gate's, or for a closed form one
-        solved on first read and held to its groups."""
-        return self.ints.base or spectral.decompose_as(self.graph, self.ints)
+    @property
+    def spectrum(self) -> spectral.Spectrum | None:
+        """The gate's dense decomposition; None on a closed form."""
+        return self.ints.base
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -189,11 +194,29 @@ class LaplacianContext(_VertexReads):
     def _mass_runs(self) -> tuple[np.ndarray, np.ndarray]:
         return spectral.family_masses(self.ints) if self.ints.family else super()._mass_runs
 
+    @functools.cached_property
+    def _family_gram(self) -> tuple[Callable, np.ndarray]:
+        """A closed form's relation and (R, G) Gram table, built once."""
+        return spectral.family_gram(self.ints)
+
     def gram(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """The Gram entries (E_g)_uv of the pairs, (P, G), from their
-        eigenvector rows."""
+        """The Gram entries (E_g)_uv of the pairs, (..., G) for vertex
+        arrays that broadcast: a closed form's table row of each pair's
+        relation, else the group sums of their eigenvector rows."""
+        if self.ints.family:
+            relation, table = self._family_gram
+            return table[relation(us, vs)]
         spectrum = self.spectrum
         return spectral.group_sums(spectrum, spectrum.eigenvectors[us] * spectrum.eigenvectors[vs])
+
+    def lift(self, vertices: np.ndarray, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """On a closed form, row i's amplitude on w is the sum over g of
+        x[i, :, g] / coords[i, g] times the Gram column (E_g)_{w m_i}: O(N G)
+        per row and block, no eigenvector read."""
+        if not self.ints.family:
+            return super().lift(vertices, coords, x)
+        columns = self.gram(np.arange(self.n), np.asarray(vertices)[:, None])
+        return sim.lift_columns(columns, coords, x)
 
     @functools.cached_property
     def walk_times(self) -> tuple[float, ...]:
@@ -566,9 +589,9 @@ def _search_sweep(
     by the oracle (one query), when p(m) = sum over ancilla blocks a of
     |sum_g x[a, g] coords[g]|^2, read in m's frame, is at least
     ``FIDELITY_THRESHOLD`` > 1/2 + ``TIE_TOL``: m is then the unique most
-    probable vertex.  Only a failing branch's rows are lifted (one N x N
-    product per row and block) to report its candidate, the lowest most
-    probable vertex.  The first success is the result and must pass the
+    probable vertex.  Only a failing branch's rows are lifted
+    (``ctx.lift``) to report its candidate, the lowest most probable
+    vertex.  The first success is the result and must pass the
     detach gate.  Each branch runs for every hidden vertex in one pass."""
     vertices = np.asarray(marked, dtype=int)
     coords = sim.frame_coords(ctx.masses(vertices))
@@ -585,9 +608,7 @@ def _search_sweep(
         fids = (np.abs(np.einsum("rag,rg->ra", x, coords)) ** 2).sum(axis=1)
         found, candidates = fids >= FIDELITY_THRESHOLD, vertices.copy()
         if (failed := np.flatnonzero(~found)).size:
-            spectrum = ctx.spectrum
-            amps = sim.lift(spectrum.eigenvectors, spectrum.multiplicities,
-                            vertices[failed], coords[failed], x[failed])
+            amps = ctx.lift(vertices[failed], coords[failed], x[failed])
             probs = (np.abs(amps) ** 2).sum(axis=1)
             candidates[failed] = [_most_probable(p) for p in probs]
             fids[failed] = probs[np.arange(len(failed)), candidates[failed]]

@@ -235,6 +235,10 @@ def target_phase_ops(walk_time: float, theta: float) -> tuple[PrimitiveOp, ...]:
 # ---------------------------------------------------------------------------
 
 def _adjoint_op(op: PrimitiveOp) -> PrimitiveOp:
+    """The adjoint of one of the four op kinds; ScheduleError on any other
+    object."""
+    if isinstance(op, AncillaHadamard):
+        return op  # self-adjoint
     if isinstance(op, ControlledWalkPhase):
         return ControlledWalkPhase(-op.t)
     if isinstance(op, OraclePhase):
@@ -242,7 +246,7 @@ def _adjoint_op(op: PrimitiveOp) -> PrimitiveOp:
     if isinstance(op, AncillaPhase):
         # plain negation (like walk times) keeps the adjoint exactly involutive
         return AncillaPhase(-op.theta)
-    return op  # AncillaHadamard is self-adjoint
+    raise ScheduleError(f"not a primitive op: {op!r}")
 
 
 def _adjoint_ops(ops: tuple[PrimitiveOp, ...]) -> tuple[PrimitiveOp, ...]:
@@ -387,13 +391,17 @@ def ancilla_phase_time(schedule: Schedule) -> float:
 # ---------------------------------------------------------------------------
 
 def _op_to_json(op: PrimitiveOp) -> dict:
+    """One of the four op kinds as JSON; ScheduleError on any other
+    object."""
+    if isinstance(op, AncillaHadamard):
+        return {"op": "anc_h"}
     if isinstance(op, OraclePhase):
         return {"op": "oracle", "theta": op.theta, "sign": op.sign}
     if isinstance(op, AncillaPhase):
         return {"op": "anc_z", "theta": op.theta}
     if isinstance(op, ControlledWalkPhase):
         return {"op": "cwalk", "t": op.t}
-    return {"op": "anc_h"}
+    raise ScheduleError(f"not a primitive op: {op!r}")
 
 
 def _json_as(value, kind: type):

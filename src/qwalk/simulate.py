@@ -14,7 +14,8 @@ A run from vertex m with its oracle on m stays in span{E_g|m>}, which
 off m's masses (a closed form's, or a row of a decomposition's table)
 with no N x N product and no eigenvector; every pipeline runs there, on
 the Laplacian or the adjacency spectrum, and only ``lift`` reads
-eigenvectors.  A coordinate on an
+eigenvectors (``lift_columns`` a closed form's Gram columns instead).
+A coordinate on an
 eigenspace m has no mass on is exactly 0 and stays so: the start and the
 oracle pair w_a are 0 there, and the kick acts on each coordinate alone,
 so the stage matrix has only the kick there too.
@@ -349,6 +350,15 @@ def lift(
     per_group = divide_coords(x, coords[:, None])
     y = vectors[vertices][:, None] * np.repeat(per_group, multiplicities, axis=2)
     amps = _rotate(vectors, y.reshape(-1, len(vectors))).reshape(y.shape)
+    _check_norms(amps)
+    return amps
+
+
+def lift_columns(columns: np.ndarray, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``lift`` from the Gram columns (E_g)_{w m} of each row's vertex m
+    over every vertex w, shape (R, N, G), in place of eigenvectors: O(N G)
+    per row and block."""
+    amps = np.einsum("rbg,rwg->rbw", divide_coords(x, coords[:, None]), columns)
     _check_norms(amps)
     return amps
 

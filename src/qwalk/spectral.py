@@ -8,9 +8,9 @@ eigenvectors) that synthesis, mass classes and frames read.  Downstream
 formulas consume only such group sums, never individual eigenvectors, so
 results do not depend on the solver's basis inside a degenerate eigenspace.
 A built-in family's masses also have closed forms (``family_masses``),
-O(G) per run of vertices that share them, so a graph the edges identify
-needs a dense decomposition (``decompose_as``, held to the closed form's
-groups) only where eigenvectors themselves are read.
+O(G) per run of vertices that share them, and so do its Gram entries
+(E_g)_uv (``family_gram``), a table row per relation between two
+labels, so a graph the edges identify needs no dense decomposition.
 
 ``graph_integer_spectrum`` is the one gate on a graph's Laplacian.  Its
 G eigenvalue groups come from a decomposition the caller passes, else in
@@ -29,13 +29,16 @@ the kernel.
 from __future__ import annotations
 
 import math
+import operator
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import SpectrumError
-from .graph import Graph, family_matches, laplacian, laplacian_matvec
+from .graph import Graph, _meet, _subset_masks, family_matches, laplacian, laplacian_matvec
 
 #: Eigenvalues closer than this are treated as one eigenspace.
 GROUP_TOL = 1e-6
@@ -218,27 +221,33 @@ def family_spectrum(name: str, params: tuple[int, ...]) -> IntegerSpectrum:
     ascending, in O(G): terms of equal value merge (rook(a, a),
     complete_bipartite(a, a)) and empty ones drop (complete_bipartite(1, b));
     ``base`` is None and ``family`` is (name, params)."""
-    if name == "hamming":
-        d, q = params
-        terms = [(q * i, math.comb(d, i) * (q - 1) ** i) for i in range(d + 1)]
-    elif name in ("johnson", "kneser"):
-        # eigenspace i of the Johnson scheme; Kneser is C(n-k, k)-regular
-        # with adjacency eigenvalue (-1)^i C(n-k-i, k-i) there
-        n, k = params
-        terms = [(i * (n + 1 - i) if name == "johnson" else
-                  math.comb(n - k, k) - (-1) ** i * math.comb(n - k - i, k - i),
-                  math.comb(n, i) - (math.comb(n, i - 1) if i else 0))
-                 for i in range(min(k, n - k) + 1)]
-    elif name == "complete_bipartite":
-        a, b = params
-        terms = [(0, 1), (a, b - 1), (b, a - 1), (a + b, 1)]
-    else:  # rook and complete_square: sums over the two Cartesian factors
-        a, b = params if name == "rook" else (params[0], 4)
-        second = [(0, 1), (b, b - 1)] if name == "rook" else [(0, 1), (2, 2), (4, 1)]
-        terms = [(x + y, mx * my) for x, mx in [(0, 1), (a, a - 1)] for y, my in second]
+    terms = _family_terms(name, params)
     values = sorted({x for x, k in terms if k})
     return IntegerSpectrum(tuple(values), tuple(sum(k for x, k in terms if x == v) for v in values),
                            family=(name, params))
+
+
+def _family_terms(name: str, params: tuple[int, ...]) -> list[tuple[int, int]]:
+    """A family's eigenspaces as (Laplacian value, multiplicity) terms,
+    unmerged, in the order ``_FAMILY_GRAMS`` lists their entries."""
+    if name == "hamming":
+        d, q = params
+        return [(q * i, math.comb(d, i) * (q - 1) ** i) for i in range(d + 1)]
+    if name in ("johnson", "kneser"):
+        # eigenspace i of the Johnson scheme; Kneser is C(n-k, k)-regular
+        # with adjacency eigenvalue (-1)^i C(n-k-i, k-i) there
+        n, k = params
+        return [(i * (n + 1 - i) if name == "johnson" else
+                 math.comb(n - k, k) - (-1) ** i * math.comb(n - k - i, k - i),
+                 math.comb(n, i) - (math.comb(n, i - 1) if i else 0))
+                for i in range(min(k, n - k) + 1)]
+    if name == "complete_bipartite":
+        a, b = params
+        return [(0, 1), (a, b - 1), (b, a - 1), (a + b, 1)]
+    # rook and complete_square: sums over the two Cartesian factors
+    a, b = params if name == "rook" else (params[0], 4)
+    second = [(0, 1), (b, b - 1)] if name == "rook" else [(0, 1), (2, 2), (4, 1)]
+    return [(x + y, mx * my) for x, mx in [(0, 1), (a, a - 1)] for y, my in second]
 
 
 def family_masses(ints: IntegerSpectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -261,17 +270,110 @@ def family_masses(ints: IntegerSpectrum) -> tuple[np.ndarray, np.ndarray]:
         (values == 0) / n + (values == other) * (own - 1) / own + (values == n) * other / (own * n))
 
 
-def decompose_as(g: Graph, ints: IntegerSpectrum) -> Spectrum:
-    """The dense decomposition of g's Laplacian for a closed form that
-    deferred it until eigenvectors are read.  Raises SpectrumError unless
-    its rounded groups are the closed form's."""
-    spectrum = eigendecompose(laplacian(g))
-    dense = validate_integer_spectrum(spectrum)
-    if (dense.values, dense.multiplicities) != (ints.values, ints.multiplicities):
-        raise SpectrumError(
-            f"the dense groups {dict(zip(dense.values, dense.multiplicities))} are not "
-            f"the closed form's {dict(zip(ints.values, ints.multiplicities))}")
-    return spectrum
+def family_gram(ints: IntegerSpectrum) -> tuple[Callable, np.ndarray]:
+    """A closed form's Gram entries (E_g)_uv as a relation and a table: on
+    a family graph (E_g)_uv depends on (u, v) only through a small index
+    r(u, v) read off the labels, so ``table[relation(u, v)]`` gives them
+    for vertex arrays u and v that broadcast, (..., G).  The (R, G) table
+    is summed exactly in fractions per eigenspace term, in the terms of
+    ``family_spectrum`` (equal values merge, empty terms drop), then
+    rounded once.  Each eigenspace's entries are the classical ones
+    (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 1989, §2.2):
+    products of the factors' projectors on rook and complete_square,
+    Krawtchouk numbers on hamming, Eberlein numbers on johnson and kneser,
+    and the block formulas on complete_bipartite.  O(R·G) table entries,
+    no array of N entries."""
+    name, params = ints.family
+    relation, entries = _FAMILY_GRAMS[name](*params)
+    columns = {x: [Fraction(0)] * len(entries[0]) for x in ints.values}
+    for (x, k), column in zip(_family_terms(name, params), entries):
+        if k:
+            columns[x] = list(map(operator.add, columns[x], column))
+    table = np.array([columns[x] for x in ints.values], dtype=float).T
+    table.flags.writeable = False
+    return relation, table
+
+
+def _complete_terms(n: int) -> list[list[Fraction]]:
+    """K_n's projectors J/n and I - J/n, on equal (r = 0) and distinct
+    (r = 1) vertices."""
+    return [[Fraction(1, n)] * 2, [1 - Fraction(1, n), -Fraction(1, n)]]
+
+
+#: C_4's projectors on the offset r = (i - j) mod 4 along the cycle 0-1-2-3:
+#: 1/4, cos(pi r / 2) / 2 and (-1)^r / 4.
+_SQUARE_TERMS = [[Fraction(1, 4)] * 4, [Fraction(1, 2), 0, Fraction(-1, 2), 0],
+                 [Fraction((-1) ** r, 4) for r in range(4)]]
+
+
+def _product_terms(first: list[list[Fraction]], second: list[list[Fraction]]):
+    """The Cartesian product's terms E_x (x) E_y, in ``_family_terms``'
+    order, on the relation r1 * R2 + r2."""
+    return [[a * b for a in x for b in y] for x in first for y in second]
+
+
+def _hamming_gram(d: int, q: int):
+    # eigenspace i on tuples differing in r digits: the Krawtchouk number
+    # K_i(r) = sum_j (-1)^j (q-1)^(i-j) C(r, j) C(d-r, i-j), over q^d
+    places = q ** np.arange(d)
+    return (lambda u, v: (np.asarray(u)[..., None] // places % q
+                          != np.asarray(v)[..., None] // places % q).sum(axis=-1),
+            [[Fraction(sum((-1) ** j * (q - 1) ** (i - j) * math.comb(r, j)
+                           * math.comb(d - r, i - j) for j in range(i + 1)), q**d)
+              for r in range(d + 1)] for i in range(d + 1)])
+
+
+def _rook_gram(a: int, b: int):
+    # same row (u // b), same column (u % b)
+    return (lambda u, v: 2 * (u // b != v // b) + (u % b != v % b),
+            _product_terms(_complete_terms(a), _complete_terms(b)))
+
+
+def _complete_square_gram(n: int):
+    # same K_n coordinate (u // 4), offset along C_4 (u % 4)
+    return (lambda u, v: 4 * (u // 4 != v // 4) + (u - v) % 4,
+            _product_terms(_complete_terms(n), _SQUARE_TERMS))
+
+
+def _johnson_scheme_gram(n: int, k: int):
+    # J(n, k) = J(n, n - k) by complements, so with e = min(k, n - k), on
+    # sets meeting in k - i elements eigenspace j has Q_j(i) / N = m_j
+    # P_i(j) / (N v_i): the Eberlein number P_i(j) = sum_t (-1)^t C(j, t)
+    # C(e - j, i - t) C(n - e - j, i - t) over the valency v_i = C(e, i)
+    # C(n - e, i); the rows of meets no two k-sets have stay 0
+    e, count = min(k, n - k), math.comb(n, k)
+    masks = _subset_masks(n, k)
+
+    def entry(i: int, j: int) -> Fraction:
+        if i > e:
+            return Fraction(0)
+        p = sum((-1) ** t * math.comb(j, t) * math.comb(e - j, i - t)
+                * math.comb(n - e - j, i - t) for t in range(i + 1))
+        rank = math.comb(n, j) - (math.comb(n, j - 1) if j else 0)
+        return Fraction(rank * p, count * math.comb(e, i) * math.comb(n - e, i))
+
+    return (lambda u, v: _meet(masks, u, v),
+            [[entry(k - meet, j) for meet in range(k + 1)] for j in range(e + 1)])
+
+
+def _complete_bipartite_gram(a: int, b: int):
+    # r = 4 [u = v] + 2 [u in B] + [v in B], blocks A = [0, a), B = [a, N):
+    # E_0 = J / N; on vectors of B summing to 0, I - J / b on B x B; on A,
+    # I - J / a on A x A; and x x^T for x = (b on A, -a on B) / sqrt(abN)
+    n = a + b
+
+    def block(aa, ab, bb, same_a=0, same_b=0):
+        return [aa, ab, ab, bb, aa + same_a, 0, 0, bb + same_b]
+
+    return (lambda u, v: 4 * (u == v) + 2 * (u >= a) + (v >= a),
+            [block(*[Fraction(1, n)] * 3), block(0, 0, -Fraction(1, b), same_b=1),
+             block(-Fraction(1, a), 0, 0, same_a=1),
+             block(Fraction(b, a * n), -Fraction(1, n), Fraction(a, b * n))])
+
+
+_FAMILY_GRAMS = {"hamming": _hamming_gram, "rook": _rook_gram,
+                 "complete_square": _complete_square_gram, "johnson": _johnson_scheme_gram,
+                 "kneser": _johnson_scheme_gram, "complete_bipartite": _complete_bipartite_gram}
 
 
 def _values_only(values: np.ndarray) -> Spectrum:

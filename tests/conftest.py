@@ -42,6 +42,22 @@ def dense_gate(g):
     return spectral.graph_integer_spectrum(g, spectral._values_only(laplacian_eigenvalues(g)))
 
 
+_EIGENBASES: dict[int, tuple] = {}
+
+
+def eigenbasis(ctx):
+    """ctx's dense decomposition, the reference its frame runs are checked
+    against: the context's own ``spectrum`` where it holds one, and on a
+    closed form, which never decomposes, the dense solve of its graph's
+    Laplacian, once per graph object."""
+    if ctx.spectrum is not None:
+        return ctx.spectrum
+    g = ctx.graph
+    if _EIGENBASES.get(id(g), (None,))[0] is not g:
+        _EIGENBASES[id(g)] = (g, spectral.eigendecompose(graph.laplacian(g)))
+    return _EIGENBASES[id(g)][1]
+
+
 def group_runs(spec):
     """Each eigenspace group's run of eigen-indices into ``spec``, as a
     ``range``: group g covers ``multiplicities[g]`` indices after the

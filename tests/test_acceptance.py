@@ -12,7 +12,7 @@ import pytest
 from qwalk import depth, graph, pipelines, schedule, simulate, spectral
 from qwalk.errors import SpectrumError
 
-from conftest import check_vertex_transitive_bruteforce
+from conftest import check_vertex_transitive_bruteforce, eigenbasis
 
 THRESHOLD = 1 - 1e-8
 
@@ -129,7 +129,7 @@ def test_criterion_6_overlap_independence():
             ctx = pipelines.prepare(g)
             reference = depth.transitive_overlaps(ctx.chain)
             for m in range(g.n):
-                observed = depth.overlaps(ctx.chain, ctx.spectrum.masses[m])
+                observed = depth.overlaps(ctx.chain, eigenbasis(ctx).masses[m])
                 assert np.max(np.abs(observed - reference)) < 1e-9, (name, m)
             checked += 1
         # every graph of the suite is vertex-transitive
@@ -180,15 +180,15 @@ def test_criterion_8_ancilla_circuit_equivalence():
         for name, make in SEARCH_GRAPHS:
             g = make()
             ctx = pipelines.prepare(g)
-            pairs = depth.level_states(ctx.chain, ctx.spectrum.eigenvectors[0])
+            pairs = depth.level_states(ctx.chain, eigenbasis(ctx).eigenvectors[0])
             for level in range(ctx.chain.depth):
                 split = pairs[level + 1].split
                 if split is None:
                     continue
                 t = schedule.reflection_time(ctx.chain.levels[level].gcd)
-                w_k = ctx.spectrum.eigenvectors @ pairs[level].kept
-                w_next = ctx.spectrum.eigenvectors @ pairs[level + 1].kept
-                axis = ctx.spectrum.eigenvectors @ split
+                w_k = eigenbasis(ctx).eigenvectors @ pairs[level].kept
+                w_next = eigenbasis(ctx).eigenvectors @ pairs[level + 1].kept
+                axis = eigenbasis(ctx).eigenvectors @ split
                 for _ in range(100):
                     theta = rng.uniform(0.0, 2.0 * math.pi)
                     coeff = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -197,7 +197,7 @@ def test_criterion_8_ancilla_circuit_equivalence():
                     ideal = psi - (1 - np.exp(1j * theta)) * np.vdot(axis, psi) * axis
                     st = simulate.attach_ancilla(simulate.from_amplitudes(psi))
                     for op in schedule.target_phase_ops(t, theta):
-                        st = simulate.apply_op(st, op, ctx.spectrum)
+                        st = simulate.apply_op(st, op, eigenbasis(ctx))
                     leak = float(np.linalg.norm(st.amps[g.n :]) ** 2)
                     assert leak < 1e-10, (name, level)
                     assert np.max(np.abs(st.amps[: g.n] - ideal)) < 1e-10, (name, level)
@@ -227,15 +227,15 @@ def test_criterion_10_unitarity_round_trip():
             st = simulate.attach_ancilla(
                 simulate.from_amplitudes(amps / np.linalg.norm(amps))
             )
-            there = simulate.run_schedule(st, sched, ctx.spectrum, marked=1)
+            there = simulate.run_schedule(st, sched, eigenbasis(ctx), marked=1)
             back = simulate.run_schedule(
-                there, schedule.dagger(sched), ctx.spectrum, marked=1
+                there, schedule.dagger(sched), eigenbasis(ctx), marked=1
             )
             assert np.max(np.abs(back.amps - st.amps)) < 1e-9, name
             # algorithm states compose plainly: the ancilla is clean between runs
             st0 = simulate.uniform_state(g.n)
-            there0 = simulate.run_schedule(st0, sched, ctx.spectrum, marked=1)
+            there0 = simulate.run_schedule(st0, sched, eigenbasis(ctx), marked=1)
             back0 = simulate.run_schedule(
-                there0, schedule.dagger(sched), ctx.spectrum, marked=1
+                there0, schedule.dagger(sched), eigenbasis(ctx), marked=1
             )
             assert np.max(np.abs(back0.amps - st0.amps)) < 1e-9, name

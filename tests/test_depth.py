@@ -12,6 +12,7 @@ from conftest import (
     cartesian_product,
     connected_cographs,
     dense_gate,
+    eigenbasis,
     group_runs,
     index_chain,
     index_level_masses,
@@ -301,8 +302,8 @@ def test_chain_of_cartesian_products_matches_per_index_reference(left, right):
         assert ctx.chain.complement_values(k) == [sums[i] for i in split]
         assert ctx.chain.levels[k].gcd == gcd
     for m in range(g.n):
-        row = ctx.spectrum.eigenvectors[m]
-        masses = vertex_masses(ctx.spectrum, m)
+        row = eigenbasis(ctx).eigenvectors[m]
+        masses = vertex_masses(eigenbasis(ctx), m)
         assert np.max(np.abs(depth._level_masses(ctx.chain, masses)
                              - index_level_masses(reference, row))) <= 1e-15
         assert np.max(np.abs(depth.overlaps(ctx.chain, masses)

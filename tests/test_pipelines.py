@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from qwalk import depth, graph, pipelines, schedule, simulate, spectral
 from qwalk.errors import GraphError, ScheduleError, SimulationError, SpectrumError
 
-from conftest import cartesian_product, check_vertex_transitive_bruteforce, connected_cographs
+from conftest import (
+    cartesian_product, check_vertex_transitive_bruteforce, connected_cographs, eigenbasis,
+)
 
 THRESHOLD = 1 - 1e-8
 
@@ -39,13 +41,15 @@ def test_uniform_sample_c4_cost(c4):
 
 def test_sampling_needs_no_eigenvectors(k4_minus_edge, monkeypatch):
     # sampling reads only the walk values and the masses: with every
-    # eigensolve refused, a fresh closed-form context (rook(3,3)) and a
-    # dense one whose spectrum has no eigenvectors (K4 - e) report what a
-    # context holding the full decomposition does
+    # eigensolve refused, a fresh closed-form context (rook(3,3)), which
+    # never decomposes, and a dense one whose spectrum has no eigenvectors
+    # (K4 - e) report what a context prepared before the refusal does, the
+    # dense one holding the full decomposition
     cases = []
     for g in [graph.rook(3, 3), k4_minus_edge]:
         ctx = pipelines.prepare(g)
-        assert ctx.spectrum.eigenvectors is not None  # decomposed, on either route
+        assert (ctx.spectrum is None) if ctx.ints.family else (
+            ctx.spectrum.eigenvectors is not None)
         cases.append((g, ctx))
     monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigh"))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("eigvalsh"))
@@ -92,8 +96,8 @@ def test_transfer_round_trip_composition():
     sched_v = pipelines.sampling_schedule(ctx, v)
     state = simulate.vertex_state(g.n, u)
     for fwd, back, a, b in ((sched_u, sched_v, u, v), (sched_v, sched_u, v, u)):
-        state = simulate.run_schedule(state, fwd, ctx.spectrum, a)
-        state = simulate.run_schedule(state, schedule.dagger(back), ctx.spectrum, b)
+        state = simulate.run_schedule(state, fwd, eigenbasis(ctx), a)
+        state = simulate.run_schedule(state, schedule.dagger(back), eigenbasis(ctx), b)
     assert simulate.fidelity(state, u) >= 1 - 1e-8
 
 
@@ -395,7 +399,7 @@ def test_class_route_finds_every_vertex(k4_minus_edge):
                 assert report.branches == ()
                 wins = [0]
             assert len(wins) == 1, (g.edges, m)
-            ref = simulate.run_schedule(start, ctx.branches[wins[0]], ctx.spectrum, m)
+            ref = simulate.run_schedule(start, ctx.branches[wins[0]], eigenbasis(ctx), m)
             assert np.linalg.norm(ref.amps[g.n:]) ** 2 <= simulate.DETACH_TOL
 
 
@@ -404,7 +408,7 @@ def test_class_route_survives_a_leaking_branch():
     ctx = pipelines.prepare(g)
     assert ctx.mass_classes == (0, 1, 4)
     start = simulate.attach_ancilla(simulate.uniform_state(6))
-    leaks = [np.linalg.norm(simulate.run_schedule(start, b, ctx.spectrum, 5).amps[6:]) ** 2
+    leaks = [np.linalg.norm(simulate.run_schedule(start, b, eigenbasis(ctx), 5).amps[6:]) ** 2
              for b in ctx.branches]
     assert leaks[1] == pytest.approx(0.709, abs=1e-3)
     assert leaks[2] <= simulate.DETACH_TOL
@@ -511,7 +515,7 @@ def test_verify_c4(c4):
 def test_verify_petersen_spectrum_crosscheck():
     g = graph.kneser(5, 2)
     ctx = pipelines.prepare(g)
-    observed = dict(zip(map(round, ctx.spectrum.values), ctx.spectrum.multiplicities))
+    observed = dict(zip(map(round, eigenbasis(ctx).values), eigenbasis(ctx).multiplicities))
     assert observed == {0: 1, 2: 5, 5: 4}
     result = pipelines.verify_graph(g)
     assert result.min_fidelity >= THRESHOLD
@@ -600,11 +604,11 @@ def branch_states(sctx, m):
     coords = simulate.frame_coords(sctx.masses(vertices))
     starts = sctx.frame_starts(vertices, coords)
     assert len(starts) == len(blocks)
-    states = []
+    states, spec = [], eigenbasis(sctx)
     for block, start in zip(blocks, starts):
         amps = np.zeros(n)
         amps[list(block)] = 1 / math.sqrt(len(block))
-        lifted = simulate.lift(sctx.spectrum.eigenvectors, sctx.spectrum.multiplicities,
+        lifted = simulate.lift(spec.eigenvectors, spec.multiplicities,
                                vertices, coords, start[:, None])[0, 0]
         np.testing.assert_allclose(lifted, amps, rtol=0, atol=1e-12)
         states.append(simulate.from_amplitudes(amps))
@@ -614,7 +618,7 @@ def branch_states(sctx, m):
 def dense_fidelities(g, ctx, sctx, report):
     """A verify report's fidelities from ``run_schedule``, run by run: the
     final fidelity and, for a search, each branch's (candidate, fidelity)."""
-    n, spec = g.n, ctx.spectrum
+    n, spec = g.n, eigenbasis(ctx)
     m, v = report.marked, report.target
     if report.task == "sample":
         sched = pipelines.sampling_schedule(ctx, m)
@@ -627,7 +631,7 @@ def dense_fidelities(g, ctx, sctx, report):
         return simulate.fidelity(simulate.run_schedule(state, back, spec, v), v), []
     branches = []
     for state, branch in zip(branch_states(sctx, m), sctx.branches):
-        state = simulate.run_schedule(simulate.attach_ancilla(state), branch, sctx.spectrum, m)
+        state = simulate.run_schedule(simulate.attach_ancilla(state), branch, eigenbasis(sctx), m)
         probs = (np.abs(state.amps.reshape(2, n)) ** 2).sum(axis=0)
         candidate = pipelines._most_probable(probs)
         branches.append((candidate, probs[candidate]))
@@ -667,7 +671,7 @@ def assert_frame_start_is_the_eigenvector_one(g):
     the uniform state's eigen-coefficients summed into its frame, to
     1e-15, and are exactly 1.0 on group 0 and 0.0 elsewhere."""
     ctx = pipelines.prepare(g)
-    spec, vertices = ctx.spectrum, np.arange(g.n)
+    spec, vertices = eigenbasis(ctx), np.arange(g.n)
     coords = simulate.frame_coords(spec.masses[vertices])
     starts = ctx.frame_starts(vertices, coords)
     assert starts.shape == (len(ctx.mass_classes), g.n, len(spec.values))
@@ -703,7 +707,7 @@ def test_verify_passes_on_cographs(g):
     result = pipelines.verify_graph(g)
     ctx, n = pipelines.prepare(g), g.n
     forward = [pipelines.sampling_schedule(ctx, m) for m in range(n)]
-    states = [simulate.run_schedule(simulate.vertex_state(n, m), forward[m], ctx.spectrum, m)
+    states = [simulate.run_schedule(simulate.vertex_state(n, m), forward[m], eigenbasis(ctx), m)
               for m in range(n)]
     back = [schedule.dagger(s) for s in forward]
     for report in result.reports:
@@ -712,7 +716,7 @@ def test_verify_passes_on_cographs(g):
         u, v = report.marked, report.target
         if report.task == "transfer":
             assert report.oracle_count == forward[u].oracle_count + forward[v].oracle_count
-            state = simulate.run_schedule(states[u], back[v], ctx.spectrum, v)
+            state = simulate.run_schedule(states[u], back[v], eigenbasis(ctx), v)
             assert report.fidelity == pytest.approx(simulate.fidelity(state, v), abs=1e-12)
         elif report.task == "sample":
             assert report.oracle_count <= bound
@@ -824,7 +828,7 @@ def assert_class_schedules_match_own(g):
         shared = pipelines.sampling_schedule(ctx, m)
         assert shared is ctx.class_schedules[ctx.vertex_classes[m]]
         own = schedule.synth_sampling_schedule(
-            ctx.chain, depth.overlaps(ctx.chain, ctx.spectrum.masses[m]))
+            ctx.chain, depth.overlaps(ctx.chain, eigenbasis(ctx).masses[m]))
         got = pipelines.uniform_sample(g, m, ctx=ctx)
         want = pipelines.execute_sample(ctx, own, m)
         assert got.fidelity == pytest.approx(want.fidelity, rel=0, abs=1e-12)
@@ -878,11 +882,10 @@ def frame_reads_and_lift(sctx, vertices):
     lifted vertex-basis amplitudes, with those amplitudes' probabilities."""
     vertices = np.asarray(vertices)
     coords = simulate.frame_coords(sctx.masses(vertices))
-    values, rows = sctx.values, np.arange(len(vertices))
+    values, rows, spec = sctx.values, np.arange(len(vertices)), eigenbasis(sctx)
     for start, branch in zip(sctx.frame_starts(vertices, coords), sctx.branches):
         x = simulate.run_stages(np.stack([start, 0 * start], axis=1), branch, values, coords)
-        amps = simulate.lift(sctx.spectrum.eigenvectors, sctx.spectrum.multiplicities,
-                             vertices, coords, x)
+        amps = simulate.lift(spec.eigenvectors, spec.multiplicities, vertices, coords, x)
         probs = (np.abs(amps) ** 2).sum(axis=1)
         frame = ((np.abs(np.einsum("rag,rg->ra", x, coords)) ** 2).sum(axis=1),
                  (np.abs(x[:, 1]) ** 2).sum(axis=1))

@@ -144,6 +144,20 @@ def test_adjoint_op_is_an_involution_on_each_kind():
         assert schedule._adjoint_op(adjoint) == op
 
 
+class StubOp:
+    """An object of no op kind."""
+
+
+@pytest.mark.parametrize("op", [schedule.WalkPhase(), schedule.GlobalPhase(), StubOp()],
+                         ids=["WalkPhase", "GlobalPhase", "stub"])
+def test_codec_and_adjoint_refuse_other_objects(op):
+    # neither is saved as a Hadamard nor passed through unchanged
+    with pytest.raises(ScheduleError, match="not a primitive op"):
+        schedule._op_to_json(op)
+    with pytest.raises(ScheduleError, match="not a primitive op"):
+        schedule._adjoint_op(op)
+
+
 def test_synthesized_schedules_hold_only_the_op_set(k4_minus_edge):
     # the sample, search and bipartite schedules and their daggers on
     # rook(3,3), K4 - e and K(4,7)

@@ -8,7 +8,7 @@ import pytest
 from qwalk import depth, graph, pipelines, schedule, simulate, spectral
 from qwalk.errors import SimulationError
 
-from conftest import group_runs
+from conftest import eigenbasis, group_runs
 
 
 @pytest.fixture
@@ -263,8 +263,8 @@ def test_norm_preserved_over_full_schedule(c4, c4_spec):
 def test_run_schedule_matches_op_by_op(schedule_case):
     ctx, m, cases = schedule_case
     for state, sched in cases:
-        out = simulate.run_schedule(state, sched, ctx.spectrum, m)
-        ref, _ = op_by_op(state, sched, ctx.spectrum, m)
+        out = simulate.run_schedule(state, sched, eigenbasis(ctx), m)
+        ref, _ = op_by_op(state, sched, eigenbasis(ctx), m)
         assert out.has_ancilla == state.has_ancilla == ref.has_ancilla
         assert np.max(np.abs(out.amps - ref.amps)) < 1e-12
 
@@ -274,9 +274,9 @@ def test_run_schedule_stage_states_match_op_by_op(schedule_case):
     for state, sched in cases:
         stages = []
         simulate.run_schedule(
-            state, sched, ctx.spectrum, m, on_stage=lambda i, s: stages.append((i, s))
+            state, sched, eigenbasis(ctx), m, on_stage=lambda i, s: stages.append((i, s))
         )
-        _, ref = op_by_op(state, sched, ctx.spectrum, m)
+        _, ref = op_by_op(state, sched, eigenbasis(ctx), m)
         assert sched.stage_boundaries
         assert [i for i, _ in stages] == list(range(len(sched.stage_boundaries)))
         for (_, got), want in zip(stages, ref, strict=True):
@@ -369,9 +369,9 @@ def test_stage_executor_sampling_and_daggers(sampling_suite):
         for m in (0, g.n - 1):
             tree = pipelines.sampling_schedule(ctx, m)
             assert tree.stages
-            assert_executors_agree(simulate.vertex_state(g.n, m), tree, ctx.spectrum, m)
+            assert_executors_agree(simulate.vertex_state(g.n, m), tree, eigenbasis(ctx), m)
             assert_executors_agree(
-                simulate.uniform_state(g.n), schedule.dagger(tree), ctx.spectrum, m
+                simulate.uniform_state(g.n), schedule.dagger(tree), eigenbasis(ctx), m
             )
 
 
@@ -380,7 +380,7 @@ def test_stage_executor_transitive_search(search_suite):
         ctx = pipelines.prepare(g)
         tree = pipelines.transitive_search_schedule(ctx)
         assert tree.stages and tree.direction == "reversed"
-        out = assert_executors_agree(simulate.uniform_state(g.n), tree, ctx.spectrum, 1)
+        out = assert_executors_agree(simulate.uniform_state(g.n), tree, eigenbasis(ctx), 1)
         assert simulate.fidelity(out, 1) > 1 - 1e-10
 
 
@@ -390,8 +390,8 @@ def test_stage_executor_transfer_composition():
     u, v = 0, g.n - 1
     sched_u = pipelines.sampling_schedule(ctx, u)
     back_v = schedule.dagger(pipelines.sampling_schedule(ctx, v))
-    mid = assert_executors_agree(simulate.vertex_state(g.n, u), sched_u, ctx.spectrum, u)
-    out = assert_executors_agree(mid, back_v, ctx.spectrum, v)
+    mid = assert_executors_agree(simulate.vertex_state(g.n, u), sched_u, eigenbasis(ctx), u)
+    out = assert_executors_agree(mid, back_v, eigenbasis(ctx), v)
     assert simulate.fidelity(out, v) > 1 - 1e-10
 
 
@@ -404,7 +404,7 @@ def test_stage_executor_bipartite_branches(n1, n2):
         # a size-1 block gives an empty branch, which has no stages
         assert bool(branch.stages) == (stop - start > 1)
         state = simulate.block_uniform_state(n, start, stop)
-        assert_executors_agree(state, branch, ctx.spectrum, m)
+        assert_executors_agree(state, branch, eigenbasis(ctx), m)
 
 
 def test_stage_executor_skipped_first_stage():
@@ -412,17 +412,17 @@ def test_stage_executor_skipped_first_stage():
     ctx = pipelines.prepare(star)
     tree = pipelines.sampling_schedule(ctx, 0)
     assert [st.level for st in tree.stages] == [1]
-    out = assert_executors_agree(simulate.vertex_state(star.n, 0), tree, ctx.spectrum, 0)
+    out = assert_executors_agree(simulate.vertex_state(star.n, 0), tree, eigenbasis(ctx), 0)
     assert simulate.fidelity(out, simulate.uniform_state(star.n)) > 1 - 1e-10
     assert_executors_agree(simulate.uniform_state(star.n), schedule.dagger(tree),
-                           ctx.spectrum, 0)
+                           eigenbasis(ctx), 0)
 
 
 def test_stage_executor_zero_stages():
     ctx = pipelines.prepare(graph.single_vertex())
     tree = pipelines.sampling_schedule(ctx, 0)
     assert tree.stages == () and tree.ops == ()
-    out = assert_executors_agree(simulate.vertex_state(1, 0), tree, ctx.spectrum, 0)
+    out = assert_executors_agree(simulate.vertex_state(1, 0), tree, eigenbasis(ctx), 0)
     assert not out.has_ancilla
 
 
@@ -432,7 +432,7 @@ def test_stage_executor_keeps_incoming_ancilla():
     tree = pipelines.sampling_schedule(ctx, 4)
     state = simulate.attach_ancilla(simulate.from_amplitudes(random_state(g.n, 11)))
     for sched in (tree, schedule.dagger(tree)):
-        assert assert_executors_agree(state, sched, ctx.spectrum, 4).has_ancilla
+        assert assert_executors_agree(state, sched, eigenbasis(ctx), 4).has_ancilla
 
 
 def test_stage_executor_marked_vertex_errors(c4_spec, c4):
@@ -497,7 +497,7 @@ def run_branches(ctx, m):
     branch's (2, N) amplitudes."""
     vertices = np.array([m])
     coords = simulate.frame_coords(ctx.masses(vertices))
-    spec = ctx.spectrum
+    spec = eigenbasis(ctx)
     return [simulate.lift(spec.eigenvectors, spec.multiplicities, vertices, coords,
                           simulate.run_stages(blocks, sched, ctx.values, coords))[0]
             for blocks, sched in zip(branch_starts(ctx, vertices, coords), ctx.branches)]
@@ -519,7 +519,8 @@ def test_vertex_frame_is_orthonormal_and_holds_its_vertices(frame_case):
     # has mass, and a pair's Gram entries are the inner products of its
     # frames' vectors
     ctx, vertices, pairs, _ = frame_case
-    spec, groups = ctx.spectrum, len(ctx.spectrum.values)
+    spec = eigenbasis(ctx)
+    groups = len(spec.values)
     for m in {*vertices, *np.ravel(pairs).tolist()}:
         basis, coords = frame_basis(spec, m)
         assert coords.shape == (groups,)
@@ -528,6 +529,7 @@ def test_vertex_frame_is_orthonormal_and_holds_its_vertices(frame_case):
     for u, v in pairs:
         gram = spectral.group_sums(spec, spec.eigenvectors[u] * spec.eigenvectors[v])
         assert_close(gram, dense_gram(spec, u, v))
+        assert_close(ctx.gram(np.array(u), np.array(v)), gram)  # the context's own read
         (bu, cu), (bv, cv) = frame_basis(spec, u), frame_basis(spec, v)
         assert_close(gram, cu * cv * (bu * bv).sum(axis=0))
 
@@ -571,7 +573,7 @@ def test_gram_entries_vanish_off_shared_eigenspaces():
     # K(2,3): a pair's Gram entry vanishes on every eigenspace either vertex
     # has no mass on; a vertex out of range is refused by name
     ctx = pipelines.prepare(graph.complete_bipartite(2, 3))
-    spec = ctx.spectrum
+    spec = eigenbasis(ctx)
     for (u, v), nonzero in [((0, 1), [0, 3, 5]), ((2, 4), [0, 2, 5]), ((0, 4), [0, 5])]:
         gram = spectral.group_sums(spec, spec.eigenvectors[u] * spec.eigenvectors[v])
         held = [x for x, entry in zip(spec.values, gram) if abs(entry) > 1e-9]
@@ -701,7 +703,7 @@ def test_run_schedule_keeps_its_n_x_n_frame_off_the_dense_form():
     # run_schedule's frame is the full eigenbasis, r = N: its stage
     # matrices would take (2N)^2 entries each, 32 MiB at N = 256
     ctx = pipelines.prepare(graph.hamming(8, 2))
-    tree, spec = pipelines.sampling_schedule(ctx, 3), ctx.spectrum  # decomposed before tracing
+    tree, spec = pipelines.sampling_schedule(ctx, 3), eigenbasis(ctx)  # decomposed before tracing
     start = simulate.vertex_state(256, 3)
     tracemalloc.start()
     try:
@@ -715,7 +717,7 @@ def test_run_schedule_keeps_its_n_x_n_frame_off_the_dense_form():
 
 def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
     ctx, vertices, _, op_by_op_too = frame_case
-    spec, n = ctx.spectrum, ctx.graph.n
+    spec, n = eigenbasis(ctx), ctx.graph.n
     for m in vertices:
         sched = pipelines.sampling_schedule(ctx, m)
         basis, coords = frame_basis(spec, m)
@@ -743,7 +745,7 @@ def test_frame_transfer_matches_run_schedule_and_op_by_op(frame_case):
     # the pipeline reads transfer off two forward frame runs; the dense
     # reference runs F_u, then dagger(F_v), and so does the op-by-op one
     ctx, _, pairs, op_by_op_too = frame_case
-    spec, n = ctx.spectrum, ctx.graph.n
+    spec, n = eigenbasis(ctx), ctx.graph.n
     for u, v in pairs:
         fwd, back = pipelines.sampling_schedule(ctx, u), pipelines.sampling_schedule(ctx, v)
         back = schedule.dagger(back)
@@ -763,7 +765,7 @@ def test_transfer_of_missed_samples_matches_run_schedule(k4_minus_edge):
     # keep mass beyond eigenvalue 0, its fidelity reads below 1 and every
     # factor of the Gram-weighted inner product shows
     ctx = pipelines.prepare(k4_minus_edge)
-    spec, n = ctx.spectrum, ctx.graph.n
+    spec, n = eigenbasis(ctx), ctx.graph.n
     schedules = [pipelines.sampling_schedule(ctx, m) for m in (2, 3, 0, 1)]
     _, finals = pipelines._sample_sweep(ctx, schedules, range(n))
     pairs = [(u, v) for u in range(n) for v in range(n)]
@@ -778,7 +780,7 @@ def test_transfer_of_missed_samples_matches_run_schedule(k4_minus_edge):
 def test_frame_search_matches_run_schedule_and_op_by_op(frame_case):
     # every branch, the ancilla carried; K4 - e and K(2,3) have two classes
     ctx, vertices, _, op_by_op_too = frame_case
-    spec, n = ctx.spectrum, ctx.graph.n
+    spec, n = eigenbasis(ctx), ctx.graph.n
     start = simulate.attach_ancilla(simulate.uniform_state(n))
     for m in vertices:
         expected = []
