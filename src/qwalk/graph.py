@@ -130,15 +130,35 @@ def kneser(n: int, k: int) -> Graph:
 
 def _subset_edges(n: int, k: int, meet: int) -> np.ndarray:
     """The pairs u < v of lex-ranked k-subsets of range(n) that share
-    ``meet`` elements, compared about a million pairs at a time."""
-    masks = _subset_masks(n, k)
-    count = len(masks)
-    step = max(1, 2**20 // count)
+    ``meet`` elements, k - 1 (johnson) or 0 (kneser), listed from each
+    subset's neighbours: johnson's swap one element of the subset for one
+    outside it, and kneser's are the k-subsets of its complement.  A
+    neighbour with elements c_0 < ... < c_{k-1} has lex rank C(n, k) - 1 -
+    sum over i of C(n - 1 - c_i, k - i).  Each subset's neighbours are
+    sorted by rank, so the pairs come sorted.  O(E k), about 65 536
+    neighbours at a time."""
+    subsets = np.array(list(itertools.combinations(range(n), k))).reshape(-1, k)
+    member = np.zeros((len(subsets), n), dtype=bool)
+    np.put_along_axis(member, subsets, True, 1)
+    outside = np.nonzero(~member)[1].reshape(len(subsets), n - k)
+    if meet:  # position i of the subset takes outside element j
+        i, j = np.array(list(itertools.product(range(k), range(n - k)))).reshape(-1, 2).T
+    else:
+        picks = np.array(list(itertools.combinations(range(n - k), k))).reshape(-1, k)
+    ranks = np.array([[math.comb(a, b) for b in range(k + 1)] for a in range(n)])
+    step = max(1, 2**16 // (len(i) if meet else len(picks)))
     blocks = []
-    for lo in range(0, count, step):
-        rows = np.arange(lo, min(lo + step, count))
-        found = np.argwhere(_meet(masks, rows[:, None], np.arange(count)) == meet) + [lo, 0]
-        blocks.append(found[found[:, 0] < found[:, 1]])
+    for lo in range(0, len(subsets), step):
+        rows = np.arange(lo, min(lo + step, len(subsets)))
+        if meet:
+            near = np.repeat(subsets[rows, None], len(i), axis=1)
+            near[:, np.arange(len(i)), i] = outside[rows][:, j]
+            near.sort(axis=2)
+        else:
+            near = outside[rows][:, picks]
+        v = np.sort(len(subsets) - 1 - sum(ranks[n - 1 - near[..., c], k - c] for c in range(k)))
+        u = np.broadcast_to(rows[:, None], v.shape)
+        blocks.append(np.column_stack([u[u < v], v[u < v]]))
     return np.concatenate(blocks)
 
 

@@ -20,9 +20,10 @@ read no eigenvector.  On a family graph ``prepare`` takes all four
 reads in closed form, and a failing branch's lift reads Gram columns,
 so no task decomposes; any other graph is decomposed up front.  The
 context synthesizes one sampling schedule per mass class, and the
-class's search branch is its dagger.  Each pass of the batched executor
-runs one schedule: sampling makes one per distinct schedule, and search
-one per branch, decided in the frame.  Transfer makes no pass of its
+class's search branch is its dagger; it compiles each such stage tree
+once (``plan``), and the schedule and its dagger share that plan.  Each
+pass of the batched executor runs one schedule: sampling makes one per
+distinct schedule, and search one per branch, decided in the frame.  Transfer makes no pass of its
 own: ``_transfer_sweep`` reads it off the final states of two rows of a
 sampling pass (``_sample_pass``, which builds no reports), weighted by
 the Gram entries (E_g)_uv.  ``verify_graph`` is one call of each sweep over every
@@ -126,7 +127,8 @@ class VerifyReport:
 class _VertexReads:
     """The vertex count ``n``, the ``masses`` of given vertices and the
     ``lift`` of frame states, read off a context's dense ``spectrum``
-    unless a subclass answers them in closed form."""
+    unless a subclass answers them in closed form; and the compiled
+    ``plan`` of each schedule run on the context."""
 
     @property
     def n(self) -> int:
@@ -154,6 +156,40 @@ class _VertexReads:
         one N x N product per row and block (``simulate.lift``)."""
         spectrum = self.spectrum
         return sim.lift(spectrum.eigenvectors, spectrum.multiplicities, vertices, coords, x)
+
+    @functools.cached_property
+    def _plans(self) -> dict[int, sim.StagePlan | None]:
+        """A slot for the plan of each stage tree the context synthesized,
+        by the tree's id, empty until the tree first runs.  The context
+        holds those trees as long as it lives, so no other tree can carry
+        a slot's id, and the plans die with the context."""
+        return {}
+
+    def _keep_plans(
+        self, schedules: tuple[sched_mod.Schedule, ...]
+    ) -> tuple[sched_mod.Schedule, ...]:
+        """Open a plan slot for the stage tree of each synthesized schedule."""
+        self._plans.update(dict.fromkeys(id(s.stages) for s in schedules))
+        return schedules
+
+    def plan(self, schedule: sched_mod.Schedule) -> sim.StagePlan:
+        """The stage tree of schedule compiled on ``values``, once the
+        walk times pass ``_check_stages``: compiled on a tree's first run
+        and kept when the context synthesized it, so every sample,
+        transfer and search that runs the tree, in either direction,
+        shares one plan; compiled for the call on any other tree (a
+        decoded artifact, a hand-built schedule), so its check runs on
+        every call."""
+        if schedule.hamiltonian != self.hamiltonian:
+            raise ScheduleError(
+                f"a {schedule.hamiltonian} schedule cannot run on the {self.hamiltonian} walk")
+        key = id(schedule.stages)
+        if (plan := self._plans.get(key)) is None:
+            _check_stages(self, schedule.stages)
+            plan = sim.compile_stages(schedule.stages, self.values)
+            if key in self._plans:
+                self._plans[key] = plan
+        return plan
 
 
 @dataclass(frozen=True)
@@ -258,11 +294,13 @@ class LaplacianContext(_VertexReads):
         else:
             overlaps = [depth_mod.overlaps(self.chain, row)
                         for row in self.masses(self.mass_classes)]
-        return tuple(sched_mod.synth_sampling_schedule(self.chain, o) for o in overlaps)
+        return self._keep_plans(
+            tuple(sched_mod.synth_sampling_schedule(self.chain, o) for o in overlaps))
 
     @functools.cached_property
     def branches(self) -> tuple[sched_mod.Schedule, ...]:
-        """One search branch per mass class, its sampling schedule's dagger."""
+        """One search branch per mass class, its sampling schedule's dagger,
+        which keeps its stage tree and so its plan."""
         return tuple(map(sched_mod.dagger, self.class_schedules))
 
     def frame_starts(self, vertices: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -312,7 +350,7 @@ class BipartiteContext(_VertexReads):
     @functools.cached_property
     def branches(self) -> tuple[sched_mod.Schedule, sched_mod.Schedule]:
         """One reversed schedule per block."""
-        return sched_mod.synth_bipartite_search(*map(len, self.blocks))
+        return self._keep_plans(sched_mod.synth_bipartite_search(*map(len, self.blocks)))
 
     @property
     def walk_times(self) -> tuple[float]:
@@ -408,15 +446,11 @@ def sampling_schedule(ctx: LaplacianContext, m: int) -> sched_mod.Schedule:
 
 
 def _check_stages(ctx: LaplacianContext | BipartiteContext,
-                  schedule: sched_mod.Schedule) -> None:
-    """Reject a schedule that cannot run on ctx: one for another
-    Hamiltonian, or a stage whose walk time is not ``ctx.walk_times`` at
-    the level it claims.  O(depth)."""
-    if schedule.hamiltonian != ctx.hamiltonian:
-        raise ScheduleError(
-            f"a {schedule.hamiltonian} schedule cannot run on the {ctx.hamiltonian} walk")
+                  stages: tuple[sched_mod.Stage, ...]) -> None:
+    """Reject a stage tree that cannot run on ctx: a stage whose walk time
+    is not ``ctx.walk_times`` at the level it claims.  O(depth)."""
     times = ctx.walk_times
-    for stage in schedule.stages:
+    for stage in stages:
         if not (0 <= stage.level < len(times) and math.isclose(
                 stage.walk_time, times[stage.level], rel_tol=1e-9)):
             raise ScheduleError(
@@ -445,14 +479,12 @@ def _sample_pass(
     groups: dict[int, list[int]] = {}
     for i, schedule in enumerate(schedules):
         groups.setdefault(id(schedule), []).append(i)
-    for rows in groups.values():
-        _check_stages(ctx, schedules[rows[0]])
+    plans = [ctx.plan(schedules[rows[0]]) for rows in groups.values()]
     coords = sim.frame_coords(ctx.masses(vertices))
-    values = ctx.values
     finals, passes = np.zeros(coords.shape, dtype=complex), []
-    for rows in groups.values():
+    for rows, plan in zip(groups.values(), plans):
         ends: list[np.ndarray] = []
-        x = sim.run_stages(coords[rows, None], schedules[rows[0]], values, coords[rows],
+        x = sim.run_stages(coords[rows, None], schedules[rows[0]], plan, coords[rows],
                            lambda _, blocks: ends.append(blocks[:, 0]))[:, 0]
         finals[rows] = sim.divide_coords(x, coords[rows])
         passes.append((rows, x, np.array(ends).reshape(-1, *x.shape)))
@@ -599,12 +631,11 @@ def _search_sweep(
     if len(schedules) != len(starts):
         raise ScheduleError(
             f"search on this graph takes {len(starts)} branches, got {len(schedules)}")
-    for schedule in schedules:
-        _check_stages(ctx, schedule)
+    plans = [ctx.plan(schedule) for schedule in schedules]
     runs = []
-    for side, (start, schedule) in enumerate(zip(starts, schedules), 1):
+    for side, (start, schedule, plan) in enumerate(zip(starts, schedules, plans), 1):
         x = sim.run_stages(np.stack([start, np.zeros_like(start)], axis=1),
-                           schedule, ctx.values, coords)
+                           schedule, plan, coords)
         fids = (np.abs(np.einsum("rag,rg->ra", x, coords)) ** 2).sum(axis=1)
         found, candidates = fids >= FIDELITY_THRESHOLD, vertices.copy()
         if (failed := np.flatnonzero(~found)).size:

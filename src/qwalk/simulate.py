@@ -21,7 +21,11 @@ oracle pair w_a are 0 there, and the kick acts on each coordinate alone,
 so the stage matrix has only the kick there too.
 So the executor runs one schedule on R rows at once, each with its own
 marked vertex, and the rows share every iteration: one pass of numpy
-calls serves every row of a sweep that runs that schedule.
+calls serves every row of a sweep that runs that schedule.  What depends
+on no row, the kick kernels and the oracle gains, is compiled once per
+stage tree and eigenvalue set (``compile_stages``, a ``StagePlan``);
+a context keeps the plan of each tree it synthesized, so repeated runs
+on a prepared graph build only their pairs and stage matrices.
 ``run_schedule`` takes any vertex-basis state and rotates it into the
 eigenbasis and back, O(N^2); it, ``apply_op`` and the per-op primitives
 are the references the frame runs are tested against, and every one is
@@ -35,6 +39,7 @@ boundaries or the end of a schedule is it guaranteed back in |0>.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,6 +55,7 @@ from .schedule import (
     OraclePhase,
     PrimitiveOp,
     Schedule,
+    Stage,
 )
 from .spectral import Spectrum
 
@@ -287,6 +293,34 @@ def _kick_matrices(kernels: np.ndarray) -> np.ndarray:
     return d.reshape(stages, 2 * r, 2 * r)
 
 
+@dataclass(frozen=True, eq=False)
+class StagePlan:
+    """A stage tree compiled on one eigenvalue set (``compile_stages``):
+    the part of every run of the tree that depends on no row.  A plan
+    serves the tree in both directions, so a schedule and its dagger share
+    one.  ``kernels`` are the kicks of ``_kick_kernels``, (S, 2, 2, r),
+    ``gains`` each stage's c = e^{-i alpha} - 1, and ``kicks`` the kernels
+    as block-diagonal (2r x 2r) matrices, built on first use by a batch
+    narrow enough for the dense form."""
+
+    stages: tuple[Stage, ...]
+    kernels: np.ndarray
+    gains: np.ndarray
+
+    @functools.cached_property
+    def kicks(self) -> np.ndarray:
+        return _kick_matrices(self.kernels)
+
+
+def compile_stages(stages: tuple[Stage, ...], values: np.ndarray) -> StagePlan:
+    """The plan of a stage tree in a frame where the walk is diagonal with
+    ``values``: one gather of (walk time, kick, alpha) over the stages and
+    one ``_kick_kernels`` call."""
+    walk, kick, alpha = np.array(
+        [(st.walk_time, st.kick, st.params.alpha) for st in stages]).reshape(-1, 3).T
+    return StagePlan(stages, _kick_kernels(walk, kick, values), np.exp(-1j * alpha) - 1)
+
+
 def _stage_matrix(kick: np.ndarray, pair: np.ndarray, gain: complex) -> np.ndarray:
     """One stage's iteration, the kick and then the oracle, as one (2r x
     2r) matrix per row that acts on row vectors: T = D + (D w^dagger)(c
@@ -318,7 +352,8 @@ def run_schedule(
     rows = vectors[[_marked_vertex(marked, n)]] if schedule.stages else None
     blocks = _rotate(vectors.T, state.amps.reshape(-1, n))
     report = on_stage and (lambda i, b: on_stage(i, _state(_rotate(vectors, b[0]).ravel(), n)))
-    blocks = run_stages(blocks[None], schedule, spectrum.eigenvalues, rows, report)[0]
+    plan = compile_stages(schedule.stages, spectrum.eigenvalues)
+    blocks = run_stages(blocks[None], schedule, plan, rows, report)[0]
     return _state(_rotate(vectors, blocks).ravel(), n)
 
 
@@ -364,12 +399,12 @@ def lift_columns(columns: np.ndarray, coords: np.ndarray, x: np.ndarray) -> np.n
 
 
 def run_stages(
-    blocks: np.ndarray, schedule: Schedule, values: np.ndarray,
+    blocks: np.ndarray, schedule: Schedule, plan: StagePlan,
     rows: np.ndarray | None, on_stage: Callable[[int, np.ndarray], None] | None = None,
 ) -> np.ndarray:
-    """The stage tree of ``schedule`` on R rows of (1 or 2, r) ancilla
-    blocks, row i with its marked vertex at coordinates ``rows[i]``, in a
-    frame where the walk is diagonal with ``values``.  A pass over the
+    """The stage tree of ``schedule``, compiled as ``plan``, on R rows of
+    (1 or 2, r) ancilla blocks, row i with its marked vertex at coordinates
+    ``rows[i]``, in the frame of the plan's values.  A pass over the
     pair w_a = U|a, m> alone stores the pair at the start of each stage;
     then the stages run in order, or their adjoints in reverse.  A stage's
     iteration is T = D + (D w^dagger)(c w) on row vectors, D the kick and
@@ -384,17 +419,17 @@ def run_stages(
     per-coordinate time up to 2048 entries and lost on most batches from
     6272.  ``run_schedule``'s frame has r = N, so it runs dense only below
     N = 23.  The kick kernels, gains and kick matrices depend only on the
-    schedule and ``values``: they are built once per call and broadcast
-    across the rows.  The norm check and the detach gate close every run
-    and raise on the first row that fails them; a schedule without stages
-    needs no m.  ``on_stage(i, blocks)`` gets the (R, 2, r) blocks after
-    stage i."""
+    stage tree and the values, so they come from the plan, which a
+    context compiles once per tree it synthesized; the pairs and the stage
+    matrices depend on the rows and are built on every call.  The norm
+    check and the detach gate close every run and raise on the first row
+    that fails them; a schedule without stages needs no m.
+    ``on_stage(i, blocks)`` gets the (R, 2, r) blocks after stage i."""
+    if plan.stages is not schedule.stages:
+        raise SimulationError("the plan was compiled for another stage tree")
     count, width, carried = len(blocks), 2 * blocks.shape[2], blocks.shape[1] == 2
-    stages = schedule.stages
-    walk, kick, alpha = np.array(
-        [(st.walk_time, st.kick, st.params.alpha) for st in stages]).reshape(-1, 3).T
-    kernels, gains = _kick_kernels(walk, kick, values), np.exp(-1j * alpha) - 1
-    kicks = _kick_matrices(kernels) if count * width**2 <= _DENSE_ENTRIES else None
+    stages, kernels, gains = schedule.stages, plan.kernels, plan.gains
+    kicks = plan.kicks if count * width**2 <= _DENSE_ENTRIES else None
     pairs = [np.eye(2)[:, :, None] * rows[:, None, None]] if stages else []
     matrices = []
 

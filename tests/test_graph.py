@@ -65,6 +65,20 @@ def test_subset_generators_match_itertools_construction():
                 graph.kneser(n, k)
 
 
+def test_subset_edges_list_the_pairwise_meets_in_order():
+    # the pairs listed from each subset's neighbours are, in order, the
+    # sorted pairs of the pairwise meet for every n <= 10, so the graph
+    # keeps them as listed; johnson(16, 8) no longer meets every pair
+    for n in range(2, 11):
+        for k in range(1, n):
+            for meet, pairs in zip((k - 1, 0), subset_graph_edges(n, k)):
+                if n >= 2 * k or meet:
+                    want = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+                    assert np.array_equal(graph._subset_edges(n, k, meet), want), (n, k, meet)
+    g = graph.johnson(16, 8)
+    assert (g.n, len(g.edge_array)) == (12870, 411840)
+
+
 def test_rook_2_2_is_four_cycle():
     g = graph.rook(2, 2)
     assert g.n == 4

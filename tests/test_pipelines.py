@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -876,15 +878,89 @@ def test_sampling_synthesizes_once_per_class(monkeypatch):
     assert len(synths) == len(ctx.mass_classes) == 2
 
 
+#: graphs and their mass class counts: a closed form with one class, one
+#: with two, and the dense route
+PLAN_GRAPHS = {
+    "rook(20,20)": (lambda: graph.rook(20, 20), 1),
+    "complete_bipartite(200,300)": (lambda: graph.complete_bipartite(200, 300), 2),
+    "k4_minus_edge": (lambda: graph.load_edge_list("0 2\n0 3\n1 2\n1 3\n2 3\n"), 2),
+}
+
+
+def count_kernel_builds(monkeypatch):
+    builds, kernels = [], simulate._kick_kernels
+    monkeypatch.setattr(simulate, "_kick_kernels",
+                        lambda *args: builds.append(1) or kernels(*args))
+    return builds
+
+
+@pytest.mark.parametrize("name", PLAN_GRAPHS)
+def test_a_context_compiles_each_class_tree_once(monkeypatch, name):
+    # 20 samples, transfers and searches on one context build the kick
+    # kernels once per mass class, as a class schedule and its search
+    # branch share a plan, and every report is the one a fresh context gives
+    make, classes = PLAN_GRAPHS[name]
+    g = make()
+    ctx = pipelines.prepare(g)
+    rng = np.random.default_rng(31)
+    runs = [("sample", (int(m),)) for m in rng.integers(g.n, size=20)]
+    runs += [("transfer", tuple(map(int, uv))) for uv in rng.integers(g.n, size=(20, 2))]
+    runs += [("search", (int(m),)) for m in rng.integers(g.n, size=20)]
+    calls = {"sample": pipelines.uniform_sample, "transfer": pipelines.transfer,
+             "search": pipelines.search_vertex_transitive}
+    builds = count_kernel_builds(monkeypatch)
+    reports = [calls[task](g, *args, ctx=ctx) for task, args in runs]
+    assert len(builds) == len(ctx.mass_classes) == classes
+    for (task, args), report in zip(runs, reports):
+        assert report == calls[task](g, *args, ctx=pipelines.prepare(g))
+
+
+def test_a_foreign_schedule_compiles_and_is_checked_on_every_call(monkeypatch):
+    # a decoded artifact equal to the class schedule compiles on each call,
+    # and one whose walk times were stretched is rejected on each call
+    g = graph.hamming(4, 2)
+    ctx = pipelines.prepare(g)
+    data = schedule.schedule_to_json_dict(pipelines.sampling_schedule(ctx, 3))
+    decoded = schedule.schedule_from_json_dict(data)
+    for op in data["ops"]:
+        if op["op"] == "cwalk":
+            op["t"] *= 1.5
+    data["total_time"] = sum(abs(op.get("t", 0.0)) + abs(op.get("theta", 0.0))
+                             for op in data["ops"])
+    tampered = schedule.schedule_from_json_dict(data)
+    builds = count_kernel_builds(monkeypatch)
+    for _ in range(3):
+        assert pipelines.execute_sample(ctx, decoded, 3) == pipelines.uniform_sample(g, 3, ctx=ctx)
+        with pytest.raises(ScheduleError, match="not the reflection time"):
+            pipelines.execute_sample(ctx, tampered, 3)
+    assert len(builds) == 3 + 1
+    assert [p is not None for p in ctx._plans.values()] == [True]
+
+
+def test_plans_die_with_their_context():
+    # the plans live on the context, so nothing else keeps them alive
+    ctx = pipelines.prepare(graph.hamming(6, 2))
+    pipelines.uniform_sample(ctx.graph, 5, ctx=ctx)
+    laplacian = weakref.ref(ctx.plan(ctx.branches[0]))
+    bctx = pipelines.prepare_bipartite(graph.complete_bipartite(4, 7))
+    pipelines.execute_search(bctx, bctx.branches, 3)
+    bipartite = weakref.ref(bctx.plan(bctx.branches[1]))
+    assert laplacian() is not None and bipartite() is not None
+    del ctx, bctx
+    gc.collect()
+    assert laplacian() is None and bipartite() is None
+
+
 def frame_reads_and_lift(sctx, vertices):
     """Per branch of a search context, run for every hidden vertex: p(m)
     and the ancilla leak read in the frame, and the same two read off the
     lifted vertex-basis amplitudes, with those amplitudes' probabilities."""
     vertices = np.asarray(vertices)
     coords = simulate.frame_coords(sctx.masses(vertices))
-    values, rows, spec = sctx.values, np.arange(len(vertices)), eigenbasis(sctx)
+    rows, spec = np.arange(len(vertices)), eigenbasis(sctx)
     for start, branch in zip(sctx.frame_starts(vertices, coords), sctx.branches):
-        x = simulate.run_stages(np.stack([start, 0 * start], axis=1), branch, values, coords)
+        x = simulate.run_stages(np.stack([start, 0 * start], axis=1), branch, sctx.plan(branch),
+                                coords)
         amps = simulate.lift(spec.eigenvectors, spec.multiplicities, vertices, coords, x)
         probs = (np.abs(amps) ** 2).sum(axis=1)
         frame = ((np.abs(np.einsum("rag,rg->ra", x, coords)) ** 2).sum(axis=1),

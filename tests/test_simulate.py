@@ -32,6 +32,12 @@ def random_state(n, seed):
     return amps / np.linalg.norm(amps)
 
 
+def run_tree(blocks, sched, values, rows, on_stage=None):
+    """``simulate.run_stages`` on the tree of sched compiled for the call."""
+    plan = simulate.compile_stages(sched.stages, values)
+    return simulate.run_stages(blocks, sched, plan, rows, on_stage)
+
+
 def one_stage(walk_time, kick=1.0):
     """A hand-built one-stage tree on level 0."""
     params = schedule.stage_params(0.5)
@@ -499,7 +505,7 @@ def run_branches(ctx, m):
     coords = simulate.frame_coords(ctx.masses(vertices))
     spec = eigenbasis(ctx)
     return [simulate.lift(spec.eigenvectors, spec.multiplicities, vertices, coords,
-                          simulate.run_stages(blocks, sched, ctx.values, coords))[0]
+                          run_tree(blocks, sched, ctx.values, coords))[0]
             for blocks, sched in zip(branch_starts(ctx, vertices, coords), ctx.branches)]
 
 
@@ -563,8 +569,8 @@ def test_frame_coords_are_exactly_zero_off_a_vertexs_eigenspaces():
             assert (len(rows) * entries <= simulate._DENSE_ENTRIES) == dense
             for blocks, sched in zip(branch_starts(ctx, rows, coords[rows]), ctx.branches):
                 stages = []
-                end = simulate.run_stages(blocks, sched, values, coords[rows],
-                                          lambda _, blocks: stages.append(blocks))
+                end = run_tree(blocks, sched, values, coords[rows],
+                               lambda _, blocks: stages.append(blocks))
                 for blocks in [*stages, end]:
                     assert np.all(blocks.transpose(1, 0, 2)[:, zero[rows]] == 0.0)
 
@@ -594,9 +600,9 @@ def test_run_stages_mixes_frames_that_keep_different_eigenspaces():
     for i, v in enumerate([1, 0, 3, 2]):
         assert np.array_equal(coords[i], simulate.frame_coords(ctx.masses([v]))[0])
     for blocks, sched in zip(branch_starts(ctx, [1, 0, 3, 2], coords), ctx.branches):
-        batch = simulate.run_stages(blocks, sched, values, coords)
+        batch = run_tree(blocks, sched, values, coords)
         for i in range(4):
-            alone = simulate.run_stages(blocks[i:i + 1], sched, values, coords[i:i + 1])
+            alone = run_tree(blocks[i:i + 1], sched, values, coords[i:i + 1])
             assert_close(batch[i], alone[0])
 
 
@@ -641,13 +647,13 @@ def test_per_coordinate_batch_matches_its_rows_run_alone(name):
         assert entries <= simulate._DENSE_ENTRIES < len(blocks) * entries
         directions.add(sched.direction)
         stages = []
-        batch = simulate.run_stages(blocks, sched, values, rows,
-                                    lambda _, b: stages.append(b))
+        batch = run_tree(blocks, sched, values, rows,
+                         lambda _, b: stages.append(b))
         assert len(stages) == len(sched.stages)
         for i in range(len(blocks)):
             alone = []
-            end = simulate.run_stages(blocks[i:i + 1], sched, values,
-                                      rows[i:i + 1], lambda _, b: alone.append(b[0]))
+            end = run_tree(blocks[i:i + 1], sched, values,
+                           rows[i:i + 1], lambda _, b: alone.append(b[0]))
             assert_close(batch[i], end[0])
             for got, want in zip(stages, alone, strict=True):
                 assert_close(got[i], want)
@@ -664,14 +670,12 @@ def stage_matrices(sched, values, rows):
         blocks = np.zeros((len(rows), 2, rows.shape[1]), dtype=complex)
         blocks[:, a] = rows
         pairs[a] = [blocks]
-        simulate.run_stages(blocks, forward, values, rows,
-                            lambda _, b, a=a: pairs[a].append(b))
-    walk, kick, alpha = np.array(
-        [(st.walk_time, st.kick, st.params.alpha) for st in forward.stages]).reshape(-1, 3).T
-    kicks = simulate._kick_matrices(simulate._kick_kernels(walk, kick, values))
-    return [simulate._stage_matrix(kicks[k], np.stack([pairs[0][k], pairs[1][k]], axis=1),
-                                   np.exp(-1j * alpha[k]) - 1)
-            for k in range(len(walk))]
+        run_tree(blocks, forward, values, rows,
+                 lambda _, b, a=a: pairs[a].append(b))
+    plan = simulate.compile_stages(forward.stages, values)
+    return [simulate._stage_matrix(plan.kicks[k], np.stack([pairs[0][k], pairs[1][k]], axis=1),
+                                   plan.gains[k])
+            for k in range(len(forward.stages))]
 
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
@@ -687,7 +691,7 @@ def test_stage_matrices_are_unitary_and_runs_apply_them(name):
             order = range(len(matrices))[::-1] if reverse else range(len(matrices))
             x = np.concatenate([x, np.zeros_like(x)], axis=1) if x.shape[1] == 1 else x
             stages = []
-            simulate.run_stages(x, sched, values, coords, lambda _, b: stages.append(b))
+            run_tree(x, sched, values, coords, lambda _, b: stages.append(b))
             for k, after in zip(order, stages):
                 t = matrices[k]
                 assert np.max(np.abs(t @ t.conj().transpose(0, 2, 1) - np.eye(t.shape[1]))) < 1e-13
@@ -721,7 +725,7 @@ def test_frame_sample_matches_run_schedule_and_op_by_op(frame_case):
     for m in vertices:
         sched = pipelines.sampling_schedule(ctx, m)
         basis, coords = frame_basis(spec, m)
-        got = simulate.run_stages(coords[None, None], sched, np.array(spec.values), coords[None])
+        got = run_tree(coords[None, None], sched, np.array(spec.values), coords[None])
         lifted = simulate.lift(spec.eigenvectors, spec.multiplicities, [m], coords[None], got)[0, 0]
         assert_close(lifted, basis @ got[0, 0])
 
@@ -886,13 +890,13 @@ def test_frame_runs_keep_the_norm_check_and_detach_gate():
     ctx = pipelines.prepare(CLASS_GRAPHS["leaking"]())
     coords, values = simulate.frame_coords(ctx.masses([5])), ctx.values
     with pytest.raises(SimulationError, match="norm defect"):
-        simulate.run_stages(2 * coords[:, None], pipelines.sampling_schedule(ctx, 5),
-                            values, coords)
+        run_tree(2 * coords[:, None], pipelines.sampling_schedule(ctx, 5),
+                 values, coords)
     # the oracle on vertex 5 under vertex 1's schedule leaves the ancilla
     # entangled at the end
     with pytest.raises(SimulationError, match=r"ancilla entangled .* 1\.008e-01"):
-        simulate.run_stages(coords[:, None], pipelines.sampling_schedule(ctx, 1),
-                            values, coords)
+        run_tree(coords[:, None], pipelines.sampling_schedule(ctx, 1),
+                 values, coords)
 
 
 def test_frame_pipelines_make_no_dense_products(monkeypatch):
